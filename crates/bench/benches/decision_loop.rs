@@ -9,6 +9,7 @@ use roborun_core::{
 use roborun_env::{DifficultyConfig, EnvironmentGenerator};
 use roborun_geom::{Pose, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
+use roborun_planning::{smooth_path, SmoothingConfig};
 use roborun_sim::CameraRig;
 
 fn bench_governor_decision(c: &mut Criterion) {
@@ -94,6 +95,40 @@ fn bench_profilers(c: &mut Criterion) {
     c.bench_function("profilers_profile", |b| {
         b.iter(|| {
             std::hint::black_box(profilers.profile(&cloud, &map, None, pose.position, 2.0, Vec3::X))
+        })
+    });
+
+    // A mid-mission map: 30 scans, 2 m apart along the start→goal line,
+    // each followed by the mission's 70 m retain — free voxels dominate,
+    // as they do in flight — profiled with a trajectory ahead, so the
+    // upcoming-waypoint queries run too.
+    let heading = (env.goal() - env.start()).normalize();
+    let mut mission_map = OccupancyMap::new(0.3);
+    let mut last = None;
+    for i in 0..30 {
+        let pose = Pose::new(env.start() + heading * (2.0 * i as f64), 0.0);
+        let scan = rig.capture(env.field(), &pose);
+        let scan_cloud = PointCloud::new(pose.position, scan.points);
+        mission_map.integrate_cloud(&scan_cloud.downsampled(0.3), 0.5);
+        mission_map.retain_within(pose.position, 70.0);
+        last = Some((pose.position, scan_cloud));
+    }
+    let (position, last_cloud) = last.expect("at least one scan");
+    let trajectory = smooth_path(
+        &[position, position + heading * 40.0],
+        3.0,
+        &SmoothingConfig::default(),
+    );
+    c.bench_function("profilers_profile_mission_map", |b| {
+        b.iter(|| {
+            std::hint::black_box(profilers.profile(
+                &last_cloud,
+                &mission_map,
+                Some(&trajectory),
+                position,
+                2.0,
+                heading,
+            ))
         })
     });
 }

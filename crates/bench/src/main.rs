@@ -13,8 +13,9 @@
 //!
 //! Each experiment prints either an aligned table (for bar-chart figures
 //! like Fig. 7) or a CSV series (for curve figures like Fig. 2/5/10/11)
-//! that can be plotted with any external tool. EXPERIMENTS.md records the
-//! mapping to the paper's figures and the measured outcomes.
+//! that can be plotted with any external tool. Experiments are named
+//! after the paper figure or table they regenerate (`fig7`, `table2`, …);
+//! the `benchN` experiments write the committed `BENCH_N.json` records.
 
 use roborun_core::latency_model::LatencySample;
 use roborun_core::{

@@ -15,10 +15,11 @@
 
 use crate::budget::WaypointState;
 use roborun_env::gaps::aabb_gap;
-use roborun_geom::{Aabb, Vec3};
+use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
 use roborun_perception::{OccupancyMap, PointCloud};
 use roborun_planning::Trajectory;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The spatial state the governor makes its decision from (one row of
 /// Table I per field group).
@@ -214,31 +215,36 @@ impl Profilers {
 }
 
 /// Groups occupied voxels near `center` into connected obstacle clusters
-/// (26-neighbourhood union-find) and returns each cluster's bounding box.
+/// (26-neighbourhood union-find) and returns each cluster's bounding box,
+/// nearest first (ties broken by the box corners, so the order — and the
+/// gap sums taken in it — never depends on hash iteration order).
 ///
 /// To keep the per-decision cost bounded, voxels are first re-keyed at a
 /// coarse clustering resolution (≥ 1.2 m); gap estimates therefore carry
 /// roughly that granularity, which is ample for the governor's precision
-/// constraints.
+/// constraints. Only the occupied voxels within `radius` are visited
+/// ([`OccupancyMap::occupied_voxels_within`]), and coarse keys are joined
+/// by probing their neighbours, so the cost follows the nearby obstacles,
+/// not the map.
 pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) -> Vec<Aabb> {
     let cluster_res = map.resolution().max(1.2);
-    let mut coarse: std::collections::HashMap<roborun_geom::VoxelKey, Aabb> =
-        std::collections::HashMap::new();
-    for (_, b) in map
-        .occupied_voxels()
-        .filter(|(_, b)| b.distance_to_point(center) <= radius)
-    {
-        let key = roborun_geom::VoxelKey::from_point(b.center(), cluster_res);
+    let mut coarse: FxHashMap<VoxelKey, Aabb> = FxHashMap::default();
+    for (_, b) in map.occupied_voxels_within(center, radius) {
+        let key = VoxelKey::from_point(b.center(), cluster_res);
         coarse
             .entry(key)
             .and_modify(|acc| *acc = Aabb::union(acc, &b))
             .or_insert(b);
     }
-    let nearby: Vec<(roborun_geom::VoxelKey, Aabb)> = coarse.into_iter().collect();
-    if nearby.is_empty() {
-        return Vec::new();
-    }
-    // Union-find over voxel indices.
+    let nearby: Vec<(VoxelKey, Aabb)> = coarse.into_iter().collect();
+    let slot: FxHashMap<VoxelKey, usize> = nearby
+        .iter()
+        .enumerate()
+        .map(|(i, (key, _))| (*key, i))
+        .collect();
+    // Union-find over coarse-key indices. Two keys are adjacent when their
+    // Chebyshev distance is 1; probing the 13 neighbours that sort after a
+    // key (the other 13 probe back) visits every adjacent pair once.
     let mut parent: Vec<usize> = (0..nearby.len()).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
@@ -247,10 +253,14 @@ pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) 
         }
         parent[i]
     }
-    for i in 0..nearby.len() {
-        for j in (i + 1)..nearby.len() {
-            let (ka, kb) = (nearby[i].0, nearby[j].0);
-            if (ka.x - kb.x).abs() <= 1 && (ka.y - kb.y).abs() <= 1 && (ka.z - kb.z).abs() <= 1 {
+    for (i, (key, _)) in nearby.iter().enumerate() {
+        for (dx, dy, dz) in FORWARD_NEIGHBOURS {
+            let neighbour = VoxelKey {
+                x: key.x + dx,
+                y: key.y + dy,
+                z: key.z + dz,
+            };
+            if let Some(&j) = slot.get(&neighbour) {
                 let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
                 if ra != rb {
                     parent[ra] = rb;
@@ -258,21 +268,52 @@ pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) 
             }
         }
     }
-    let mut clusters: std::collections::HashMap<usize, Aabb> = std::collections::HashMap::new();
+    // Box unions are exact min/max, so each cluster's box is independent
+    // of the order its members are folded in.
+    let mut clusters: Vec<Option<Aabb>> = vec![None; nearby.len()];
     for (i, (_, bounds)) in nearby.iter().enumerate() {
         let root = find(&mut parent, i);
-        clusters
-            .entry(root)
-            .and_modify(|b| *b = Aabb::union(b, bounds))
-            .or_insert(*bounds);
+        clusters[root] = Some(match clusters[root] {
+            Some(acc) => Aabb::union(&acc, bounds),
+            None => *bounds,
+        });
     }
-    let mut out: Vec<Aabb> = clusters.into_values().collect();
-    out.sort_by(|a, b| {
-        a.distance_to_point(center)
-            .partial_cmp(&b.distance_to_point(center))
-            .expect("distances are never NaN")
-    });
+    let mut out: Vec<Aabb> = clusters.into_iter().flatten().collect();
+    out.sort_by(|a, b| cluster_order(a, b, center));
     out
+}
+
+/// The 13 neighbour offsets that sort after the origin in (x, y, z)
+/// lexicographic order — half of the 26-neighbourhood.
+const FORWARD_NEIGHBOURS: [(i64, i64, i64); 13] = [
+    (0, 0, 1),
+    (0, 1, -1),
+    (0, 1, 0),
+    (0, 1, 1),
+    (1, -1, -1),
+    (1, -1, 0),
+    (1, -1, 1),
+    (1, 0, -1),
+    (1, 0, 0),
+    (1, 0, 1),
+    (1, 1, -1),
+    (1, 1, 0),
+    (1, 1, 1),
+];
+
+/// Total order of cluster boxes: distance to `center`, then the corners.
+fn cluster_order(a: &Aabb, b: &Aabb, center: Vec3) -> Ordering {
+    let corners = |x: &Aabb| [x.min.x, x.min.y, x.min.z, x.max.x, x.max.y, x.max.z];
+    a.distance_to_point(center)
+        .total_cmp(&b.distance_to_point(center))
+        .then_with(|| {
+            corners(a)
+                .iter()
+                .zip(corners(b).iter())
+                .map(|(p, q)| p.total_cmp(q))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        })
 }
 
 /// Minimum and average surface-to-surface gap between obstacle clusters.
@@ -362,6 +403,118 @@ mod tests {
         let profile = profilers.profile(&cloud, &map, None, Vec3::new(0.0, 0.0, 5.0), 1.0, Vec3::X);
         assert_eq!(profile.gap_min, 100.0);
         assert!(profile.closest_obstacle < 7.0);
+    }
+
+    /// The all-pairs clustering the production path replaced, kept as the
+    /// reference its output must equal (boxes and order).
+    fn extract_obstacle_clusters_reference(
+        map: &OccupancyMap,
+        center: Vec3,
+        radius: f64,
+    ) -> Vec<Aabb> {
+        let cluster_res = map.resolution().max(1.2);
+        let mut coarse: std::collections::HashMap<VoxelKey, Aabb> =
+            std::collections::HashMap::new();
+        for (_, b) in map
+            .occupied_voxels()
+            .filter(|(_, b)| b.distance_to_point(center) <= radius)
+        {
+            let key = VoxelKey::from_point(b.center(), cluster_res);
+            coarse
+                .entry(key)
+                .and_modify(|acc| *acc = Aabb::union(acc, &b))
+                .or_insert(b);
+        }
+        let nearby: Vec<(VoxelKey, Aabb)> = coarse.into_iter().collect();
+        let mut parent: Vec<usize> = (0..nearby.len()).collect();
+        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
+            if parent[i] != i {
+                let root = find(parent, parent[i]);
+                parent[i] = root;
+            }
+            parent[i]
+        }
+        for i in 0..nearby.len() {
+            for j in (i + 1)..nearby.len() {
+                let (ka, kb) = (nearby[i].0, nearby[j].0);
+                if (ka.x - kb.x).abs() <= 1 && (ka.y - kb.y).abs() <= 1 && (ka.z - kb.z).abs() <= 1
+                {
+                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+                    if ra != rb {
+                        parent[ra] = rb;
+                    }
+                }
+            }
+        }
+        let mut clusters: std::collections::HashMap<usize, Aabb> = std::collections::HashMap::new();
+        for (i, (_, bounds)) in nearby.iter().enumerate() {
+            let root = find(&mut parent, i);
+            clusters
+                .entry(root)
+                .and_modify(|b| *b = Aabb::union(b, bounds))
+                .or_insert(*bounds);
+        }
+        let mut out: Vec<Aabb> = clusters.into_values().collect();
+        out.sort_by(|a, b| cluster_order(a, b, center));
+        out
+    }
+
+    #[test]
+    fn clusters_match_the_all_pairs_reference_on_adversarial_maps() {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        for resolution in [0.3, 0.6, 1.2, 2.4] {
+            // Point sets keyed to the map voxels and to the 1.2 m
+            // clustering cells, so both discontinuities are hit.
+            for cell in [resolution, 1.2] {
+                for scenario in roborun_conformance::adversarial_point_sets(13, cell) {
+                    let mut map = OccupancyMap::new(resolution);
+                    map.integrate_cloud(&PointCloud::new(origin, scenario.points), resolution);
+                    for probe in roborun_conformance::boundary_probes(13, cell) {
+                        for radius in [0.0, cell, 20.0, 1e4] {
+                            assert_eq!(
+                                extract_obstacle_clusters(&map, probe, radius),
+                                extract_obstacle_clusters_reference(&map, probe, radius),
+                                "{} at res {resolution}, probe {probe}, radius {radius}",
+                                scenario.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tied_clusters_sum_gaps_in_a_fixed_order() {
+        // Three separate clusters at 1.2 m clustering resolution: a U whose
+        // box contains the query point, a bar through the query point
+        // inside the U, and a far pillar. The first two tie at distance 0.
+        let query = Vec3::new(0.15, 0.15, 4.95);
+        let mut points = Vec::new();
+        for i in -20..=20 {
+            let t = i as f64 * 0.3;
+            points.push(Vec3::new(-6.0, t, 5.0));
+            points.push(Vec3::new(6.0, t, 5.0));
+            points.push(Vec3::new(t, 6.0, 5.0));
+        }
+        for i in -10..=10 {
+            points.push(Vec3::new(i as f64 * 0.3, 0.0, 5.0));
+        }
+        points.extend(column(12.0, -9.0));
+        let forward = map_from_points(points.clone());
+        points.reverse();
+        let backward = map_from_points(points);
+        let clusters = extract_obstacle_clusters(&forward, query, 30.0);
+        assert_eq!(clusters.len(), 3);
+        assert_eq!(clusters[0].distance_to_point(query), 0.0);
+        assert_eq!(clusters[1].distance_to_point(query), 0.0);
+        assert_eq!(clusters, extract_obstacle_clusters(&backward, query, 30.0));
+        let gap_avg = |map: &OccupancyMap| {
+            cluster_gaps(&extract_obstacle_clusters(map, query, 30.0))
+                .1
+                .to_bits()
+        };
+        assert_eq!(gap_avg(&forward), gap_avg(&backward));
     }
 
     #[test]

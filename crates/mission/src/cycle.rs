@@ -1306,11 +1306,10 @@ impl<'m> DecisionCycle<'m> {
     /// Profiling: the spatial profile the governor decides from.
     fn profile(&self, sensed: &Sensed) -> SpatialProfile {
         let heading = direction_towards(self.drone.position, self.env.goal(), self.drone.velocity);
-        let trajectory_ref = self.follower.as_ref().map(|f| f.trajectory().clone());
         let mut profile = self.cfg.profilers.profile(
             &sensed.raw_cloud,
             &self.map,
-            trajectory_ref.as_ref(),
+            self.follower.as_ref().map(|f| f.trajectory()),
             self.drone.position,
             self.drone.speed(),
             heading,

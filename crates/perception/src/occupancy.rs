@@ -9,12 +9,72 @@
 //! power-of-two pruning performed at export time, which
 //! [`crate::PlannerMap`] reproduces by re-keying voxels at coarser
 //! power-of-two resolutions.
+//!
+//! # The bucket index
+//!
+//! The profilers query the map on every decision (nearest obstacle at the
+//! MAV and at each upcoming waypoint, occupied voxels within the gap
+//! radius). Those queries must cost what the *nearby occupied* voxels
+//! cost, not what the map holds — a long mission's map is dominated by
+//! free voxels. The map therefore keeps a private bucket index: every
+//! occupied key grouped by its bucket, the cell of edge
+//! `BUCKET_FACTOR · resolution` containing it (integer key division, so
+//! bucket membership is exact).
+//!
+//! * **Maintenance.** The index changes exactly where the occupied set
+//!   does: a key is appended when `mark_occupied` inserts it for the first
+//!   time, removed when the decay rule downgrades it to free, and dropped
+//!   by [`OccupancyMap::retain_within`], which walks buckets, not keys —
+//!   buckets wholly outside the radius go at once, buckets wholly inside
+//!   are untouched, and only buckets crossing the sphere filter their
+//!   keys. [`OccupancyMap::rebuild_spatial_caches`] rebuilds it from
+//!   scratch. Empty buckets are removed, so every bucket holds keys.
+//! * **Exactness.** Queries scan a bucket's keys with the same predicate
+//!   as the linear references and only *skip* whole buckets by a lower
+//!   bound on their distance. A voxel centre lies at least half a voxel
+//!   inside its bucket, and every skip test keeps a one-voxel margin, so
+//!   rounding can never skip a bucket holding a match: the results equal
+//!   the linear scans bit for bit (`nearest_occupied_distance_linear`,
+//!   the filtered `occupied_voxels`), which the proptests check after
+//!   every integrate, decay carve and retain.
+//! * **Identity.** The index is derived state: skipped by serde and left
+//!   out of `PartialEq`, since the order of keys inside a bucket records
+//!   insertion history, not map content.
 
 use crate::PointCloud;
 use roborun_geom::{
-    Aabb, FxHashMap, FxHashSet, Ray, RingSearch, RingSearchOutcome, Vec3, VoxelKey,
+    cell_min_distance_squared, Aabb, FxHashMap, FxHashSet, Ray, RingSearch, Vec3, VoxelKey,
 };
 use serde::{Deserialize, Serialize};
+
+/// Bucket edge of the occupied-key index, in voxels (see the module docs).
+const BUCKET_FACTOR: i64 = 8;
+
+/// The index bucket holding `key`.
+fn bucket_of(key: VoxelKey) -> VoxelKey {
+    VoxelKey {
+        x: key.x.div_euclid(BUCKET_FACTOR),
+        y: key.y.div_euclid(BUCKET_FACTOR),
+        z: key.z.div_euclid(BUCKET_FACTOR),
+    }
+}
+
+/// Squared distance from `p` to the farthest point of the cell `key` at
+/// the given cell size.
+fn cell_max_distance_squared(key: VoxelKey, cell: f64, p: Vec3) -> f64 {
+    let mut d2 = 0.0;
+    for (k, coord) in [(key.x, p.x), (key.y, p.y), (key.z, p.z)] {
+        let lo = k as f64 * cell;
+        let d = (coord - lo).abs().max((lo + cell - coord).abs());
+        d2 += d * d;
+    }
+    d2
+}
+
+/// The bounds of the voxel `key` at resolution `res`.
+fn voxel_bounds(key: VoxelKey, res: f64) -> Aabb {
+    Aabb::from_center_half_extents(key.center(res), Vec3::splat(res * 0.5))
+}
 
 /// `true` when two voxel keys are equal or differ by one grid step along
 /// exactly one axis — the only transitions between consecutive run heads
@@ -62,7 +122,7 @@ pub struct MapStats {
 /// assert!(map.is_occupied(Vec3::new(3.0, 0.0, 0.0)));
 /// assert!(!map.is_occupied(Vec3::new(1.0, 0.0, 0.0))); // carved free
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OccupancyMap {
     resolution: f64,
     voxels: FxHashMap<VoxelKey, VoxelState>,
@@ -95,6 +155,34 @@ pub struct OccupancyMap {
     /// maintained while decay is enabled.
     #[serde(skip)]
     last_occupied_epoch: FxHashMap<VoxelKey, u64>,
+    /// The occupied keys grouped by bucket (see the module docs).
+    #[serde(skip)]
+    buckets: FxHashMap<VoxelKey, Vec<VoxelKey>>,
+}
+
+/// Maps compare by everything but the bucket index (see the module docs).
+impl PartialEq for OccupancyMap {
+    fn eq(&self, other: &Self) -> bool {
+        let OccupancyMap {
+            resolution,
+            voxels,
+            occupied,
+            occupied_min,
+            occupied_max,
+            decay_after,
+            current_epoch,
+            last_occupied_epoch,
+            buckets: _,
+        } = self;
+        *resolution == other.resolution
+            && *voxels == other.voxels
+            && *occupied == other.occupied
+            && *occupied_min == other.occupied_min
+            && *occupied_max == other.occupied_max
+            && *decay_after == other.decay_after
+            && *current_epoch == other.current_epoch
+            && *last_occupied_epoch == other.last_occupied_epoch
+    }
 }
 
 impl OccupancyMap {
@@ -117,6 +205,7 @@ impl OccupancyMap {
             decay_after: None,
             current_epoch: 0,
             last_occupied_epoch: FxHashMap::default(),
+            buckets: FxHashMap::default(),
         }
     }
 
@@ -288,6 +377,7 @@ impl OccupancyMap {
                     slot.insert(VoxelState::Free);
                     self.occupied.remove(&key);
                     self.last_occupied_epoch.remove(&key);
+                    self.unindex(key);
                     // The occupied bounds stay conservatively large; the
                     // ring searches only use them as an outer cover.
                 }
@@ -301,10 +391,31 @@ impl OccupancyMap {
     fn mark_occupied(&mut self, key: VoxelKey) {
         self.voxels.insert(key, VoxelState::Occupied);
         self.grow_occupied_bounds(key);
-        self.occupied.insert(key);
+        if self.occupied.insert(key) {
+            self.buckets.entry(bucket_of(key)).or_default().push(key);
+        }
         if self.decay_after.is_some() {
             self.last_occupied_epoch.insert(key, self.current_epoch);
         }
+    }
+
+    /// Removes one key from the bucket index, dropping its bucket when it
+    /// empties.
+    fn unindex(&mut self, key: VoxelKey) {
+        let bucket = bucket_of(key);
+        if let Some(keys) = self.buckets.get_mut(&bucket) {
+            if let Some(i) = keys.iter().position(|k| *k == key) {
+                keys.swap_remove(i);
+            }
+            if keys.is_empty() {
+                self.buckets.remove(&bucket);
+            }
+        }
+    }
+
+    /// Edge length of an index bucket (metres).
+    fn bucket_size(&self) -> f64 {
+        self.resolution * BUCKET_FACTOR as f64
     }
 
     /// Largest sample parameter still *decay-eligible* on a carve to
@@ -471,15 +582,33 @@ impl OccupancyMap {
     /// Iterates over occupied voxels as `(key, bounds)` pairs.
     pub fn occupied_voxels(&self) -> impl Iterator<Item = (VoxelKey, Aabb)> + '_ {
         let res = self.resolution;
-        self.voxels
+        self.occupied
             .iter()
-            .filter(|(_, s)| **s == VoxelState::Occupied)
-            .map(move |(k, _)| {
-                (
-                    *k,
-                    Aabb::from_center_half_extents(k.center(res), Vec3::splat(res * 0.5)),
-                )
+            .map(move |k| (*k, voxel_bounds(*k, res)))
+    }
+
+    /// The occupied voxels whose bounds lie within `radius` of `center`
+    /// (`bounds.distance_to_point(center) <= radius`) — exactly the
+    /// matching subset of [`OccupancyMap::occupied_voxels`], found by
+    /// skipping the index buckets that lie farther than `radius`.
+    pub fn occupied_voxels_within(
+        &self,
+        center: Vec3,
+        radius: f64,
+    ) -> impl Iterator<Item = (VoxelKey, Aabb)> + '_ {
+        let res = self.resolution;
+        let bucket_size = self.bucket_size();
+        // Voxel bounds lie inside their bucket; the one-voxel margin keeps
+        // rounding from skipping a bucket that holds a match.
+        let reach = radius + res;
+        self.buckets
+            .iter()
+            .filter(move |(bucket, _)| {
+                cell_min_distance_squared(**bucket, bucket_size, center) <= reach * reach
             })
+            .flat_map(|(_, keys)| keys.iter())
+            .map(move |k| (*k, voxel_bounds(*k, res)))
+            .filter(move |(_, bounds)| bounds.distance_to_point(center) <= radius)
     }
 
     /// Distance from `p` to the centre of the nearest occupied voxel within
@@ -487,44 +616,37 @@ impl OccupancyMap {
     /// `d_obs` the profilers feed to the governor (as opposed to the
     /// ground-truth distance the simulator knows).
     ///
-    /// Searches voxel keys in expanding Chebyshev rings around `p` — the
-    /// common case (an obstacle a few voxels away) costs a handful of hash
-    /// probes instead of a scan of the whole map. When the rings would
-    /// visit more cells than the map holds (sparse maps, large radii), the
-    /// search falls back to the retained linear reference, whose result is
-    /// identical.
+    /// Searches the bucket index in expanding Chebyshev rings around `p`
+    /// and scans each visited bucket's keys, so the cost follows the
+    /// occupied voxels near `p`, not the size of the map. The result
+    /// equals [`OccupancyMap::nearest_occupied_distance_linear`] bit for
+    /// bit (see the module docs).
     pub fn nearest_occupied_distance(&self, p: Vec3, max_radius: f64) -> Option<f64> {
         if self.occupied.is_empty() || max_radius < 0.0 {
             return None;
         }
+        let bucket_size = self.bucket_size();
         // An occupied voxel centre within `max_radius` lies within this
-        // many rings of the centre cell; `max_radius` also seeds the prune
-        // bound so farther cells are skipped before the first hit.
-        let ring_cap = (max_radius / self.resolution).ceil() as i64 + 1;
+        // many rings of the query's bucket; `max_radius` also seeds the
+        // prune bound so farther buckets are skipped before the first hit.
+        let ring_cap = ((max_radius / bucket_size).ceil() as i64).saturating_add(1);
         let mut best: Option<f64> = None;
-        let outcome = RingSearch::new(self.resolution, self.occupied_min, self.occupied_max)
-            .cap_max_ring(ring_cap)
-            .with_fallback_budget(2 * self.occupied.len())
-            .run(p, Some(max_radius * max_radius), |key| {
-                if self.occupied.contains(&key) {
-                    let d = key.center(self.resolution).distance(p);
-                    if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
-                        best = Some(d);
-                    }
-                }
-                let cutoff = best.unwrap_or(max_radius);
-                Some(cutoff * cutoff)
-            });
-        if outcome == RingSearchOutcome::BudgetExhausted {
-            // The rings have cost more than a scan of the occupied set:
-            // finish with a direct scan (same minimum, same result).
-            for key in &self.occupied {
+        RingSearch::new(
+            bucket_size,
+            bucket_of(self.occupied_min),
+            bucket_of(self.occupied_max),
+        )
+        .cap_max_ring(ring_cap)
+        .run(p, Some(max_radius * max_radius), |bucket| {
+            for key in self.buckets.get(&bucket).into_iter().flatten() {
                 let d = key.center(self.resolution).distance(p);
                 if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
                     best = Some(d);
                 }
             }
-        }
+            let cutoff = best.unwrap_or(max_radius);
+            Some(cutoff * cutoff)
+        });
         best
     }
 
@@ -596,24 +718,54 @@ impl OccupancyMap {
     /// Drops every voxel whose centre lies farther than `radius` from
     /// `center` — a memory bound for long missions (the map only needs to
     /// cover the MAV's local neighbourhood for navigation).
+    ///
+    /// The occupied caches shrink bucket by bucket (see the module docs):
+    /// only buckets crossing the sphere test their keys one by one.
     pub fn retain_within(&mut self, center: Vec3, radius: f64) {
         let res = self.resolution;
-        self.voxels
-            .retain(|k, _| k.center(res).distance(center) <= radius);
-        self.occupied
-            .retain(|k| k.center(res).distance(center) <= radius);
-        self.last_occupied_epoch
-            .retain(|k, _| k.center(res).distance(center) <= radius);
+        let keep = move |k: &VoxelKey| k.center(res).distance(center) <= radius;
+        self.voxels.retain(|k, _| keep(k));
+        // Voxel centres lie inside their bucket, so a bucket entirely
+        // beyond `radius` (or within it) drops (or keeps) all of its keys;
+        // the one-voxel margins absorb rounding.
+        let bucket_size = self.bucket_size();
+        let (outer, inner) = (radius + res, radius - res);
+        let occupied = &mut self.occupied;
+        // Epoch stamps exist only for occupied keys, so they leave with them.
+        let epochs = &mut self.last_occupied_epoch;
+        let mut drop_key = |k: &VoxelKey| {
+            occupied.remove(k);
+            epochs.remove(k);
+        };
+        self.buckets.retain(|bucket, keys| {
+            if cell_min_distance_squared(*bucket, bucket_size, center) > outer * outer {
+                keys.iter().for_each(&mut drop_key);
+                return false;
+            }
+            if inner > 0.0
+                && cell_max_distance_squared(*bucket, bucket_size, center) < inner * inner
+            {
+                return true;
+            }
+            keys.retain(|k| {
+                keep(k) || {
+                    drop_key(k);
+                    false
+                }
+            });
+            !keys.is_empty()
+        });
         self.recompute_occupied_bounds();
     }
 
-    /// Rebuilds the occupied-key set and its bounds from the voxel map.
+    /// Rebuilds the occupied-key set, its bounds and the bucket index from
+    /// the voxel map.
     ///
-    /// Both are `#[serde(skip)]`: they are derivable state, so serialized
-    /// forms carry only `voxels` and a deserialized map holds empty caches.
-    /// Deserializers must call this before querying — after it, every query
-    /// answers exactly as on the original map (enforced by the round-trip
-    /// test).
+    /// All three are `#[serde(skip)]`: they are derivable state, so
+    /// serialized forms carry only `voxels` and a deserialized map holds
+    /// empty caches. Deserializers must call this before querying — after
+    /// it, every query answers exactly as on the original map (enforced by
+    /// the round-trip test).
     pub fn rebuild_spatial_caches(&mut self) {
         self.occupied = self
             .voxels
@@ -621,12 +773,42 @@ impl OccupancyMap {
             .filter(|(_, s)| **s == VoxelState::Occupied)
             .map(|(k, _)| *k)
             .collect();
+        self.buckets = FxHashMap::default();
+        for key in &self.occupied {
+            self.buckets.entry(bucket_of(*key)).or_default().push(*key);
+        }
         self.recompute_occupied_bounds();
     }
 
-    /// Recomputes the occupied key bounds from the occupied set.
+    /// `true` when the derived caches agree with the voxel map: the
+    /// occupied set is exactly its occupied keys, the key bounds cover
+    /// them, and the bucket index holds each occupied key once, in its own
+    /// bucket, with no empty bucket — i.e. it equals a rebuild from
+    /// scratch up to the order of keys inside a bucket.
+    pub fn spatial_caches_consistent(&self) -> bool {
+        let occupied_match = self.occupied.len() == self.stats().occupied
+            && self
+                .occupied
+                .iter()
+                .all(|k| self.voxels.get(k) == Some(&VoxelState::Occupied));
+        let bounds_cover = self.occupied.iter().all(|k| {
+            self.occupied_min.componentwise_min(*k) == self.occupied_min
+                && self.occupied_max.componentwise_max(*k) == self.occupied_max
+        });
+        let placed = self.buckets.iter().all(|(bucket, keys)| {
+            !keys.is_empty() && keys.iter().all(|k| bucket_of(*k) == *bucket)
+        });
+        let indexed: Vec<VoxelKey> = self.buckets.values().flatten().copied().collect();
+        // Equal counts plus equal sets rule out a key indexed twice.
+        let index_match = indexed.len() == self.occupied.len()
+            && indexed.into_iter().collect::<FxHashSet<_>>() == self.occupied;
+        occupied_match && bounds_cover && placed && index_match
+    }
+
+    /// Recomputes the occupied key bounds from the bucket index (the
+    /// occupied keys, stored contiguously).
     fn recompute_occupied_bounds(&mut self) {
-        let mut iter = self.occupied.iter();
+        let mut iter = self.buckets.values().flatten();
         if let Some(first) = iter.next() {
             let (mut lo, mut hi) = (*first, *first);
             for k in iter {
@@ -797,14 +979,8 @@ mod tests {
         let origin = Vec3::new(0.0, 0.0, 5.0);
         original.integrate_cloud(&cloud_with_wall(origin, 8.0), 0.5);
         let mut restored = OccupancyMap {
-            resolution: original.resolution,
             voxels: original.voxels.clone(),
-            occupied: FxHashSet::default(),
-            occupied_min: VoxelKey::default(),
-            occupied_max: VoxelKey::default(),
-            decay_after: None,
-            current_epoch: 0,
-            last_occupied_epoch: FxHashMap::default(),
+            ..OccupancyMap::new(original.resolution)
         };
         assert!(
             restored.nearest_occupied_distance(origin, 100.0).is_none(),
@@ -920,6 +1096,37 @@ mod tests {
             assert_eq!(batched.state_at(p), reference.state_at(p), "at {p}");
         }
         assert_eq!(batched.stats(), reference.stats());
+    }
+
+    #[test]
+    fn retain_within_keeps_the_bucket_index_exact_at_every_radius() {
+        // A dense block of occupied voxels, so every retain radius cuts
+        // through buckets and the wholly-inside / wholly-outside shortcuts
+        // sit right next to the crossing buckets they must not swallow.
+        let res = 0.5;
+        let mut block = OccupancyMap::new(res);
+        let mut points = Vec::new();
+        for x in -16..16 {
+            for y in -16..16 {
+                for z in 0..8 {
+                    points.push(Vec3::new(x as f64, y as f64, z as f64) * res);
+                }
+            }
+        }
+        block.integrate_cloud(&PointCloud::new(Vec3::new(0.0, 0.0, 4.0), points), res);
+        for center in [Vec3::ZERO, Vec3::new(1.3, -2.9, 1.7)] {
+            for step in 0..50 {
+                let radius = step as f64 * 0.23;
+                let mut map = block.clone();
+                map.retain_within(center, radius);
+                assert!(map.spatial_caches_consistent(), "r={radius} at {center}");
+                let expected = block
+                    .occupied_voxels()
+                    .filter(|(k, _)| k.center(res).distance(center) <= radius)
+                    .count();
+                assert_eq!(map.stats().occupied, expected, "r={radius} at {center}");
+            }
+        }
     }
 
     #[test]

@@ -190,6 +190,65 @@ proptest! {
         prop_assert_eq!(keys, new_keys);
         prop_assert_eq!(delta.len(), delta.added().len() + delta.removed().len());
     }
+
+    /// The occupied-key bucket index stays exact under every operation
+    /// that changes the occupied set: integration, a decay-enabled carve
+    /// that downgrades stale voxels, and `retain_within`. After every step
+    /// the index equals a rebuild from scratch, and both bucketed queries
+    /// equal their full scans bit for bit.
+    #[test]
+    fn bucket_index_stays_exact_under_integrate_decay_and_retain(
+        steps in prop::collection::vec(
+            (0u8..3, -8.0f64..8.0, -8.0f64..8.0, arb_points(40), 2.0f64..35.0),
+            1..8,
+        ),
+        resolution in 0.2f64..1.5,
+        queries in arb_points(5),
+    ) {
+        let mut map = OccupancyMap::new(resolution);
+        // Epochs advance by two per step, so every earlier occupied voxel
+        // is stale when a later ray passes through it.
+        map.set_stale_decay(Some(1));
+        for (i, (op, ox, oy, points, radius)) in steps.into_iter().enumerate() {
+            map.set_epoch(2 * i as u64);
+            let origin = Vec3::new(ox, oy, 5.0);
+            match op {
+                0 => {
+                    map.integrate_cloud(&PointCloud::new(origin, points), resolution * 0.5);
+                }
+                1 => {
+                    // Extend every ray past its hit so it carves through
+                    // the voxels earlier steps marked occupied.
+                    let through = points.iter().map(|p| origin + (*p - origin) * 1.6).collect();
+                    map.integrate_cloud(&PointCloud::new(origin, through), resolution * 0.5);
+                }
+                _ => map.retain_within(origin, radius),
+            }
+            prop_assert!(map.spatial_caches_consistent(), "index diverged after step {}", i);
+            for q in queries.iter().copied().chain([origin]) {
+                for r in [0.0, resolution, 40.0, 1e4] {
+                    prop_assert_eq!(
+                        map.nearest_occupied_distance(q, r).map(f64::to_bits),
+                        map.nearest_occupied_distance_linear(q, r).map(f64::to_bits)
+                    );
+                }
+                for r in [0.0, resolution, radius, 20.0] {
+                    let mut within: Vec<_> = map
+                        .occupied_voxels_within(q, r)
+                        .map(|(k, _)| k)
+                        .collect();
+                    let mut scanned: Vec<_> = map
+                        .occupied_voxels()
+                        .filter(|(_, b)| b.distance_to_point(q) <= r)
+                        .map(|(k, _)| k)
+                        .collect();
+                    within.sort();
+                    scanned.sort();
+                    prop_assert_eq!(within, scanned);
+                }
+            }
+        }
+    }
 }
 
 /// The ring queries swept over the shared adversarial scenario family —
