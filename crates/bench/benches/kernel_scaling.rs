@@ -171,6 +171,61 @@ fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
+/// Broad-phase patching on a frontier-sized refresh: a few hundred boxes
+/// enter and leave the export at once, as when the MAV uncovers new
+/// obstacles and forgets old ones (the worst-case static missions average
+/// ~380 added and ~170 removed keys per refresh), at the mission's 0.3 m
+/// voxels and 0.765 m margin. Unlike the single-delta case this prices
+/// the per-box cost of the patch.
+fn bench_collision_frontier_delta(c: &mut Criterion) {
+    let (voxel, margin) = (0.3, 0.765);
+    // Three walls plus one extra patch, integrated from a nearby origin so
+    // the rays never carve the other walls.
+    let map_with_patch = |patch_x: f64, ys: i32, zs: i32| {
+        let mut map = OccupancyMap::new(voxel);
+        for x in [12.0, 18.0, 24.0] {
+            let wall: Vec<Vec3> = (-26..=26)
+                .flat_map(|yi| {
+                    (0..30).map(move |zi| Vec3::new(x, yi as f64 * 0.3, zi as f64 * 0.3))
+                })
+                .collect();
+            map.integrate_cloud(&PointCloud::new(Vec3::new(x - 2.0, 0.0, 5.0), wall), voxel);
+        }
+        let patch: Vec<Vec3> = (-ys / 2..ys - ys / 2)
+            .flat_map(|yi| {
+                (0..zs).map(move |zi| Vec3::new(patch_x, yi as f64 * 0.3, zi as f64 * 0.3))
+            })
+            .collect();
+        map.integrate_cloud(
+            &PointCloud::new(Vec3::new(patch_x - 2.0, 0.0, 5.0), patch),
+            voxel,
+        );
+        PlannerMap::export(&map, &ExportConfig::new(voxel, 1e9, Vec3::ZERO))
+    };
+    let before = map_with_patch(21.0, 10, 17);
+    let after = map_with_patch(30.0, 19, 20);
+    let delta = after.delta_from(&before).expect("same voxel size");
+    let (added, removed) = (delta.added().len(), delta.removed().len());
+    assert!(
+        (300..=500).contains(&added) && (100..=250).contains(&removed),
+        "delta: {added}+{removed}"
+    );
+
+    let mut group = c.benchmark_group("collision_broadphase_frontier_delta");
+    group.sample_size(10);
+    group.bench_function(format!("patch/{added}added_{removed}removed"), |b| {
+        let mut checker = CollisionChecker::new(before.clone(), margin, voxel);
+        checker.prebuild_broad_phase();
+        b.iter(|| {
+            // Forward and back: two frontier refreshes per iter.
+            checker.update_map(after.clone());
+            checker.update_map(before.clone());
+            std::hint::black_box(checker.queries())
+        })
+    });
+    group.finish();
+}
+
 /// Cross-mission shared-world amortization: N missions in one
 /// environment either survey (build + prebuild the static broad phase)
 /// independently, or survey once and hand each mission an `Arc`-shared
@@ -1167,6 +1222,7 @@ criterion_group!(
     bench_octomap_insert_volume,
     bench_integrate_cloud_batched_vs_reference,
     bench_collision_patch_vs_rebuild,
+    bench_collision_frontier_delta,
     bench_shared_world_amortization,
     bench_export_precision,
     bench_obstacle_raycast_scaling,

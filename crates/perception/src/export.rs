@@ -13,7 +13,7 @@
 
 use crate::OccupancyMap;
 use roborun_geom::{
-    snap_to_lattice, Aabb, FxHashSet, RingSearch, RingSearchOutcome, Vec3, VoxelKey,
+    snap_to_lattice, Aabb, FxHashMap, FxHashSet, RingSearch, RingSearchOutcome, Vec3, VoxelKey,
 };
 use serde::{Deserialize, Serialize};
 
@@ -69,6 +69,11 @@ pub struct PlannerMap {
     /// queries (the collision checker calls `is_occupied` millions of times
     /// during an RRT* search).
     keys: FxHashSet<VoxelKey>,
+    /// The same keys as one 512-bit mask per 8³ block of voxels, keyed by
+    /// `key >> 3` (word `x & 7`, bit `(y & 7) << 3 | (z & 7)`): the
+    /// neighbourhood scan of [`PlannerMap::is_occupied`] costs a few block
+    /// lookups and bit tests instead of one hash probe per voxel.
+    masks: FxHashMap<VoxelKey, [u64; 8]>,
     /// Key-space bounds of `keys` (valid when non-empty) — they cap the
     /// expanding-ring search of [`PlannerMap::distance_to_nearest`].
     key_min: VoxelKey,
@@ -82,6 +87,7 @@ impl PlannerMap {
             voxel_size,
             boxes: Vec::new(),
             keys: FxHashSet::default(),
+            masks: FxHashMap::default(),
             key_min: VoxelKey { x: 0, y: 0, z: 0 },
             key_max: VoxelKey { x: 0, y: 0, z: 0 },
         }
@@ -139,7 +145,10 @@ impl PlannerMap {
         }
         let mut key_min = VoxelKey { x: 0, y: 0, z: 0 };
         let mut key_max = VoxelKey { x: 0, y: 0, z: 0 };
+        let mut masks: FxHashMap<VoxelKey, [u64; 8]> = FxHashMap::default();
         for (i, key) in kept_keys.iter().enumerate() {
+            masks.entry(mask_block(*key)).or_default()[(key.x & 7) as usize] |=
+                1 << (((key.y & 7) << 3) | (key.z & 7));
             if i == 0 {
                 key_min = *key;
                 key_max = *key;
@@ -152,6 +161,7 @@ impl PlannerMap {
             voxel_size: precision,
             boxes,
             keys: kept_keys,
+            masks,
             key_min,
             key_max,
         }
@@ -184,8 +194,9 @@ impl PlannerMap {
 
     /// `true` when `p` lies within `margin` of any exported occupied box.
     ///
-    /// Implemented as a local voxel-neighbourhood lookup in a hash set, so a
-    /// query costs `O((margin / voxel_size + 2)³)` regardless of how many
+    /// Implemented as a local voxel-neighbourhood scan over the occupancy
+    /// masks, so a query costs a few block lookups and
+    /// `O((margin / voxel_size + 2)³)` bit tests regardless of how many
     /// boxes were exported.
     pub fn is_occupied(&self, p: Vec3, margin: f64) -> bool {
         if self.keys.is_empty() {
@@ -194,23 +205,61 @@ impl PlannerMap {
         // A box within `margin` of `p` has its closest point within
         // `margin` per axis, so its key offset is at most
         // floor(margin / voxel) + 1 in each direction.
-        let reach = (margin / self.voxel_size).floor() as i64 + 1;
-        let center = VoxelKey::from_point(p, self.voxel_size);
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                for dz in -reach..=reach {
-                    let key = VoxelKey {
-                        x: center.x + dx,
-                        y: center.y + dy,
-                        z: center.z + dz,
+        let voxel = self.voxel_size;
+        let reach = (margin / voxel).floor() as i64 + 1;
+        let center = VoxelKey::from_point(p, voxel);
+        // Squared gap from coordinate `q` to the voxels `k0..=k1`, computed
+        // term for term as `Aabb::distance_to_point` computes it, so sums of
+        // gaps never exceed that function's squared distance. The relative
+        // slack on the bound dwarfs rounding: whatever it skips fails the
+        // exact test.
+        let gap2 = |k0: i64, k1: i64, q: f64| {
+            let lo = (k0 as f64 + 0.5) * voxel - voxel * 0.5;
+            let hi = (k1 as f64 + 0.5) * voxel + voxel * 0.5;
+            let d = q.max(lo).min(hi) - q;
+            d * d
+        };
+        let bound = margin * margin * (1.0 + 1e-9);
+        // Splits `c - reach..=c + reach` into its per-block sub-ranges.
+        let spans = |c: i64| {
+            ((c - reach) >> 3..=(c + reach) >> 3)
+                .map(move |b| ((c - reach).max(b << 3), (c + reach).min((b << 3) + 7)))
+        };
+        for (x0, x1) in spans(center.x) {
+            let gx = gap2(x0, x1, p.x);
+            for (y0, y1) in spans(center.y) {
+                let gy = gap2(y0, y1, p.y);
+                for (z0, z1) in spans(center.z) {
+                    if gx + gy + gap2(z0, z1, p.z) > bound {
+                        continue;
+                    }
+                    let Some(mask) = self.masks.get(&mask_block(VoxelKey {
+                        x: x0,
+                        y: y0,
+                        z: z0,
+                    })) else {
+                        continue;
                     };
-                    if self.keys.contains(&key) {
-                        let b = Aabb::from_center_half_extents(
-                            key.center(self.voxel_size),
-                            Vec3::splat(self.voxel_size * 0.5),
-                        );
-                        if b.distance_to_point(p) <= margin {
-                            return true;
+                    // The (y, z) window as bits of one x-slice word.
+                    let z_bits = (1u64 << (z1 - z0 + 1)) - 1;
+                    let window =
+                        (y0..=y1).fold(0, |w, y| w | z_bits << (((y & 7) << 3) | (z0 & 7)));
+                    for x in x0..=x1 {
+                        let mut hits = mask[(x & 7) as usize] & window;
+                        while hits != 0 {
+                            let bit = i64::from(hits.trailing_zeros());
+                            hits &= hits - 1;
+                            let key = VoxelKey {
+                                x,
+                                y: (y0 & !7) | (bit >> 3),
+                                z: (z0 & !7) | (bit & 7),
+                            };
+                            if gap2(x, x, p.x) + gap2(key.y, key.y, p.y) + gap2(key.z, key.z, p.z)
+                                <= bound
+                                && self.key_box(key).distance_to_point(p) <= margin
+                            {
+                                return true;
+                            }
                         }
                     }
                 }
@@ -321,6 +370,15 @@ impl PlannerMap {
         let mut iter = self.boxes.iter();
         let first = *iter.next()?;
         Some(iter.fold(first, |acc, b| Aabb::union(&acc, b)))
+    }
+}
+
+/// The 8³ block of voxels holding `key` in [`PlannerMap`]'s masks.
+fn mask_block(key: VoxelKey) -> VoxelKey {
+    VoxelKey {
+        x: key.x >> 3,
+        y: key.y >> 3,
+        z: key.z >> 3,
     }
 }
 

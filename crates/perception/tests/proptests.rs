@@ -50,6 +50,35 @@ proptest! {
         prop_assert_eq!(pm.distance_to_nearest(q), pm.distance_to_nearest_linear(q));
     }
 
+    /// The mask-based neighbourhood scan of `PlannerMap::is_occupied`
+    /// must answer exactly like a linear scan of the exported boxes — for
+    /// margins from zero to many voxels, on probes at random and at exactly
+    /// the margin off a box face, edge or corner.
+    #[test]
+    fn is_occupied_matches_a_linear_box_scan(points in arb_points(150),
+                                             precision in 0.2f64..2.5,
+                                             margin_voxels in 0.0f64..10.0,
+                                             qx in -40.0f64..40.0, qy in -40.0f64..40.0,
+                                             qz in -5.0f64..20.0) {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let mut map = OccupancyMap::new(0.2);
+        map.integrate_cloud(&PointCloud::new(origin, points), 0.2);
+        let pm = PlannerMap::export(&map, &ExportConfig::new(precision, 1e9, origin));
+        let linear = |q: Vec3, margin: f64| pm.boxes().iter().any(|b| b.distance_to_point(q) <= margin);
+        for margin in [0.0, margin_voxels * pm.voxel_size()] {
+            let mut probes = vec![Vec3::new(qx, qy, qz)];
+            for b in pm.boxes().iter().take(8) {
+                let c = b.center();
+                probes.push(Vec3::new(b.max.x + margin, c.y, c.z));
+                probes.push(Vec3::new(b.min.x - margin, b.min.y, c.z));
+                probes.push(b.max + Vec3::splat(margin / 3f64.sqrt()));
+            }
+            for q in probes {
+                prop_assert_eq!(pm.is_occupied(q, margin), linear(q, margin), "at {} margin {}", q, margin);
+            }
+        }
+    }
+
     #[test]
     fn volume_limit_is_respected(points in arb_points(150), budget in 0.0f64..5_000.0) {
         let cloud = PointCloud::new(Vec3::ZERO, points);

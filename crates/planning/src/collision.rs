@@ -7,62 +7,102 @@
 //! why the governor is allowed to relax this knob in open space.
 //!
 //! Because the checker's clearance margin is fixed at construction, it
-//! builds a margin-aware broad-phase: for every voxel cell, the exported
-//! boxes whose margin-inflated bounds overlap it, mirrored by a dense
-//! one-bit-per-cell occupancy mask. A point query is then a bounds test
-//! plus (usually) one bit test in free space, or one hash probe plus exact
-//! distance tests near obstacles — the same boolean as
-//! [`PlannerMap::is_occupied`], at a fraction of the probes (the RRT*
-//! search issues millions of these per plan). The broad-phase is built
-//! lazily once enough queries have arrived to amortise its O(boxes) cost,
-//! so trivial plans (direct connections in open space) never pay for it.
+//! keeps a margin-aware broad-phase of per-cell **coverage counts**: a
+//! voxel cell's count is the number of exported boxes whose margin-inflated
+//! key range (`BroadPhase::inflated_range`) covers it. Counts live in
+//! 8³-cell bricks keyed by `key >> 3` in one hash map; cells outside every
+//! brick have count zero, and a brick is dropped the moment its last
+//! non-zero count returns to zero, so the structure only ever holds the
+//! neighbourhood of the current export.
 //!
-//! Once built, the broad-phase survives map refreshes: every exported box
-//! is exactly one voxel, so the candidate lists are addressed by the box's
-//! voxel key and [`CollisionChecker::update_map`] patches them from the
-//! [`PlannerMapDelta`] between successive exports (a few keys per
-//! decision) instead of rebuilding from scratch.
+//! A zero count proves freedom: a point within `margin` of a box lies in
+//! the box's margin-inflated bounds, and flooring is monotone, so the
+//! point's cell lies in that box's key range and would have been counted.
+//! A non-zero count only says some box is close to the cell, so such
+//! queries fall back to the exact answer, [`PlannerMap::is_occupied`] on
+//! the map the checker already holds — the broad-phase keeps no copy of
+//! the keys and cannot disagree with the reference. The RRT* search issues
+//! millions of point queries per plan, and most sit in open space where
+//! one bit test settles them; the samples of one segment reuse the brick
+//! of the previous sample, so a hash probe is paid only where the segment
+//! enters a new brick. The broad-phase is built lazily once
+//! enough queries have arrived to amortise its O(boxes) cost, so trivial
+//! plans (direct connections in open space) never pay for it.
+//!
+//! Once built, the broad-phase survives map refreshes:
+//! [`CollisionChecker::update_map`] adds −1 over the range of every key the
+//! [`PlannerMapDelta`] removed and +1 over the range of every key it added.
+//! The range is a pure function of (key, voxel, margin), so a removal
+//! exactly undoes its insertion and the patched counts equal a rebuild's.
 
 use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
 use roborun_perception::{PlannerMap, PlannerMapDelta};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Maximum cell count for the dense occupancy bitset (8 MiB of bits).
-const MAX_BITSET_CELLS: i64 = 1 << 26;
-
 /// Point queries answered by the map directly before the broad-phase is
 /// built; past this count the build cost is amortised.
 const LAZY_BUILD_QUERIES: usize = 128;
 
-/// The margin-aware broad-phase acceleration structure.
+/// log₂ of the brick edge in cells: bricks are 8³ cells.
+const BRICK_SHIFT: u32 = 3;
+/// Cells per brick.
+const BRICK_CELLS: usize = 1 << (3 * BRICK_SHIFT);
+
+/// One bit per cell of a brick.
+type BrickBits = [u64; BRICK_CELLS / 64];
+
+/// Coverage counts of one 8³ block of cells.
+///
+/// A count never exceeds the number of exported boxes, and a map of 2³²
+/// boxes would need hundreds of GB for its keys alone, so `u32` counts
+/// cannot wrap for any margin.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Brick {
+    /// One bit per cell, set while its count is non-zero: queries read
+    /// only this cache line, stored inline in the hash map entry. The
+    /// brick is removed from the map when it reaches all zeros.
+    covered: BrickBits,
+    /// Count per cell, indexed by [`Brick::index`].
+    counts: Box<[u32; BRICK_CELLS]>,
+}
+
+impl Brick {
+    /// Key of the brick holding `cell`.
+    fn key(cell: VoxelKey) -> VoxelKey {
+        VoxelKey {
+            x: cell.x >> BRICK_SHIFT,
+            y: cell.y >> BRICK_SHIFT,
+            z: cell.z >> BRICK_SHIFT,
+        }
+    }
+
+    /// Position of `cell` inside its brick.
+    fn index(cell: VoxelKey) -> usize {
+        let mask = (1 << BRICK_SHIFT) - 1;
+        (((cell.x & mask) << (2 * BRICK_SHIFT))
+            | ((cell.y & mask) << BRICK_SHIFT)
+            | (cell.z & mask)) as usize
+    }
+}
+
+/// A brick key and a copy of its covered bits (all zero when absent).
+type RecentBrick = Option<(VoxelKey, BrickBits)>;
+
+/// The margin-aware broad-phase: per-cell coverage counts in bricks.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BroadPhase {
     /// Exported voxel size the structure was built for (metres).
     voxel: f64,
-    /// Source box keys per voxel cell (cells overlapping a margin-inflated
-    /// box). Boxes are identified by their voxel key, so delta patches can
-    /// add and remove individual boxes without renumbering.
-    candidates: FxHashMap<VoxelKey, Vec<VoxelKey>>,
-    /// Key bounds of `candidates`; queries outside are free with no probe.
-    /// Pure-removal patches leave them conservatively large (harmless:
-    /// emptied cells answer free through the bitset/hash); any patch that
-    /// rebuilds the bitset re-tightens them to the exact candidate cover
-    /// first.
-    key_min: VoxelKey,
-    key_max: VoxelKey,
-    /// Dense one-bit-per-cell mirror of `candidates` over the key bounds
-    /// (absent when the region is too large): most free-space queries
-    /// resolve with one bit test instead of a hash probe.
-    bitset: Option<Vec<u64>>,
+    /// Bricks with at least one non-zero count.
+    bricks: FxHashMap<VoxelKey, Brick>,
 }
 
 impl BroadPhase {
     /// Key range covered by the margin-inflated box of `source`.
     ///
     /// Any point within `margin` of the box lies inside its inflated
-    /// bounds, so registering the box over this range makes the candidate
-    /// list complete for the exact distance test in [`BroadPhase::occupied`].
+    /// bounds, so its cell lies inside this range.
     fn inflated_range(source: VoxelKey, voxel: f64, margin: f64) -> (VoxelKey, VoxelKey) {
         let b = Aabb::from_center_half_extents(source.center(voxel), Vec3::splat(voxel * 0.5))
             .inflate(margin);
@@ -73,204 +113,95 @@ impl BroadPhase {
     }
 
     fn build(map: &PlannerMap, margin: f64) -> Self {
-        let voxel = map.voxel_size();
         let mut grid = BroadPhase {
-            voxel,
-            candidates: FxHashMap::default(),
-            key_min: VoxelKey { x: 0, y: 0, z: 0 },
-            key_max: VoxelKey {
-                x: -1,
-                y: -1,
-                z: -1,
-            },
-            bitset: None,
+            voxel: map.voxel_size(),
+            bricks: FxHashMap::default(),
         };
         for source in map.occupied_keys() {
-            grid.insert_box(source, margin);
+            grid.count_box(source, margin, true);
         }
-        grid.rebuild_bitset();
         grid
     }
 
-    /// Registers one box over its inflated key range, growing the bounds.
-    /// Does not touch the bitset — callers patch or rebuild it.
-    fn insert_box(&mut self, source: VoxelKey, margin: f64) {
+    /// Adds +1 (`add`) or −1 over the inflated range of `source`, one
+    /// brick at a time, creating bricks on the way up and dropping them
+    /// when their last count returns to zero.
+    fn count_box(&mut self, source: VoxelKey, margin: f64, add: bool) {
         let (lo, hi) = BroadPhase::inflated_range(source, self.voxel, margin);
-        if self.candidates.is_empty() {
-            self.key_min = lo;
-            self.key_max = hi;
-        } else {
-            self.key_min = self.key_min.componentwise_min(lo);
-            self.key_max = self.key_max.componentwise_max(hi);
-        }
-        for x in lo.x..=hi.x {
-            for y in lo.y..=hi.y {
-                for z in lo.z..=hi.z {
-                    self.candidates
-                        .entry(VoxelKey { x, y, z })
-                        .or_default()
-                        .push(source);
-                }
-            }
-        }
-    }
-
-    /// Bit index of `key` inside the bounds, or `None` when outside.
-    fn bit_index(&self, key: VoxelKey) -> Option<i64> {
-        if key.x < self.key_min.x
-            || key.x > self.key_max.x
-            || key.y < self.key_min.y
-            || key.y > self.key_max.y
-            || key.z < self.key_min.z
-            || key.z > self.key_max.z
-        {
-            return None;
-        }
-        let ny = self.key_max.y - self.key_min.y + 1;
-        let nz = self.key_max.z - self.key_min.z + 1;
-        Some(
-            ((key.x - self.key_min.x) * ny + (key.y - self.key_min.y)) * nz
-                + (key.z - self.key_min.z),
-        )
-    }
-
-    /// Recomputes the dense bitset from the candidate cells (or drops it
-    /// when the covered region exceeds [`MAX_BITSET_CELLS`]).
-    fn rebuild_bitset(&mut self) {
-        self.bitset = None;
-        if self.candidates.is_empty() {
-            return;
-        }
-        let nx = self.key_max.x - self.key_min.x + 1;
-        let ny = self.key_max.y - self.key_min.y + 1;
-        let nz = self.key_max.z - self.key_min.z + 1;
-        let cells = nx.checked_mul(ny).and_then(|v| v.checked_mul(nz));
-        if let Some(cells) = cells {
-            if cells <= MAX_BITSET_CELLS {
-                let mut bits = vec![0u64; (cells as usize).div_ceil(64)];
-                for key in self.candidates.keys() {
-                    let idx = self.bit_index(*key).expect("candidate cell inside bounds");
-                    bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                }
-                self.bitset = Some(bits);
-            }
-        }
-    }
-
-    /// Patches the structure for a map refresh: removed boxes leave their
-    /// candidate cells, added boxes are registered, and the bitset follows
-    /// (rebuilt — over re-tightened bounds — only when an addition grows
-    /// the covered region). The result answers [`BroadPhase::occupied`]
-    /// exactly like a from-scratch build for the new map — after a
-    /// pure-removal patch the bounds may stay conservatively larger, which
-    /// only means a cleared cell costs one bit test instead of none.
-    fn apply_delta(&mut self, delta: &PlannerMapDelta, margin: f64) {
-        for &source in delta.removed() {
-            let (lo, hi) = BroadPhase::inflated_range(source, self.voxel, margin);
-            for x in lo.x..=hi.x {
-                for y in lo.y..=hi.y {
-                    for z in lo.z..=hi.z {
-                        let cell = VoxelKey { x, y, z };
-                        if let Some(ids) = self.candidates.get_mut(&cell) {
-                            ids.retain(|&k| k != source);
-                            if ids.is_empty() {
-                                self.candidates.remove(&cell);
-                                let idx = self.bit_index(cell);
-                                if let (Some(bits), Some(idx)) = (self.bitset.as_mut(), idx) {
-                                    bits[(idx / 64) as usize] &= !(1u64 << (idx % 64));
+        // Splits `a..=b` into its per-brick sub-ranges.
+        let spans = |a: i64, b: i64| {
+            (a >> BRICK_SHIFT..=b >> BRICK_SHIFT).map(move |k| {
+                let first = k << BRICK_SHIFT;
+                (a.max(first), b.min(first + (1 << BRICK_SHIFT) - 1))
+            })
+        };
+        for (x0, x1) in spans(lo.x, hi.x) {
+            for (y0, y1) in spans(lo.y, hi.y) {
+                for (z0, z1) in spans(lo.z, hi.z) {
+                    let key = Brick::key(VoxelKey {
+                        x: x0,
+                        y: y0,
+                        z: z0,
+                    });
+                    // Removals only visit bricks their insertion created.
+                    let brick = self.bricks.entry(key).or_insert_with(|| Brick {
+                        covered: BrickBits::default(),
+                        counts: Box::new([0; BRICK_CELLS]),
+                    });
+                    for x in x0..=x1 {
+                        for y in y0..=y1 {
+                            for z in z0..=z1 {
+                                let i = Brick::index(VoxelKey { x, y, z });
+                                let count = &mut brick.counts[i];
+                                *count = if add { *count + 1 } else { *count - 1 };
+                                if *count == u32::from(add) {
+                                    // 0 → 1 or 1 → 0: the cell's bit flips.
+                                    brick.covered[i / 64] ^= 1 << (i % 64);
                                 }
                             }
                         }
                     }
-                }
-            }
-        }
-        let (old_min, old_max) = (self.key_min, self.key_max);
-        let was_empty = self.candidates.is_empty();
-        for &source in delta.added() {
-            self.insert_box(source, margin);
-        }
-        let grew = was_empty || self.key_min != old_min || self.key_max != old_max;
-        if grew {
-            // The rebuild iterates every candidate cell anyway, so first
-            // re-tighten the bounds to the exact candidate cover — a
-            // transient far-away voxel from an earlier export can then
-            // never permanently inflate the region (which could push it
-            // past MAX_BITSET_CELLS and lose the bitset for good).
-            self.retighten_bounds();
-            self.rebuild_bitset();
-        } else if let Some(mut bits) = self.bitset.take() {
-            for &source in delta.added() {
-                let (lo, hi) = BroadPhase::inflated_range(source, self.voxel, margin);
-                for x in lo.x..=hi.x {
-                    for y in lo.y..=hi.y {
-                        for z in lo.z..=hi.z {
-                            let idx = self
-                                .bit_index(VoxelKey { x, y, z })
-                                .expect("added cell inside unchanged bounds");
-                            bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                        }
+                    if brick.covered == BrickBits::default() {
+                        self.bricks.remove(&key);
                     }
                 }
             }
-            self.bitset = Some(bits);
-        }
-        // Degraded-state recovery: if the bitset was lost (a transient
-        // far-away box once pushed the region past MAX_BITSET_CELLS) and
-        // this delta removed boxes, the tight cover may fit again — a
-        // from-scratch build on the same map would have a bitset, so try
-        // to win it back. Only the already-degraded state pays for this.
-        if self.bitset.is_none() && !grew && !delta.removed().is_empty() {
-            self.retighten_bounds();
-            self.rebuild_bitset();
         }
     }
 
-    /// Shrinks the key bounds to exactly cover the candidate cells — the
-    /// same bounds a from-scratch build computes (every cell of every
-    /// registered inflated range is a candidate key, so the cell cover and
-    /// the range cover coincide).
-    fn retighten_bounds(&mut self) {
-        let mut iter = self.candidates.keys();
-        let Some(first) = iter.next() else {
-            self.key_min = VoxelKey { x: 0, y: 0, z: 0 };
-            self.key_max = VoxelKey {
-                x: -1,
-                y: -1,
-                z: -1,
-            };
-            return;
-        };
-        let (mut lo, mut hi) = (*first, *first);
-        for k in iter {
-            lo = lo.componentwise_min(*k);
-            hi = hi.componentwise_max(*k);
+    /// Patches the counts for a map refresh: +1 over every added box's
+    /// range, −1 over every removed box's (additions first, so a brick that
+    /// both gains and loses boxes is never dropped and re-allocated). The
+    /// result equals a from-scratch build for the new map, brick for brick.
+    fn apply_delta(&mut self, delta: &PlannerMapDelta, margin: f64) {
+        for &source in delta.added() {
+            self.count_box(source, margin, true);
         }
-        self.key_min = lo;
-        self.key_max = hi;
+        for &source in delta.removed() {
+            self.count_box(source, margin, false);
+        }
     }
 
-    /// `true` when `p` lies within `margin` of any box — exactly
-    /// `map.is_occupied(p, margin)`, accelerated.
-    fn occupied(&self, p: Vec3, margin: f64) -> bool {
-        let key = VoxelKey::from_point(p, self.voxel);
-        let Some(idx) = self.bit_index(key) else {
-            return false;
-        };
-        if let Some(bits) = &self.bitset {
-            if bits[(idx / 64) as usize] & (1u64 << (idx % 64)) == 0 {
-                return false;
+    /// `true` when some box's inflated range covers the cell of `p`;
+    /// `false` proves `p` is farther than the margin from every box.
+    /// `recent` carries the covered bits of the last brick looked up, so
+    /// runs of nearby queries (segment samples a cell apart) skip the
+    /// hash probe.
+    fn covers(&self, p: Vec3, recent: &mut RecentBrick) -> bool {
+        let cell = VoxelKey::from_point(p, self.voxel);
+        let key = Brick::key(cell);
+        let bits = match recent {
+            Some((k, bits)) if *k == key => bits,
+            _ => {
+                let bits = self
+                    .bricks
+                    .get(&key)
+                    .map_or_else(BrickBits::default, |b| b.covered);
+                &recent.insert((key, bits)).1
             }
-        }
-        let Some(ids) = self.candidates.get(&key) else {
-            return false;
         };
-        let voxel = self.voxel;
-        ids.iter().any(|&source| {
-            Aabb::from_center_half_extents(source.center(voxel), Vec3::splat(voxel * 0.5))
-                .distance_to_point(p)
-                <= margin
-        })
+        let i = Brick::index(cell);
+        bits[i / 64] >> (i % 64) & 1 != 0
     }
 }
 
@@ -289,7 +220,7 @@ pub struct CollisionChecker {
     ///
     /// Held behind an [`Arc`] so that cloning a checker whose broad-phase
     /// is already built shares the structure in O(1) instead of deep-
-    /// copying the candidate map: N missions planned against the same
+    /// copying the count bricks: N missions planned against the same
     /// environment prebuild once and clone per mission (the fleet /
     /// mission-service pattern). The share is copy-on-write —
     /// [`CollisionChecker::update_map`] patches through
@@ -342,12 +273,18 @@ impl CollisionChecker {
     /// `true` when the point is free of obstacles (with margin).
     ///
     /// Early queries delegate to the map's voxel-neighbourhood lookup; once
-    /// enough queries have arrived to amortise it, a broad-phase is built
-    /// and a query becomes a bounds test (and usually one bit test) in free
-    /// space, or one hash probe plus exact distance tests near obstacles.
-    /// Always returns the same boolean as
+    /// enough queries have arrived to amortise it, the coverage-count
+    /// broad-phase is built and a query becomes one hash probe and bit
+    /// test in free space, falling back to the map lookup only in cells
+    /// some box's inflated range covers. Always returns the same boolean as
     /// `!self.map().is_occupied(p, self.margin())`.
     pub fn point_free(&mut self, p: Vec3) -> bool {
+        self.point_free_near(p, &mut None)
+    }
+
+    /// [`CollisionChecker::point_free`] reusing the brick of the previous
+    /// query of a run (see [`BroadPhase::covers`]).
+    fn point_free_near(&mut self, p: Vec3, recent: &mut RecentBrick) -> bool {
         self.queries += 1;
         if self.broad_phase.is_none() {
             if self.queries < LAZY_BUILD_QUERIES {
@@ -356,12 +293,14 @@ impl CollisionChecker {
             self.broad_phase = Some(Arc::new(BroadPhase::build(&self.map, self.margin)));
         }
         let broad_phase = self.broad_phase.as_ref().expect("broad phase just built");
-        !broad_phase.occupied(p, self.margin)
+        !broad_phase.covers(p, recent) || !self.map.is_occupied(p, self.margin)
     }
 
     /// Builds the broad-phase immediately instead of waiting for the lazy
     /// query threshold — callers that keep the checker across many plans
     /// (the mission runner) pay the build once and patch it afterwards.
+    /// The build adds +1 over every box's inflated key range, so it costs
+    /// O(boxes × (margin / voxel)³) count increments.
     ///
     /// Because the built structure sits behind an [`Arc`], cloning the
     /// checker afterwards shares it in O(1): a fleet or mission service
@@ -387,10 +326,11 @@ impl CollisionChecker {
     }
 
     /// Replaces the checked map with a fresh export, patching the built
-    /// broad-phase from the key delta between the two exports instead of
-    /// rebuilding it (~10 ms on a 7k-box map). When the exports are
-    /// incompatible (different voxel size — a precision-knob change), the
-    /// broad-phase is dropped and rebuilt lazily.
+    /// broad-phase's coverage counts from the key delta between the two
+    /// exports — work proportional to the changed boxes, not the map.
+    /// When the exports are incompatible (different voxel size — a
+    /// precision-knob change), the broad-phase is dropped and rebuilt
+    /// lazily.
     pub fn update_map(&mut self, new_map: PlannerMap) {
         if let Some(grid) = self.broad_phase.as_mut() {
             match new_map.delta_from(&self.map) {
@@ -419,25 +359,42 @@ impl CollisionChecker {
         self.check_step = check_step;
     }
 
-    /// Canonical view of the broad-phase candidate cells (each cell's
-    /// source keys sorted), or `None` while unbuilt. Exposed for the
-    /// incremental-update conformance tests, which assert a patched grid
-    /// matches a from-scratch rebuild cell for cell.
+    /// Canonical view of the broad-phase: every cell whose covered bit is
+    /// set and its coverage count, sorted by cell, or `None` while
+    /// unbuilt. Exposed for the incremental-update conformance tests,
+    /// which assert a patched structure matches a from-scratch rebuild
+    /// cell for cell.
     #[doc(hidden)]
-    pub fn broad_phase_cells(&self) -> Option<Vec<(VoxelKey, Vec<VoxelKey>)>> {
-        self.broad_phase.as_ref().map(|grid| {
-            let mut cells: Vec<(VoxelKey, Vec<VoxelKey>)> = grid
-                .candidates
-                .iter()
-                .map(|(cell, ids)| {
-                    let mut ids = ids.clone();
-                    ids.sort_unstable();
-                    (*cell, ids)
-                })
-                .collect();
-            cells.sort_unstable_by_key(|(cell, _)| *cell);
-            cells
-        })
+    pub fn broad_phase_cells(&self) -> Option<Vec<(VoxelKey, u32)>> {
+        let grid = self.broad_phase.as_ref()?;
+        let mut cells = Vec::new();
+        for (key, brick) in &grid.bricks {
+            let edge = 1 << BRICK_SHIFT;
+            for (x, y, z) in (0..edge)
+                .flat_map(|x| (0..edge).flat_map(move |y| (0..edge).map(move |z| (x, y, z))))
+            {
+                let cell = VoxelKey {
+                    x: key.x * edge + x,
+                    y: key.y * edge + y,
+                    z: key.z * edge + z,
+                };
+                let i = Brick::index(cell);
+                if brick.covered[i / 64] >> (i % 64) & 1 != 0 {
+                    cells.push((cell, brick.counts[i]));
+                }
+            }
+        }
+        cells.sort_unstable_by_key(|(cell, _)| *cell);
+        Some(cells)
+    }
+
+    /// Number of bricks the broad-phase holds, or `None` while unbuilt.
+    /// Exposed for the conformance tests: a patched structure must drop
+    /// every brick whose counts all returned to zero, so its brick count
+    /// equals a rebuild's.
+    #[doc(hidden)]
+    pub fn broad_phase_bricks(&self) -> Option<usize> {
+        self.broad_phase.as_ref().map(|grid| grid.bricks.len())
     }
 
     /// Linear reference for [`CollisionChecker::point_free`], delegating to
@@ -547,9 +504,10 @@ impl CollisionChecker {
         // Guarded like every other hazard walker: at least one step, so
         // both endpoints are sampled even when the ratio degenerates.
         let steps = (length / self.check_step).ceil().max(1.0) as usize;
+        let mut recent = None;
         for i in 0..=steps {
             let t = i as f64 / steps as f64;
-            if !self.point_free(a.lerp(b, t)) {
+            if !self.point_free_near(a.lerp(b, t), &mut recent) {
                 return false;
             }
         }
@@ -678,6 +636,7 @@ mod tests {
         let mut rebuilt = CollisionChecker::new(map2.clone(), 0.45, 0.3);
         rebuilt.prebuild_broad_phase();
         assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
+        assert_eq!(patched.broad_phase_bricks(), rebuilt.broad_phase_bricks());
         for xi in 0..40 {
             for yi in -12..=12 {
                 let p = Vec3::new(xi as f64 * 0.5, yi as f64 * 0.5, 5.0);
@@ -688,6 +647,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn wide_margin_counts_match_the_reference_across_negative_brick_edges() {
+        // Boxes straddling the brick edges at key -8 (x, z) and 0 (y),
+        // checked with a margin of more than 8 voxels: every box's range
+        // spans three or more bricks per axis and cells are covered by
+        // every box at once.
+        let (voxel, margin) = (0.3, 2.5);
+        let origin = Vec3::new(6.0, 6.0, 6.0);
+        let (xz, y) = ([-2.55, -2.25], [-0.15, 0.15]);
+        let points: Vec<Vec3> = (0..8)
+            .map(|i| Vec3::new(xz[i & 1], y[i >> 1 & 1], xz[i >> 2]))
+            .collect();
+        let mut base = OccupancyMap::new(voxel);
+        base.integrate_cloud(&PointCloud::new(origin, points), voxel);
+        let map = PlannerMap::export(&base, &ExportConfig::new(voxel, 1e9, origin));
+        let keys: Vec<VoxelKey> = map.occupied_keys().collect();
+        assert!(keys.iter().any(|k| k.x == -9) && keys.iter().any(|k| k.y == 0));
+        let (lo, hi) = BroadPhase::inflated_range(keys[0], voxel, margin);
+        assert!((hi.x >> BRICK_SHIFT) - (lo.x >> BRICK_SHIFT) >= 2);
+
+        let mut checker = CollisionChecker::new(map.clone(), margin, voxel);
+        checker.prebuild_broad_phase();
+        let cells = checker.broad_phase_cells().unwrap();
+        let max_count = cells.iter().map(|&(_, count)| count).max();
+        assert_eq!(max_count, Some(map.len() as u32));
+        for i in 0..12 * 12 * 12 {
+            let step = |j: i32| -7.0 + j as f64 * 0.61;
+            let p = Vec3::new(step(i / 144), step(i / 12 % 12) + 3.1, step(i % 12));
+            assert_eq!(
+                checker.point_free(p),
+                CollisionChecker::point_free_reference(&map, p, margin),
+                "mismatch at {p}"
+            );
+        }
+        // Removing every box empties every brick.
+        checker.update_map(PlannerMap::empty(voxel));
+        assert_eq!(checker.broad_phase_bricks(), Some(0));
     }
 
     #[test]

@@ -297,9 +297,11 @@ proptest! {
     }
 
     /// Satellite conformance for the incremental broad-phase: a random
-    /// sequence of `PlannerMap` delta applications (growing scans plus a
-    /// retain-radius contraction) must leave the patched candidate grid
-    /// equal to a from-scratch rebuild after every step — cell for cell,
+    /// sequence of `PlannerMap` delta applications (growing scans, with a
+    /// retain-radius contraction on alternate steps so bricks empty and
+    /// later refill) must leave the patched coverage counts equal to a
+    /// from-scratch rebuild after every step — cell for cell, in the
+    /// number of live bricks (an all-zero brick that survived would leak),
     /// and on every probe query.
     #[test]
     fn incremental_broad_phase_matches_rebuild_after_every_delta(
@@ -309,7 +311,7 @@ proptest! {
                     .prop_map(|(x, y, z)| Vec3::new(x, y, z)),
                 1..40,
             ),
-            1..6,
+            1..8,
         ),
         retain_radius in 8.0f64..30.0,
         margin in 0.1f64..1.2,
@@ -320,9 +322,10 @@ proptest! {
         let n_scans = scans.len();
         for (i, scan) in scans.into_iter().enumerate() {
             map.integrate_cloud(&PointCloud::new(origin, scan), 0.5);
-            if i + 1 == n_scans {
-                // The final step also removes keys, exercising the
-                // removal side of the patch.
+            if i % 2 == 1 || i + 1 == n_scans {
+                // Alternate steps (and the final one) also remove keys,
+                // exercising the removal side of the patch between
+                // additions.
                 map.retain_within(origin, retain_radius);
             }
             let export = PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin));
@@ -340,10 +343,25 @@ proptest! {
             prop_assert_eq!(
                 patched.broad_phase_cells(),
                 rebuilt.broad_phase_cells(),
-                "candidate grids diverged after delta step {}",
+                "coverage counts diverged after delta step {}",
                 i
             );
-            for q in roborun_conformance::boundary_probes(i as u64, 0.5) {
+            prop_assert_eq!(
+                patched.broad_phase_bricks(),
+                rebuilt.broad_phase_bricks(),
+                "live bricks diverged after delta step {}",
+                i
+            );
+            // Probes at random and just inside / outside the margin of a
+            // few exported boxes, where covered and uncovered cells meet.
+            let mut probes = roborun_conformance::boundary_probes(i as u64, 0.5);
+            for b in export.boxes().iter().take(6) {
+                for d in [margin - 0.01, margin + 0.01, margin + 0.3] {
+                    probes.push(Vec3::new(b.max.x + d, b.center().y, b.center().z));
+                    probes.push(b.min - Vec3::splat(d / 3f64.sqrt()));
+                }
+            }
+            for q in probes {
                 prop_assert_eq!(
                     patched.point_free(q),
                     CollisionChecker::point_free_reference(&export, q, margin),
@@ -351,6 +369,21 @@ proptest! {
                     q,
                     i
                 );
+            }
+            // Segments along y and z past those boxes cross bricks while
+            // their other coordinates stay put; every sample must match.
+            for b in export.boxes().iter().take(6) {
+                for d in [margin - 0.01, margin + 0.3] {
+                    let a = Vec3::new(b.max.x + d, b.center().y - 6.0, b.center().z);
+                    for end in [a + Vec3::new(0.0, 12.0, 0.0), a + Vec3::new(0.0, 6.0, 6.0)] {
+                        let steps = (a.distance(end) / 0.5).ceil() as usize;
+                        let reference = (0..=steps).all(|k| {
+                            let q = a.lerp(end, k as f64 / steps as f64);
+                            CollisionChecker::point_free_reference(&export, q, margin)
+                        });
+                        prop_assert_eq!(patched.segment_free(a, end), reference);
+                    }
+                }
             }
         }
     }
