@@ -535,54 +535,6 @@ fn bench_rrt_neighbor_kernel_4000(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fixed vs shrinking rewire radius on the gap-wall search at 4000 and
-/// 16000 samples. The γ(ln n / n)^{1/3} schedule only drops below the
-/// fixed 12 m radius once the tree outgrows ~9000 nodes in these bounds,
-/// so 4000 samples benches the no-op overhead of the schedule (identical
-/// search) and 16000 the actual neighbour-work reduction (~12% fewer
-/// collision queries, path cost within 0.4% — printed once below).
-fn bench_rrtstar_rewire_schedule(c: &mut Criterion) {
-    let origin = Vec3::new(0.0, 0.0, 5.0);
-    let mut map = OccupancyMap::new(0.5);
-    let mut points = Vec::new();
-    for yi in -120..=120 {
-        let y = yi as f64 * 0.5;
-        if (6.0..=10.0).contains(&y) {
-            continue;
-        }
-        for zi in 0..30 {
-            points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-        }
-    }
-    map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-    let pm = PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin));
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(140.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    let mut checker = CollisionChecker::new(pm, 0.45, 0.5);
-
-    let mut group = c.benchmark_group("rrtstar_rewire_schedule");
-    group.sample_size(10);
-    for &n in &[4_000usize, 16_000] {
-        for &(label, shrinking) in &[("fixed", false), ("shrinking", true)] {
-            let planner = RrtStar::new(RrtConfig {
-                max_samples: n,
-                seed: 3,
-                shrinking_rewire: shrinking,
-                ..RrtConfig::default()
-            });
-            let cost = planner.plan(&mut checker, start, goal, &bounds).cost;
-            eprintln!("rrtstar_rewire_schedule/{label}/{n}: path cost {cost:.2} m");
-            group.bench_with_input(BenchmarkId::new(label, n), &planner, |b, planner| {
-                b.iter(|| {
-                    std::hint::black_box(planner.plan(&mut checker, start, goal, &bounds)).tree_size
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 /// The whole decision loop with plan-ahead off vs on, on a standard short
 /// mission: what speculative overlap costs (snapshot clones, a worker
 /// hand-off per predicted replan) and buys (masked planning latency, a
@@ -1104,52 +1056,6 @@ fn bench_rrtstar_sampling_mix(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena batch expansion on the whole-search fixture of
-/// [`bench_rrtstar_4000_samples`]: `batch_size` pre-draws a round of
-/// targets and flushes the spatial index once per round instead of once
-/// per node. Results are bit-identical across K (enforced by the
-/// batch-equivalence tests); only the wall clock moves.
-fn bench_rrtstar_batch_expansion(c: &mut Criterion) {
-    let origin = Vec3::new(0.0, 0.0, 5.0);
-    let mut map = OccupancyMap::new(0.5);
-    let mut points = Vec::new();
-    for yi in -120..=120 {
-        let y = yi as f64 * 0.5;
-        if (6.0..=10.0).contains(&y) {
-            continue;
-        }
-        for zi in 0..30 {
-            points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-        }
-    }
-    map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-    let pm = PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin));
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(140.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    let mut checker = CollisionChecker::new(pm, 0.45, 0.5);
-    let mut group = c.benchmark_group("rrtstar_batch_expansion_4000");
-    group.sample_size(10);
-    for &k in &[1usize, 64] {
-        let planner = RrtStar::new(RrtConfig {
-            max_samples: 4_000,
-            seed: 3,
-            batch_size: k,
-            ..RrtConfig::default()
-        });
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("K{k}")),
-            &planner,
-            |b, planner| {
-                b.iter(|| {
-                    std::hint::black_box(planner.plan(&mut checker, start, goal, &bounds)).tree_size
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// The broad-phase batch width on a 10^4-obstacle raycast storm: the
 /// 8-wide AABB packs against the 4-wide fallback, forced to each width
 /// (the field auto-detects at runtime — W8 on AVX hosts). Same query
@@ -1230,7 +1136,6 @@ criterion_group!(
     bench_point_nearest_scaling,
     bench_rrtstar_4000_samples,
     bench_rrt_neighbor_kernel_4000,
-    bench_rrtstar_rewire_schedule,
     bench_decision_overlap,
     bench_dynamic_world_step,
     bench_predicted_validation,
@@ -1239,7 +1144,6 @@ criterion_group!(
     bench_fault_plan_overhead,
     bench_trace_gate,
     bench_rrtstar_sampling_mix,
-    bench_rrtstar_batch_expansion,
     bench_aabb_dispatch_width,
     bench_peer_hazard_point_queries
 );

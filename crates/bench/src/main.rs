@@ -124,17 +124,14 @@ fn main() {
     if want("bench9") {
         bench9();
     }
-    if want("bench10") {
-        bench10();
-    }
     if want("trajectory") {
         trajectory();
     }
 }
 
 /// Raw-speed kernel campaign: hazard-biased RRT* sampling vs uniform on
-/// the lane-heavy one-shot fixture, batched arena expansion at 4k/16k
-/// samples, 4-wide vs 8-wide AABB broad-phase dispatch, the gridded
+/// the lane-heavy one-shot fixture, 4-wide vs 8-wide AABB broad-phase
+/// dispatch, the gridded
 /// peer-query rerun, and a multicore mode (`ROBORUN_BENCH_THREADS`) for
 /// the sweep / plan-ahead / mission-service rows. Emits `BENCH_8.json`.
 fn bench8() {
@@ -147,7 +144,7 @@ fn bench8() {
     };
     use std::time::Instant;
 
-    println!("## Bench 8 — raw-speed kernels: biased sampling, batch expansion, 8-wide AABB\n");
+    println!("## Bench 8 — raw-speed kernels: biased sampling, 8-wide AABB\n");
 
     let cores = roborun_trace::host_cores();
     // The multicore bench mode: ROBORUN_BENCH_THREADS pins the worker
@@ -246,55 +243,6 @@ fn bench8() {
         "sampling  biased draws {sample_reduction:.1}x fewer samples to solution \
          (cost ratio {cost_ratio:.3})\n"
     );
-
-    // --- Batched arena expansion at 4k / 16k samples ------------------
-    // The long-corridor gap-wall search of the kernel-scaling benches;
-    // batch K pre-draws K targets per spatial-index flush. Results are
-    // exact-identical at every K (asserted here, proven in the planning
-    // tests); the win is locality and flush amortization.
-    let long_map = {
-        let mut map = OccupancyMap::new(0.5);
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let mut points = Vec::new();
-        for yi in -120..=120 {
-            let y = yi as f64 * 0.5;
-            if (6.0..=10.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..30 {
-                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin))
-    };
-    let long_goal = Vec3::new(140.0, 0.0, 5.0);
-    let long_bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    let mut checker = CollisionChecker::new(long_map, 0.45, 0.5);
-    let mut batch_rows = Vec::new();
-    for &samples in &[4_000usize, 16_000] {
-        let mut row = Vec::new();
-        let mut reference = None;
-        for &batch in &[1usize, 64] {
-            let planner = RrtStar::new(RrtConfig {
-                seed: 3,
-                max_samples: samples,
-                batch_size: batch,
-                ..RrtConfig::default()
-            });
-            let wall = Instant::now();
-            let result = planner.plan(&mut checker, start, long_goal, &long_bounds);
-            let ms = wall.elapsed().as_secs_f64() * 1e3;
-            match &reference {
-                None => reference = Some(result),
-                Some(r) => assert_eq!(r, &result, "batch {batch} diverged at {samples} samples"),
-            }
-            println!("batch     {samples:>6} samples  K={batch:<3} {ms:>8.1} ms");
-            row.push((batch, ms));
-        }
-        batch_rows.push((samples, row));
-    }
-    println!();
 
     // --- 4-wide vs 8-wide AABB broad-phase dispatch -------------------
     // Same world, same rays, both forced widths: identical hits (width
@@ -444,19 +392,6 @@ fn bench8() {
     w.float(sample_reduction, 2);
     w.key("cost_ratio");
     w.float(cost_ratio, 4);
-    w.end();
-    w.key("batch_expansion");
-    w.begin_array();
-    for (samples, row) in &batch_rows {
-        w.begin_inline_object();
-        w.key("samples");
-        w.uint(*samples as u64);
-        for (batch, ms) in row {
-            w.key(&format!("k{batch}_ms"));
-            w.float(*ms, 2);
-        }
-        w.end();
-    }
     w.end();
     w.key("aabb_raycast");
     w.begin_array();
@@ -929,366 +864,6 @@ fn bench9() {
     println!("\nwrote {path}\n");
 }
 
-/// Cross-decision planner reuse campaign: the cold-vs-warm synchronous
-/// replan ladder across map-delta sizes on the lane-heavy wall fixture,
-/// informed-sampling samples-to-near-optimal, scratch-reuse allocation
-/// counts, a mission-level CrossingCorridor row with `planner_reuse`
-/// off vs on, and the peer-hazard scaling row shared with BENCH_7/8/9.
-/// Emits `BENCH_10.json`.
-fn bench10() {
-    use roborun_geom::{percentile, Aabb, Vec3};
-    use roborun_mission::DynamicScenario;
-    use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-    use roborun_planning::{CollisionChecker, PlannerScratch, RrtConfig, RrtStar, WarmStart};
-    use std::time::Instant;
-
-    println!("## Bench 10 — cross-decision planner reuse: warm trees, informed sampling\n");
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // The long-corridor gap-wall fixture shared with BENCH_8's batch
-    // rows: a wall at x = 20 with one gap at y in [6, 10], goal 140 m
-    // out, voxel 0.5. Cold searches pay a real cost to thread the gap
-    // and cover the corridor; a warm tree already did both. Delta blocks
-    // grow south of the corridor so small deltas leave most of the
-    // retained tree valid.
-    let origin = Vec3::new(0.0, 0.0, 5.0);
-    let voxel = 0.5;
-    let wall_points = || {
-        let mut points = Vec::new();
-        for yi in -120..=120 {
-            let y = yi as f64 * voxel;
-            if (6.0..=10.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..30 {
-                points.push(Vec3::new(20.0, y, zi as f64 * voxel));
-            }
-        }
-        points
-    };
-    let export = |points: Vec<Vec3>| {
-        let mut map = OccupancyMap::new(voxel);
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(voxel, 1e9, origin))
-    };
-    let base = export(wall_points());
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(140.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    // The decision-to-decision start: one epoch of progress into the
-    // corridor, exactly what a synchronous replan sees mid-mission.
-    let next_start = Vec3::new(4.0, 0.5, 5.0);
-    let delta_points = |count: usize| {
-        let mut points = wall_points();
-        for i in 0..count {
-            points.push(Vec3::new(
-                60.0 + (i % 8) as f64 * voxel,
-                -12.0 + ((i / 8) % 8) as f64 * voxel,
-                2.0 + (i / 64) as f64 * voxel,
-            ));
-        }
-        points
-    };
-    // The two synchronous-replan configurations the mission actually
-    // runs: reuse off (the pre-reuse planner, which spends its whole
-    // sample budget refining) versus reuse on (warm-started tree,
-    // informed refinement, bounded post-solution budget).
-    let max_samples = 6_000;
-    let cold_cfg = |seed: u64| RrtConfig {
-        seed,
-        max_samples,
-        ..RrtConfig::default()
-    };
-    let reuse_cfg = |seed: u64| RrtConfig {
-        seed,
-        max_samples,
-        warm_start: true,
-        informed_sampling: true,
-        refine_samples: 512,
-        ..RrtConfig::default()
-    };
-    let margin = 0.45;
-    let check_step = 0.5;
-
-    // --- Cold-vs-warm synchronous replan ladder across delta sizes ----
-    // Per seed: grow a tree on the base export (untimed), patch the
-    // checker to the delta'd export, then time the replan from the
-    // advanced start — once warm (rebasing the retained tree against the
-    // delta boxes) and once cold (same config, empty scratch).
-    let seeds = 10u64;
-    let ladder = [0usize, 8, 32, 128, 512];
-    let mut ladder_rows = Vec::new();
-    for &added in &ladder {
-        let map2 = export(delta_points(added));
-        let delta = map2.delta_from(&base).expect("same voxel size");
-        let mut added_boxes = Vec::new();
-        CollisionChecker::added_boxes_into(&delta, &mut added_boxes);
-        let mut cold_ms = Vec::new();
-        let mut warm_ms = Vec::new();
-        let mut retained = 0usize;
-        let mut pruned = 0usize;
-        let mut warm_found = 0usize;
-        let mut cost_ratio = 0.0f64;
-        for seed in 0..seeds {
-            // Warm: build the tree on the base export, patch, replan.
-            let planner = RrtStar::new(reuse_cfg(seed));
-            let mut scratch = PlannerScratch::new();
-            let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
-            let first =
-                planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
-            assert!(first.found(), "base fixture must be solvable");
-            checker.update_map(map2.clone());
-            let warm = WarmStart {
-                added_boxes: &added_boxes,
-                added_clearance: margin,
-                hazard_boxes: &[],
-                hazard_clearance: 0.0,
-                sample_step: check_step,
-            };
-            let wall = Instant::now();
-            let rewarmed = planner.plan_with_scratch(
-                &mut checker,
-                next_start,
-                goal,
-                &bounds,
-                &mut scratch,
-                Some(&warm),
-            );
-            warm_ms.push(wall.elapsed().as_secs_f64() * 1e3);
-            retained += rewarmed.retained_nodes;
-            pruned += rewarmed.pruned_nodes;
-            warm_found += usize::from(rewarmed.found());
-            // Cold: the reuse-off configuration on the same patched
-            // checker — what every synchronous replan paid before.
-            let cold_planner = RrtStar::new(cold_cfg(seed));
-            let mut cold_scratch = PlannerScratch::new();
-            let wall = Instant::now();
-            let cold = cold_planner.plan_with_scratch(
-                &mut checker,
-                next_start,
-                goal,
-                &bounds,
-                &mut cold_scratch,
-                None,
-            );
-            cold_ms.push(wall.elapsed().as_secs_f64() * 1e3);
-            assert!(cold.found(), "cold replan must be solvable");
-            cost_ratio += rewarmed.cost / cold.cost;
-        }
-        let cold_median = percentile(&cold_ms, 0.5).expect("non-empty");
-        let warm_median = percentile(&warm_ms, 0.5).expect("non-empty");
-        let speedup = cold_median / warm_median.max(1e-9);
-        let retained_mean = retained as f64 / seeds as f64;
-        let pruned_mean = pruned as f64 / seeds as f64;
-        let cost_ratio = cost_ratio / seeds as f64;
-        println!(
-            "replan    +{added:>3} voxels  cold {cold_median:>7.2} ms  warm {warm_median:>7.2} ms \
-             ({speedup:>5.1}x)  retained {retained_mean:>6.1}  pruned {pruned_mean:>5.1}  \
-             cost x{cost_ratio:.3}  found {warm_found}/{seeds}"
-        );
-        ladder_rows.push((
-            added,
-            cold_median,
-            warm_median,
-            speedup,
-            retained_mean,
-            pruned_mean,
-            cost_ratio,
-        ));
-    }
-    // The headline number the roadmap quotes: the median speedup over
-    // the small-delta rungs (a handful of voxels changed per decision).
-    let small: Vec<f64> = ladder_rows
-        .iter()
-        .filter(|(added, ..)| *added <= 32)
-        .map(|&(_, _, _, speedup, _, _, _)| speedup)
-        .collect();
-    let small_delta_speedup = percentile(&small, 0.5).expect("non-empty ladder");
-    println!("replan    small-delta (<= 32 voxels) median speedup {small_delta_speedup:.1}x\n");
-
-    // --- Informed sampling: samples to a near-optimal solution --------
-    // The spheroid only engages after the first solution, so the metric
-    // is the smallest max_samples rung whose cost lands within 5% of the
-    // best known cost for the seed (informed at the top rung).
-    let informed_ladder = [100usize, 200, 400, 800, 1600, 3200, 6400];
-    let run_informed = |seed: u64, informed: bool, max_samples: usize| {
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples,
-            informed_sampling: informed,
-            ..RrtConfig::default()
-        });
-        let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
-        planner.plan(&mut checker, start, goal, &bounds)
-    };
-    let mut informed_rows = Vec::new();
-    for informed in [false, true] {
-        let mut to_near_optimal = 0usize;
-        let mut rejections = 0usize;
-        for seed in 0..seeds {
-            let best = run_informed(seed, true, *informed_ladder.last().unwrap()).cost;
-            assert!(best.is_finite(), "top rung must solve the fixture");
-            to_near_optimal += informed_ladder
-                .iter()
-                .copied()
-                .find(|&n| {
-                    let result = run_informed(seed, informed, n);
-                    result.found() && result.cost <= best * 1.05
-                })
-                .unwrap_or(*informed_ladder.last().unwrap());
-            rejections += run_informed(seed, informed, 2_000).informed_rejections;
-        }
-        let mean = to_near_optimal as f64 / seeds as f64;
-        let mean_rejections = rejections as f64 / seeds as f64;
-        let label = if informed { "informed" } else { "uniform" };
-        println!(
-            "informed  {label:<8} {mean:>6.0} samples to within 5% of best \
-             ({mean_rejections:.0} spheroid rejections @2000)"
-        );
-        informed_rows.push((label, mean, mean_rejections));
-    }
-    let informed_reduction = informed_rows[0].1 / informed_rows[1].1.max(1e-9);
-    println!("informed  reaches near-optimal in {informed_reduction:.1}x fewer samples\n");
-
-    // --- Scratch reuse: steady-state allocation -----------------------
-    // Repeated plans against one scratch: every buffer reaches capacity
-    // during warm-up, after which grow_events stays flat (the zero-
-    // steady-state-allocation contract the proptests lock).
-    let mut scratch = PlannerScratch::new();
-    let mut checker = CollisionChecker::new(base.clone(), margin, check_step);
-    let reps = 12u64;
-    let mut warmup_grow = 0u64;
-    for seed in 0..reps {
-        let planner = RrtStar::new(reuse_cfg(seed));
-        let _ = planner.plan_with_scratch(&mut checker, start, goal, &bounds, &mut scratch, None);
-        if seed == 0 {
-            warmup_grow = scratch.grow_events();
-        }
-    }
-    let steady_grow = scratch.grow_events() - warmup_grow;
-    let footprint = scratch.footprint();
-    println!(
-        "scratch   {reps} plans: {warmup_grow} grow event(s) on the first, \
-         {steady_grow} over the remaining {}  (footprint {footprint} elems)\n",
-        reps - 1
-    );
-
-    // --- Mission-level row: planner_reuse off vs on -------------------
-    let mission_env = DynamicScenario::CrossingCorridor.world(41).0;
-    let mission = |reuse: bool| {
-        let cfg = MissionConfig {
-            max_decisions: 600,
-            max_mission_time: 1_500.0,
-            planner_reuse: reuse,
-            ..MissionConfig::new(RuntimeMode::SpatialAware)
-        };
-        let wall = Instant::now();
-        let result = MissionRunner::new(cfg).run(&mission_env);
-        (wall.elapsed().as_secs_f64(), result.metrics)
-    };
-    let (off_seconds, off_metrics) = mission(false);
-    let (on_seconds, on_metrics) = mission(true);
-    assert!(off_metrics.reached_goal && on_metrics.reached_goal);
-    println!(
-        "mission   reuse off {off_seconds:.2} s ({} decisions)   reuse on {on_seconds:.2} s \
-         ({} decisions, {} warm replans, {} nodes retained)\n",
-        off_metrics.decisions,
-        on_metrics.decisions,
-        on_metrics.warm_replans,
-        on_metrics.planner_nodes_retained
-    );
-
-    // --- The shared scaling row for the BENCH trajectory diff ---------
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("planner_reuse");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("warm_replan_ladder");
-    w.begin_array();
-    for (added, cold_median, warm_median, speedup, retained_mean, pruned_mean, cost_ratio) in
-        &ladder_rows
-    {
-        w.begin_inline_object();
-        w.key("added_voxels");
-        w.uint(*added as u64);
-        w.key("cold_ms");
-        w.float(*cold_median, 3);
-        w.key("warm_ms");
-        w.float(*warm_median, 3);
-        w.key("speedup");
-        w.float(*speedup, 2);
-        w.key("retained_mean");
-        w.float(*retained_mean, 1);
-        w.key("pruned_mean");
-        w.float(*pruned_mean, 1);
-        w.key("cost_ratio");
-        w.float(*cost_ratio, 4);
-        w.end();
-    }
-    w.end();
-    w.key("small_delta_speedup");
-    w.float(small_delta_speedup, 2);
-    w.key("informed_sampling");
-    w.begin_object();
-    for (label, mean, rejections) in &informed_rows {
-        w.key(label);
-        w.begin_inline_object();
-        w.key("samples_to_near_optimal");
-        w.float(*mean, 1);
-        w.key("spheroid_rejections_at_2000");
-        w.float(*rejections, 1);
-        w.end();
-    }
-    w.key("sample_reduction");
-    w.float(informed_reduction, 2);
-    w.end();
-    w.key("scratch_reuse");
-    w.begin_inline_object();
-    w.key("plans");
-    w.uint(reps);
-    w.key("warmup_grow_events");
-    w.uint(warmup_grow);
-    w.key("steady_grow_events");
-    w.uint(steady_grow);
-    w.key("footprint_elems");
-    w.uint(footprint as u64);
-    w.end();
-    w.key("mission_reuse");
-    w.begin_inline_object();
-    w.key("off_seconds");
-    w.float(off_seconds, 3);
-    w.key("on_seconds");
-    w.float(on_seconds, 3);
-    w.key("off_decisions");
-    w.uint(off_metrics.decisions as u64);
-    w.key("on_decisions");
-    w.uint(on_metrics.decisions as u64);
-    w.key("warm_replans");
-    w.uint(on_metrics.warm_replans as u64);
-    w.key("nodes_retained");
-    w.uint(on_metrics.planner_nodes_retained as u64);
-    w.key("nodes_pruned");
-    w.uint(on_metrics.planner_nodes_pruned as u64);
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_10.json");
-    println!("\nwrote {path}\n");
-}
-
 /// BENCH-trajectory diff: discovers every committed `BENCH_<n>.json`
 /// baseline at the repo root, treats the highest generation as current,
 /// and compares every shared cost key (leaves whose name carries a
@@ -1321,6 +896,7 @@ fn trajectory() {
     };
     let current_costs = cost_leaves(&load(newest));
     let mut regressions = Vec::new();
+    let mut shared_total = 0usize;
     for &n in generations.iter().rev().skip(1) {
         let name = format!("BENCH_{n}.json");
         let previous_costs = cost_leaves(&load(n));
@@ -1338,6 +914,11 @@ fn trajectory() {
             }
         }
         println!("({compared} shared cost key(s) against {name})\n");
+        shared_total += compared;
+    }
+    if shared_total == 0 {
+        println!("BENCH_{newest} shares no cost key with any earlier baseline — nothing compared");
+        std::process::exit(1);
     }
     if !regressions.is_empty() {
         println!("trajectory regressions (> 2x): {}", regressions.join(", "));

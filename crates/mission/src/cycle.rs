@@ -165,29 +165,6 @@
 //! this into the headline experiment: under identical fault plans the
 //! fault-oblivious baseline collides or deadlocks while the
 //! degradation-aware runtime completes or provably safe-stops.
-//!
-//! # Cross-decision planner reuse
-//!
-//! With [`crate::MissionConfig::planner_reuse`] enabled, every
-//! synchronous replan hands the previous decision's RRT* tree back to
-//! the planner through a per-mission
-//! [`PlannerScratch`], together with a
-//! [`WarmStart`] delta mirroring the
-//! plan-ahead validation contract above: the *added* voxel boxes of the
-//! export delta since the tree was grown (the same boxes
-//! [`CollisionChecker::path_clear_of_added`] checks, via
-//! [`CollisionChecker::added_boxes_into`]) plus the decision's
-//! retargeted predicted/peer hazard boxes at the blockage-detector
-//! clearance. The planner rebases the tree to the new start, prunes
-//! invalidated branches, and repairs costs — see the
-//! `roborun_planning::rrtstar` module docs for the contract. Warm plans
-//! also enable informed sampling and a bounded refine budget, so a
-//! barely-changed zone replans in a fraction of a cold search. The
-//! scratch is reused (never reallocated) even when the flag is off, and
-//! the flag itself is off by default: every golden fixture regenerates
-//! bit-identically without it. Speculation-worker plans always cold
-//! start (their checker is a snapshot clone) but reuse a worker-owned
-//! scratch for the same zero-allocation property.
 
 use crate::metrics::MissionMetrics;
 use crate::runner::{DegradationConfig, MissionConfig, MissionResult};
@@ -204,7 +181,7 @@ use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     first_polyline_conflict, polyline_clear_of_boxes, CollisionChecker, HazardContext,
     PeerTrajectoryHazard, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
-    PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint, WarmStart,
+    PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint,
 };
 use roborun_sim::{
     CameraRig, DroneConfig, DroneState, EnergyModel, FaultConfig, FaultInjector, LatencyBreakdown,
@@ -353,21 +330,15 @@ pub(crate) fn plan_through_hazards(
     bounds: &Aabb,
     cruise: f64,
     scratch: &mut PlannerScratch,
-    warm: Option<&WarmStart>,
 ) -> Result<(Trajectory, PlanStats), PlanError> {
     if one_shot {
         let mut context = HazardContext::new(checker, hazards);
-        let outcome =
-            planner.plan_with_scratch(&mut context, start, goal, bounds, cruise, scratch, warm);
+        let outcome = planner.plan_with_scratch(&mut context, start, goal, bounds, cruise, scratch);
         if outcome.is_ok() {
             return outcome;
         }
-        // The composed search failed: the bare retry deliberately ignores
-        // the predicted lanes, so the hazard-pruned warm tree does not
-        // apply — cold start it (the posterior veto still governs).
-        return planner.plan_with_scratch(checker, start, goal, bounds, cruise, scratch, None);
     }
-    planner.plan_with_scratch(checker, start, goal, bounds, cruise, scratch, warm)
+    planner.plan_with_scratch(checker, start, goal, bounds, cruise, scratch)
 }
 
 /// The speculation request's hazard source: this decision's boxes
@@ -497,30 +468,12 @@ pub fn planner_for(
     margin: f64,
     mix: SamplingMix,
 ) -> Planner {
-    planner_for_with_reuse(seed_base, decision, knobs, margin, mix, false)
-}
-
-/// [`planner_for`] with the cross-decision reuse knobs
-/// ([`crate::MissionConfig::planner_reuse`]): warm-started trees,
-/// informed sampling and a bounded refine budget once a solution exists.
-/// With `reuse` false this is exactly [`planner_for`], bit for bit.
-pub fn planner_for_with_reuse(
-    seed_base: u64,
-    decision: usize,
-    knobs: &KnobSettings,
-    margin: f64,
-    mix: SamplingMix,
-    reuse: bool,
-) -> Planner {
     Planner::new(PlannerConfig {
         rrt: RrtConfig {
             seed: seed_base.wrapping_add(decision as u64),
             max_explored_volume: knobs.planner_volume,
             max_samples: 900,
             sampling_mix: mix,
-            warm_start: reuse,
-            informed_sampling: reuse,
-            refine_samples: if reuse { 512 } else { 0 },
             ..RrtConfig::default()
         },
         margin,
@@ -707,14 +660,9 @@ pub(crate) fn emit_plan_span(
             ("samples_drawn", stats.samples_drawn as f64),
             ("tree_size", stats.tree_size as f64),
             ("rewires", stats.rewires as f64),
-            ("batch_rounds", stats.batch_rounds as f64),
             ("collision_queries", stats.collision_queries as f64),
             ("explored_volume", stats.explored_volume),
             ("volume_capped", f64::from(u8::from(stats.volume_capped))),
-            ("retained_nodes", stats.retained_nodes as f64),
-            ("pruned_nodes", stats.pruned_nodes as f64),
-            ("rebased", f64::from(u8::from(stats.rebased))),
-            ("informed_rejections", stats.informed_rejections as f64),
         ],
     );
 }
@@ -745,7 +693,6 @@ pub(crate) fn finalize_metrics(
     plan_ahead: &PlanAheadStats,
     dynamics: &DynamicsStats,
     degradation: &DegradationStats,
-    reuse: &ReuseStats,
 ) -> MissionMetrics {
     MissionMetrics {
         mode,
@@ -771,116 +718,6 @@ pub(crate) fn finalize_metrics(
         retries: degradation.retries,
         degraded_decisions: degradation.degraded_decisions,
         safe_stops: degradation.safe_stops,
-        warm_replans: reuse.warm_replans,
-        planner_nodes_retained: reuse.nodes_retained,
-        planner_nodes_pruned: reuse.nodes_pruned,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-decision planner reuse
-// ---------------------------------------------------------------------------
-
-/// Running totals of the cross-decision planner reuse machinery (see the
-/// module docs). All zero with [`crate::MissionConfig::planner_reuse`]
-/// off.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct ReuseStats {
-    /// Synchronous replans that rebased a retained tree.
-    pub(crate) warm_replans: usize,
-    /// Nodes recycled across those rebases.
-    pub(crate) nodes_retained: usize,
-    /// Previous-tree nodes pruned across those rebases.
-    pub(crate) nodes_pruned: usize,
-}
-
-impl ReuseStats {
-    /// Accumulates one plan's reuse counters.
-    pub(crate) fn record(&mut self, stats: &PlanStats) {
-        if stats.rebased {
-            self.warm_replans += 1;
-            self.nodes_retained += stats.retained_nodes;
-            self.nodes_pruned += stats.pruned_nodes;
-        }
-    }
-}
-
-/// Warm-start bookkeeping a driver keeps per mission: the planner scratch
-/// (retained tree + reusable search buffers), the export snapshot the
-/// retained tree was grown against, and the reusable delta-box buffer.
-/// The scratch is threaded through *every* synchronous plan so the
-/// buffers reach a steady state even with reuse off; the snapshot/delta
-/// machinery only engages when [`crate::MissionConfig::planner_reuse`]
-/// is on.
-pub(crate) struct PlanReuse {
-    pub(crate) scratch: PlannerScratch,
-    /// Export the retained tree planned against (`None` until the first
-    /// tree-building plan lands).
-    snapshot: Option<PlannerMap>,
-    /// Reused buffer for the delta's added-voxel boxes.
-    pub(crate) added_boxes: Vec<Aabb>,
-    pub(crate) stats: ReuseStats,
-}
-
-/// Above this many added voxels since the snapshot, rebasing would spend
-/// more on the O(edges × boxes) prune than a cold search: start cold.
-const WARM_MAX_ADDED_BOXES: usize = 512;
-
-/// Above this many retained nodes the tree is dropped and the next plan
-/// cold-starts. Every warm replan appends its fresh samples to the
-/// recycled tree, so without a cap the tree — and with it rebase,
-/// neighbor-query, and rewire cost — grows without bound across a long
-/// mission. The cap keeps a couple of warm generations per cold start
-/// (mission searches draw ≤ ~900 samples each) and bounds memory.
-const WARM_MAX_TREE_NODES: usize = 2_048;
-
-impl PlanReuse {
-    pub(crate) fn new() -> Self {
-        PlanReuse {
-            scratch: PlannerScratch::new(),
-            snapshot: None,
-            added_boxes: Vec::new(),
-            stats: ReuseStats::default(),
-        }
-    }
-
-    /// Prepares this decision's warm-start delta: the added-voxel boxes
-    /// of `export` relative to the retained tree's snapshot. Returns
-    /// `false` (cold start) when reuse is off, no snapshot exists, the
-    /// voxel size changed (no key-level delta exists), the retained tree
-    /// outgrew [`WARM_MAX_TREE_NODES`], or the delta is too large to be
-    /// worth pruning against.
-    pub(crate) fn prepare_warm(&mut self, enabled: bool, export: &PlannerMap) -> bool {
-        if !enabled {
-            return false;
-        }
-        if self.scratch.retained_tree_size() > WARM_MAX_TREE_NODES {
-            self.scratch.invalidate_tree();
-            return false;
-        }
-        let Some(snapshot) = self.snapshot.as_ref() else {
-            return false;
-        };
-        let Some(delta) = export.delta_from(snapshot) else {
-            return false;
-        };
-        if delta.added().len() > WARM_MAX_ADDED_BOXES {
-            return false;
-        }
-        CollisionChecker::added_boxes_into(&delta, &mut self.added_boxes);
-        true
-    }
-
-    /// Post-plan bookkeeping: when the search rebuilt or rebased the
-    /// retained tree this decision (tree epoch advanced), the tree now
-    /// corresponds to `export` — snapshot it for the next delta. A plan
-    /// resolved by the direct-connection shortcut (or rejected before
-    /// the search) leaves the tree and snapshot untouched, so deltas
-    /// keep accumulating against the tree's true base.
-    pub(crate) fn after_plan(&mut self, enabled: bool, epoch_before: u64, export: &PlannerMap) {
-        if enabled && self.scratch.tree_epoch() != epoch_before {
-            self.snapshot = Some(export.clone());
-        }
     }
 }
 
@@ -931,9 +768,7 @@ pub(crate) fn speculation_worker(
     outcomes: Sender<SpeculationOutcome>,
 ) {
     roborun_trace::collector::set_track(roborun_trace::SPECULATION_TRACK);
-    // Worker-owned scratch: speculative plans always cold start (each
-    // request's checker is an independent snapshot clone, so no retained
-    // tree matches it), but the search buffers still reach a steady state
+    // Worker-owned scratch: the search buffers reach a steady state
     // across requests instead of reallocating per speculation.
     let mut scratch = PlannerScratch::new();
     while let Ok(mut request) = requests.recv() {
@@ -946,7 +781,6 @@ pub(crate) fn speculation_worker(
             &request.bounds,
             request.cruise,
             &mut scratch,
-            None,
         );
         if let Ok((_, stats)) = &outcome {
             emit_plan_span(stats, request.launched_at, &plan_timer);
@@ -1122,11 +956,9 @@ pub(crate) struct DecisionCycle<'m> {
     decisions_since_plan: usize,
     pending: Option<PendingSpeculation>,
     stats: PlanAheadStats,
-    // Cross-decision planner reuse: the retained RRT* tree, its export
-    // snapshot, and the reusable search buffers (see the module docs).
-    // The scratch is threaded through every synchronous plan even with
-    // `planner_reuse` off (pure allocation reuse, bit-identical).
-    reuse: PlanReuse,
+    // RRT* search buffers, reused by every synchronous plan (allocation
+    // reuse only: each plan is bit-identical to a fresh one).
+    scratch: PlannerScratch,
     dynamics_stats: DynamicsStats,
     // Deterministic fault plan (None when the config is healthy — the
     // whole degradation machinery then stays off the hot path).
@@ -1206,7 +1038,7 @@ impl<'m> DecisionCycle<'m> {
             decisions_since_plan: usize::MAX / 2, // force an initial plan
             pending: None,
             stats: PlanAheadStats::default(),
-            reuse: PlanReuse::new(),
+            scratch: PlannerScratch::new(),
             dynamics_stats: DynamicsStats::default(),
             fault_plan,
             degradation_stats: DegradationStats::default(),
@@ -1525,13 +1357,12 @@ impl<'m> DecisionCycle<'m> {
         let local_goal = self.local_goal(export);
         let bounds = self.sampling_bounds(self.drone.position, local_goal);
         let check_step = planning_check_step(knobs);
-        let planner = planner_for_with_reuse(
+        let planner = planner_for(
             self.planner_seed_base,
             self.decisions,
             knobs,
             self.planning_margin,
             sampling_mix_for(self.cfg.hazard_biased_sampling),
-            self.cfg.planner_reuse,
         );
         match self.collision.as_mut() {
             Some(checker) => {
@@ -1548,24 +1379,6 @@ impl<'m> DecisionCycle<'m> {
         }
         let one_shot = self.cfg.predicted_costmap && !escape && !self.hazards.is_empty();
         let cruise = commanded_velocity.max(0.5);
-        // Cross-decision reuse: rebase the retained tree when a usable
-        // delta exists (escape plans start inside a predicted box — cold
-        // start those). With the flag off `prepare_warm` is a no-op and
-        // the scratch only contributes allocation reuse.
-        let warm_ready = !escape && self.reuse.prepare_warm(self.cfg.planner_reuse, export);
-        let epoch_before = self.reuse.scratch.tree_epoch();
-        let PlanReuse {
-            scratch,
-            added_boxes,
-            ..
-        } = &mut self.reuse;
-        let warm = warm_ready.then(|| WarmStart {
-            added_boxes,
-            added_clearance: self.planning_margin,
-            hazard_boxes: self.hazards.boxes(),
-            hazard_clearance: self.hazards.clearance(),
-            sample_step: check_step,
-        });
         let mut outcome = plan_through_hazards(
             &planner,
             self.collision.as_mut().expect("checker just initialised"),
@@ -1575,11 +1388,8 @@ impl<'m> DecisionCycle<'m> {
             local_goal,
             &bounds,
             cruise,
-            scratch,
-            warm.as_ref(),
+            &mut self.scratch,
         );
-        self.reuse
-            .after_plan(self.cfg.planner_reuse, epoch_before, export);
         if matches!(outcome, Err(PlanError::StartBlocked)) {
             // A coarse export voxel can swallow the drone's own
             // (physically free) position. Fall back to the worst-case
@@ -1617,7 +1427,6 @@ impl<'m> DecisionCycle<'m> {
         }
         match outcome {
             Ok((trajectory, stats)) => {
-                self.reuse.stats.record(&stats);
                 emit_plan_span(&stats, self.clock.now(), &plan_timer);
                 // A fresh plan that crosses the predicted moving-obstacle
                 // occupancy is rejected like a failed plan: the planner
@@ -2207,7 +2016,6 @@ impl<'m> DecisionCycle<'m> {
             &self.stats,
             &self.dynamics_stats,
             &self.degradation_stats,
-            &self.reuse.stats,
         );
         MissionResult {
             metrics,

@@ -69,14 +69,6 @@ pub struct MissionMetrics {
     /// 1 when the mission ended in a deliberate wedge-retreat safe-stop
     /// (the bottom of the degradation ladder), else 0.
     pub safe_stops: usize,
-    /// Synchronous replans that reused (rebased) the previous decision's
-    /// RRT* tree instead of cold-starting (requires `planner_reuse`).
-    pub warm_replans: usize,
-    /// Total tree nodes carried across decisions by warm-started replans.
-    pub planner_nodes_retained: usize,
-    /// Total tree nodes discarded during warm-start rebase (invalidated by
-    /// map deltas, hazards, or unreachable from the new root).
-    pub planner_nodes_pruned: usize,
 }
 
 impl MissionMetrics {
@@ -259,9 +251,6 @@ mod tests {
             retries: 0,
             degraded_decisions: 0,
             safe_stops: 0,
-            warm_replans: 0,
-            planner_nodes_retained: 0,
-            planner_nodes_pruned: 0,
         }
     }
 

@@ -134,14 +134,6 @@ pub struct MissionConfig {
     /// hazards composed into a decision, every plan is bit-identical
     /// to the uniform sampler.
     pub hazard_biased_sampling: bool,
-    /// Cross-decision planner reuse: warm-start each synchronous replan
-    /// from the previous decision's RRT* tree (rebased to the new start
-    /// and pruned against the map delta and retargeted hazards), switch
-    /// the sampler to informed prolate-spheroid rejection once a solution
-    /// exists, and cap post-solution refinement with a bounded sample
-    /// budget. Off by default: with it off every mission consumes the
-    /// exact pre-reuse RNG stream bit for bit.
-    pub planner_reuse: bool,
     /// Random seed for the stochastic planner.
     pub seed: u64,
 }
@@ -219,7 +211,6 @@ impl MissionConfig {
             degradation: DegradationConfig::default(),
             peer_trajectories: Vec::new(),
             hazard_biased_sampling: false,
-            planner_reuse: false,
             seed: 1,
         }
     }

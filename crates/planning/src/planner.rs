@@ -2,7 +2,7 @@
 
 use crate::{
     smooth_path, CollisionChecker, HazardSource, PlannerScratch, RrtConfig, RrtStar,
-    SmoothingConfig, Trajectory, WarmStart,
+    SmoothingConfig, Trajectory,
 };
 use roborun_geom::{Aabb, Vec3};
 use roborun_perception::PlannerMap;
@@ -83,16 +83,6 @@ pub struct PlanStats {
     pub volume_capped: bool,
     /// Tree edges re-parented through a cheaper node during the search.
     pub rewires: usize,
-    /// Batched sampling rounds the search executed.
-    pub batch_rounds: usize,
-    /// Nodes recycled from the previous decision's tree (warm start).
-    pub retained_nodes: usize,
-    /// Previous-tree nodes dropped by the rebase/prune pass (warm start).
-    pub pruned_nodes: usize,
-    /// Whether this plan rebased a retained tree instead of cold-starting.
-    pub rebased: bool,
-    /// Informed-sampling draws rejected outside the best-solution spheroid.
-    pub informed_rejections: usize,
 }
 
 /// The full planning stage: RRT* followed by smoothing.
@@ -190,30 +180,18 @@ impl Planner {
         cruise_speed: f64,
     ) -> Result<(Trajectory, PlanStats), PlanError> {
         let mut scratch = PlannerScratch::new();
-        self.plan_with_scratch(
-            checker,
-            start,
-            goal,
-            bounds,
-            cruise_speed,
-            &mut scratch,
-            None,
-        )
+        self.plan_with_scratch(checker, start, goal, bounds, cruise_speed, &mut scratch)
     }
 
     /// [`Planner::plan_with_checker`] against a caller-owned
     /// [`PlannerScratch`]: the search tree, spatial index, and every
-    /// sampling buffer are reused across calls instead of reallocated,
-    /// and — when [`RrtConfig::warm_start`] is on and a [`WarmStart`]
-    /// delta is handed in — the previous call's tree is recycled per the
-    /// [`crate::rrtstar`] module docs. With `warm` `None` the call is
-    /// bit-identical to [`Planner::plan_with_checker`].
+    /// sampling buffer are reused across calls instead of reallocated.
+    /// The call is bit-identical to [`Planner::plan_with_checker`].
     ///
     /// # Errors
     ///
     /// Returns [`PlanError`] when the endpoints are blocked or no path is
     /// found within the sample/volume budget.
-    #[allow(clippy::too_many_arguments)]
     pub fn plan_with_scratch<H: HazardSource>(
         &self,
         checker: &mut H,
@@ -222,7 +200,6 @@ impl Planner {
         bounds: &Aabb,
         cruise_speed: f64,
         scratch: &mut PlannerScratch,
-        warm: Option<&WarmStart>,
     ) -> Result<(Trajectory, PlanStats), PlanError> {
         let queries_before = checker.queries();
         if !checker.point_free(start) {
@@ -232,7 +209,7 @@ impl Planner {
             return Err(PlanError::GoalBlocked);
         }
         let rrt = RrtStar::new(self.config.rrt);
-        let result = rrt.plan_with_scratch(checker, start, goal, bounds, scratch, warm);
+        let result = rrt.plan_with_scratch(checker, start, goal, bounds, scratch);
         if !result.found() {
             return Err(PlanError::NoPathFound {
                 samples_drawn: result.samples_drawn,
@@ -247,11 +224,6 @@ impl Planner {
             collision_queries: checker.queries() - queries_before,
             volume_capped: result.volume_capped,
             rewires: result.rewires,
-            batch_rounds: result.batch_rounds,
-            retained_nodes: result.retained_nodes,
-            pruned_nodes: result.pruned_nodes,
-            rebased: result.rebased,
-            informed_rejections: result.informed_rejections,
         };
         Ok((trajectory, stats))
     }

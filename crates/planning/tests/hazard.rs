@@ -374,3 +374,77 @@ fn retargeted_hazards_answer_like_fresh_ones_under_load() {
         }
     }
 }
+
+/// Bit-exact fingerprint of one search: waypoint count, an FNV-1a digest
+/// of every waypoint coordinate's `to_bits`, the cost's `to_bits`, the
+/// sample / tree / rewire counters and the collision queries spent.
+fn search_pin(result: &roborun_planning::RrtResult, queries: usize) -> [u64; 7] {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for p in &result.path {
+        for bits in [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()] {
+            digest = (digest ^ bits).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    [
+        result.path.len() as u64,
+        digest,
+        result.cost.to_bits(),
+        result.samples_drawn as u64,
+        result.tree_size as u64,
+        result.rewires as u64,
+        queries as u64,
+    ]
+}
+
+#[test]
+fn rrt_search_is_pinned_on_the_gap_wall_fixture() {
+    // The default search path, recorded bit for bit: any extra RNG draw,
+    // reordered neighbour answer or skipped collision query in the
+    // sampling loop changes one of these fingerprints. Each seed runs
+    // against the lane fixture's gap wall three ways: the bare checker,
+    // the composed context with the uniform sampler, and the composed
+    // context with the sampling mix biased by the lane box. The budget
+    // is the mission planner's (`cycle::planner_for`).
+    #[derive(Clone, Copy, Debug)]
+    enum Run {
+        Bare,
+        Uniform,
+        Mixed,
+    }
+    #[rustfmt::skip]
+    const PINNED: [(u64, Run, [u64; 7]); 9] = [
+        (1, Run::Bare, [9, 10892540326747991488, 4631094171727193632, 900, 850, 1043, 103088]),
+        (1, Run::Uniform, [9, 11882922428639462018, 4631501913529733524, 900, 596, 481, 68577]),
+        (1, Run::Mixed, [7, 917186041966453849, 4631131290171588629, 900, 835, 2213, 402537]),
+        (2, Run::Bare, [7, 6050002087062523957, 4631034519715960384, 900, 874, 1204, 113465]),
+        (2, Run::Uniform, [8, 14643481025549107460, 4631450147453526695, 900, 584, 675, 85984]),
+        (2, Run::Mixed, [9, 13056429529907066152, 4631240817869246298, 900, 827, 2581, 472347]),
+        (3, Run::Bare, [7, 17586315258660233141, 4631090423676846715, 900, 858, 1358, 111851]),
+        (3, Run::Uniform, [8, 7726338971037163255, 4631482128482099970, 900, 758, 582, 95231]),
+        (3, Run::Mixed, [8, 3414244028819508272, 4631268446388872006, 900, 811, 1043, 380057]),
+    ];
+    let (map, lanes, start, goal, bounds) = lane_fixture();
+    for (seed, run, expected) in PINNED {
+        let planner = RrtStar::new(RrtConfig {
+            seed,
+            max_samples: 900,
+            sampling_mix: match run {
+                Run::Mixed => biased_mix(),
+                Run::Bare | Run::Uniform => SamplingMix::default(),
+            },
+            ..RrtConfig::default()
+        });
+        let hazards = PredictedHazards::new(lanes.clone(), CLEARANCE, start, 1e9);
+        let mut checker = CollisionChecker::new(map.clone(), 0.45, 0.3);
+        let result = match run {
+            Run::Bare => planner.plan(&mut checker, start, goal, &bounds),
+            Run::Uniform | Run::Mixed => {
+                let mut ctx = HazardContext::new(&mut checker, &hazards);
+                planner.plan(&mut ctx, start, goal, &bounds)
+            }
+        };
+        assert!(result.found(), "seed {seed} {run:?}: no path");
+        let pin = search_pin(&result, checker.queries());
+        assert_eq!(pin, expected, "seed {seed} {run:?}");
+    }
+}

@@ -29,7 +29,8 @@ pub enum SpanKind {
     /// RoboRun runtime overhead stage (profilers + governor + solver).
     StageRuntime,
     /// One planner invocation, with per-plan counters as args (samples
-    /// drawn, tree size, rewires, batch rounds, collision queries).
+    /// drawn, tree size, rewires, collision queries, explored volume,
+    /// volume cap).
     Plan,
     /// Plan-ahead speculation lifetime, launch → adopt/patch/discard
     /// (an async span; the id is deterministic per track + decision).
