@@ -4,14 +4,15 @@
 //! model (and therefore the governor) relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use roborun_core::RuntimeMode;
+use roborun_core::{KnobSettings, RuntimeMode};
 use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
 use roborun_env::{DifficultyConfig, EnvironmentGenerator, Obstacle, ObstacleField};
-use roborun_geom::{Aabb, PointGridIndex, Ray, SplitMix64, Vec3};
+use roborun_geom::{Aabb, PointGridIndex, Pose, Ray, SplitMix64, Vec3};
 use roborun_mission::cycle::{path_clear_of_predicted, predicted_blockage_distance};
 use roborun_mission::{MissionConfig, MissionRunner};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{CollisionChecker, RrtConfig, RrtStar, Trajectory, TrajectoryPoint};
+use roborun_sim::CameraRig;
 
 /// A synthetic dense scan: a wall of points at the given distance.
 fn wall_cloud(distance: f64, points_per_side: usize) -> PointCloud {
@@ -281,6 +282,77 @@ fn bench_export_precision(c: &mut Criterion) {
                 })
             },
         );
+    }
+    group.finish();
+}
+
+/// One decision's perception step on a mid-mission map: integrate the
+/// scan, retain the mission's 70 m neighbourhood, export for the planner.
+/// The map is built like `decision_loop`'s mission map (30 scans 2 m
+/// apart along the start→goal line, each followed by the retain), so free
+/// voxels dominate it as they do in flight. The step repeats on the same
+/// map at the last pose, which after the first iteration changes nothing:
+/// every iteration pays the steady-state cost of one decision over a map
+/// of that size. Two knob sets: the oblivious baseline (0.3 m, unbounded
+/// export) and a binding 0.6 m budget, where only the kept prefix of the
+/// export is sorted.
+fn bench_perception_mission_map_step(c: &mut Criterion) {
+    let env = EnvironmentGenerator::new(DifficultyConfig {
+        goal_distance: 150.0,
+        ..DifficultyConfig::mid()
+    })
+    .generate(4);
+    let rig = CameraRig::hexa_rig();
+    let heading = (env.goal() - env.start()).normalize();
+    let mut mission_map = OccupancyMap::new(0.3);
+    let mut last = None;
+    for i in 0..30 {
+        let pose = Pose::new(env.start() + heading * (2.0 * i as f64), 0.0);
+        let scan = rig.capture(env.field(), &pose);
+        let cloud = PointCloud::new(pose.position, scan.points);
+        mission_map.integrate_cloud(&cloud.downsampled(0.3), 0.5);
+        mission_map.retain_within(pose.position, 70.0);
+        last = Some((pose.position, cloud));
+    }
+    let (position, cloud) = last.expect("at least one scan");
+    let aware = KnobSettings {
+        point_cloud_precision: 0.6,
+        map_to_planner_precision: 0.6,
+        octomap_volume: 46_000.0,
+        map_to_planner_volume: 50.0,
+        planner_volume: 50.0,
+    };
+    let unbounded = PlannerMap::export(&mission_map, &ExportConfig::new(0.6, 1e9, position));
+    let bounded = PlannerMap::export(&mission_map, &ExportConfig::new(0.6, 50.0, position));
+    assert!(
+        bounded.len() < unbounded.len(),
+        "the aware budget must bind on the mission map"
+    );
+    let mut group = c.benchmark_group("perception_mission_map_step");
+    group.sample_size(20);
+    for (name, knobs) in [
+        ("oblivious_unbounded_0.3m", KnobSettings::static_baseline()),
+        ("aware_binding_0.6m", aware),
+    ] {
+        let mut map = mission_map.clone();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let limited = cloud
+                    .downsampled(knobs.point_cloud_precision)
+                    .volume_limited(position, knobs.octomap_volume);
+                map.integrate_cloud(&limited, knobs.point_cloud_precision.max(0.5));
+                map.retain_within(position, 70.0);
+                let export = PlannerMap::export(
+                    &map,
+                    &ExportConfig::new(
+                        knobs.map_to_planner_precision,
+                        knobs.map_to_planner_volume,
+                        position,
+                    ),
+                );
+                std::hint::black_box(export.len())
+            })
+        });
     }
     group.finish();
 }
@@ -1131,6 +1203,7 @@ criterion_group!(
     bench_collision_frontier_delta,
     bench_shared_world_amortization,
     bench_export_precision,
+    bench_perception_mission_map_step,
     bench_obstacle_raycast_scaling,
     bench_obstacle_nearest_scaling,
     bench_point_nearest_scaling,

@@ -11,6 +11,7 @@
 //!   encoded in a tree, by selecting higher level trees (in the sorted
 //!   order) until the threshold is reached", sorted by proximity to the MAV.
 
+use crate::occupancy::{block_of, slot_of};
 use crate::OccupancyMap;
 use roborun_geom::{
     snap_to_lattice, Aabb, FxHashMap, FxHashSet, RingSearch, RingSearchOutcome, Vec3, VoxelKey,
@@ -102,69 +103,61 @@ impl PlannerMap {
             snap_to_lattice(config.precision.max(map.resolution()), map.resolution(), 8);
 
         // Re-key occupied voxels at the export resolution (tree pruning).
-        let mut coarse: FxHashSet<VoxelKey> = FxHashSet::default();
+        // The set's capacity only affects its iteration order, which the
+        // ranking below erases.
+        let mut coarse: FxHashSet<VoxelKey> =
+            FxHashSet::with_capacity_and_hasher(map.stats().occupied, Default::default());
         for (key, _) in map.occupied_voxels() {
             let center = key.center(map.resolution());
             coarse.insert(VoxelKey::from_point(center, precision));
         }
 
-        // Sort coarse voxels by proximity to the MAV and keep them until the
-        // exported volume exceeds the budget.
-        let mut keys: Vec<VoxelKey> = coarse.into_iter().collect();
-        keys.sort_by(|a, b| {
-            let da = a.center(precision).distance_squared(config.reference);
-            let db = b.center(precision).distance_squared(config.reference);
-            da.partial_cmp(&db)
-                .expect("distances are never NaN")
-                .then_with(|| a.cmp(b))
-        });
-        let voxel_volume = precision.powi(3);
-        let mut boxes = Vec::new();
-        let mut kept_keys = FxHashSet::default();
-        let mut volume = 0.0;
+        // Rank coarse voxels by proximity to the MAV and keep them until the
+        // exported volume exceeds the budget. The kept count depends only
+        // on how many voxels there are, so only the kept prefix is sorted.
+        // Squared distances are never negative (nor -0.0), so their bit
+        // patterns order exactly as the values do; keys are unique, so
+        // (distance², key) is a total order and the prefix comes out
+        // exactly as a full sort would order it.
+        let mut ranked: Vec<(u64, VoxelKey)> = coarse
+            .into_iter()
+            .map(|key| {
+                let d2 = key.center(precision).distance_squared(config.reference);
+                assert!(!d2.is_nan(), "distances are never NaN");
+                (d2.to_bits(), key)
+            })
+            .collect();
+        let kept = kept_count(ranked.len(), precision.powi(3), config.max_volume);
+        if kept < ranked.len() {
+            ranked.select_nth_unstable(kept);
+            ranked.truncate(kept);
+        }
+        ranked.sort_unstable();
+        PlannerMap::from_keys(precision, ranked.into_iter().map(|(_, key)| key))
+    }
+
+    /// A planner map of the voxels `keys` at `voxel_size`, one box per
+    /// distinct key, boxes in the order the keys come.
+    pub fn from_keys(voxel_size: f64, keys: impl IntoIterator<Item = VoxelKey>) -> Self {
+        let keys = keys.into_iter();
+        let mut map = PlannerMap::empty(voxel_size);
+        map.boxes.reserve(keys.size_hint().0);
         for key in keys {
-            // Always export at least the closest obstacle (if any budget at
-            // all), otherwise the planner would fly blind next to a known
-            // hazard; stop once the budget is consumed.
-            if volume + voxel_volume > config.max_volume && !boxes.is_empty() {
-                break;
+            if !map.keys.insert(key) {
+                continue;
             }
-            boxes.push(Aabb::from_center_half_extents(
-                key.center(precision),
-                Vec3::splat(precision * 0.5),
-            ));
-            kept_keys.insert(key);
-            volume += voxel_volume;
-            if volume >= config.max_volume && config.max_volume > 0.0 {
-                break;
-            }
-        }
-        if config.max_volume == 0.0 {
-            boxes.clear();
-            kept_keys.clear();
-        }
-        let mut key_min = VoxelKey { x: 0, y: 0, z: 0 };
-        let mut key_max = VoxelKey { x: 0, y: 0, z: 0 };
-        let mut masks: FxHashMap<VoxelKey, [u64; 8]> = FxHashMap::default();
-        for (i, key) in kept_keys.iter().enumerate() {
-            masks.entry(mask_block(*key)).or_default()[(key.x & 7) as usize] |=
-                1 << (((key.y & 7) << 3) | (key.z & 7));
-            if i == 0 {
-                key_min = *key;
-                key_max = *key;
+            if map.boxes.is_empty() {
+                map.key_min = key;
+                map.key_max = key;
             } else {
-                key_min = key_min.componentwise_min(*key);
-                key_max = key_max.componentwise_max(*key);
+                map.key_min = map.key_min.componentwise_min(key);
+                map.key_max = map.key_max.componentwise_max(key);
             }
+            map.boxes.push(map.key_box(key));
+            let (word, bit) = slot_of(key);
+            map.masks.entry(block_of(key)).or_default()[word] |= bit;
         }
-        PlannerMap {
-            voxel_size: precision,
-            boxes,
-            keys: kept_keys,
-            masks,
-            key_min,
-            key_max,
-        }
+        map
     }
 
     /// Voxel size of the exported boxes (metres).
@@ -233,7 +226,7 @@ impl PlannerMap {
                     if gx + gy + gap2(z0, z1, p.z) > bound {
                         continue;
                     }
-                    let Some(mask) = self.masks.get(&mask_block(VoxelKey {
+                    let Some(mask) = self.masks.get(&block_of(VoxelKey {
                         x: x0,
                         y: y0,
                         z: z0,
@@ -373,13 +366,26 @@ impl PlannerMap {
     }
 }
 
-/// The 8³ block of voxels holding `key` in [`PlannerMap`]'s masks.
-fn mask_block(key: VoxelKey) -> VoxelKey {
-    VoxelKey {
-        x: key.x >> 3,
-        y: key.y >> 3,
-        z: key.z >> 3,
+/// How many of `available` voxels of volume `voxel_volume` an export with
+/// budget `max_volume` keeps: voxels are added nearest first until the
+/// volume would exceed the budget, but always at least the closest one (if
+/// there is any budget at all), otherwise the planner would fly blind next
+/// to a known hazard. The volume accumulates voxel by voxel, so rounding
+/// decides the boundary case exactly as a nearest-first walk would.
+fn kept_count(available: usize, voxel_volume: f64, max_volume: f64) -> usize {
+    if max_volume == 0.0 {
+        return 0;
     }
+    let mut kept = 0;
+    let mut volume = 0.0;
+    while kept < available {
+        if volume + voxel_volume > max_volume && kept > 0 {
+            break;
+        }
+        kept += 1;
+        volume += voxel_volume;
+    }
+    kept
 }
 
 /// The key-level difference between two [`PlannerMap`] exports at the same

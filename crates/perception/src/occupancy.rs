@@ -4,59 +4,148 @@
 //! The paper's OctoMap kernel "accumulates these point clouds into a 3D map
 //! and encodes them in a tree data structure where each leaf is a voxel";
 //! its precision operator "is enforced by controlling the step size of the
-//! raytracer". Our substitute stores voxels in a hash map keyed by integer
-//! voxel coordinates; the tree structure only matters to the paper for the
+//! raytracer". Our substitute stores voxels as bits of 8³ blocks hashed by
+//! block coordinates; the tree structure only matters to the paper for the
 //! power-of-two pruning performed at export time, which
 //! [`crate::PlannerMap`] reproduces by re-keying voxels at coarser
 //! power-of-two resolutions.
 //!
-//! # The bucket index
+//! # The block store
 //!
-//! The profilers query the map on every decision (nearest obstacle at the
-//! MAV and at each upcoming waypoint, occupied voxels within the gap
-//! radius). Those queries must cost what the *nearby occupied* voxels
-//! cost, not what the map holds — a long mission's map is dominated by
-//! free voxels. The map therefore keeps a private bucket index: every
-//! occupied key grouped by its bucket, the cell of edge
-//! `BUCKET_FACTOR · resolution` containing it (integer key division, so
-//! bucket membership is exact).
+//! Voxels live in 8³ blocks, the cells of edge `BLOCK_EDGE · resolution`
+//! (integer key division, so block membership is exact). A block's voxels
+//! are bits of a 512-bit mask laid out like [`crate::PlannerMap`]'s: the
+//! voxel `key` is word `x & 7`, bit `(y & 7) << 3 | (z & 7)`. The store is
+//! two maps of such masks keyed by `key >> 3`: *known* masks mark observed
+//! voxels, *occupied* masks (always subsets of the known ones) the
+//! occupied voxels. A mask that empties is removed, so the known map holds
+//! exactly the blocks with an observed voxel and the occupied map exactly
+//! the blocks with an occupied one — far fewer in a mission's map, which
+//! free voxels dominate. Counters of known and occupied voxels answer
+//! [`OccupancyMap::len`], [`OccupancyMap::known_volume`] and
+//! [`OccupancyMap::stats`] without a scan.
 //!
-//! * **Maintenance.** The index changes exactly where the occupied set
-//!   does: a key is appended when `mark_occupied` inserts it for the first
-//!   time, removed when the decay rule downgrades it to free, and dropped
-//!   by [`OccupancyMap::retain_within`], which walks buckets, not keys —
-//!   buckets wholly outside the radius go at once, buckets wholly inside
-//!   are untouched, and only buckets crossing the sphere filter their
-//!   keys. [`OccupancyMap::rebuild_spatial_caches`] rebuilds it from
-//!   scratch. Empty buckets are removed, so every bucket holds keys.
-//! * **Exactness.** Queries scan a bucket's keys with the same predicate
-//!   as the linear references and only *skip* whole buckets by a lower
-//!   bound on their distance. A voxel centre lies at least half a voxel
-//!   inside its bucket, and every skip test keeps a one-voxel margin, so
-//!   rounding can never skip a bucket holding a match: the results equal
-//!   the linear scans bit for bit (`nearest_occupied_distance_linear`,
-//!   the filtered `occupied_voxels`), which the proptests check after
-//!   every integrate, decay carve and retain.
-//! * **Identity.** The index is derived state: skipped by serde and left
-//!   out of `PartialEq`, since the order of keys inside a bucket records
-//!   insertion history, not map content.
+//! The per-decision operations cost what the MAV's neighbourhood holds,
+//! not what the mission has seen:
+//!
+//! * **Retain.** [`OccupancyMap::retain_within`] walks blocks, not voxels:
+//!   blocks wholly outside the radius go at once, blocks wholly inside are
+//!   untouched, and only blocks crossing the sphere test their bits one by
+//!   one. A voxel centre lies at least half a voxel inside its block and
+//!   both whole-block tests keep a one-voxel margin, so rounding can never
+//!   move a voxel to the wrong side: the retain keeps exactly the voxels a
+//!   per-voxel centre-distance filter keeps.
+//! * **Profiler queries.** The profilers query the map on every decision
+//!   (nearest obstacle at the MAV and at each upcoming waypoint, occupied
+//!   voxels within the gap radius). They touch only the occupied map, scan
+//!   a block's bits with the same predicate as the linear references and
+//!   only *skip* whole blocks by a lower bound on their distance, with the
+//!   same one-voxel margin, so the results equal the linear scans bit for
+//!   bit (`nearest_occupied_distance_linear`, the filtered
+//!   `occupied_voxels`), which the proptests check after every integrate,
+//!   decay carve and retain. The occupied bounds the ring search starts
+//!   from are block keys: they only grow between retains (decay can leave
+//!   them conservatively large), and each retain recomputes them from the
+//!   occupied map.
+//! * **Identity.** Counters and bounds are derived state: skipped by serde
+//!   (see [`OccupancyMap::rebuild_spatial_caches`]) and left out of
+//!   `PartialEq`, which compares map content only — the masks, the decay
+//!   window, the epoch and the epoch stamps — so two maps holding the same
+//!   voxels compare equal however they were built.
 
 use crate::PointCloud;
-use roborun_geom::{
-    cell_min_distance_squared, Aabb, FxHashMap, FxHashSet, Ray, RingSearch, Vec3, VoxelKey,
-};
+use roborun_geom::{cell_min_distance_squared, Aabb, FxHashMap, Ray, RingSearch, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
 
-/// Bucket edge of the occupied-key index, in voxels (see the module docs).
-const BUCKET_FACTOR: i64 = 8;
+/// Block edge of the store, in voxels (see the module docs).
+const BLOCK_EDGE: i64 = 8;
 
-/// The index bucket holding `key`.
-fn bucket_of(key: VoxelKey) -> VoxelKey {
+/// The 8³ block holding `key` (shared with [`crate::PlannerMap`]'s masks).
+pub(crate) fn block_of(key: VoxelKey) -> VoxelKey {
     VoxelKey {
-        x: key.x.div_euclid(BUCKET_FACTOR),
-        y: key.y.div_euclid(BUCKET_FACTOR),
-        z: key.z.div_euclid(BUCKET_FACTOR),
+        x: key.x >> 3,
+        y: key.y >> 3,
+        z: key.z >> 3,
     }
+}
+
+/// The mask word and bit of `key` inside its block.
+pub(crate) fn slot_of(key: VoxelKey) -> (usize, u64) {
+    (
+        (key.x & 7) as usize,
+        1 << (((key.y & 7) << 3) | (key.z & 7)),
+    )
+}
+
+/// The keys of the bits set in `mask`, one of the masks of block `block`.
+fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey> {
+    mask.into_iter().enumerate().flat_map(move |(x, word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let bit = i64::from(bits.trailing_zeros());
+            bits &= bits - 1;
+            Some(VoxelKey {
+                x: (block.x << 3) | x as i64,
+                y: (block.y << 3) | (bit >> 3),
+                z: (block.z << 3) | (bit & 7),
+            })
+        })
+    })
+}
+
+/// The voxels of one 8³ block as a 512-bit mask (see the module docs).
+type BlockMask = [u64; 8];
+
+/// Number of bits set in a block mask.
+fn mask_len(mask: &BlockMask) -> usize {
+    mask.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// `true` when the mask of `key`'s block in `masks` has `key`'s bit set.
+fn mask_has(masks: &FxHashMap<VoxelKey, BlockMask>, key: VoxelKey) -> bool {
+    let (word, bit) = slot_of(key);
+    masks
+        .get(&block_of(key))
+        .is_some_and(|mask| mask[word] & bit != 0)
+}
+
+/// Clears every bit of `masks` whose voxel centre lies farther than
+/// `radius` from `center`, block by block (see the module docs), and
+/// removes the masks that empty. Calls `on_drop` with each block's
+/// cleared bits.
+fn retain_masks(
+    masks: &mut FxHashMap<VoxelKey, BlockMask>,
+    res: f64,
+    center: Vec3,
+    radius: f64,
+    mut on_drop: impl FnMut(VoxelKey, &BlockMask),
+) {
+    let block_size = res * BLOCK_EDGE as f64;
+    let (outer, inner) = (radius + res, radius - res);
+    masks.retain(|block, mask| {
+        if cell_min_distance_squared(*block, block_size, center) > outer * outer {
+            on_drop(*block, mask);
+            return false;
+        }
+        if inner > 0.0 && cell_max_distance_squared(*block, block_size, center) < inner * inner {
+            return true;
+        }
+        let mut dropped = [0u64; 8];
+        for key in mask_keys(*block, *mask) {
+            if key.center(res).distance(center) > radius {
+                let (word, bit) = slot_of(key);
+                dropped[word] |= bit;
+            }
+        }
+        on_drop(*block, &dropped);
+        for (word, d) in mask.iter_mut().zip(dropped) {
+            *word &= !d;
+        }
+        *mask != [0; 8]
+    });
 }
 
 /// Squared distance from `p` to the farthest point of the cell `key` at
@@ -125,26 +214,32 @@ pub struct MapStats {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OccupancyMap {
     resolution: f64,
-    voxels: FxHashMap<VoxelKey, VoxelState>,
-    /// The occupied subset of `voxels`' keys, kept in sync so nearest-
-    /// obstacle searches never iterate the (far more numerous) free voxels.
-    /// Derivable from `voxels`, so excluded from serialized forms and
-    /// rebuilt on load (see [`OccupancyMap::rebuild_spatial_caches`]).
+    /// Known-voxel masks of the blocks holding an observed voxel (see the
+    /// module docs).
+    known: FxHashMap<VoxelKey, BlockMask>,
+    /// Occupied-voxel masks of the blocks holding an occupied voxel, each
+    /// a subset of its block's known mask.
+    occupied: FxHashMap<VoxelKey, BlockMask>,
+    /// Number of known voxels. Derivable from `known`, so excluded from
+    /// serialized forms and rebuilt on load (see
+    /// [`OccupancyMap::rebuild_spatial_caches`]).
     #[serde(skip)]
-    occupied: FxHashSet<VoxelKey>,
-    /// Key-space bounds of `occupied` (valid when non-empty); they let the
-    /// ring search skip shells that cannot contain an occupied voxel.
-    /// Derivable like `occupied` and skipped with it. Decay can leave them
-    /// conservatively large, which only costs ring pruning efficiency,
-    /// never correctness.
+    known_len: usize,
+    /// Number of occupied voxels, derivable like `known_len`.
+    #[serde(skip)]
+    occupied_len: usize,
+    /// Bounds of the occupied map's block keys (valid when `occupied_len >
+    /// 0`); they let the ring search skip shells that cannot contain an
+    /// occupied voxel. Derivable like `known_len`. Decay can
+    /// leave them conservatively large until the next retain, which only
+    /// costs ring pruning efficiency, never correctness.
     #[serde(skip)]
     occupied_min: VoxelKey,
     #[serde(skip)]
     occupied_max: VoxelKey,
     /// Stale-occupied decay window in epochs, or `None` (the default) for
     /// the classic accrete-only behaviour. Runtime configuration, not
-    /// map content: excluded from serialized forms and comparisons reset
-    /// it alongside the other skipped fields.
+    /// map content: excluded from serialized forms.
     #[serde(skip)]
     decay_after: Option<u64>,
     /// Epoch stamp applied to occupied observations while decay is
@@ -155,30 +250,28 @@ pub struct OccupancyMap {
     /// maintained while decay is enabled.
     #[serde(skip)]
     last_occupied_epoch: FxHashMap<VoxelKey, u64>,
-    /// The occupied keys grouped by bucket (see the module docs).
-    #[serde(skip)]
-    buckets: FxHashMap<VoxelKey, Vec<VoxelKey>>,
 }
 
-/// Maps compare by everything but the bucket index (see the module docs).
+/// Maps compare by content: the masks, the decay window, the epoch and
+/// the epoch stamps, not the derived counters and bounds (see the module
+/// docs).
 impl PartialEq for OccupancyMap {
     fn eq(&self, other: &Self) -> bool {
         let OccupancyMap {
             resolution,
-            voxels,
+            known,
             occupied,
-            occupied_min,
-            occupied_max,
+            known_len: _,
+            occupied_len: _,
+            occupied_min: _,
+            occupied_max: _,
             decay_after,
             current_epoch,
             last_occupied_epoch,
-            buckets: _,
         } = self;
         *resolution == other.resolution
-            && *voxels == other.voxels
+            && *known == other.known
             && *occupied == other.occupied
-            && *occupied_min == other.occupied_min
-            && *occupied_max == other.occupied_max
             && *decay_after == other.decay_after
             && *current_epoch == other.current_epoch
             && *last_occupied_epoch == other.last_occupied_epoch
@@ -198,14 +291,15 @@ impl OccupancyMap {
         );
         OccupancyMap {
             resolution,
-            voxels: FxHashMap::default(),
-            occupied: FxHashSet::default(),
+            known: FxHashMap::default(),
+            occupied: FxHashMap::default(),
+            known_len: 0,
+            occupied_len: 0,
             occupied_min: VoxelKey { x: 0, y: 0, z: 0 },
             occupied_max: VoxelKey { x: 0, y: 0, z: 0 },
             decay_after: None,
             current_epoch: 0,
             last_occupied_epoch: FxHashMap::default(),
-            buckets: FxHashMap::default(),
         }
     }
 
@@ -247,17 +341,6 @@ impl OccupancyMap {
         self.current_epoch
     }
 
-    /// Extends the occupied key bounds to cover `key`.
-    fn grow_occupied_bounds(&mut self, key: VoxelKey) {
-        if self.occupied.is_empty() {
-            self.occupied_min = key;
-            self.occupied_max = key;
-        } else {
-            self.occupied_min = self.occupied_min.componentwise_min(key);
-            self.occupied_max = self.occupied_max.componentwise_max(key);
-        }
-    }
-
     /// Voxel edge length (metres).
     pub fn resolution(&self) -> f64 {
         self.resolution
@@ -265,12 +348,12 @@ impl OccupancyMap {
 
     /// Number of known voxels (occupied + free).
     pub fn len(&self) -> usize {
-        self.voxels.len()
+        self.known_len
     }
 
     /// `true` when nothing has been observed yet.
     pub fn is_empty(&self) -> bool {
-        self.voxels.is_empty()
+        self.known_len == 0
     }
 
     /// Integrates a point cloud: every point marks its voxel occupied and
@@ -354,68 +437,76 @@ impl OccupancyMap {
     /// may decay (see [`OccupancyMap::integrate_cloud`]).
     #[inline]
     fn mark_free(&mut self, key: VoxelKey, decay_eligible: bool) {
-        use std::collections::hash_map::Entry;
-        match self.voxels.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(VoxelState::Free);
+        let (word, bit) = slot_of(key);
+        let block = block_of(key);
+        let known = self.known.entry(block).or_default();
+        if known[word] & bit == 0 {
+            known[word] |= bit;
+            self.known_len += 1;
+            return;
+        }
+        if !decay_eligible {
+            return;
+        }
+        let Some(max_age) = self.decay_after else {
+            return;
+        };
+        let Some(occupied) = self.occupied.get_mut(&block) else {
+            return;
+        };
+        if occupied[word] & bit == 0 {
+            return;
+        }
+        let stale = self
+            .last_occupied_epoch
+            .get(&key)
+            // Occupied before decay was enabled ⇒ age unknown ⇒ treat as
+            // stale (the conservative direction for a cell a ray just saw
+            // through).
+            .is_none_or(|&seen| self.current_epoch.saturating_sub(seen) > max_age);
+        if stale {
+            occupied[word] &= !bit;
+            if *occupied == [0; 8] {
+                self.occupied.remove(&block);
             }
-            Entry::Occupied(mut slot) => {
-                if *slot.get() != VoxelState::Occupied || !decay_eligible {
-                    return;
-                }
-                let Some(max_age) = self.decay_after else {
-                    return;
-                };
-                let stale = self
-                    .last_occupied_epoch
-                    .get(&key)
-                    // Occupied before decay was enabled ⇒ age unknown ⇒
-                    // treat as stale (the conservative direction for a
-                    // cell a ray just saw through).
-                    .is_none_or(|&seen| self.current_epoch.saturating_sub(seen) > max_age);
-                if stale {
-                    slot.insert(VoxelState::Free);
-                    self.occupied.remove(&key);
-                    self.last_occupied_epoch.remove(&key);
-                    self.unindex(key);
-                    // The occupied bounds stay conservatively large; the
-                    // ring searches only use them as an outer cover.
-                }
-            }
+            self.occupied_len -= 1;
+            self.last_occupied_epoch.remove(&key);
+            // The occupied bounds stay conservatively large; the ring
+            // searches only use them as an outer cover.
         }
     }
 
-    /// Stamps one voxel occupied, maintaining the occupied caches and —
-    /// while decay is enabled — the last-observed epoch.
+    /// Stamps one voxel occupied, maintaining the counters, the occupied
+    /// bounds and — while decay is enabled — the last-observed epoch.
     #[inline]
     fn mark_occupied(&mut self, key: VoxelKey) {
-        self.voxels.insert(key, VoxelState::Occupied);
-        self.grow_occupied_bounds(key);
-        if self.occupied.insert(key) {
-            self.buckets.entry(bucket_of(key)).or_default().push(key);
+        let (word, bit) = slot_of(key);
+        let block = block_of(key);
+        let known = self.known.entry(block).or_default();
+        if known[word] & bit == 0 {
+            known[word] |= bit;
+            self.known_len += 1;
+        }
+        let occupied = self.occupied.entry(block).or_default();
+        if occupied[word] & bit == 0 {
+            occupied[word] |= bit;
+            if self.occupied_len == 0 {
+                self.occupied_min = block;
+                self.occupied_max = block;
+            } else {
+                self.occupied_min = self.occupied_min.componentwise_min(block);
+                self.occupied_max = self.occupied_max.componentwise_max(block);
+            }
+            self.occupied_len += 1;
         }
         if self.decay_after.is_some() {
             self.last_occupied_epoch.insert(key, self.current_epoch);
         }
     }
 
-    /// Removes one key from the bucket index, dropping its bucket when it
-    /// empties.
-    fn unindex(&mut self, key: VoxelKey) {
-        let bucket = bucket_of(key);
-        if let Some(keys) = self.buckets.get_mut(&bucket) {
-            if let Some(i) = keys.iter().position(|k| *k == key) {
-                keys.swap_remove(i);
-            }
-            if keys.is_empty() {
-                self.buckets.remove(&bucket);
-            }
-        }
-    }
-
-    /// Edge length of an index bucket (metres).
-    fn bucket_size(&self) -> f64 {
-        self.resolution * BUCKET_FACTOR as f64
+    /// Edge length of a block (metres).
+    fn block_size(&self) -> f64 {
+        self.resolution * BLOCK_EDGE as f64
     }
 
     /// Largest sample parameter still *decay-eligible* on a carve to
@@ -564,19 +655,23 @@ impl OccupancyMap {
 
     /// State of the voxel containing `p`, or `None` when unknown.
     pub fn state_at(&self, p: Vec3) -> Option<VoxelState> {
-        self.voxels
-            .get(&VoxelKey::from_point(p, self.resolution))
-            .copied()
+        if self.is_occupied(p) {
+            Some(VoxelState::Occupied)
+        } else if self.is_unknown(p) {
+            None
+        } else {
+            Some(VoxelState::Free)
+        }
     }
 
     /// `true` when the voxel containing `p` is known occupied.
     pub fn is_occupied(&self, p: Vec3) -> bool {
-        self.state_at(p) == Some(VoxelState::Occupied)
+        mask_has(&self.occupied, VoxelKey::from_point(p, self.resolution))
     }
 
     /// `true` when the voxel containing `p` has never been observed.
     pub fn is_unknown(&self, p: Vec3) -> bool {
-        self.state_at(p).is_none()
+        !mask_has(&self.known, VoxelKey::from_point(p, self.resolution))
     }
 
     /// Iterates over occupied voxels as `(key, bounds)` pairs.
@@ -584,30 +679,31 @@ impl OccupancyMap {
         let res = self.resolution;
         self.occupied
             .iter()
-            .map(move |k| (*k, voxel_bounds(*k, res)))
+            .flat_map(|(block, mask)| mask_keys(*block, *mask))
+            .map(move |k| (k, voxel_bounds(k, res)))
     }
 
     /// The occupied voxels whose bounds lie within `radius` of `center`
     /// (`bounds.distance_to_point(center) <= radius`) — exactly the
     /// matching subset of [`OccupancyMap::occupied_voxels`], found by
-    /// skipping the index buckets that lie farther than `radius`.
+    /// skipping the blocks that lie farther than `radius`.
     pub fn occupied_voxels_within(
         &self,
         center: Vec3,
         radius: f64,
     ) -> impl Iterator<Item = (VoxelKey, Aabb)> + '_ {
         let res = self.resolution;
-        let bucket_size = self.bucket_size();
-        // Voxel bounds lie inside their bucket; the one-voxel margin keeps
-        // rounding from skipping a bucket that holds a match.
+        let block_size = self.block_size();
+        // Voxel bounds lie inside their block; the one-voxel margin keeps
+        // rounding from skipping a block that holds a match.
         let reach = radius + res;
-        self.buckets
+        self.occupied
             .iter()
-            .filter(move |(bucket, _)| {
-                cell_min_distance_squared(**bucket, bucket_size, center) <= reach * reach
+            .filter(move |(block, _)| {
+                cell_min_distance_squared(**block, block_size, center) <= reach * reach
             })
-            .flat_map(|(_, keys)| keys.iter())
-            .map(move |k| (*k, voxel_bounds(*k, res)))
+            .flat_map(|(block, mask)| mask_keys(*block, *mask))
+            .map(move |k| (k, voxel_bounds(k, res)))
             .filter(move |(_, bounds)| bounds.distance_to_point(center) <= radius)
     }
 
@@ -616,37 +712,35 @@ impl OccupancyMap {
     /// `d_obs` the profilers feed to the governor (as opposed to the
     /// ground-truth distance the simulator knows).
     ///
-    /// Searches the bucket index in expanding Chebyshev rings around `p`
-    /// and scans each visited bucket's keys, so the cost follows the
+    /// Searches the blocks in expanding Chebyshev rings around `p` and
+    /// scans each visited block's occupied bits, so the cost follows the
     /// occupied voxels near `p`, not the size of the map. The result
     /// equals [`OccupancyMap::nearest_occupied_distance_linear`] bit for
     /// bit (see the module docs).
     pub fn nearest_occupied_distance(&self, p: Vec3, max_radius: f64) -> Option<f64> {
-        if self.occupied.is_empty() || max_radius < 0.0 {
+        if self.occupied_len == 0 || max_radius < 0.0 {
             return None;
         }
-        let bucket_size = self.bucket_size();
+        let block_size = self.block_size();
         // An occupied voxel centre within `max_radius` lies within this
-        // many rings of the query's bucket; `max_radius` also seeds the
-        // prune bound so farther buckets are skipped before the first hit.
-        let ring_cap = ((max_radius / bucket_size).ceil() as i64).saturating_add(1);
+        // many rings of the query's block; `max_radius` also seeds the
+        // prune bound so farther blocks are skipped before the first hit.
+        let ring_cap = ((max_radius / block_size).ceil() as i64).saturating_add(1);
         let mut best: Option<f64> = None;
-        RingSearch::new(
-            bucket_size,
-            bucket_of(self.occupied_min),
-            bucket_of(self.occupied_max),
-        )
-        .cap_max_ring(ring_cap)
-        .run(p, Some(max_radius * max_radius), |bucket| {
-            for key in self.buckets.get(&bucket).into_iter().flatten() {
-                let d = key.center(self.resolution).distance(p);
-                if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
-                    best = Some(d);
+        RingSearch::new(block_size, self.occupied_min, self.occupied_max)
+            .cap_max_ring(ring_cap)
+            .run(p, Some(max_radius * max_radius), |block| {
+                if let Some(mask) = self.occupied.get(&block) {
+                    for key in mask_keys(block, *mask) {
+                        let d = key.center(self.resolution).distance(p);
+                        if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
+                            best = Some(d);
+                        }
+                    }
                 }
-            }
-            let cutoff = best.unwrap_or(max_radius);
-            Some(cutoff * cutoff)
-        });
+                let cutoff = best.unwrap_or(max_radius);
+                Some(cutoff * cutoff)
+            });
         best
     }
 
@@ -654,10 +748,7 @@ impl OccupancyMap {
     /// — retained for the equivalence proptests and benches.
     pub fn nearest_occupied_distance_linear(&self, p: Vec3, max_radius: f64) -> Option<f64> {
         let mut best: Option<f64> = None;
-        for (key, state) in &self.voxels {
-            if *state != VoxelState::Occupied {
-                continue;
-            }
+        for (key, _) in self.occupied_voxels() {
             let d = key.center(self.resolution).distance(p);
             if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
                 best = Some(d);
@@ -693,128 +784,99 @@ impl OccupancyMap {
 
     /// Summary statistics.
     pub fn stats(&self) -> MapStats {
-        let occupied = self
-            .voxels
-            .values()
-            .filter(|s| **s == VoxelState::Occupied)
-            .count();
-        let free = self.voxels.len() - occupied;
         let voxel_volume = self.resolution.powi(3);
         MapStats {
-            occupied,
-            free,
+            occupied: self.occupied_len,
+            free: self.known_len - self.occupied_len,
             resolution: self.resolution,
-            known_volume: self.voxels.len() as f64 * voxel_volume,
-            occupied_volume: occupied as f64 * voxel_volume,
+            known_volume: self.known_len as f64 * voxel_volume,
+            occupied_volume: self.occupied_len as f64 * voxel_volume,
         }
     }
 
     /// Known (observed) volume in cubic metres — the profiler's "map
     /// volume" variable (Table I).
     pub fn known_volume(&self) -> f64 {
-        self.voxels.len() as f64 * self.resolution.powi(3)
+        self.known_len as f64 * self.resolution.powi(3)
     }
 
     /// Drops every voxel whose centre lies farther than `radius` from
     /// `center` — a memory bound for long missions (the map only needs to
     /// cover the MAV's local neighbourhood for navigation).
     ///
-    /// The occupied caches shrink bucket by bucket (see the module docs):
-    /// only buckets crossing the sphere test their keys one by one.
+    /// Walks blocks, not voxels (see the module docs): only blocks
+    /// crossing the sphere test their voxels one by one.
     pub fn retain_within(&mut self, center: Vec3, radius: f64) {
         let res = self.resolution;
-        let keep = move |k: &VoxelKey| k.center(res).distance(center) <= radius;
-        self.voxels.retain(|k, _| keep(k));
-        // Voxel centres lie inside their bucket, so a bucket entirely
-        // beyond `radius` (or within it) drops (or keeps) all of its keys;
-        // the one-voxel margins absorb rounding.
-        let bucket_size = self.bucket_size();
-        let (outer, inner) = (radius + res, radius - res);
-        let occupied = &mut self.occupied;
-        // Epoch stamps exist only for occupied keys, so they leave with them.
-        let epochs = &mut self.last_occupied_epoch;
-        let mut drop_key = |k: &VoxelKey| {
-            occupied.remove(k);
-            epochs.remove(k);
-        };
-        self.buckets.retain(|bucket, keys| {
-            if cell_min_distance_squared(*bucket, bucket_size, center) > outer * outer {
-                keys.iter().for_each(&mut drop_key);
-                return false;
-            }
-            if inner > 0.0
-                && cell_max_distance_squared(*bucket, bucket_size, center) < inner * inner
-            {
-                return true;
-            }
-            keys.retain(|k| {
-                keep(k) || {
-                    drop_key(k);
-                    false
-                }
-            });
-            !keys.is_empty()
+        let mut known_dropped = 0;
+        retain_masks(&mut self.known, res, center, radius, |_, dropped| {
+            known_dropped += mask_len(dropped);
         });
+        self.known_len -= known_dropped;
+        // Epoch stamps exist only for occupied voxels, so they leave with
+        // their bits.
+        let stamps = &mut self.last_occupied_epoch;
+        let mut occupied_dropped = 0;
+        retain_masks(&mut self.occupied, res, center, radius, |block, dropped| {
+            occupied_dropped += mask_len(dropped);
+            if !stamps.is_empty() {
+                for key in mask_keys(block, *dropped) {
+                    stamps.remove(&key);
+                }
+            }
+        });
+        self.occupied_len -= occupied_dropped;
         self.recompute_occupied_bounds();
     }
 
-    /// Rebuilds the occupied-key set, its bounds and the bucket index from
-    /// the voxel map.
+    /// Rebuilds the voxel counters and the occupied bounds from the masks.
     ///
     /// All three are `#[serde(skip)]`: they are derivable state, so
-    /// serialized forms carry only `voxels` and a deserialized map holds
-    /// empty caches. Deserializers must call this before querying — after
-    /// it, every query answers exactly as on the original map (enforced by
-    /// the round-trip test).
+    /// serialized forms carry only the masks and a deserialized map starts
+    /// with zeroed counters. Deserializers must call this before querying —
+    /// after it, every query answers exactly as on the original map
+    /// (enforced by the round-trip test).
     pub fn rebuild_spatial_caches(&mut self) {
-        self.occupied = self
-            .voxels
-            .iter()
-            .filter(|(_, s)| **s == VoxelState::Occupied)
-            .map(|(k, _)| *k)
-            .collect();
-        self.buckets = FxHashMap::default();
-        for key in &self.occupied {
-            self.buckets.entry(bucket_of(*key)).or_default().push(*key);
-        }
+        self.known_len = self.known.values().map(mask_len).sum();
+        self.occupied_len = self.occupied.values().map(mask_len).sum();
         self.recompute_occupied_bounds();
     }
 
-    /// `true` when the derived caches agree with the voxel map: the
-    /// occupied set is exactly its occupied keys, the key bounds cover
-    /// them, and the bucket index holds each occupied key once, in its own
-    /// bucket, with no empty bucket — i.e. it equals a rebuild from
-    /// scratch up to the order of keys inside a bucket.
+    /// `true` when the derived state agrees with the masks: no mask is
+    /// empty, every occupied mask is a subset of its block's known mask,
+    /// the counters equal the mask populations, the occupied bounds cover
+    /// every occupied block, and every epoch stamp belongs to an occupied
+    /// voxel.
     pub fn spatial_caches_consistent(&self) -> bool {
-        let occupied_match = self.occupied.len() == self.stats().occupied
-            && self
-                .occupied
-                .iter()
-                .all(|k| self.voxels.get(k) == Some(&VoxelState::Occupied));
-        let bounds_cover = self.occupied.iter().all(|k| {
-            self.occupied_min.componentwise_min(*k) == self.occupied_min
-                && self.occupied_max.componentwise_max(*k) == self.occupied_max
+        let masks_sound = self.known.values().all(|mask| *mask != [0; 8])
+            && self.occupied.iter().all(|(block, mask)| {
+                let known = self.known.get(block).copied().unwrap_or_default();
+                *mask != [0; 8] && mask.iter().zip(known).all(|(o, k)| o & !k == 0)
+            });
+        let known_len: usize = self.known.values().map(mask_len).sum();
+        let occupied_len: usize = self.occupied.values().map(mask_len).sum();
+        let bounds_cover = self.occupied.keys().all(|block| {
+            self.occupied_min.componentwise_min(*block) == self.occupied_min
+                && self.occupied_max.componentwise_max(*block) == self.occupied_max
         });
-        let placed = self.buckets.iter().all(|(bucket, keys)| {
-            !keys.is_empty() && keys.iter().all(|k| bucket_of(*k) == *bucket)
-        });
-        let indexed: Vec<VoxelKey> = self.buckets.values().flatten().copied().collect();
-        // Equal counts plus equal sets rule out a key indexed twice.
-        let index_match = indexed.len() == self.occupied.len()
-            && indexed.into_iter().collect::<FxHashSet<_>>() == self.occupied;
-        occupied_match && bounds_cover && placed && index_match
+        let stamps_occupied = self
+            .last_occupied_epoch
+            .keys()
+            .all(|key| mask_has(&self.occupied, *key));
+        masks_sound
+            && known_len == self.known_len
+            && occupied_len == self.occupied_len
+            && bounds_cover
+            && stamps_occupied
     }
 
-    /// Recomputes the occupied key bounds from the bucket index (the
-    /// occupied keys, stored contiguously).
+    /// Recomputes the occupied bounds from the occupied map.
     fn recompute_occupied_bounds(&mut self) {
-        let mut iter = self.buckets.values().flatten();
-        if let Some(first) = iter.next() {
-            let (mut lo, mut hi) = (*first, *first);
-            for k in iter {
-                lo = lo.componentwise_min(*k);
-                hi = hi.componentwise_max(*k);
-            }
+        let mut blocks = self.occupied.keys().copied();
+        if let Some(first) = blocks.next() {
+            let (lo, hi) = blocks.fold((first, first), |(lo, hi), block| {
+                (lo.componentwise_min(block), hi.componentwise_max(block))
+            });
             self.occupied_min = lo;
             self.occupied_max = hi;
         } else {
@@ -827,6 +889,8 @@ impl OccupancyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roborun_geom::SplitMix64;
+    use std::collections::BTreeMap;
 
     fn cloud_with_wall(origin: Vec3, wall_x: f64) -> PointCloud {
         // A vertical line of points at x = wall_x spread in y.
@@ -972,14 +1036,16 @@ mod tests {
     #[test]
     fn serde_skip_round_trip_answers_identically() {
         // What a serde round trip produces with `#[serde(skip)]` on the
-        // occupied-key caches: `voxels` restored, the skipped fields at
-        // their defaults. After `rebuild_spatial_caches` the map compares
-        // equal to the original and answers nearest queries identically.
+        // derived counters and bounds: the masks restored, the skipped
+        // fields at their defaults. After `rebuild_spatial_caches` the map
+        // compares equal to the original and answers nearest queries and
+        // statistics identically.
         let mut original = OccupancyMap::new(0.5);
         let origin = Vec3::new(0.0, 0.0, 5.0);
         original.integrate_cloud(&cloud_with_wall(origin, 8.0), 0.5);
         let mut restored = OccupancyMap {
-            voxels: original.voxels.clone(),
+            known: original.known.clone(),
+            occupied: original.occupied.clone(),
             ..OccupancyMap::new(original.resolution)
         };
         assert!(
@@ -1098,13 +1164,33 @@ mod tests {
         assert_eq!(batched.stats(), reference.stats());
     }
 
+    /// Every known voxel of `map` with its state, read straight from the
+    /// masks.
+    fn known_voxels(map: &OccupancyMap) -> BTreeMap<VoxelKey, VoxelState> {
+        map.known
+            .iter()
+            .flat_map(|(block, mask)| mask_keys(*block, *mask))
+            .map(|key| {
+                let state = if mask_has(&map.occupied, key) {
+                    VoxelState::Occupied
+                } else {
+                    VoxelState::Free
+                };
+                (key, state)
+            })
+            .collect()
+    }
+
     #[test]
-    fn retain_within_keeps_the_bucket_index_exact_at_every_radius() {
-        // A dense block of occupied voxels, so every retain radius cuts
-        // through buckets and the wholly-inside / wholly-outside shortcuts
-        // sit right next to the crossing buckets they must not swallow.
+    fn retain_within_keeps_the_block_store_exact_at_every_radius() {
+        // A dense slab of occupied voxels, so every retain radius cuts
+        // through blocks and the wholly-inside / wholly-outside shortcuts
+        // sit right next to the crossing blocks they must not swallow;
+        // then random integrate and decay steps scatter free and occupied
+        // voxels (and epoch stamps) around it.
         let res = 0.5;
-        let mut block = OccupancyMap::new(res);
+        let mut base = OccupancyMap::new(res);
+        base.set_stale_decay(Some(1));
         let mut points = Vec::new();
         for x in -16..16 {
             for y in -16..16 {
@@ -1113,20 +1199,109 @@ mod tests {
                 }
             }
         }
-        block.integrate_cloud(&PointCloud::new(Vec3::new(0.0, 0.0, 4.0), points), res);
-        for center in [Vec3::ZERO, Vec3::new(1.3, -2.9, 1.7)] {
-            for step in 0..50 {
-                let radius = step as f64 * 0.23;
-                let mut map = block.clone();
-                map.retain_within(center, radius);
-                assert!(map.spatial_caches_consistent(), "r={radius} at {center}");
-                let expected = block
-                    .occupied_voxels()
-                    .filter(|(k, _)| k.center(res).distance(center) <= radius)
-                    .count();
-                assert_eq!(map.stats().occupied, expected, "r={radius} at {center}");
-            }
+        base.integrate_cloud(&PointCloud::new(Vec3::new(0.0, 0.0, 4.0), points), res);
+        let mut rng = SplitMix64::new(16);
+        for step in 1..=6u64 {
+            // Epochs advance by two per step, so every earlier occupied
+            // voxel is stale when a later ray passes through it.
+            base.set_epoch(2 * step);
+            let origin = Vec3::new(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), 4.0);
+            // Odd steps extend their rays well past the hits, so they carve
+            // through (and decay) voxels earlier steps marked occupied.
+            let reach = if step % 2 == 1 { 1.8 } else { 1.0 };
+            let hits = (0..60)
+                .map(|_| {
+                    let p = Vec3::new(
+                        rng.uniform(-14.0, 14.0),
+                        rng.uniform(-14.0, 14.0),
+                        rng.uniform(0.0, 8.0),
+                    );
+                    origin + (p - origin) * reach
+                })
+                .collect();
+            base.integrate_cloud(&PointCloud::new(origin, hits), res * 0.5);
         }
+        let before = known_voxels(&base);
+        assert!(!base.last_occupied_epoch.is_empty());
+        let far = Vec3::new(500.0, -300.0, 40.0);
+        let mut cases: Vec<(Vec3, f64)> = Vec::new();
+        for center in [Vec3::ZERO, Vec3::new(1.3, -2.9, 1.7), far] {
+            // Radii from zero through every block-crossing distance to one
+            // containing the whole map; at `far` every block misses.
+            cases.extend((0..50).map(|i| (center, i as f64 * 0.23)));
+            cases.push((center, 1e4));
+        }
+        for (center, radius) in cases {
+            let mut map = base.clone();
+            map.retain_within(center, radius);
+            let expected: BTreeMap<VoxelKey, VoxelState> = before
+                .iter()
+                .filter(|(k, _)| k.center(res).distance(center) <= radius)
+                .map(|(k, s)| (*k, *s))
+                .collect();
+            let at = format!("r={radius} at {center}");
+            assert_eq!(known_voxels(&map), expected, "{at}");
+            assert!(map.spatial_caches_consistent(), "{at}");
+            let occupied = expected
+                .values()
+                .filter(|s| **s == VoxelState::Occupied)
+                .count();
+            let voxel_volume = res.powi(3);
+            assert_eq!(map.len(), expected.len(), "{at}");
+            assert_eq!(
+                map.known_volume(),
+                expected.len() as f64 * voxel_volume,
+                "{at}"
+            );
+            assert_eq!(
+                map.stats(),
+                MapStats {
+                    occupied,
+                    free: expected.len() - occupied,
+                    resolution: res,
+                    known_volume: expected.len() as f64 * voxel_volume,
+                    occupied_volume: occupied as f64 * voxel_volume,
+                },
+                "{at}"
+            );
+            let stamps: FxHashMap<VoxelKey, u64> = base
+                .last_occupied_epoch
+                .iter()
+                .filter(|(k, _)| expected.contains_key(k))
+                .map(|(k, e)| (*k, *e))
+                .collect();
+            assert_eq!(map.last_occupied_epoch, stamps, "{at}");
+        }
+    }
+
+    #[test]
+    fn equal_content_compares_equal_whatever_the_history() {
+        // Map A sees an obstacle at x = 4, then a later ray along the same
+        // axis decays it to free; map B only ever sees the later cloud.
+        // Both hold the same voxels and stamps, though A's occupied bounds
+        // still reach back to the decayed voxel: the later cloud's first
+        // hit, off the axis, keeps A's occupied voxels from running out
+        // before the decay, so the bounds never reset.
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let through = PointCloud::new(
+            origin,
+            vec![Vec3::new(9.0, 3.0, 5.0), Vec3::new(9.0, 0.0, 5.0)],
+        );
+        let mut a = OccupancyMap::new(0.5);
+        a.set_stale_decay(Some(1));
+        a.set_epoch(0);
+        a.integrate_cloud(
+            &PointCloud::new(origin, vec![Vec3::new(4.0, 0.0, 5.0)]),
+            0.25,
+        );
+        a.set_epoch(5);
+        a.integrate_cloud(&through, 0.25);
+        assert_eq!(a.state_at(Vec3::new(4.0, 0.0, 5.0)), Some(VoxelState::Free));
+        let mut b = OccupancyMap::new(0.5);
+        b.set_stale_decay(Some(1));
+        b.set_epoch(5);
+        b.integrate_cloud(&through, 0.25);
+        assert_eq!(a, b);
     }
 
     #[test]

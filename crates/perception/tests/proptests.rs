@@ -1,8 +1,9 @@
 //! Property-based tests for the perception kernels and operators.
 
 use proptest::prelude::*;
-use roborun_geom::Vec3;
+use roborun_geom::{snap_to_lattice, Vec3, VoxelKey};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
+use std::collections::BTreeSet;
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(
@@ -162,8 +163,8 @@ proptest! {
     }
 
     /// The DDA-batched `integrate_cloud` must leave the map bit-identical
-    /// to the retained per-sample reference — same voxel states, same
-    /// occupied set and bounds (via `PartialEq`), same update count — for
+    /// to the retained per-sample reference — same voxel states and epoch
+    /// stamps (via `PartialEq`), same update count — for
     /// any resolution/step combination, including steps finer and coarser
     /// than a voxel.
     #[test]
@@ -189,6 +190,46 @@ proptest! {
         let u2 = reference.integrate_cloud_reference(&second, step);
         prop_assert_eq!(u1, u2, "second-cloud update counts diverged");
         prop_assert_eq!(&batched, &reference);
+    }
+
+    /// `PlannerMap::export` ranks only what it keeps; it must equal the
+    /// full nearest-first sort it replaced — same boxes in the same order,
+    /// same keys, equal maps — at 1×, 2×, 4× and 8× the map resolution and
+    /// at budgets of zero, below one voxel, exactly k voxels, binding, and
+    /// unbounded.
+    #[test]
+    fn export_equals_a_full_sort_reference(points in arb_points(150),
+                                           resolution in 0.2f64..1.0,
+                                           k in 1usize..40,
+                                           fraction in 0.0f64..1.0,
+                                           rx in -30.0f64..30.0, ry in -30.0f64..30.0) {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let mut map = OccupancyMap::new(resolution);
+        map.integrate_cloud(&PointCloud::new(origin, points), resolution);
+        let reference = Vec3::new(rx, ry, 5.0);
+        for factor in [1.0, 2.0, 4.0, 8.0] {
+            let precision = resolution * factor;
+            let voxel_volume = precision.powi(3);
+            let full = export_full_sort_reference(&map, &ExportConfig::new(precision, 1e9, reference));
+            for budget in [
+                0.0,
+                voxel_volume * 0.5,
+                voxel_volume * k as f64,
+                full.occupied_volume() * fraction,
+                1e9,
+            ] {
+                let config = ExportConfig::new(precision, budget, reference);
+                let expected = export_full_sort_reference(&map, &config);
+                let exported = PlannerMap::export(&map, &config);
+                prop_assert_eq!(exported.boxes(), expected.boxes(), "budget {}", budget);
+                let mut keys: Vec<_> = exported.occupied_keys().collect();
+                let mut expected_keys: Vec<_> = expected.occupied_keys().collect();
+                keys.sort();
+                expected_keys.sort();
+                prop_assert_eq!(keys, expected_keys, "budget {}", budget);
+                prop_assert_eq!(&exported, &expected, "budget {}", budget);
+            }
+        }
     }
 
     /// `PlannerMap::delta_from` must be the exact set difference between
@@ -220,13 +261,13 @@ proptest! {
         prop_assert_eq!(delta.len(), delta.added().len() + delta.removed().len());
     }
 
-    /// The occupied-key bucket index stays exact under every operation
-    /// that changes the occupied set: integration, a decay-enabled carve
-    /// that downgrades stale voxels, and `retain_within`. After every step
-    /// the index equals a rebuild from scratch, and both bucketed queries
-    /// equal their full scans bit for bit.
+    /// The block store stays exact under every operation that changes
+    /// the occupied voxels: integration, a decay-enabled carve that
+    /// downgrades stale voxels, and `retain_within`. After every step the
+    /// counters and bounds agree with the blocks, and both block-skipping
+    /// queries equal their full scans bit for bit.
     #[test]
-    fn bucket_index_stays_exact_under_integrate_decay_and_retain(
+    fn block_store_stays_exact_under_integrate_decay_and_retain(
         steps in prop::collection::vec(
             (0u8..3, -8.0f64..8.0, -8.0f64..8.0, arb_points(40), 2.0f64..35.0),
             1..8,
@@ -253,7 +294,7 @@ proptest! {
                 }
                 _ => map.retain_within(origin, radius),
             }
-            prop_assert!(map.spatial_caches_consistent(), "index diverged after step {}", i);
+            prop_assert!(map.spatial_caches_consistent(), "store diverged after step {}", i);
             for q in queries.iter().copied().chain([origin]) {
                 for r in [0.0, resolution, 40.0, 1e4] {
                     prop_assert_eq!(
@@ -278,6 +319,44 @@ proptest! {
             }
         }
     }
+}
+
+/// The export as it was before it ranked only the kept prefix: every
+/// coarse voxel sorted nearest first (ties by key, distances recomputed on
+/// each comparison), then kept until the budget is spent. Rebuilt into a
+/// `PlannerMap` from the kept keys, so the comparison covers the derived
+/// keys, masks and bounds too.
+fn export_full_sort_reference(map: &OccupancyMap, config: &ExportConfig) -> PlannerMap {
+    let precision = snap_to_lattice(config.precision.max(map.resolution()), map.resolution(), 8);
+    let coarse: BTreeSet<VoxelKey> = map
+        .occupied_voxels()
+        .map(|(key, _)| VoxelKey::from_point(key.center(map.resolution()), precision))
+        .collect();
+    let mut keys: Vec<VoxelKey> = coarse.into_iter().collect();
+    keys.sort_by(|a, b| {
+        let da = a.center(precision).distance_squared(config.reference);
+        let db = b.center(precision).distance_squared(config.reference);
+        da.partial_cmp(&db)
+            .expect("distances are never NaN")
+            .then_with(|| a.cmp(b))
+    });
+    let voxel_volume = precision.powi(3);
+    let mut kept = Vec::new();
+    let mut volume = 0.0;
+    for key in keys {
+        if volume + voxel_volume > config.max_volume && !kept.is_empty() {
+            break;
+        }
+        kept.push(key);
+        volume += voxel_volume;
+        if volume >= config.max_volume && config.max_volume > 0.0 {
+            break;
+        }
+    }
+    if config.max_volume == 0.0 {
+        kept.clear();
+    }
+    PlannerMap::from_keys(precision, kept)
 }
 
 /// The ring queries swept over the shared adversarial scenario family —
