@@ -607,44 +607,6 @@ fn bench_rrt_neighbor_kernel_4000(c: &mut Criterion) {
     group.finish();
 }
 
-/// The whole decision loop with plan-ahead off vs on, on a standard short
-/// mission: what speculative overlap costs (snapshot clones, a worker
-/// hand-off per predicted replan) and buys (masked planning latency, a
-/// speculative-plan hit rate — printed once below; the headline numbers
-/// live in the ROADMAP's "concurrent planner instances" entry).
-fn bench_decision_overlap(c: &mut Criterion) {
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.35,
-        obstacle_spread: 40.0,
-        goal_distance: 120.0,
-    })
-    .generate(21);
-    let config = |plan_ahead: bool| MissionConfig {
-        max_decisions: 600,
-        max_mission_time: 1_500.0,
-        plan_ahead,
-        ..MissionConfig::new(RuntimeMode::SpatialAware)
-    };
-    let probe = MissionRunner::new(config(true)).run(&env);
-    eprintln!(
-        "decision_overlap: masked {:.3} s over {} decisions, {} attempts, {} hits (rate {:.0}%)",
-        probe.metrics.masked_planning_latency,
-        probe.metrics.decisions,
-        probe.metrics.plan_ahead_attempts,
-        probe.metrics.plan_ahead_hits,
-        probe.metrics.plan_ahead_hit_rate().unwrap_or(0.0) * 100.0
-    );
-    let mut group = c.benchmark_group("decision_overlap");
-    group.sample_size(10);
-    for &(label, plan_ahead) in &[("plan_ahead_off", false), ("plan_ahead_on", true)] {
-        let runner = MissionRunner::new(config(plan_ahead));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &runner, |b, runner| {
-            b.iter(|| std::hint::black_box(runner.run(&env)).metrics.decisions)
-        });
-    }
-    group.finish();
-}
-
 /// A dynamic world with `n` mixed actors over a mission-scale static
 /// field, for the per-decision dynamic-world kernels.
 fn bench_dynamic_world(n: usize, seed: u64) -> DynamicWorld {
@@ -736,7 +698,7 @@ fn bench_dynamic_world_step(c: &mut Criterion) {
 /// The predicted-occupancy validation kernel: a 60-waypoint trajectory
 /// re-checked against the predicted boxes of 4/16/64 actors (dense
 /// polyline sampling, the per-decision cost of the trajectory
-/// invalidation plus the speculation gate).
+/// invalidation).
 fn bench_predicted_validation(c: &mut Criterion) {
     let mut group = c.benchmark_group("predicted_validation");
     let trajectory = Trajectory::new(
@@ -1209,7 +1171,6 @@ criterion_group!(
     bench_point_nearest_scaling,
     bench_rrtstar_4000_samples,
     bench_rrt_neighbor_kernel_4000,
-    bench_decision_overlap,
     bench_dynamic_world_step,
     bench_predicted_validation,
     bench_walk_pose_anchor,

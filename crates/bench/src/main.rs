@@ -133,7 +133,7 @@ fn main() {
 /// the lane-heavy one-shot fixture, 4-wide vs 8-wide AABB broad-phase
 /// dispatch, the gridded
 /// peer-query rerun, and a multicore mode (`ROBORUN_BENCH_THREADS`) for
-/// the sweep / plan-ahead / mission-service rows. Emits `BENCH_8.json`.
+/// the sweep / mission-service rows. Emits `BENCH_8.json`.
 fn bench8() {
     use roborun_env::{Obstacle, ObstacleField};
     use roborun_geom::{Aabb, Ray, SimdWidth, SplitMix64, Vec3};
@@ -314,10 +314,8 @@ fn bench8() {
     }
     println!();
 
-    // --- Multicore mode: sweep, plan-ahead, mission service -----------
-    // All three threaded rows honour the pinned width. The plan-ahead
-    // row keeps the modeled masked-latency accounting: wall-clock
-    // parallelism changes throughput, never the simulated clock.
+    // --- Multicore mode: sweep, mission service ----------------------
+    // Both threaded rows honour the pinned width.
     let mut sweep_request = SweepConfig::quick(41);
     sweep_request.threads = Some(threads);
     sweep_request.difficulties.truncate(4);
@@ -325,28 +323,6 @@ fn bench8() {
     let sweep_rows = run_sweep(&sweep_request).rows().len();
     let sweep_seconds = wall.elapsed().as_secs_f64();
     println!("multicore sweep    threads={threads}  {sweep_rows} rows in {sweep_seconds:.2} s");
-
-    let plan_ahead_cfg = MissionConfig {
-        max_decisions: 600,
-        max_mission_time: 1_500.0,
-        plan_ahead: true,
-        ..MissionConfig::new(RuntimeMode::SpatialAware)
-    };
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.35,
-        obstacle_spread: 40.0,
-        goal_distance: 120.0,
-    })
-    .generate(21);
-    let wall = Instant::now();
-    let result = MissionRunner::new(plan_ahead_cfg).run(&env);
-    let plan_ahead_seconds = wall.elapsed().as_secs_f64();
-    let masked = result.metrics.masked_planning_latency;
-    println!(
-        "multicore plan-ahead  {plan_ahead_seconds:.2} s wall, masked {masked:.3} s modeled \
-         over {} decisions",
-        result.metrics.decisions
-    );
 
     let mut service_request = SweepConfig::quick(41);
     service_request.difficulties.truncate(4);
@@ -411,10 +387,6 @@ fn bench8() {
     w.uint(threads as u64);
     w.key("sweep_seconds");
     w.float(sweep_seconds, 3);
-    w.key("plan_ahead_wall_seconds");
-    w.float(plan_ahead_seconds, 3);
-    w.key("plan_ahead_masked_modeled_s");
-    w.float(masked, 3);
     w.key("service_shards");
     w.uint(shards as u64);
     w.key("service_seconds");
@@ -638,7 +610,7 @@ fn trace_export(full: bool) {
         roborun_trace::disarm();
         let trace = Trace::collect();
         let json = trace.to_chrome_json(name, false);
-        let (events, async_pairs) =
+        let events =
             validate_chrome_trace(&json).unwrap_or_else(|e| panic!("{name} trace schema: {e}"));
         let coverage = trace.decision_stage_coverage();
         let min_coverage = coverage.iter().copied().fold(f64::INFINITY, f64::min);
@@ -649,8 +621,7 @@ fn trace_export(full: bool) {
         let path = format!("{out_dir}/trace_{name}.json");
         std::fs::write(&path, &json).expect("write trace json");
         println!(
-            "### {name}: {} decisions, {events} events ({async_pairs} async pair(s)), \
-             min stage coverage {min_coverage:.3}\n",
+            "### {name}: {} decisions, {events} events, min stage coverage {min_coverage:.3}\n",
             result.metrics.decisions
         );
         println!("{}", trace.summary_table());
@@ -667,7 +638,6 @@ fn trace_export(full: bool) {
         MissionRunner::new(MissionConfig {
             max_decisions,
             max_mission_time: 5_000.0,
-            plan_ahead: true,
             ..MissionConfig::new(RuntimeMode::SpatialAware)
         })
         .run(&env)
@@ -1628,7 +1598,7 @@ fn fig5(oblivious: &MissionResult, aware: &MissionResult) {
     );
     println!("latency tail, baseline:");
     println!("{}", report::latency_tail_table(&oblivious.telemetry));
-    println!("latency tail, RoboRun (critical path excludes plan-ahead masked time):");
+    println!("latency tail, RoboRun:");
     println!("{}", report::latency_tail_table(&aware.telemetry));
 }
 

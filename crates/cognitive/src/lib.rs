@@ -72,7 +72,6 @@ mod tests {
             },
             cpu_utilization: cpu,
             zone: Some('B'),
-            masked_latency: 0.0,
             degradation: Degradation::Healthy,
         }
     }

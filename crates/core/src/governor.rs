@@ -9,7 +9,7 @@ use crate::{
     KnobAblation, KnobRanges, KnobSettings, KnobSolver, PipelineLatencyModel, RuntimeMode,
     SolverConfig, SpatialProfile, TimeBudgeter,
 };
-use roborun_sim::{ComputeLatencyModel, LatencyBreakdown};
+use roborun_sim::ComputeLatencyModel;
 use serde::{Deserialize, Serialize};
 
 /// The policy the governor hands to the operators for one decision.
@@ -200,22 +200,6 @@ impl Governor {
             .safe_velocity(latency, visibility, self.config.max_velocity)
     }
 
-    /// [`Governor::safe_velocity`] for a decision whose planning stage was
-    /// (partially) masked by plan-ahead overlap: the budget law reasons
-    /// about *reaction time*, so it must see the critical-path latency —
-    /// planning work hidden behind the previous execution window never
-    /// delayed the MAV's response. With zero masked latency this is
-    /// exactly the plain [`Governor::safe_velocity`] of the breakdown's
-    /// total.
-    pub fn safe_velocity_overlapped(
-        &self,
-        breakdown: &LatencyBreakdown,
-        masked_planning: f64,
-        visibility: f64,
-    ) -> f64 {
-        self.safe_velocity(breakdown.critical_path(masked_planning), visibility)
-    }
-
     /// [`Governor::safe_velocity`] in a world with *moving* obstacles:
     /// the budget law's reaction window must absorb not only the MAV's
     /// own motion but the worst closing speed of any nearby obstacle —
@@ -333,29 +317,6 @@ mod tests {
         let slow = gov.safe_velocity(4.5, 2.0);
         assert!(fast > 4.0 * slow, "fast {fast} vs slow {slow}");
         assert!(fast <= gov.config().max_velocity + 1e-9);
-    }
-
-    #[test]
-    fn overlapped_safe_velocity_reflects_the_masked_planning_stage() {
-        let gov = aware();
-        let sim = ComputeLatencyModel::calibrated();
-        let b = sim.decision_breakdown(0.6, 20_000.0, 1.2, 50_000.0, 1.2, 80_000.0, true);
-        // Visibility short enough that the budget law binds (the cap at
-        // `max_velocity` would hide the latency term entirely).
-        let plain = gov.safe_velocity_overlapped(&b, 0.0, 2.0);
-        assert_eq!(
-            plain.to_bits(),
-            gov.safe_velocity(b.total(), 2.0).to_bits(),
-            "zero masked latency must reproduce the plain safe velocity"
-        );
-        assert!(plain < gov.config().max_velocity);
-        // Masking the planning stage buys commanded velocity.
-        let masked = gov.safe_velocity_overlapped(&b, b.planning, 2.0);
-        assert!(masked > plain, "masked {masked} vs plain {plain}");
-        assert_eq!(
-            masked.to_bits(),
-            gov.safe_velocity(b.total() - b.planning, 2.0).to_bits()
-        );
     }
 
     #[test]

@@ -161,7 +161,6 @@ mod tests {
             },
             cpu_utilization: 0.4,
             zone: Some('B'),
-            masked_latency: 0.0,
             degradation: Degradation::Healthy,
         }
     }

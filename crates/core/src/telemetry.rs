@@ -62,37 +62,20 @@ pub struct DecisionRecord {
     pub cpu_utilization: f64,
     /// Zone label (`'A'`, `'B'`, `'C'`) when the mission layout is known.
     pub zone: Option<char>,
-    /// Latency masked from the critical path by plan-ahead overlap
-    /// (seconds): planning work that ran on the speculation worker during
-    /// the previous decision's execution window instead of serialising
-    /// with this decision. Zero when plan-ahead is disabled or the
-    /// speculation was discarded.
-    pub masked_latency: f64,
     /// Degradation-ladder rung the runtime stood on for this decision
     /// ([`Degradation::Healthy`] on a fault-free mission).
     pub degradation: Degradation,
 }
 
 impl DecisionRecord {
-    /// End-to-end latency of the decision (seconds): every stage's cost,
-    /// whether it ran on the critical path or was masked by overlap.
+    /// End-to-end latency of the decision (seconds): every stage's cost.
     pub fn latency(&self) -> f64 {
         self.breakdown.total()
     }
 
-    /// The latency the mission actually waited for (seconds): the
-    /// end-to-end total minus what plan-ahead masked. Equal to
-    /// [`DecisionRecord::latency`] whenever nothing was masked.
-    pub fn critical_path_latency(&self) -> f64 {
-        self.breakdown.critical_path(self.masked_latency)
-    }
-
-    /// `true` when the decision met its deadline. The deadline governs
-    /// the decision's *reaction time*, so it is judged against the
-    /// critical-path latency — masked planning work never delayed the
-    /// MAV's response.
+    /// `true` when the decision met its deadline.
     pub fn met_deadline(&self) -> bool {
-        self.critical_path_latency() <= self.deadline + 1e-9
+        self.latency() <= self.deadline + 1e-9
     }
 }
 
@@ -168,25 +151,6 @@ impl MissionTelemetry {
     /// Exact worst-case decision latency (seconds), or `None` when empty.
     pub fn max_latency(&self) -> Option<f64> {
         self.latency_histogram().max()
-    }
-
-    /// Critical-path latencies of every decision (seconds): what the
-    /// mission actually waited for after plan-ahead masking.
-    pub fn critical_path_latencies(&self) -> Vec<f64> {
-        self.records
-            .iter()
-            .map(|r| r.critical_path_latency())
-            .collect()
-    }
-
-    /// Median critical-path decision latency, or `None` when empty.
-    pub fn median_critical_path_latency(&self) -> Option<f64> {
-        percentile(&self.critical_path_latencies(), 0.5)
-    }
-
-    /// Total latency masked by plan-ahead over the mission (seconds).
-    pub fn total_masked_latency(&self) -> f64 {
-        self.records.iter().map(|r| r.masked_latency).sum()
     }
 
     /// Mean CPU utilisation over the mission.
@@ -289,7 +253,6 @@ mod tests {
             },
             cpu_utilization: 0.5,
             zone: Some(zone),
-            masked_latency: 0.0,
             degradation: Degradation::Healthy,
         }
     }
@@ -332,30 +295,6 @@ mod tests {
         assert!(r.latency() > 1.0);
         let late = record(0.0, 5.0, 1.0, 'A');
         assert!(!late.met_deadline());
-    }
-
-    #[test]
-    fn masked_latency_shortens_the_critical_path() {
-        let mut r = record(0.0, 2.0, 2.0, 'A');
-        // Unmasked, the decision misses its deadline.
-        assert!(r.latency() > r.deadline);
-        assert!(!r.met_deadline());
-        assert_eq!(
-            r.critical_path_latency().to_bits(),
-            r.latency().to_bits(),
-            "zero masked latency must not perturb the total"
-        );
-        // Masking the full planning stage pulls it under the deadline.
-        r.masked_latency = r.breakdown.planning;
-        assert!(r.critical_path_latency() < r.latency());
-        assert!(r.met_deadline());
-        // Telemetry-level aggregation sees the masked totals.
-        let mut t = MissionTelemetry::new(RuntimeMode::SpatialAware);
-        t.push(r.clone());
-        t.push(record(1.0, 1.0, 2.0, 'A'));
-        assert!((t.total_masked_latency() - r.masked_latency).abs() < 1e-12);
-        assert!(t.median_critical_path_latency().unwrap() <= t.median_latency().unwrap() + 1e-12);
-        assert_eq!(t.critical_path_latencies().len(), 2);
     }
 
     #[test]

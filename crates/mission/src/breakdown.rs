@@ -102,7 +102,6 @@ mod tests {
             },
             cpu_utilization: 0.5,
             zone: Some(zone),
-            masked_latency: 0.0,
             degradation: Degradation::Healthy,
         }
     }

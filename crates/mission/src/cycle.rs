@@ -1,5 +1,4 @@
-//! The shared decision-cycle core and the plan-ahead (speculative
-//! planning) machinery built on top of it.
+//! The shared decision-cycle core.
 //!
 //! One navigation decision is the same sequence of stages regardless of
 //! the transport that carries it: **sense → profile → govern → operate
@@ -14,60 +13,6 @@
 //! node pipeline's nodes delegate every policy decision to the free
 //! functions here, keeping only the topic plumbing to themselves.
 //!
-//! # Plan-ahead: the snapshot / validation contract
-//!
-//! With [`crate::MissionConfig::plan_ahead`] enabled, a planner worker
-//! thread speculatively plans decision *k + 1* while control executes the
-//! epoch of decision *k*, hiding the planning stage's latency behind the
-//! execution window (the ROADMAP's "concurrent planner instances" item;
-//! the same overlap discipline Π-RT applies to heterogeneous pipeline
-//! stages). The contract has three parts:
-//!
-//! 1. **Snapshot.** A speculation is a *pure function* of its request:
-//!    a cloned [`Planner`] whose RRT* seed is the one decision *k + 1*
-//!    owns (`seed_base + (k + 1)`), a cloned [`CollisionChecker`] with
-//!    its broad-phase already built (so the worker never rebuilds), the
-//!    drone position at the end of epoch *k* (bit-exact: nothing moves
-//!    the drone between the epoch end and the next planning stage), and
-//!    the local goal computed from the *snapshot* export. Determinism of
-//!    the whole mission therefore survives the extra thread: the main
-//!    loop blocks on the worker's answer before using it.
-//!
-//! 2. **Validation.** At decision *k + 1* the fresh export may differ
-//!    from the snapshot. The speculative trajectory is re-checked
-//!    *incrementally*: only the voxel keys the
-//!    [`PlannerMapDelta`](roborun_perception::PlannerMapDelta) **added**
-//!    since the snapshot can invalidate it (removed keys only free
-//!    space, and the plan is already collision-free against the
-//!    snapshot), so [`CollisionChecker::path_clear_of_added`] walks the
-//!    trajectory polyline against those keys alone — sampled every
-//!    `check_step` metres like a synchronous edge check, at the same
-//!    `margin * 0.6` clearance the blockage detector uses, so an adopted
-//!    plan is never immediately re-flagged as blocked by the very delta
-//!    it was validated against and no added voxel can slip between two
-//!    trajectory samples. The verdict is
-//!    [`SpeculationVerdict::Adopted`] (plan valid, goal unchanged),
-//!    [`SpeculationVerdict::Patched`] (plan valid but the local goal
-//!    drifted with the new export — the trajectory is still adopted and
-//!    the regular replan cadence corrects the goal), or
-//!    [`SpeculationVerdict::Discarded`] (planning failed, the export
-//!    precision knob changed the voxel size, or the re-check found an
-//!    added voxel on the trajectory) — which falls back to a synchronous
-//!    replan, exactly as if plan-ahead were off.
-//!
-//! 3. **Accounting.** An adopted (or patched) speculation removes the
-//!    planning stage from the decision's critical path, but only up to
-//!    the *overlap window*: work can only hide behind the previous
-//!    epoch's duration, so `masked = min(planning, previous_epoch)`
-//!    ([`roborun_sim::LatencyBreakdown::critical_path`]). The governor's
-//!    budget law and the epoch advance then see the critical-path
-//!    latency, and [`roborun_core::DecisionRecord::masked_latency`]
-//!    records what overlap bought each decision.
-//!
-//! With plan-ahead **off**, no worker exists, every masked term is zero
-//! and the decision sequence is bit-identical to the pre-refactor
-//! behaviour (locked by the `golden_sweep` fixture).
-//!
 //! # Dynamic worlds: the sense / validate / budget contract
 //!
 //! A mission may run against a [`DynamicWorld`] (moving-obstacle actors
@@ -81,14 +26,14 @@
 //!   occupancy map like any other obstacle (and, with
 //!   [`crate::MissionConfig::voxel_decay`] enabled, leave it again once
 //!   their stale trail is re-observed free).
-//! * **Validate** the followed trajectory — and any plan-ahead
-//!   speculation — against the *predicted* occupancy over
+//! * **Validate** the followed trajectory and every fresh plan against
+//!   the *predicted* occupancy over
 //!   [`crate::MissionConfig::dynamic_lookahead`] seconds: a predicted
 //!   box crossing the remaining trajectory forces a replan
-//!   (`dynamic_replans`), and an arrived speculation whose path crosses
-//!   a predicted box is discarded (`predicted_invalidations`).
-//!   Predictions are conservative over-approximations (see the
-//!   `roborun-dynamics` crate docs), so they only ever *discard* plans.
+//!   (`dynamic_replans`), and a fresh plan whose path crosses a
+//!   predicted box is rejected. Predictions are conservative
+//!   over-approximations (see the `roborun-dynamics` crate docs), so
+//!   they only ever *discard* plans.
 //! * **Budget** reaction time with the governor's closing-speed term
 //!   ([`roborun_core::Governor::safe_velocity_closing`]): an obstacle
 //!   approaching at `v_c` eats `v_c · latency` of the visible margin
@@ -102,11 +47,11 @@
 //! module docs for the full contract): the cycle *composes* it with the
 //! long-lived static checker once per decision and *retargets* it from
 //! the fresh predicted boxes (an incremental patch mirroring the
-//! checker's map-delta patch). Blockage detection, the fresh-plan veto
-//! and the speculation gate are all walks of that one source, so the
-//! planner-side and validation-side notions of "clear" cannot drift.
+//! checker's map-delta patch). Blockage detection and the fresh-plan
+//! veto are both walks of that one source, so the planner-side and
+//! validation-side notions of "clear" cannot drift.
 //! With [`crate::MissionConfig::predicted_costmap`] enabled, the
-//! synchronous and speculative searches additionally plan *through* the
+//! search additionally plans *through* the
 //! composed [`HazardContext`], routing around predicted lanes in one
 //! shot; the posterior veto is retained as the safety net and as the
 //! reference reject-loop path (bit-identical whenever the flag is off
@@ -187,7 +132,6 @@ use roborun_sim::{
     CameraRig, DroneConfig, DroneState, EnergyModel, FaultConfig, FaultInjector, LatencyBreakdown,
     SimClock,
 };
-use std::sync::mpsc::{Receiver, Sender};
 
 // ---------------------------------------------------------------------------
 // Shared per-decision policies (used by both drivers)
@@ -270,8 +214,8 @@ pub fn predicted_blockage_distance(
 
 /// `true` when the polyline through `points` stays clear of every
 /// predicted box by more than `clearance` within `max_range` of
-/// `origin` — the dynamic-world check an arrived plan-ahead speculation
-/// (or a fresh synchronous plan) must additionally pass before adoption.
+/// `origin` — the dynamic-world check a fresh plan must additionally
+/// pass before adoption.
 /// The polyline is sampled densely (segments can span metres; a
 /// crossing actor must not slip between two waypoints). Points farther
 /// than `max_range` are ignored: the MAV cannot reach them within the
@@ -339,26 +283,6 @@ pub(crate) fn plan_through_hazards(
         }
     }
     planner.plan_with_scratch(checker, start, goal, bounds, cruise, scratch)
-}
-
-/// The speculation request's hazard source: this decision's boxes
-/// re-anchored at the post-epoch position the speculation starts from
-/// (empty when the costmap is off, keeping the worker bit-identical to a
-/// bare-checker plan). Shared by both drivers so the re-anchor policy
-/// lives once.
-pub(crate) fn speculation_hazards(
-    hazards: &PredictedHazards,
-    predicted_costmap: bool,
-    start: Vec3,
-    speed: f64,
-    lookahead: f64,
-    margin: f64,
-) -> PredictedHazards {
-    if predicted_costmap && !hazards.is_empty() {
-        hazards.reanchored(start, predicted_relevance_range(speed, lookahead, margin))
-    } else {
-        PredictedHazards::empty()
-    }
 }
 
 /// A short, slow straight-line manoeuvre directly away from the nearest
@@ -552,16 +476,6 @@ pub fn advance_epoch(
     false
 }
 
-/// Running totals of the dynamic-world machinery over one mission.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct DynamicsStats {
-    /// Decisions where a predicted moving-obstacle conflict forced a
-    /// replan.
-    pub dynamic_replans: usize,
-    /// Arrived speculations discarded by the predicted-occupancy check.
-    pub predicted_invalidations: usize,
-}
-
 /// Running totals of the fault-injection and graceful-degradation
 /// machinery over one mission. All zero on healthy missions with
 /// degradation disarmed.
@@ -641,13 +555,9 @@ pub(crate) fn apply_planner_faults(
 /// Emits one [`roborun_trace::SpanKind::Plan`] event carrying the
 /// planner's per-invocation counters (zero-length on the sim clock — the
 /// planning *stage* span already shows the modeled latency; this event
-/// carries the search internals and the measured wall time). Shared by
-/// the synchronous path and the plan-ahead worker; no-op when disarmed.
-pub(crate) fn emit_plan_span(
-    stats: &PlanStats,
-    sim_time: f64,
-    timer: &Option<roborun_trace::WallTimer>,
-) {
+/// carries the search internals and the measured wall time). No-op when
+/// disarmed.
+fn emit_plan_span(stats: &PlanStats, sim_time: f64, timer: &Option<roborun_trace::WallTimer>) {
     if !roborun_trace::armed() {
         return;
     }
@@ -690,8 +600,7 @@ pub(crate) fn finalize_metrics(
     decisions: usize,
     reached_goal: bool,
     collided: bool,
-    plan_ahead: &PlanAheadStats,
-    dynamics: &DynamicsStats,
+    dynamic_replans: usize,
     degradation: &DegradationStats,
 ) -> MissionMetrics {
     MissionMetrics {
@@ -708,176 +617,12 @@ pub(crate) fn finalize_metrics(
         distance_travelled: drone.distance_travelled,
         reached_goal,
         collided,
-        masked_planning_latency: plan_ahead.masked_latency,
-        plan_ahead_attempts: plan_ahead.attempts,
-        plan_ahead_hits: plan_ahead.hits,
-        dynamic_replans: dynamics.dynamic_replans,
-        predicted_invalidations: dynamics.predicted_invalidations,
+        dynamic_replans,
         faults_injected: degradation.faults_injected,
         watchdog_fires: degradation.watchdog_fires,
         retries: degradation.retries,
         degraded_decisions: degradation.degraded_decisions,
         safe_stops: degradation.safe_stops,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plan-ahead machinery
-// ---------------------------------------------------------------------------
-
-/// Running totals of the plan-ahead machinery over one mission.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PlanAheadStats {
-    /// Speculations launched.
-    pub attempts: usize,
-    /// Speculations adopted (including goal-drift patches).
-    pub hits: usize,
-    /// Planning latency masked from the critical path (seconds).
-    pub masked_latency: f64,
-}
-
-/// A speculation request: everything the worker needs to plan decision
-/// *k + 1* as a pure function (see the module docs' snapshot contract).
-/// With [`crate::MissionConfig::predicted_costmap`] on, the request also
-/// carries the decision's predicted hazards, so the speculative search
-/// itself routes around predicted lanes (an empty set keeps the worker
-/// bit-identical to a bare-checker plan).
-pub(crate) struct SpeculationRequest {
-    pub(crate) planner: Planner,
-    pub(crate) checker: CollisionChecker,
-    pub(crate) hazards: PredictedHazards,
-    pub(crate) start: Vec3,
-    pub(crate) goal: Vec3,
-    pub(crate) bounds: Aabb,
-    pub(crate) cruise: f64,
-    /// Sim time of the launching decision — the timestamp the worker's
-    /// trace events carry (the worker owns no clock of its own).
-    pub(crate) launched_at: f64,
-}
-
-/// The worker's answer to a [`SpeculationRequest`].
-pub(crate) struct SpeculationOutcome {
-    pub(crate) outcome: Result<(Trajectory, PlanStats), PlanError>,
-}
-
-/// Serves speculation requests until the requesting side hangs up. Runs on
-/// the scoped worker thread [`crate::MissionRunner::run`] spawns when
-/// plan-ahead is enabled.
-pub(crate) fn speculation_worker(
-    requests: Receiver<SpeculationRequest>,
-    outcomes: Sender<SpeculationOutcome>,
-) {
-    roborun_trace::collector::set_track(roborun_trace::SPECULATION_TRACK);
-    // Worker-owned scratch: the search buffers reach a steady state
-    // across requests instead of reallocating per speculation.
-    let mut scratch = PlannerScratch::new();
-    while let Ok(mut request) = requests.recv() {
-        let plan_timer = roborun_trace::timer();
-        let mut context = HazardContext::new(&mut request.checker, &request.hazards);
-        let outcome = request.planner.plan_with_scratch(
-            &mut context,
-            request.start,
-            request.goal,
-            &request.bounds,
-            request.cruise,
-            &mut scratch,
-        );
-        if let Ok((_, stats)) = &outcome {
-            emit_plan_span(stats, request.launched_at, &plan_timer);
-        }
-        if outcomes.send(SpeculationOutcome { outcome }).is_err() {
-            break;
-        }
-    }
-    roborun_trace::collector::flush();
-}
-
-/// The mission loop's handle on the speculation worker.
-pub(crate) struct PlanAheadWorker {
-    pub(crate) requests: Sender<SpeculationRequest>,
-    pub(crate) outcomes: Receiver<SpeculationOutcome>,
-}
-
-impl PlanAheadWorker {
-    pub(crate) fn new(
-        requests: Sender<SpeculationRequest>,
-        outcomes: Receiver<SpeculationOutcome>,
-    ) -> Self {
-        PlanAheadWorker { requests, outcomes }
-    }
-}
-
-/// The snapshot-side metadata of an in-flight speculation, kept by the
-/// main loop while the worker plans.
-struct PendingSpeculation {
-    /// Export snapshot the speculation planned against.
-    snapshot: PlannerMap,
-    /// Start position handed to the worker (the drone position at the end
-    /// of the previous epoch — must still hold bit-exactly on arrival).
-    start: Vec3,
-    /// Local goal computed from the snapshot export.
-    goal: Vec3,
-    /// Overlap window: the previous epoch's duration (seconds). Masked
-    /// planning latency can never exceed it.
-    window: f64,
-}
-
-/// Verdict of validating an arrived speculation against the fresh export.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpeculationVerdict {
-    /// Plan valid under the incremental re-check and the local goal is
-    /// unchanged: execute it.
-    Adopted(Trajectory),
-    /// Plan valid under the incremental re-check but the local goal
-    /// drifted with the new export: execute it anyway; the replan cadence
-    /// corrects the goal within `replan_every` decisions.
-    Patched(Trajectory),
-    /// Planning failed, the export voxel size changed, the start moved,
-    /// or an added voxel blocks the trajectory: fall back to a
-    /// synchronous replan.
-    Discarded,
-}
-
-/// Validates a speculative plan against the export that actually arrived:
-/// the incremental re-check of the module docs' validation contract.
-/// `clearance` is the blockage-detector clearance (`margin * 0.6`);
-/// `sample_step` is the planning-precision collision sample spacing the
-/// synchronous path would use for this decision's knobs.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_speculation(
-    outcome: &Result<(Trajectory, PlanStats), PlanError>,
-    snapshot: &PlannerMap,
-    speculated_start: Vec3,
-    speculated_goal: Vec3,
-    fresh_export: &PlannerMap,
-    fresh_goal: Vec3,
-    position: Vec3,
-    clearance: f64,
-    sample_step: f64,
-) -> SpeculationVerdict {
-    let Ok((trajectory, _stats)) = outcome else {
-        return SpeculationVerdict::Discarded;
-    };
-    if speculated_start != position {
-        return SpeculationVerdict::Discarded;
-    }
-    let Some(delta) = fresh_export.delta_from(snapshot) else {
-        // The export precision knob changed the voxel size: no key-level
-        // delta exists, so the plan cannot be re-validated incrementally.
-        return SpeculationVerdict::Discarded;
-    };
-    if !CollisionChecker::path_clear_of_added(
-        &delta,
-        trajectory.points().iter().map(|p| p.position),
-        clearance,
-        sample_step,
-    ) {
-        return SpeculationVerdict::Discarded;
-    }
-    if speculated_goal == fresh_goal {
-        SpeculationVerdict::Adopted(trajectory.clone())
-    } else {
-        SpeculationVerdict::Patched(trajectory.clone())
     }
 }
 
@@ -941,8 +686,8 @@ pub(crate) struct DecisionCycle<'m> {
     // Committed trajectories of the *other* drones sharing this world
     // (fleet missions). Their swept boxes are merged into the predicted
     // vector above before every retarget, so blockage detection, the
-    // composed planning context, the escape trigger and the speculation
-    // gate all treat a peer's corridor exactly like predicted occupancy.
+    // composed planning context, the escape trigger and the fresh-plan
+    // veto all treat a peer's corridor exactly like predicted occupancy.
     // Empty (and inert, bit for bit) in single-drone missions.
     peers: PeerTrajectoryHazard,
     // Random-walk replay anchors: every cached world view is bit-identical
@@ -954,12 +699,12 @@ pub(crate) struct DecisionCycle<'m> {
     reached_goal: bool,
     decisions: usize,
     decisions_since_plan: usize,
-    pending: Option<PendingSpeculation>,
-    stats: PlanAheadStats,
-    // RRT* search buffers, reused by every synchronous plan (allocation
+    // RRT* search buffers, reused by every plan (allocation
     // reuse only: each plan is bit-identical to a fresh one).
     scratch: PlannerScratch,
-    dynamics_stats: DynamicsStats,
+    // Decisions where a predicted moving-obstacle conflict forced a
+    // replan.
+    dynamic_replans: usize,
     // Deterministic fault plan (None when the config is healthy — the
     // whole degradation machinery then stays off the hot path).
     fault_plan: Option<FaultPlan>,
@@ -1036,10 +781,8 @@ impl<'m> DecisionCycle<'m> {
             reached_goal: false,
             decisions: 0,
             decisions_since_plan: usize::MAX / 2, // force an initial plan
-            pending: None,
-            stats: PlanAheadStats::default(),
             scratch: PlannerScratch::new(),
-            dynamics_stats: DynamicsStats::default(),
+            dynamic_replans: 0,
             fault_plan,
             degradation_stats: DegradationStats::default(),
             last_integration_time: 0.0,
@@ -1211,17 +954,14 @@ impl<'m> DecisionCycle<'m> {
         )
     }
 
-    /// Planning: blockage detection, speculation validation (plan-ahead),
-    /// synchronous replanning with the fine-export fallback. Returns the
-    /// blockage distance and whether a plan was installed; the masked
-    /// planning latency of an adopted speculation is returned separately
-    /// by [`DecisionCycle::take_speculation`].
+    /// Planning: blockage detection and replanning with the fine-export
+    /// fallback. Returns the blockage distance and whether a
+    /// plan was installed.
     fn plan(
         &mut self,
         export: &PlannerMap,
         knobs: &KnobSettings,
         commanded_velocity: f64,
-        speculative: Option<SpeculationVerdict>,
         in_danger: bool,
         forced_failure: bool,
     ) -> Planned {
@@ -1235,32 +975,18 @@ impl<'m> DecisionCycle<'m> {
         // never do.
         let predicted_conflict = self.predicted_blockage();
         if predicted_conflict.is_some() || in_danger {
-            self.dynamics_stats.dynamic_replans += 1;
+            self.dynamic_replans += 1;
         }
         let blockage = merge_blockages(static_blockage, predicted_conflict);
         let need_plan = self.need_plan(blockage) || in_danger;
         let mut replanned = false;
         // A forced planner failure (fault plan, or an unrecovered
         // watchdog abort) means no planner output exists this decision:
-        // the synchronous path is skipped outright and `take_speculation`
-        // already discarded any arrived speculation before the overlap
-        // accounting. The caller's degradation ladder (or, for the
-        // fault-oblivious baseline, nothing at all) takes over.
+        // planning is skipped outright. The caller's
+        // degradation ladder (or, for the fault-oblivious baseline,
+        // nothing at all) takes over.
         if need_plan && !forced_failure {
-            match speculative {
-                // `take_speculation` already discards (and accounts for)
-                // arrived speculations on in-danger decisions, so an
-                // adopted verdict here is always safe to install.
-                Some(SpeculationVerdict::Adopted(trajectory))
-                | Some(SpeculationVerdict::Patched(trajectory)) => {
-                    self.install_trajectory(trajectory);
-                    replanned = true;
-                }
-                Some(SpeculationVerdict::Discarded) | None => {
-                    replanned =
-                        self.plan_synchronously(export, knobs, commanded_velocity, in_danger);
-                }
-            }
+            replanned = self.replan(export, knobs, commanded_velocity, in_danger);
         }
         Planned {
             blockage,
@@ -1306,7 +1032,7 @@ impl<'m> DecisionCycle<'m> {
     /// predicted moving-obstacle occupancy within the relevance range,
     /// or `None` when clear (or in a static world) — the same
     /// [`PredictedHazards`] walk the planner's composed context and the
-    /// speculation gate use.
+    /// fresh-plan veto use.
     fn predicted_blockage(&self) -> Option<f64> {
         let f = self.follower.as_ref()?;
         let remaining = f.trajectory().remaining_from(f.progress_time());
@@ -1334,10 +1060,9 @@ impl<'m> DecisionCycle<'m> {
         self.decisions_since_plan = 0;
     }
 
-    /// The synchronous planning path (identical to the pre-plan-ahead
-    /// behaviour): refresh the long-lived checker from the export delta,
-    /// plan, and on `StartBlocked` retry against a worst-case-precision
-    /// export.
+    /// The planning path: refresh the long-lived checker from the export
+    /// delta, plan, and on `StartBlocked` retry against a
+    /// worst-case-precision export.
     ///
     /// With [`crate::MissionConfig::predicted_costmap`] on (and predicted
     /// boxes present), the search runs against the composed
@@ -1346,7 +1071,7 @@ impl<'m> DecisionCycle<'m> {
     /// reference path (static-only plan, posterior predicted veto below).
     /// Escape plans always use the bare checker: the drone is already
     /// inside a predicted box and any way out starts in conflict.
-    fn plan_synchronously(
+    fn replan(
         &mut self,
         export: &PlannerMap,
         knobs: &KnobSettings,
@@ -1503,204 +1228,11 @@ impl<'m> DecisionCycle<'m> {
         }
     }
 
-    // ----------------------------------------------------- plan-ahead
-
-    /// Joins the in-flight speculation (if any) and validates it against
-    /// the fresh export. Returns the verdict and, for an adopted or
-    /// patched plan, the planning latency masked by the overlap window.
-    fn take_speculation(
-        &mut self,
-        worker: Option<&mut PlanAheadWorker>,
-        export: &PlannerMap,
-        knobs: &KnobSettings,
-        breakdown: &LatencyBreakdown,
-        in_danger: bool,
-        forced_failure: bool,
-    ) -> (Option<SpeculationVerdict>, f64) {
-        let (Some(worker), Some(pending)) = (worker, self.pending.take()) else {
-            return (None, 0.0);
-        };
-        // A hung-up worker (its thread panicked) degrades to a discarded
-        // speculation — the mission falls back to synchronous replanning
-        // instead of tearing down mid-flight.
-        let Ok(outcome) = worker.outcomes.recv() else {
-            self.trace_speculation_end("worker_lost", 0.0);
-            return (Some(SpeculationVerdict::Discarded), 0.0);
-        };
-        let fresh_goal = self.local_goal(export);
-        let mut verdict = validate_speculation(
-            &outcome.outcome,
-            &pending.snapshot,
-            pending.start,
-            pending.goal,
-            export,
-            fresh_goal,
-            self.drone.position,
-            self.planning_margin * 0.6,
-            planning_check_step(knobs),
-        );
-        // Dynamic worlds add one more gate: a speculative trajectory is
-        // discarded when it crosses the *predicted* occupancy of a
-        // moving obstacle even though the voxel delta cleared it — the
-        // delta only knows where actors were, the prediction knows where
-        // they may be within the lookahead — and unconditionally on an
-        // in-danger decision (the drone needs an escape plan, not the
-        // routine progress plan that was speculated). Discarding here,
-        // before the hit/masked accounting below, keeps the overlap
-        // metrics honest: a dropped speculation masks nothing.
-        if let SpeculationVerdict::Adopted(t) | SpeculationVerdict::Patched(t) = &verdict {
-            if forced_failure {
-                // The fault plan failed this decision's planner outright;
-                // the speculation is the same planner's output, so it is
-                // lost with it (before the hit/masked accounting — a
-                // dropped speculation masks nothing).
-                verdict = SpeculationVerdict::Discarded;
-            } else if in_danger
-                || !self
-                    .hazards
-                    .path_clear(t.points().iter().map(|p| p.position))
-            {
-                self.dynamics_stats.predicted_invalidations += 1;
-                verdict = SpeculationVerdict::Discarded;
-            }
-        }
-        let masked = match verdict {
-            SpeculationVerdict::Adopted(_) | SpeculationVerdict::Patched(_) => {
-                self.stats.hits += 1;
-                let masked = breakdown.planning.min(pending.window);
-                self.stats.masked_latency += masked;
-                masked
-            }
-            SpeculationVerdict::Discarded => 0.0,
-        };
-        if roborun_trace::armed() {
-            let label = match &verdict {
-                SpeculationVerdict::Adopted(_) => "adopted",
-                SpeculationVerdict::Patched(_) => "patched",
-                SpeculationVerdict::Discarded => "discarded",
-            };
-            self.trace_speculation_end(label, masked);
-        }
-        (Some(verdict), masked)
-    }
-
-    /// Deterministic async-span id of the most recently launched
-    /// speculation: `(track << 32) | launch counter`. Valid between a
-    /// launch and its join because at most one speculation is in flight.
-    fn speculation_trace_id(&self) -> u64 {
-        (u64::from(roborun_trace::collector::current_track()) << 32) | self.stats.attempts as u64
-    }
-
-    /// Closes the in-flight speculation's async span and records its
-    /// outcome as an instant. No-op when disarmed.
-    fn trace_speculation_end(&self, label: &str, masked: f64) {
-        if !roborun_trace::armed() {
-            return;
-        }
-        let now = self.clock.now();
-        roborun_trace::collector::async_end(
-            roborun_trace::SpanKind::Speculation,
-            self.speculation_trace_id(),
-            now,
-            &[("masked", masked)],
-        );
-        roborun_trace::collector::instant_labeled(
-            roborun_trace::SpanKind::SpeculationOutcome,
-            label,
-            now,
-            &[("masked", masked)],
-        );
-    }
-
-    /// Launches a speculation for the next decision when a replan is
-    /// predictably due (`replan_every` cadence or a finished trajectory —
-    /// blockages cannot be predicted) and the long-lived checker exists to
-    /// snapshot. Runs at the end of a decision, after the epoch advance:
-    /// the drone position is exactly what the next planning stage will
-    /// see.
-    fn speculate(
-        &mut self,
-        worker: Option<&mut PlanAheadWorker>,
-        export: &PlannerMap,
-        knobs: &KnobSettings,
-        commanded_velocity: f64,
-        window: f64,
-    ) {
-        let Some(worker) = worker else { return };
-        if !self.mission_open() {
-            return;
-        }
-        let predicted_need = self.follower.as_ref().map(|f| f.finished()).unwrap_or(true)
-            || self.decisions_since_plan + 1 >= self.cfg.replan_every;
-        if !predicted_need {
-            return;
-        }
-        if self.collision.is_none() {
-            return;
-        }
-        let goal = self.local_goal(export);
-        let planner = planner_for(
-            self.planner_seed_base,
-            self.decisions + 1,
-            knobs,
-            self.planning_margin,
-            sampling_mix_for(self.cfg.hazard_biased_sampling),
-        );
-        let bounds = self.sampling_bounds(self.drone.position, goal);
-        // Refresh the snapshot checker to this decision's export (an exact
-        // delta patch, same as the synchronous path would apply) and build
-        // its broad-phase so the worker never pays for it.
-        let checker = self.collision.as_mut().expect("checked above");
-        checker.update_map(export.clone());
-        checker.set_check_step(planning_check_step(knobs));
-        checker.prebuild_broad_phase();
-        // With the predicted costmap on, the speculative search plans
-        // through the same composed context the synchronous path uses —
-        // re-anchored at the post-epoch position the speculation starts
-        // from (the shared policy in [`speculation_hazards`]).
-        let hazards = speculation_hazards(
-            &self.hazards,
-            self.cfg.predicted_costmap,
-            self.drone.position,
-            self.drone.speed(),
-            self.cfg.dynamic_lookahead,
-            self.planning_margin,
-        );
-        let request = SpeculationRequest {
-            planner,
-            checker: checker.clone(),
-            hazards,
-            start: self.drone.position,
-            goal,
-            bounds,
-            cruise: commanded_velocity.max(0.5),
-            launched_at: self.clock.now(),
-        };
-        if worker.requests.send(request).is_ok() {
-            self.stats.attempts += 1;
-            if roborun_trace::armed() {
-                roborun_trace::collector::async_begin(
-                    roborun_trace::SpanKind::Speculation,
-                    self.speculation_trace_id(),
-                    self.clock.now(),
-                    &[("decision", self.decisions as f64), ("window", window)],
-                );
-            }
-            self.pending = Some(PendingSpeculation {
-                snapshot: export.clone(),
-                start: self.drone.position,
-                goal,
-                window,
-            });
-        }
-    }
-
     // ------------------------------------------------------- the driver
 
-    /// Runs one full decision: every stage in order, the plan-ahead
-    /// join/validate and re-launch included. The caller loops while
-    /// [`DecisionCycle::mission_open`].
-    pub(crate) fn run_decision(&mut self, mut worker: Option<&mut PlanAheadWorker>) {
+    /// Runs one full decision: every stage in order. The caller loops
+    /// while [`DecisionCycle::mission_open`].
+    pub(crate) fn run_decision(&mut self) {
         self.decisions += 1;
         // Tracing: one relaxed load when disarmed; everything below is
         // behind this flag (or inside the collector's own gates).
@@ -1749,7 +1281,7 @@ impl<'m> DecisionCycle<'m> {
         // Moving-obstacle prediction for this decision's instant (empty
         // in static worlds), folded into the shared hazard source every
         // consumer below — blockage detection, the planner's composed
-        // context, the speculation gate — queries. The retarget is an
+        // context, the fresh-plan veto — queries. The retarget is an
         // incremental patch: only boxes that moved touch the source.
         let mut predicted = self.predicted_boxes();
         if !self.peers.is_empty() {
@@ -1764,25 +1296,13 @@ impl<'m> DecisionCycle<'m> {
             .retarget(&predicted, self.drone.position, range);
         let in_danger = self.in_predicted_danger();
 
-        // Plan-ahead join: an adopted speculation masks the planning stage
-        // up to the overlap window; everything downstream (safe velocity,
-        // epoch, telemetry) sees the critical-path latency.
         self.decisions_since_plan += 1;
-        let (speculative, masked) = self.take_speculation(
-            worker.as_deref_mut(),
-            &export,
-            &knobs,
-            &breakdown,
-            in_danger,
-            forced_failure,
-        );
-        let latency = breakdown.critical_path(masked);
+        let latency = breakdown.total();
 
-        // Safe velocity under the budget law (Eq. 1), on the critical path:
-        // masked planning work never delayed the MAV's reaction. In a
-        // dynamic world the reaction budget additionally absorbs the worst
-        // closing speed of any sensed actor (the oblivious baseline cannot:
-        // its velocity is fixed at design time — the thesis again).
+        // Safe velocity under the budget law (Eq. 1). In a dynamic world
+        // the reaction budget additionally absorbs the worst closing speed
+        // of any sensed actor (the oblivious baseline cannot: its velocity
+        // is fixed at design time — the thesis again).
         // Actors that can reach the visible margin within the lookahead
         // eat into the reaction budget; anything farther is throttling
         // the mission for an obstacle that cannot touch it.
@@ -1807,34 +1327,25 @@ impl<'m> DecisionCycle<'m> {
         let commanded_velocity = match self.cfg.mode {
             RuntimeMode::SpatialOblivious => self.baseline_velocity,
             RuntimeMode::SpatialAware if derate => self.governor.safe_velocity_stale(
-                breakdown.critical_path(masked),
+                latency,
                 profile.visibility,
                 closing_speed,
                 data_age,
             ),
-            RuntimeMode::SpatialAware if closing_speed > 0.0 => {
-                self.governor.safe_velocity_closing(
-                    breakdown.critical_path(masked),
-                    profile.visibility,
-                    closing_speed,
-                )
-            }
-            RuntimeMode::SpatialAware => {
-                self.governor
-                    .safe_velocity_overlapped(&breakdown, masked, profile.visibility)
-            }
+            RuntimeMode::SpatialAware if closing_speed > 0.0 => self
+                .governor
+                .safe_velocity_closing(latency, profile.visibility, closing_speed),
+            RuntimeMode::SpatialAware => self.governor.safe_velocity(latency, profile.visibility),
         };
         if derate && degradation == Degradation::Healthy {
             degradation = Degradation::StalePerception;
         }
 
-        // Plan (or adopt), then the degradation ladder and the
-        // emergency-stop policy.
+        // Plan, then the degradation ladder and the emergency-stop policy.
         let planned = self.plan(
             &export,
             &knobs,
             commanded_velocity,
-            speculative,
             in_danger,
             forced_failure,
         );
@@ -1893,10 +1404,9 @@ impl<'m> DecisionCycle<'m> {
                     &[],
                 );
             }
-            // The decision span covers the critical-path latency window;
-            // the seven stage spans partition it exactly (the planning
-            // stage is reduced by the masked plan-ahead share), so the
-            // exporter's coverage check holds by construction.
+            // The decision span covers the latency window; the seven stage
+            // spans partition it exactly, so the exporter's coverage check
+            // holds by construction.
             roborun_trace::collector::complete(
                 roborun_trace::SpanKind::Decision,
                 t0,
@@ -1906,22 +1416,14 @@ impl<'m> DecisionCycle<'m> {
                     ("decision", self.decisions as f64),
                     ("velocity", commanded_velocity),
                     ("visibility", profile.visibility),
-                    ("masked", masked),
                     ("cpu", cpu_sample.utilization),
                 ],
             );
-            let masked_planning = masked.clamp(0.0, breakdown.planning);
-            let stage_durations = [
-                breakdown.point_cloud,
-                breakdown.perception,
-                breakdown.perception_to_planning,
-                breakdown.planning - masked_planning,
-                breakdown.control,
-                breakdown.communication,
-                breakdown.runtime_overhead,
-            ];
             let mut cursor = t0;
-            for (kind, duration) in roborun_trace::SpanKind::STAGES.iter().zip(stage_durations) {
+            for (kind, (_, duration)) in roborun_trace::SpanKind::STAGES
+                .iter()
+                .zip(breakdown.stages())
+            {
                 roborun_trace::collector::complete(*kind, cursor, duration, 0, &[]);
                 cursor += duration;
             }
@@ -1937,12 +1439,11 @@ impl<'m> DecisionCycle<'m> {
             breakdown,
             cpu_utilization: cpu_sample.utilization,
             zone: Some(zone_label(self.env.zone_at(self.drone.position))),
-            masked_latency: masked,
             degradation,
         });
 
-        // Advance the world for the (critical-path) epoch. Moving actors
-        // are collision-tested at their true pose of every substep.
+        // Advance the world for the epoch. Moving actors are
+        // collision-tested at their true pose of every substep.
         let epoch = latency.max(self.cfg.min_epoch);
         let follower = &mut self.follower;
         let dynamics = self.dynamics;
@@ -1985,22 +1486,12 @@ impl<'m> DecisionCycle<'m> {
         {
             self.reached_goal = true;
         }
-
-        // Plan-ahead launch: speculate the next decision's plan while the
-        // epoch just charged "executes" (the worker overlaps with the next
-        // decision's sensing/perception work on this thread).
-        self.speculate(worker, &export, &knobs, commanded_velocity, epoch);
     }
 
     /// Final mission result.
     pub(crate) fn finish(self) -> MissionResult {
         if roborun_trace::armed() {
-            // A speculation launched on the final decision never joins;
-            // close its async span so exported traces stay balanced, and
-            // spill this thread's buffered events at the mission boundary.
-            if self.pending.is_some() {
-                self.trace_speculation_end("unjoined", 0.0);
-            }
+            // Spill this thread's buffered events at the mission boundary.
             roborun_trace::collector::flush();
         }
         let mission_time = self.clock.now().max(1e-9);
@@ -2013,8 +1504,7 @@ impl<'m> DecisionCycle<'m> {
             self.decisions,
             self.reached_goal,
             self.collided,
-            &self.stats,
-            &self.dynamics_stats,
+            self.dynamic_replans,
             &self.degradation_stats,
         );
         MissionResult {

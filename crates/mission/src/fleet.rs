@@ -13,7 +13,7 @@
 //! unchanged, mirroring `PredictedHazards::retarget`). Peer corridors
 //! then ride the predicted-hazard path through the whole decision:
 //! blockage detection, the composed planning context, the in-danger
-//! escape trigger and the speculation gate all see them as soft boxes.
+//! escape trigger and the fresh-plan veto all see them as soft boxes.
 //!
 //! # Determinism
 //!
@@ -283,7 +283,7 @@ pub fn run_fleet(config: &FleetConfig, env: &Environment) -> FleetResult {
         } else {
             None
         };
-        cycles[i].run_decision(None);
+        cycles[i].run_decision();
         decisions += 1;
         if let Some(start) = turn_start {
             roborun_trace::collector::complete(

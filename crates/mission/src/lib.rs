@@ -17,8 +17,7 @@
 //!   [`MissionResult`] (metrics + full per-decision telemetry), with
 //!   optional per-knob ablation and sensor-fault injection.
 //! * [`cycle`] — the shared decision-cycle core both drivers execute
-//!   (stage policies, epoch advance) and the plan-ahead machinery that
-//!   overlaps speculative planning with trajectory execution.
+//!   (stage policies, epoch advance).
 //! * [`node_pipeline`] — the same closed loop executed as a
 //!   `roborun-middleware` node graph, with the communication term measured
 //!   from real per-topic traffic instead of modeled.

@@ -37,22 +37,10 @@ pub struct MissionMetrics {
     pub reached_goal: bool,
     /// `true` when the MAV collided with an obstacle.
     pub collided: bool,
-    /// Total planning latency masked from the critical path by plan-ahead
-    /// overlap (seconds). Zero when plan-ahead is disabled.
-    pub masked_planning_latency: f64,
-    /// Speculative plans launched by the plan-ahead worker.
-    pub plan_ahead_attempts: usize,
-    /// Speculative plans adopted (including goal-drift patches) instead
-    /// of a synchronous replan.
-    pub plan_ahead_hits: usize,
     /// Decisions on which a moving obstacle's predicted occupancy
     /// crossed the followed trajectory and forced a replan. Zero in
     /// static worlds.
     pub dynamic_replans: usize,
-    /// Arrived plan-ahead speculations discarded because a moving
-    /// obstacle's predicted occupancy crossed the speculative
-    /// trajectory. Zero in static worlds or with plan-ahead off.
-    pub predicted_invalidations: usize,
     /// Fault-channel activations injected by the armed
     /// [`FaultPlan`](roborun_faults::FaultPlan) over the mission (one per
     /// active channel per decision, plus bus fault events on the node
@@ -77,14 +65,6 @@ impl MissionMetrics {
     pub fn successful(&self) -> bool {
         self.reached_goal && !self.collided
     }
-
-    /// Fraction of launched speculations that survived the incremental
-    /// re-check and were adopted, or `None` when plan-ahead never
-    /// speculated (disabled, or no replan was ever predictable).
-    pub fn plan_ahead_hit_rate(&self) -> Option<f64> {
-        (self.plan_ahead_attempts > 0)
-            .then(|| self.plan_ahead_hits as f64 / self.plan_ahead_attempts as f64)
-    }
 }
 
 /// Aggregate of many missions of the same mode (e.g. the 27 environments).
@@ -100,7 +80,6 @@ pub struct AggregateMetrics {
     p95_latency: RunningStats,
     p99_latency: RunningStats,
     max_latency: RunningStats,
-    masked_latency: RunningStats,
     successes: usize,
     total: usize,
 }
@@ -124,7 +103,6 @@ impl AggregateMetrics {
         self.p95_latency.push(m.p95_latency);
         self.p99_latency.push(m.p99_latency);
         self.max_latency.push(m.max_latency);
-        self.masked_latency.push(m.masked_planning_latency);
         if m.successful() {
             self.successes += 1;
         }
@@ -174,12 +152,6 @@ impl AggregateMetrics {
     /// Mean of the per-mission worst-case latencies (seconds).
     pub fn mean_max_latency(&self) -> f64 {
         self.max_latency.mean()
-    }
-
-    /// Mean of the per-mission masked planning latencies (seconds; zero
-    /// across the board when plan-ahead was disabled).
-    pub fn mean_masked_latency(&self) -> f64 {
-        self.masked_latency.mean()
     }
 
     /// Fraction of missions that reached the goal without colliding.
@@ -241,11 +213,7 @@ mod tests {
             distance_travelled: time * velocity,
             reached_goal: true,
             collided: false,
-            masked_planning_latency: 0.0,
-            plan_ahead_attempts: 0,
-            plan_ahead_hits: 0,
             dynamic_replans: 0,
-            predicted_invalidations: 0,
             faults_injected: 0,
             watchdog_fires: 0,
             retries: 0,
@@ -287,23 +255,6 @@ mod tests {
         assert!((agg.mean_p95_latency() - 1.4).abs() < 1e-12);
         assert!((agg.mean_p99_latency() - 1.8).abs() < 1e-12);
         assert!((agg.mean_max_latency() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn plan_ahead_hit_rate_reporting() {
-        let base = metrics(RuntimeMode::SpatialAware, 400.0, 2.5, 0.5);
-        assert_eq!(base.plan_ahead_hit_rate(), None);
-        let overlapped = MissionMetrics {
-            masked_planning_latency: 12.5,
-            plan_ahead_attempts: 40,
-            plan_ahead_hits: 30,
-            ..base
-        };
-        assert!((overlapped.plan_ahead_hit_rate().unwrap() - 0.75).abs() < 1e-12);
-        let mut agg = AggregateMetrics::new(RuntimeMode::SpatialAware);
-        agg.push(&base);
-        agg.push(&overlapped);
-        assert!((agg.mean_masked_latency() - 6.25).abs() < 1e-12);
     }
 
     #[test]

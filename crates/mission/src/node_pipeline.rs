@@ -15,24 +15,8 @@
 //! The physics-facing edge (reading the drone state, applying velocity
 //! commands at the 4 Hz control substep) stays a direct call, exactly as the
 //! flight-controller interface does on a real MAV.
-//!
-//! With [`MissionConfig::plan_ahead`] enabled the planner node overlaps
-//! planning with execution exactly like the direct runner: a scoped
-//! worker thread speculatively plans decision *k + 1* from a snapshot
-//! while control executes decision *k*, the speculative trajectory
-//! crosses the bus on `/planning/speculation` (measured bytes), and the
-//! planning node validates the received copy against the fresh export on
-//! its subscriber side before adopting it (the `mission::cycle`
-//! snapshot/validate/adopt contract). Adopted speculations mask the
-//! planning stage from the decision's critical path, so the
-//! measured-comm driver reports `masked_planning_latency` /
-//! `plan_ahead_attempts` too. With the flag off no worker exists and the
-//! pipeline is bit-identical to the synchronous behaviour.
 
-use crate::cycle::{
-    self, direction_towards, planning_bounds, zone_label, DegradationStats, DynamicsStats,
-    PlanAheadStats, PlanAheadWorker, SpeculationRequest, SpeculationVerdict,
-};
+use crate::cycle::{self, direction_towards, planning_bounds, zone_label, DegradationStats};
 use crate::runner::{MissionConfig, MissionResult};
 use roborun_control::TrajectoryFollower;
 use roborun_core::{
@@ -49,12 +33,10 @@ use roborun_middleware::{
 };
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
-    swept_polyline_boxes, CollisionChecker, PlanError, PlanStats, PlannerScratch, PredictedHazards,
-    Trajectory,
+    swept_polyline_boxes, CollisionChecker, PlanError, PlannerScratch, PredictedHazards, Trajectory,
 };
-use roborun_sim::{CameraRig, DroneState, SimClock, StoppingModel};
+use roborun_sim::{CameraRig, DroneState, FaultInjector, SimClock, StoppingModel};
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
 
 // ---------------------------------------------------------------------------
 // Message types
@@ -148,30 +130,6 @@ impl Message for TrajectoryMsg {
     }
 }
 
-/// A speculative (plan-ahead) trajectory on `/planning/speculation`.
-///
-/// With [`MissionConfig::plan_ahead`] enabled, the planner node's worker
-/// thread plans decision *k + 1* while control executes decision *k*. The
-/// worker's answer crosses the bus **before** validation: the planning
-/// node publishes the raw speculative trajectory here and validates the
-/// copy it receives back on its own subscription — subscriber-side
-/// validation, against the fresh export that arrived on the node's map
-/// subscription rather than the snapshot the worker planned from (the
-/// `mission::cycle` snapshot/validate/adopt contract). The loopback hop
-/// charges the transport bytes a planner subprocess would really ship,
-/// so the measured-comm path accounts for speculation traffic too.
-#[derive(Debug, Clone)]
-pub struct SpeculationMsg(pub Trajectory);
-
-impl Message for SpeculationMsg {
-    fn approx_size_bytes(&self) -> usize {
-        16 + self.0.len() * 56
-    }
-    fn type_name() -> &'static str {
-        "roborun/SpeculativeTrajectory"
-    }
-}
-
 /// Planner feedback on `/planning/feedback`.
 ///
 /// The perception node listens to this to fall back to the worst-case
@@ -242,20 +200,25 @@ fn latest_checked<T: Message>(sub: &Subscription<T>, corrupted: &mut u64) -> Opt
 
 struct SensorNode {
     rig: CameraRig,
+    /// Sensing faults of [`MissionConfig::faults`] (`None` when healthy),
+    /// applied to every captured sweep like the direct driver does.
+    fault_injector: Option<FaultInjector>,
     points_pub: Publisher<PointCloudMsg>,
     odom_pub: Publisher<OdometryMsg>,
 }
 
 impl SensorNode {
-    fn new(node: &Node, rig: CameraRig) -> Self {
+    fn new(node: &Node, rig: CameraRig, config: &MissionConfig) -> Self {
         SensorNode {
             rig,
+            fault_injector: (!config.faults.is_healthy())
+                .then(|| FaultInjector::new(config.faults)),
             points_pub: node.publisher("/sensors/points").expect("points topic"),
             odom_pub: node.publisher("/sensors/odometry").expect("odometry topic"),
         }
     }
 
-    fn spin(&self, field: &ObstacleField, drone: &DroneState, frame: &FaultFrame) {
+    fn spin(&mut self, field: &ObstacleField, drone: &DroneState, frame: &FaultFrame) {
         let pose = drone.pose();
         let cloud = if frame.sensor_blackout {
             // The whole sweep is lost: an empty cloud still crosses the
@@ -264,12 +227,13 @@ impl SensorNode {
             PointCloud::new(pose.position, Vec::new())
         } else {
             let scan = self.rig.capture(field, &pose);
-            let points = match frame.sensor_burst {
-                Some(burst) => {
-                    cycle::burst_injector(burst).corrupt_sweep(pose.position, &scan.points)
-                }
+            let mut points = match self.fault_injector.as_mut() {
+                Some(injector) => injector.corrupt_sweep(pose.position, &scan.points),
                 None => scan.points,
             };
+            if let Some(burst) = frame.sensor_burst {
+                points = cycle::burst_injector(burst).corrupt_sweep(pose.position, &points);
+            }
             PointCloud::new(pose.position, points)
         };
         let _ = self.points_pub.publish(PointCloudMsg(cloud));
@@ -284,6 +248,9 @@ impl SensorNode {
 struct PerceptionNode {
     map: OccupancyMap,
     profilers: Profilers,
+    /// Fog cap of [`MissionConfig::faults`] on the profiled visibility
+    /// (`None` when the sensing faults are healthy).
+    visibility_cap: Option<f64>,
     map_retain_radius: f64,
     cloud_sub: Subscription<PointCloudMsg>,
     odom_sub: Subscription<OdometryMsg>,
@@ -314,6 +281,8 @@ impl PerceptionNode {
         PerceptionNode {
             map,
             profilers: config.profilers,
+            visibility_cap: (!config.faults.is_healthy())
+                .then_some(config.faults.fog_visibility_cap),
             map_retain_radius: config.map_retain_radius,
             cloud_sub: node
                 .subscribe("/sensors/points", QosProfile::sensor_data())
@@ -362,7 +331,7 @@ impl PerceptionNode {
             return;
         };
         let heading = direction_towards(odom.position, goal, odom.velocity);
-        let profile = self.profilers.profile(
+        let mut profile = self.profilers.profile(
             cloud,
             &self.map,
             self.latest_trajectory.as_ref(),
@@ -370,6 +339,11 @@ impl PerceptionNode {
             odom.speed,
             heading,
         );
+        if let Some(cap) = self.visibility_cap {
+            // Fog also limits how far the MAV can trust its view, which
+            // the deadline equation must see.
+            profile.visibility = profile.visibility.min(cap);
+        }
         let _ = self.profile_pub.publish(ProfileMsg(profile));
     }
 
@@ -496,29 +470,12 @@ impl RuntimeNode {
     }
 }
 
-/// The snapshot-side metadata of an in-flight node speculation (the
-/// planner node's mirror of the direct driver's pending record).
-struct PendingNodeSpeculation {
-    /// Export snapshot the speculation planned against.
-    snapshot: PlannerMap,
-    /// Start position handed to the worker (the drone position at the end
-    /// of the previous epoch).
-    start: Vec3,
-    /// Local goal computed from the snapshot export.
-    goal: Vec3,
-    /// Overlap window: the previous epoch's duration (seconds).
-    window: f64,
-}
-
 struct PlanningNode {
     seed_base: u64,
     margin: f64,
     planning_horizon: f64,
     dynamic_lookahead: f64,
     replan_every: usize,
-    /// Plan-ahead enabled: the node keeps a long-lived checker to
-    /// snapshot for the worker and joins/validates speculations.
-    plan_ahead: bool,
     /// Plan through the composed hazard context (predicted boxes as soft
     /// obstacles) instead of only vetoing finished plans.
     predicted_costmap: bool,
@@ -532,8 +489,6 @@ struct PlanningNode {
     status_sub: Subscription<ControlStatusMsg>,
     trajectory_pub: Publisher<TrajectoryMsg>,
     feedback_pub: Publisher<PlanningFeedbackMsg>,
-    speculation_pub: Publisher<SpeculationMsg>,
-    speculation_sub: Subscription<SpeculationMsg>,
     latest_map: Option<PlannerMap>,
     latest_policy: Option<Policy>,
     latest_odom: Option<OdometryMsg>,
@@ -542,9 +497,8 @@ struct PlanningNode {
     decisions_since_plan: usize,
     decisions: usize,
     emergency_stop: bool,
-    /// Long-lived collision checker (plan-ahead / costmap paths only):
-    /// patched from the export delta per replan and cloned into
-    /// speculation requests with its broad-phase prebuilt.
+    /// Long-lived collision checker (costmap path only): patched from the
+    /// export delta per replan.
     collision: Option<CollisionChecker>,
     /// The per-mission predicted hazard source, retargeted from the
     /// decision's predicted boxes (incremental patch) — the node's half
@@ -553,17 +507,9 @@ struct PlanningNode {
     /// RRT* search buffers reused across the long-lived-checker plans
     /// (allocation reuse only, mirroring the direct driver's).
     scratch: PlannerScratch,
-    /// The in-flight speculation's snapshot metadata.
-    pending: Option<PendingNodeSpeculation>,
-    /// The joined-and-validated verdict for this decision's planning spin.
-    speculative: Option<SpeculationVerdict>,
-    /// Plan-ahead accounting (attempts / hits / masked latency).
-    stats: PlanAheadStats,
     /// Decisions where a predicted moving-obstacle conflict forced a
     /// replan (always zero in static worlds).
     dynamic_replans: usize,
-    /// Arrived speculations discarded by the predicted-occupancy gate.
-    predicted_invalidations: usize,
     /// Consecutive decisions whose planning attempt was start-blocked —
     /// after the fine-export fallback has had its chance, a dynamic
     /// mission retreats out of the margin shell instead of hovering.
@@ -598,7 +544,6 @@ impl PlanningNode {
             planning_horizon: config.planning_horizon,
             dynamic_lookahead: config.dynamic_lookahead,
             replan_every: config.replan_every,
-            plan_ahead: config.plan_ahead,
             predicted_costmap: config.predicted_costmap,
             hazard_biased_sampling: config.hazard_biased_sampling,
             stopping: StoppingModel::paper_default(),
@@ -620,12 +565,6 @@ impl PlanningNode {
             feedback_pub: node
                 .publisher("/planning/feedback")
                 .expect("feedback topic"),
-            speculation_pub: node
-                .publisher("/planning/speculation")
-                .expect("speculation topic"),
-            speculation_sub: node
-                .subscribe("/planning/speculation", QosProfile::latched(1))
-                .expect("speculation subscription"),
             latest_map: None,
             latest_policy: None,
             latest_odom: None,
@@ -637,19 +576,14 @@ impl PlanningNode {
             collision: None,
             hazards: PredictedHazards::new(Vec::new(), margin * 0.6, Vec3::ZERO, 0.0),
             scratch: PlannerScratch::new(),
-            pending: None,
-            speculative: None,
-            stats: PlanAheadStats::default(),
             dynamic_replans: 0,
-            predicted_invalidations: 0,
             start_blocked_streak: 0,
             corrupted: 0,
         }
     }
 
     /// Ingests the newest samples from every subscription into the cached
-    /// latest-value fields (shared by the planning spin and the
-    /// speculation join, whichever runs first in a decision).
+    /// latest-value fields.
     fn refresh_inputs(&mut self) {
         if let Some(sample) = latest_checked(&self.map_sub, &mut self.corrupted) {
             self.latest_map = Some(sample.message.0);
@@ -662,186 +596,6 @@ impl PlanningNode {
         }
         if let Some(sample) = latest_checked(&self.status_sub, &mut self.corrupted) {
             self.latest_status = Some(sample.message);
-        }
-    }
-
-    /// Joins the in-flight speculation (if any), ships its trajectory
-    /// across the speculation topic, and validates the received copy
-    /// against the fresh export and the predicted occupancy — the node
-    /// mirror of the direct driver's `take_speculation`. Returns the
-    /// planning latency masked by the overlap window (zero unless the
-    /// speculation was adopted).
-    fn join_speculation(
-        &mut self,
-        worker: Option<&mut PlanAheadWorker>,
-        env: &Environment,
-        predicted: &[Aabb],
-        planning_latency: f64,
-        forced_failure: bool,
-    ) -> f64 {
-        self.speculative = None;
-        let (Some(worker), Some(pending)) = (worker, self.pending.take()) else {
-            return 0.0;
-        };
-        self.refresh_inputs();
-        // A hung-up worker (its thread panicked) degrades to a discarded
-        // speculation — the node falls back to synchronous replanning
-        // instead of tearing down the pipeline mid-flight.
-        let Ok(answer) = worker.outcomes.recv() else {
-            self.speculative = Some(SpeculationVerdict::Discarded);
-            return 0.0;
-        };
-        // The speculative plan crosses the bus before validation: publish
-        // it, take the copy the subscription delivers, and validate that.
-        let outcome: Result<(Trajectory, PlanStats), PlanError> = match answer.outcome {
-            Ok((trajectory, stats)) => {
-                let _ = self.speculation_pub.publish(SpeculationMsg(trajectory));
-                match latest_checked(&self.speculation_sub, &mut self.corrupted) {
-                    Some(sample) => Ok((sample.message.0, stats)),
-                    None => Err(PlanError::NoPathFound {
-                        samples_drawn: 0,
-                        volume_capped: false,
-                    }),
-                }
-            }
-            Err(e) => Err(e),
-        };
-        let (Some(map), Some(policy), Some(odom)) = (
-            self.latest_map.as_ref(),
-            self.latest_policy,
-            self.latest_odom,
-        ) else {
-            return 0.0;
-        };
-        let fresh_goal = cycle::local_goal(
-            env,
-            map,
-            odom.position,
-            self.planning_horizon,
-            self.margin * 0.9,
-        );
-        let mut verdict = cycle::validate_speculation(
-            &outcome,
-            &pending.snapshot,
-            pending.start,
-            pending.goal,
-            map,
-            fresh_goal,
-            odom.position,
-            self.margin * 0.6,
-            cycle::planning_check_step(&policy.knobs),
-        );
-        // The dynamic gate the direct driver applies too: a speculation
-        // crossing the predicted occupancy (or arriving on an in-danger
-        // decision) is discarded before any masking is credited. The
-        // per-mission hazard source is retargeted here (the join runs
-        // first in a decision); the planning spin's retarget with the
-        // same boxes is then a no-op diff.
-        let relevance =
-            cycle::predicted_relevance_range(odom.speed, self.dynamic_lookahead, self.margin);
-        self.hazards.retarget(predicted, odom.position, relevance);
-        if let SpeculationVerdict::Adopted(t) | SpeculationVerdict::Patched(t) = &verdict {
-            if forced_failure {
-                // The fault plan failed this decision's planner outright;
-                // the speculation is the same planner's output, so it is
-                // lost with it (before the hit/masked accounting).
-                verdict = SpeculationVerdict::Discarded;
-            } else {
-                let in_danger = self.hazards.any_within(odom.position, self.margin);
-                if in_danger
-                    || !self
-                        .hazards
-                        .path_clear(t.points().iter().map(|p| p.position))
-                {
-                    self.predicted_invalidations += 1;
-                    verdict = SpeculationVerdict::Discarded;
-                }
-            }
-        }
-        let masked = match &verdict {
-            SpeculationVerdict::Adopted(_) | SpeculationVerdict::Patched(_) => {
-                self.stats.hits += 1;
-                let masked = planning_latency.min(pending.window);
-                self.stats.masked_latency += masked;
-                masked
-            }
-            SpeculationVerdict::Discarded => 0.0,
-        };
-        self.speculative = Some(verdict);
-        masked
-    }
-
-    /// Launches a speculation for the next decision when a replan is
-    /// predictably due — the node mirror of the direct driver's
-    /// `speculate`, called by the coordinator after the epoch advance so
-    /// `start` is exactly the position the next planning spin will see.
-    #[allow(clippy::too_many_arguments)]
-    fn speculate(
-        &mut self,
-        worker: Option<&mut PlanAheadWorker>,
-        env: &Environment,
-        start: Vec3,
-        speed: f64,
-        commanded_velocity: f64,
-        window: f64,
-        now: f64,
-    ) {
-        let Some(worker) = worker else { return };
-        let (Some(map), Some(policy)) = (self.latest_map.as_ref(), self.latest_policy) else {
-            return;
-        };
-        let finished = self
-            .latest_status
-            .map(|s| s.finished)
-            .unwrap_or(self.active_trajectory.is_none());
-        let predicted_need = self.active_trajectory.is_none()
-            || finished
-            || self.decisions_since_plan + 1 >= self.replan_every;
-        if !predicted_need || self.collision.is_none() {
-            return;
-        }
-        let knobs = policy.knobs;
-        let goal = cycle::local_goal(env, map, start, self.planning_horizon, self.margin * 0.9);
-        let planner = cycle::planner_for(
-            self.seed_base,
-            self.decisions + 1,
-            &knobs,
-            self.margin,
-            cycle::sampling_mix_for(self.hazard_biased_sampling),
-        );
-        let bounds = planning_bounds(start, goal, env.bounds());
-        // The shared re-anchor policy: this decision's boxes anchored at
-        // the post-epoch position the speculation starts from.
-        let hazards = cycle::speculation_hazards(
-            &self.hazards,
-            self.predicted_costmap,
-            start,
-            speed,
-            self.dynamic_lookahead,
-            self.margin,
-        );
-        let checker = self.collision.as_mut().expect("checked above");
-        checker.update_map(map.clone());
-        checker.set_check_step(cycle::planning_check_step(&knobs));
-        checker.prebuild_broad_phase();
-        let request = SpeculationRequest {
-            planner,
-            checker: checker.clone(),
-            hazards,
-            start,
-            goal,
-            bounds,
-            cruise: commanded_velocity.max(0.5),
-            launched_at: now,
-        };
-        if worker.requests.send(request).is_ok() {
-            self.stats.attempts += 1;
-            self.pending = Some(PendingNodeSpeculation {
-                snapshot: map.clone(),
-                start,
-                goal,
-                window,
-            });
         }
     }
 
@@ -908,9 +662,6 @@ impl PlanningNode {
     ) -> NodePlanned {
         self.decisions += 1;
         self.decisions_since_plan += 1;
-        // Take this decision's joined speculation verdict (if any) so a
-        // stale one can never leak into a later decision.
-        let speculative = self.speculative.take();
         self.refresh_inputs();
         let idle = NodePlanned {
             needed: false,
@@ -935,8 +686,7 @@ impl PlanningNode {
         // forces the same replan/brake machinery as a mapped blockage
         // (same policy as the direct driver's cycle). Every predicted
         // query below walks the per-mission hazard source, retargeted
-        // here from this decision's boxes (an incremental patch — a
-        // second retarget after the speculation join is a no-op diff);
+        // here from this decision's boxes (an incremental patch);
         // conflicts beyond the relevance range are not actionable.
         let relevance_range =
             cycle::predicted_relevance_range(odom.speed, self.dynamic_lookahead, self.margin);
@@ -989,26 +739,10 @@ impl PlanningNode {
         }
         // A forced planner failure (fault plan, or an unrecovered
         // watchdog abort) means no planner output exists this decision:
-        // the adopt and synchronous paths are skipped outright (the
-        // joined speculation was already discarded) and the
-        // coordinator's degradation ladder takes over.
+        // planning is skipped outright and the coordinator's degradation
+        // ladder takes over.
         if forced_failure {
             return planned;
-        }
-        // An adopted (or goal-drift-patched) speculation replaces the
-        // synchronous plan entirely — the same adopt policy as the direct
-        // driver's cycle. The verdict was already validated against the
-        // fresh export and the predicted occupancy at join time.
-        if let Some(SpeculationVerdict::Adopted(trajectory))
-        | Some(SpeculationVerdict::Patched(trajectory)) = speculative
-        {
-            self.active_trajectory = Some(trajectory.clone());
-            self.decisions_since_plan = 0;
-            let _ = self.trajectory_pub.publish(TrajectoryMsg(trajectory));
-            return NodePlanned {
-                replanned: true,
-                ..planned
-            };
         }
         let knobs = policy.knobs;
         let local_goal = self.local_goal(env, map, odom.position);
@@ -1021,13 +755,12 @@ impl PlanningNode {
             cycle::sampling_mix_for(self.hazard_biased_sampling),
         );
         let cruise = commanded_velocity.max(0.5);
-        // Plan-ahead (and the predicted costmap) keep one checker across
-        // the mission — patched from the export delta, snapshot-cloned
-        // into speculation requests — and the costmap composes it with
-        // the predicted boxes so the search routes around lanes in one
-        // shot. Without either feature the node plans exactly as before
-        // (a fresh checker per plan), keeping the default path untouched.
-        let outcome = if self.plan_ahead || self.predicted_costmap {
+        // The predicted costmap keeps one checker across the mission —
+        // patched from the export delta — and composes it with the
+        // predicted boxes so the search routes around lanes in one shot.
+        // Without it the node plans exactly as before (a fresh checker
+        // per plan), keeping the default path untouched.
+        let outcome = if self.predicted_costmap {
             let check_step = cycle::planning_check_step(&knobs);
             match self.collision.as_mut() {
                 Some(checker) => {
@@ -1260,29 +993,6 @@ impl NodePipeline {
     }
 
     fn run_with(&self, env: &Environment, dynamics: Option<&DynamicWorld>) -> NodePipelineResult {
-        if !self.config.mission.plan_ahead {
-            return self.drive(env, dynamics, None);
-        }
-        // Same worker discipline as the direct runner: one scoped thread
-        // serves speculation requests for the mission's duration, and the
-        // run stays deterministic because each speculation is a pure
-        // function of its snapshot and the loop joins the answer before
-        // using it.
-        let (req_tx, req_rx) = mpsc::channel();
-        let (out_tx, out_rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            scope.spawn(move || cycle::speculation_worker(req_rx, out_tx));
-            let mut worker = PlanAheadWorker::new(req_tx, out_rx);
-            self.drive(env, dynamics, Some(&mut worker))
-        })
-    }
-
-    fn drive(
-        &self,
-        env: &Environment,
-        dynamics: Option<&DynamicWorld>,
-        mut worker: Option<&mut PlanAheadWorker>,
-    ) -> NodePipelineResult {
         let cfg = &self.config.mission;
         let live = dynamics.filter(|world| !world.is_static());
         let mut pose_cache = dynamics.map(DynamicWorld::pose_cache).unwrap_or_default();
@@ -1309,12 +1019,13 @@ impl NodePipeline {
         let planning_host = Node::new(&bus, "planner").expect("planning node");
         let control_host = Node::new(&bus, "controller").expect("control node");
 
-        let sensor = SensorNode::new(
+        let mut sensor = SensorNode::new(
             &sensor_host,
             match live {
                 Some(_) => cfg.dynamic_camera_rig(),
                 None => cfg.camera_rig(),
             },
+            cfg,
         );
         let mut perception = PerceptionNode::new(&perception_host, cfg, map_resolution);
         let mut runtime = RuntimeNode::new(&runtime_host, governor);
@@ -1406,29 +1117,12 @@ impl NodePipeline {
                 // predicted occupancy (exactly like the direct driver).
                 predicted.extend_from_slice(&peer_boxes);
             }
-            // Plan-ahead join: the planner node collects the worker's
-            // answer, ships it over the speculation topic and validates
-            // the received copy against the fresh export. An adopted
-            // speculation masks the planning stage up to the overlap
-            // window, exactly like the direct driver.
-            let masked = planning.join_speculation(
-                worker.as_deref_mut(),
-                env,
-                &predicted,
-                breakdown.planning,
-                forced_failure,
-            );
             // Planning needs the commanded velocity; compute it from the
             // model-predicted compute cost plus the comm charged so far this
             // decision (the planning hop is added below and reflected in the
-            // recorded breakdown). Masked planning work never delayed the
-            // MAV's reaction, so it leaves the provisional latency too.
+            // recorded breakdown).
             let comm_so_far = bus.total_transport_latency() - comm_seen;
-            let provisional_latency = if masked > 0.0 {
-                breakdown.compute_total() + comm_so_far - masked
-            } else {
-                breakdown.compute_total() + comm_so_far
-            };
+            let provisional_latency = breakdown.compute_total() + comm_so_far;
             // Actors that can reach the visible margin within the
             // lookahead eat into the reaction budget (same rule as the
             // direct driver's cycle).
@@ -1523,14 +1217,7 @@ impl NodePipeline {
             comm_seen = comm_total;
             breakdown.communication = comm_this_decision;
             comm_per_decision.push(comm_this_decision);
-            // The governor's budget law and the epoch advance see the
-            // critical-path latency: planning work hidden behind the
-            // previous execution window never delayed the reaction.
-            let latency = if masked > 0.0 {
-                breakdown.critical_path(masked)
-            } else {
-                breakdown.total()
-            };
+            let latency = breakdown.total();
 
             let cpu_sample = cfg
                 .cpu
@@ -1545,7 +1232,6 @@ impl NodePipeline {
                 breakdown,
                 cpu_utilization: cpu_sample.utilization,
                 zone: Some(zone_label(env.zone_at(drone.position))),
-                masked_latency: masked,
                 degradation,
             });
 
@@ -1592,21 +1278,6 @@ impl NodePipeline {
             if safe_stop {
                 break;
             }
-            // Plan-ahead launch: speculate the next decision's plan while
-            // this epoch's trajectory "executes" — the drone position
-            // after the advance is exactly what the next planning spin
-            // will see on its odometry subscription.
-            if decisions < cfg.max_decisions && clock.now() < cfg.max_mission_time {
-                planning.speculate(
-                    worker.as_deref_mut(),
-                    env,
-                    drone.position,
-                    drone.speed(),
-                    commanded_velocity,
-                    epoch,
-                    clock.now(),
-                );
-            }
         }
 
         let mission_time = clock.now().max(1e-9);
@@ -1623,11 +1294,7 @@ impl NodePipeline {
             decisions,
             reached_goal,
             collided,
-            &planning.stats,
-            &DynamicsStats {
-                dynamic_replans: planning.dynamic_replans,
-                predicted_invalidations: planning.predicted_invalidations,
-            },
+            planning.dynamic_replans,
             &degradation_stats,
         );
         let graph = GraphInfo::snapshot(&bus);
@@ -1648,6 +1315,7 @@ impl NodePipeline {
 mod tests {
     use super::*;
     use roborun_env::{DifficultyConfig, EnvironmentGenerator};
+    use roborun_sim::FaultConfig;
 
     fn short_environment(seed: u64) -> Environment {
         let cfg = DifficultyConfig {
@@ -1696,7 +1364,7 @@ mod tests {
         ] {
             assert!(graph.nodes.iter().any(|n| n == node), "missing node {node}");
         }
-        for topic in [
+        let busy = [
             "/sensors/points",
             "/sensors/odometry",
             "/runtime/profile",
@@ -1704,12 +1372,19 @@ mod tests {
             "/perception/planner_map",
             "/planning/trajectory",
             "/control/status",
-        ] {
+        ];
+        for topic in busy {
             let info = graph
                 .topic(topic)
                 .unwrap_or_else(|| panic!("missing topic {topic}"));
             assert!(info.stats.messages_published > 0, "no traffic on {topic}");
         }
+        // The exact topic set: a topic no node uses any more must not
+        // linger on the bus.
+        let mut expected: Vec<&str> = busy.into_iter().chain(["/planning/feedback"]).collect();
+        expected.sort_unstable();
+        let topics: Vec<&str> = graph.topics.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(topics, expected);
         assert!(graph.total_bytes() > 0);
         let dot = graph.to_dot();
         assert!(dot.contains("/runtime/policy"));
@@ -1782,8 +1457,36 @@ mod tests {
         let pipeline = NodePipeline::new(quick_config(RuntimeMode::SpatialAware));
         let a = pipeline.run(&env);
         let b = pipeline.run(&env);
-        assert_eq!(a.mission.metrics.decisions, b.mission.metrics.decisions);
-        assert!((a.mission.metrics.mission_time - b.mission.metrics.mission_time).abs() < 1e-9);
+        assert_eq!(a.mission.metrics, b.mission.metrics);
+        assert_eq!(a.mission.telemetry.records(), b.mission.telemetry.records());
         assert_eq!(a.comm_per_decision, b.comm_per_decision);
+    }
+
+    #[test]
+    fn sensing_faults_reach_the_node_driver() {
+        let env = short_environment(21);
+        let run = |faults: FaultConfig| {
+            let mut config = quick_config(RuntimeMode::SpatialAware);
+            config.mission.max_decisions = 120;
+            config.mission.faults = faults;
+            NodePipeline::new(config).run(&env).mission
+        };
+        let healthy = run(FaultConfig::healthy());
+        // Fog caps the profiled visibility the governor budgets from, and
+        // its range noise reaches the sensed cloud.
+        let foggy = run(FaultConfig::fog(8.0));
+        assert!(!foggy.telemetry.records().is_empty());
+        assert!(foggy
+            .telemetry
+            .records()
+            .iter()
+            .all(|r| r.visibility <= 8.0));
+        assert_ne!(foggy.telemetry.records(), healthy.telemetry.records());
+        // Dropped sweeps and points are deterministic and change the run.
+        let flaky = run(FaultConfig::flaky_sensors(0.1, 0.3));
+        let again = run(FaultConfig::flaky_sensors(0.1, 0.3));
+        assert_eq!(flaky.metrics, again.metrics);
+        assert_eq!(flaky.telemetry.records(), again.telemetry.records());
+        assert_ne!(flaky.telemetry.records(), healthy.telemetry.records());
     }
 }

@@ -164,17 +164,17 @@ pub fn fig8_table(knob_name: &str, rows: &[SensitivityRow]) -> String {
 /// The dynamic difficulty matrix (temporal Fig. 8 analogue) as CSV:
 /// one row per cell with the cell's scaling knobs, the actor count, and
 /// the aware run's mission time / velocity / safety outcome plus the
-/// dynamic-replan and predicted-invalidation counters — the series that
-/// quantifies how mission time scales with *temporal* difficulty.
+/// dynamic-replan counter — the series that quantifies how mission time
+/// scales with *temporal* difficulty.
 pub fn dynamic_matrix_csv(rows: &[DynamicMatrixRow]) -> String {
     let mut out = String::new();
     out.push_str(
         "scenario,density_scale,speed_scale,actor_waves,actors,mission_time_s,\
-         mean_velocity_mps,reached_goal,collided,dynamic_replans,predicted_invalidations\n",
+         mean_velocity_mps,reached_goal,collided,dynamic_replans\n",
     );
     for row in rows {
         out.push_str(&format!(
-            "{:?},{:.3},{:.3},{},{},{:.3},{:.3},{},{},{},{}\n",
+            "{:?},{:.3},{:.3},{},{},{:.3},{:.3},{},{},{}\n",
             row.scenario,
             row.difficulty.density_scale,
             row.difficulty.speed_scale,
@@ -185,7 +185,6 @@ pub fn dynamic_matrix_csv(rows: &[DynamicMatrixRow]) -> String {
             row.aware.reached_goal,
             row.aware.collided,
             row.aware.dynamic_replans,
-            row.aware.predicted_invalidations,
         ));
     }
     out
@@ -260,60 +259,26 @@ pub fn telemetry_csv(telemetry: &MissionTelemetry) -> String {
 
 /// Latency-tail summary of one mission: the exact median, the
 /// histogram-derived p95/p99 (the shared [`roborun_geom::LogHistogram`]
-/// lattice) and the exact max, for both the end-to-end latency and the
-/// plan-ahead critical path — the overlap story told in tail form (with
-/// plan-ahead disabled the two columns coincide).
+/// lattice) and the exact max of the end-to-end decision latency.
 pub fn latency_tail_table(telemetry: &MissionTelemetry) -> String {
-    use roborun_geom::{percentile, LogHistogram};
     let end_to_end = telemetry.latency_histogram();
-    let critical: LogHistogram = telemetry.critical_path_latencies().into_iter().collect();
-    let critical_median = percentile(&telemetry.critical_path_latencies(), 0.5);
     let cell = |v: Option<f64>| format!("{:.3}", v.unwrap_or(0.0));
     let rows = vec![
         vec![
             "median (exact)".to_string(),
             cell(telemetry.median_latency()),
-            cell(critical_median),
         ],
         vec![
             "p95 (histogram)".to_string(),
             cell(end_to_end.quantile(0.95)),
-            cell(critical.quantile(0.95)),
         ],
         vec![
             "p99 (histogram)".to_string(),
             cell(end_to_end.quantile(0.99)),
-            cell(critical.quantile(0.99)),
         ],
-        vec![
-            "max (exact)".to_string(),
-            cell(end_to_end.max()),
-            cell(critical.max()),
-        ],
+        vec!["max (exact)".to_string(), cell(end_to_end.max())],
     ];
-    format_table(&["latency (s)", "end-to-end", "critical path"], &rows)
-}
-
-/// Per-decision overlap series: end-to-end latency, critical-path latency
-/// and the planning latency plan-ahead masked. With plan-ahead disabled
-/// the first two columns coincide and the third is zero.
-pub fn overlap_csv(telemetry: &MissionTelemetry) -> String {
-    let rows: Vec<Vec<f64>> = telemetry
-        .records()
-        .iter()
-        .map(|r| {
-            vec![
-                r.time,
-                r.latency(),
-                r.critical_path_latency(),
-                r.masked_latency,
-            ]
-        })
-        .collect();
-    format_csv(
-        &["time_s", "latency_s", "critical_path_s", "masked_s"],
-        &rows,
-    )
+    format_table(&["latency (s)", "end-to-end"], &rows)
 }
 
 /// The Fig. 11a-style per-decision latency breakdown CSV.
@@ -399,7 +364,6 @@ mod tests {
                 },
                 cpu_utilization: 0.4,
                 zone: Some('A'),
-                masked_latency: 0.0,
                 degradation: Degradation::Healthy,
             });
         }
@@ -408,15 +372,6 @@ mod tests {
         let breakdown = breakdown_csv(&telemetry);
         assert_eq!(breakdown.lines().count(), 5);
         assert!(breakdown.lines().next().unwrap().contains("octomap_s"));
-        let overlap = overlap_csv(&telemetry);
-        assert_eq!(overlap.lines().count(), 5);
-        assert!(overlap.lines().next().unwrap().contains("critical_path_s"));
-        // No masking in these records: the two latency columns agree.
-        for line in overlap.lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            assert_eq!(cells[1], cells[2]);
-            assert_eq!(cells[3], "0.000000");
-        }
     }
 
     #[test]

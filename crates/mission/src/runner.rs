@@ -10,12 +10,9 @@
 //!
 //! The per-decision logic itself lives in [`crate::cycle`]: the runner is a
 //! thin driver that loops a [`cycle::DecisionCycle`](crate::cycle) until the
-//! mission closes, and — when [`MissionConfig::plan_ahead`] is enabled —
-//! hosts the scoped planner worker that speculatively plans each next
-//! decision while control executes the current trajectory (see the
-//! snapshot/validation contract in the [`crate::cycle`] module docs).
+//! mission closes.
 
-use crate::cycle::{self, DecisionCycle, PlanAheadWorker};
+use crate::cycle::DecisionCycle;
 use crate::metrics::MissionMetrics;
 use roborun_core::{KnobAblation, MissionTelemetry, Profilers, RuntimeMode};
 use roborun_dynamics::DynamicWorld;
@@ -26,7 +23,6 @@ use roborun_sim::{
     CameraRig, ComputeLatencyModel, CpuModel, DepthCamera, DroneConfig, EnergyModel, FaultConfig,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
 
 /// Configuration of one mission run.
 #[derive(Debug, Clone)]
@@ -74,21 +70,14 @@ pub struct MissionConfig {
     /// Sensing faults injected between the camera rig and the point-cloud
     /// kernel (fog, dropouts, range noise). Healthy by default.
     pub faults: FaultConfig,
-    /// Overlap planning with execution: speculatively plan the next
-    /// decision on a worker thread while control executes the current
-    /// trajectory, masking the planning stage's latency when the
-    /// speculation survives the incremental re-check (see the
-    /// [`crate::cycle`] module docs). Off by default; with it off every
-    /// mission is bit-identical to the non-overlapped behaviour.
-    pub plan_ahead: bool,
     /// Lookahead horizon (seconds) over which moving obstacles' predicted
-    /// occupancy invalidates the followed trajectory and plan-ahead
-    /// speculations. Only consulted when a mission runs against a
+    /// occupancy invalidates the followed trajectory and fresh plans.
+    /// Only consulted when a mission runs against a
     /// [`roborun_dynamics::DynamicWorld`] with actors.
     pub dynamic_lookahead: f64,
     /// Plan *through* the predicted moving-obstacle occupancy instead of
-    /// only vetoing finished plans against it: the planner (synchronous
-    /// and speculative) queries the composed
+    /// only vetoing finished plans against it: the planner queries the
+    /// composed
     /// [`roborun_planning::HazardContext`] — static checker plus the
     /// decision's predicted boxes as time-free soft obstacles — so plans
     /// route around a crossing lane in one shot rather than converging
@@ -203,7 +192,6 @@ impl MissionConfig {
             waypoint_budgeting: true,
             ablation: KnobAblation::none(),
             faults: FaultConfig::healthy(),
-            plan_ahead: false,
             dynamic_lookahead: 4.0,
             predicted_costmap: false,
             voxel_decay: None,
@@ -305,12 +293,6 @@ impl MissionRunner {
     }
 
     /// Runs one mission in the given environment.
-    ///
-    /// With [`MissionConfig::plan_ahead`] enabled, a scoped worker thread
-    /// serves speculative planning requests for the duration of the run;
-    /// the mission stays deterministic because each speculation is a pure
-    /// function of its snapshot and the loop joins the worker's answer
-    /// before using it.
     pub fn run(&self, env: &Environment) -> MissionResult {
         self.run_with(env, None)
     }
@@ -325,32 +307,11 @@ impl MissionRunner {
         self.run_with(env, Some(dynamics))
     }
 
+    /// The decision loop: a thin driver of [`DecisionCycle`].
     fn run_with(&self, env: &Environment, dynamics: Option<&DynamicWorld>) -> MissionResult {
-        if !self.config.plan_ahead {
-            return self.drive(env, dynamics, None);
-        }
-        let (req_tx, req_rx) = mpsc::channel();
-        let (out_tx, out_rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            scope.spawn(move || cycle::speculation_worker(req_rx, out_tx));
-            let mut worker = PlanAheadWorker::new(req_tx, out_rx);
-            // `worker` (and with it the request sender) drops when this
-            // closure returns, which hangs up the channel and lets the
-            // scoped thread exit before the scope joins it.
-            self.drive(env, dynamics, Some(&mut worker))
-        })
-    }
-
-    /// The decision loop: a thin driver of [`cycle::DecisionCycle`].
-    fn drive(
-        &self,
-        env: &Environment,
-        dynamics: Option<&DynamicWorld>,
-        mut worker: Option<&mut PlanAheadWorker>,
-    ) -> MissionResult {
         let mut cycle = DecisionCycle::new(&self.config, env, dynamics);
         while cycle.mission_open() {
-            cycle.run_decision(worker.as_deref_mut());
+            cycle.run_decision();
         }
         cycle.finish()
     }

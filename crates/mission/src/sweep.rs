@@ -116,15 +116,6 @@ impl SweepConfig {
         }
     }
 
-    /// The same sweep with plan-ahead (speculative planning overlap)
-    /// forced on for both designs — the configuration of the overlapped
-    /// golden fixture and the `decision_overlap` bench.
-    pub fn with_plan_ahead(mut self) -> Self {
-        self.aware.plan_ahead = true;
-        self.oblivious.plan_ahead = true;
-        self
-    }
-
     /// Up-front validation: every difficulty knob finite, at least one
     /// environment. [`run_sweep`] asserts this before spawning workers
     /// (so a NaN knob fails fast with a typed message instead of
@@ -822,14 +813,6 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.lines().next().unwrap().contains("speed_scale"));
         assert!(csv.contains("CrossingCorridor"));
-    }
-
-    #[test]
-    fn with_plan_ahead_enables_overlap_on_both_designs() {
-        let config = SweepConfig::quick(1).with_plan_ahead();
-        assert!(config.aware.plan_ahead);
-        assert!(config.oblivious.plan_ahead);
-        assert!(!SweepConfig::quick(1).aware.plan_ahead);
     }
 
     #[test]

@@ -35,10 +35,6 @@ fn assert_bitwise_equal_missions(a: &MissionResult, b: &MissionResult) {
     );
     assert_eq!(a.metrics.energy_kj.to_bits(), b.metrics.energy_kj.to_bits());
     assert_eq!(a.metrics.dynamic_replans, b.metrics.dynamic_replans);
-    assert_eq!(
-        a.metrics.predicted_invalidations,
-        b.metrics.predicted_invalidations
-    );
     assert_eq!(a.flown_path.len(), b.flown_path.len());
     for (p, q) in a.flown_path.iter().zip(&b.flown_path) {
         assert_eq!(p.x.to_bits(), q.x.to_bits());
@@ -81,17 +77,6 @@ fn actor_poses_are_bit_identical_across_runs_and_query_orders() {
 fn dynamic_missions_are_deterministic_across_runs() {
     let (env, world) = DynamicScenario::CrossingCorridor.world(5);
     let runner = MissionRunner::new(dynamic_config(5));
-    let a = runner.run_dynamic(&env, &world);
-    let b = runner.run_dynamic(&env, &world);
-    assert_bitwise_equal_missions(&a, &b);
-}
-
-#[test]
-fn dynamic_missions_are_deterministic_with_plan_ahead() {
-    let (env, world) = DynamicScenario::CrossingCorridor.world(3);
-    let mut cfg = dynamic_config(3);
-    cfg.plan_ahead = true;
-    let runner = MissionRunner::new(cfg);
     let a = runner.run_dynamic(&env, &world);
     let b = runner.run_dynamic(&env, &world);
     assert_bitwise_equal_missions(&a, &b);

@@ -8,7 +8,7 @@
 //!   drivers (the direct runner and the node pipeline), and actually
 //!   steer the mission.
 //!
-//! The fleet-features-**off** side is locked elsewhere: the four golden
+//! The fleet-features-**off** side is locked elsewhere: the three golden
 //! fixtures (`golden_sweep.rs`) regenerate byte-identical because an
 //! empty peer set never touches the decision path, and the
 //! single-drone-fleet ≡ `MissionRunner` bit-identity is a `fleet`

@@ -29,27 +29,17 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/golden_sweep.txt"
 );
 
-/// Second fixture: the same sweep with plan-ahead (speculative planning
-/// overlap) forced on for both designs. Guards the overlapped decision
-/// path — speculation launch, validation, masked-latency accounting —
-/// against silent drift, and additionally locks the masked/hit counters.
-const PLAN_AHEAD_FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/fixtures/golden_sweep_plan_ahead.txt"
-);
-
-/// Third fixture: the moving-obstacle sweep (all three dynamic scenario
+/// Second fixture: the moving-obstacle sweep (all three dynamic scenario
 /// families at seed 41, both designs, voxel decay on). Locks the whole
 /// dynamic-world pipeline — snapshot sensing, predicted-occupancy
 /// validation, closing-speed budgeting, stale-voxel decay — and the
-/// `dynamic_replans` / `predicted_invalidations` counters against silent
-/// drift.
+/// `dynamic_replans` counter against silent drift.
 const DYNAMIC_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/fixtures/golden_sweep_dynamic.txt"
 );
 
-/// Fourth fixture: the fault sweep (all three fault scenario families at
+/// Third fixture: the fault sweep (all three fault scenario families at
 /// seed 41, fault-oblivious vs degradation-aware). Locks the whole
 /// fault-injection and graceful-degradation machinery — deterministic
 /// fault frames, bus link faults, the planning watchdog, the fallback
@@ -99,17 +89,14 @@ fn push_f64(out: &mut String, label: &str, v: f64) {
 }
 
 fn render_dynamic_metrics(out: &mut String, label: &str, m: &MissionMetrics) {
-    render_metrics(out, label, m, false);
-    // Re-open the line to append the dynamic counters.
+    render_metrics(out, label, m);
+    // Re-open the line to append the dynamic counter.
     out.pop();
-    out.push_str(&format!(
-        " dynamic_replans={} predicted_invalidations={}\n",
-        m.dynamic_replans, m.predicted_invalidations
-    ));
+    out.push_str(&format!(" dynamic_replans={}\n", m.dynamic_replans));
 }
 
 fn render_fault_metrics(out: &mut String, label: &str, m: &MissionMetrics) {
-    render_metrics(out, label, m, false);
+    render_metrics(out, label, m);
     // Re-open the line to append the fault/degradation counters.
     out.pop();
     out.push_str(&format!(
@@ -118,7 +105,7 @@ fn render_fault_metrics(out: &mut String, label: &str, m: &MissionMetrics) {
     ));
 }
 
-fn render_metrics(out: &mut String, label: &str, m: &MissionMetrics, with_overlap: bool) {
+fn render_metrics(out: &mut String, label: &str, m: &MissionMetrics) {
     out.push_str(&format!("{label} mode={:?}", m.mode));
     push_f64(out, "mission_time", m.mission_time);
     push_f64(out, "energy_kj", m.energy_kj);
@@ -131,17 +118,10 @@ fn render_metrics(out: &mut String, label: &str, m: &MissionMetrics, with_overla
         " reached_goal={} collided={}",
         m.reached_goal, m.collided
     ));
-    if with_overlap {
-        push_f64(out, "masked", m.masked_planning_latency);
-        out.push_str(&format!(
-            " attempts={} hits={}",
-            m.plan_ahead_attempts, m.plan_ahead_hits
-        ));
-    }
     out.push('\n');
 }
 
-fn render_rows(config: &SweepConfig, header: &str, with_overlap: bool) -> String {
+fn render_rows(config: &SweepConfig, header: &str) -> String {
     let results = run_sweep(config);
     let mut out = String::new();
     out.push_str(header);
@@ -153,8 +133,8 @@ fn render_rows(config: &SweepConfig, header: &str, with_overlap: bool) -> String
             row.difficulty.obstacle_spread.to_bits(),
             row.difficulty.goal_distance.to_bits(),
         ));
-        render_metrics(&mut out, "  oblivious", &row.oblivious, with_overlap);
-        render_metrics(&mut out, "  aware", &row.aware, with_overlap);
+        render_metrics(&mut out, "  oblivious", &row.oblivious);
+        render_metrics(&mut out, "  aware", &row.aware);
     }
     out
 }
@@ -193,19 +173,8 @@ fn golden_sweep_rows_are_bit_identical_to_fixture() {
     let rendered = render_rows(
         &golden_config(),
         "# Golden sweep fixture: 3 environments, seed 41, 120 m missions.\n",
-        false,
     );
     assert_matches_fixture(&rendered, FIXTURE);
-}
-
-#[test]
-fn plan_ahead_golden_sweep_rows_are_bit_identical_to_fixture() {
-    let rendered = render_rows(
-        &golden_config().with_plan_ahead(),
-        "# Golden sweep fixture with plan-ahead forced on: 3 environments, seed 41, 120 m missions.\n",
-        true,
-    );
-    assert_matches_fixture(&rendered, PLAN_AHEAD_FIXTURE);
 }
 
 #[test]

@@ -403,81 +403,6 @@ impl CollisionChecker {
         !map.is_occupied(p, margin)
     }
 
-    /// Incremental re-validation of a path planned against an older
-    /// export: `true` when the polyline through `points` stays strictly
-    /// more than `clearance` away from every voxel the `delta` **added**,
-    /// sampled every `sample_step` metres along each consecutive pair
-    /// (the same sampling discipline as [`CollisionChecker::segment_free`],
-    /// so a voxel that would fail a synchronous re-plan's edge check
-    /// cannot slip between two waypoints here).
-    ///
-    /// A plan that was collision-free against the snapshot export can only
-    /// be invalidated by voxels the delta added — removed voxels free
-    /// space — so re-checking the touched keys alone is exact for the
-    /// patched map. This is the validation half of the plan-ahead
-    /// contract (see `roborun-mission`'s `cycle` module): a speculative
-    /// trajectory is adopted only when this check passes against the
-    /// delta accumulated since its snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_step <= 0`.
-    pub fn path_clear_of_added(
-        delta: &PlannerMapDelta,
-        points: impl IntoIterator<Item = Vec3>,
-        clearance: f64,
-        sample_step: f64,
-    ) -> bool {
-        assert!(
-            sample_step > 0.0,
-            "sample step must be positive, got {sample_step}"
-        );
-        let added = delta.added();
-        if added.is_empty() {
-            return true;
-        }
-        let voxel = delta.voxel_size();
-        let half = Vec3::splat(voxel * 0.5);
-        let boxes: Vec<Aabb> = added
-            .iter()
-            .map(|key| Aabb::from_center_half_extents(key.center(voxel), half))
-            .collect();
-        let clear = |p: Vec3| boxes.iter().all(|b| b.distance_to_point(p) > clearance);
-        let mut prev: Option<Vec3> = None;
-        for p in points {
-            match prev {
-                None => {
-                    if !clear(p) {
-                        return false;
-                    }
-                }
-                Some(a) => {
-                    let length = a.distance(p);
-                    if length < 1e-9 {
-                        if !clear(p) {
-                            return false;
-                        }
-                    } else {
-                        // `.max(1.0)` guards the degenerate-step edge
-                        // cases (a non-finite ratio truncating to zero)
-                        // so the far endpoint is always sampled — the
-                        // same guarded form as every other hazard walker.
-                        let steps = (length / sample_step).ceil().max(1.0) as usize;
-                        // `a` was cleared as the previous endpoint.
-                        for i in 1..=steps {
-                            let t = i as f64 / steps as f64;
-                            if !clear(a.lerp(p, t)) {
-                                return false;
-                            }
-                        }
-                    }
-                }
-            }
-            prev = Some(p);
-        }
-        true
-    }
-
     /// `true` when the straight segment from `a` to `b` stays free of
     /// obstacles, sampled every `check_step` metres.
     pub fn segment_free(&mut self, a: Vec3, b: Vec3) -> bool {
@@ -694,58 +619,6 @@ mod tests {
                 CollisionChecker::point_free_reference(&map_coarse, p, 0.45)
             );
         }
-    }
-
-    #[test]
-    fn path_clear_of_added_matches_the_patched_map() {
-        // Snapshot: a wall at x = 10. Fresh: the wall plus a new blob near
-        // the origin. A straight path towards the blob must fail the
-        // incremental re-check exactly when the fresh map blocks it.
-        let snapshot = map_with_wall();
-        let mut evolved = OccupancyMap::new(0.3);
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let points: Vec<Vec3> = (-20..=20)
-            .flat_map(|y| (0..20).map(move |z| Vec3::new(10.0, y as f64 * 0.3, z as f64 * 0.3)))
-            .collect();
-        evolved.integrate_cloud(&PointCloud::new(origin, points), 0.3);
-        evolved.integrate_cloud(
-            &PointCloud::new(origin, vec![Vec3::new(4.0, 0.0, 5.0)]),
-            0.3,
-        );
-        let fresh = PlannerMap::export(&evolved, &ExportConfig::new(0.3, 1e9, origin));
-        let delta = fresh.delta_from(&snapshot).unwrap();
-        assert!(!delta.added().is_empty());
-
-        // A path through the new blob is caught by the added keys alone.
-        let through_blob = [Vec3::new(0.0, 0.0, 5.0), Vec3::new(4.0, 0.05, 5.0)];
-        assert!(!CollisionChecker::path_clear_of_added(
-            &delta,
-            through_blob,
-            0.27,
-            0.3
-        ));
-        // The segment between two widely spaced waypoints is sampled: a
-        // blob that both endpoints clear by metres still invalidates the
-        // path that crosses it.
-        let spanning = [Vec3::new(0.0, 0.0, 5.0), Vec3::new(8.0, 0.0, 5.0)];
-        assert!(!CollisionChecker::path_clear_of_added(
-            &delta, spanning, 0.27, 0.3
-        ));
-        // A path clear of the blob passes even though it grazes the old
-        // wall's neighbourhood — pre-existing voxels are the snapshot's
-        // responsibility, not the delta's.
-        let clear = [Vec3::new(0.0, -5.0, 5.0), Vec3::new(2.0, -5.0, 5.0)];
-        assert!(CollisionChecker::path_clear_of_added(
-            &delta, clear, 0.27, 0.3
-        ));
-        // An empty delta accepts everything.
-        let empty = fresh.delta_from(&fresh).unwrap();
-        assert!(CollisionChecker::path_clear_of_added(
-            &empty,
-            through_blob,
-            0.27,
-            0.3
-        ));
     }
 
     #[test]

@@ -172,7 +172,7 @@ fn point_blocked_linear(
 
 /// `true` when the polyline through `points` stays clear of every box by
 /// more than `clearance` within `max_range` of `origin` — the posterior
-/// check a finished plan (or an arrived speculation) must pass. Sampled
+/// check a finished plan must pass. Sampled
 /// densely (at most `max(clearance, 0.25)` m apart) so a crossing actor
 /// cannot slip between two waypoints.
 pub fn polyline_clear_of_boxes(
@@ -368,14 +368,6 @@ impl PredictedHazards {
     /// The relevance range (metres).
     pub fn max_range(&self) -> f64 {
         self.max_range
-    }
-
-    /// A copy of this source re-anchored at a new origin and relevance
-    /// range — same boxes, same clearance. Used to hand a speculation
-    /// worker the decision's hazards anchored at the position the
-    /// speculative plan will actually start from.
-    pub fn reanchored(&self, origin: Vec3, max_range: f64) -> PredictedHazards {
-        PredictedHazards::new(self.boxes.clone(), self.clearance, origin, max_range)
     }
 
     /// Re-points the source at a fresh decision: new per-actor boxes, new

@@ -265,8 +265,7 @@ proptest! {
     /// repeated/coincident waypoints must answer the same boolean as the
     /// plain polyline on every walker — degenerate zero-length segments
     /// may never skip an endpoint check. Exercises the static checker
-    /// (`path_free`), the incremental re-validation
-    /// (`path_clear_of_added`), the predicted-hazard walk and the peer
+    /// (`path_free`), the predicted-hazard walk and the peer
     /// swept-trajectory walk on the same duplicated input.
     #[test]
     fn duplicate_point_polylines_keep_endpoint_coverage(
@@ -293,15 +292,6 @@ proptest! {
             let mut b = CollisionChecker::new(map.clone(), 0.45, 0.5);
             prop_assert_eq!(a.segment_free(p, p), b.point_free(p));
         }
-
-        // Incremental re-validation against added voxels: every box of
-        // the map is "added" relative to an empty snapshot.
-        let empty = roborun_perception::PlannerMap::empty(0.5);
-        let delta = map.delta_from(&empty).unwrap();
-        prop_assert_eq!(
-            CollisionChecker::path_clear_of_added(&delta, waypoints.iter().copied(), 0.3, 0.5),
-            CollisionChecker::path_clear_of_added(&delta, dup.iter().copied(), 0.3, 0.5)
-        );
 
         // Predicted-hazard and posterior polyline walks.
         let boxes: Vec<Aabb> = map.boxes().to_vec();

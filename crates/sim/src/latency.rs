@@ -131,16 +131,6 @@ impl LatencyBreakdown {
         self.total() - self.communication
     }
 
-    /// Critical-path latency when `masked_planning` seconds of the planning
-    /// stage were hidden behind the previous decision's execution window
-    /// (plan-ahead overlap). The masked amount is clamped to the planning
-    /// stage itself — no other stage can be masked, and overlapped work can
-    /// never "earn back" more time than the stage costs. With zero masked
-    /// latency this is exactly [`LatencyBreakdown::total`].
-    pub fn critical_path(&self, masked_planning: f64) -> f64 {
-        self.total() - masked_planning.clamp(0.0, self.planning)
-    }
-
     /// Per-stage `(label, seconds)` pairs in pipeline order, for reports.
     pub fn stages(&self) -> [(&'static str, f64); 7] {
         [
@@ -394,19 +384,6 @@ mod tests {
         // Zero breakdown normalises to zeros without dividing by zero.
         let zero = LatencyBreakdown::default();
         assert!(zero.normalized().iter().all(|&(_, v)| v == 0.0));
-    }
-
-    #[test]
-    fn critical_path_masks_only_the_planning_stage() {
-        let m = ComputeLatencyModel::calibrated();
-        let b = m.decision_breakdown(0.6, 20_000.0, 1.2, 50_000.0, 1.2, 80_000.0, true);
-        // Zero masked latency is bit-identical to the plain total.
-        assert_eq!(b.critical_path(0.0).to_bits(), b.total().to_bits());
-        let half = b.planning * 0.5;
-        assert!((b.critical_path(half) - (b.total() - half)).abs() < 1e-12);
-        // Masking clamps at the planning stage cost and at zero.
-        assert!((b.critical_path(1e9) - (b.total() - b.planning)).abs() < 1e-12);
-        assert_eq!(b.critical_path(-1.0).to_bits(), b.total().to_bits());
     }
 
     #[test]

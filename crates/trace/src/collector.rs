@@ -14,9 +14,8 @@
 //! # Deterministic ids
 //!
 //! An event's identity is `(track, seq)`. Tracks are **assigned by the
-//! instrumentation sites** via [`set_track`] (main mission loop 0, the
-//! plan-ahead worker [`SPECULATION_TRACK`], shard `s` at
-//! `SHARD_TRACK_BASE + s`, fleet drone `i` at track `i`) — never derived
+//! instrumentation sites** via [`set_track`] (main mission loop 0, shard
+//! `s` at `SHARD_TRACK_BASE + s`, fleet drone `i` at track `i`) — never derived
 //! from OS thread ids — and `seq` counts per track in emission order.
 //! As long as each track is driven by one thread at a time (true for
 //! every site above), ids depend only on the simulation's own event
@@ -28,8 +27,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Track of the plan-ahead speculation worker.
-pub const SPECULATION_TRACK: u32 = 64;
 /// First track of the mission-service shard workers (shard `s` emits on
 /// `SHARD_TRACK_BASE + s`).
 pub const SHARD_TRACK_BASE: u32 = 128;
@@ -281,27 +278,6 @@ pub fn counter(kind: SpanKind, detail: &str, sim_time: f64, value: f64) {
         Some(detail.to_string()),
         &[],
     );
-}
-
-/// Begins an async span (`ph: "b"`). The caller owns the id; the
-/// deterministic convention is `(track << 32) | launch-counter`.
-/// No-op when disarmed.
-#[inline]
-pub fn async_begin(kind: SpanKind, id: u64, sim_time: f64, args: &[(&'static str, f64)]) {
-    if !armed() {
-        return;
-    }
-    emit(kind, TracePhase::AsyncBegin { id }, sim_time, 0, None, args);
-}
-
-/// Ends an async span (`ph: "e"`); pair by id with [`async_begin`].
-/// No-op when disarmed.
-#[inline]
-pub fn async_end(kind: SpanKind, id: u64, sim_time: f64, args: &[(&'static str, f64)]) {
-    if !armed() {
-        return;
-    }
-    emit(kind, TracePhase::AsyncEnd { id }, sim_time, 0, None, args);
 }
 
 /// A wall-clock stopwatch handed out only while armed, so disarmed call

@@ -78,8 +78,6 @@ impl Trace {
             w.string(match event.phase {
                 TracePhase::Complete { .. } => "X",
                 TracePhase::Instant => "i",
-                TracePhase::AsyncBegin { .. } => "b",
-                TracePhase::AsyncEnd { .. } => "e",
                 TracePhase::Counter { .. } => "C",
             });
             w.key("ts");
@@ -92,10 +90,6 @@ impl Trace {
                 TracePhase::Instant => {
                     w.key("s");
                     w.string("t");
-                }
-                TracePhase::AsyncBegin { id } | TracePhase::AsyncEnd { id } => {
-                    w.key("id");
-                    w.uint(id);
                 }
                 TracePhase::Counter { .. } => {}
             }
@@ -257,22 +251,19 @@ fn display_name(event: &TraceEvent) -> String {
 /// Validates a Chrome trace-event JSON document against the minimal
 /// schema the exporter promises: a top-level object with a
 /// `traceEvents` array whose members carry `name`/`cat`/`ph`/`ts`/
-/// `pid`/`tid`, `dur` on complete spans, `id` on async events, and
-/// balanced async begin/end pairs.
+/// `pid`/`tid`, and `dur` on complete spans.
 ///
-/// Returns `(events, async_pairs)` on success.
+/// Returns the number of events on success.
 ///
 /// # Errors
 ///
 /// Returns a description of the first schema violation.
-pub fn validate_chrome_trace(json: &str) -> Result<(usize, usize), String> {
+pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
     let doc = JsonValue::parse(json)?;
     let events = doc
         .get("traceEvents")
         .and_then(JsonValue::as_array)
         .ok_or("missing traceEvents array")?;
-    let mut open_async: Vec<(String, f64)> = Vec::new();
-    let mut pairs = 0usize;
     for (index, event) in events.iter().enumerate() {
         let context = |field: &str| format!("event {index}: missing or invalid {field}");
         let name = event
@@ -309,27 +300,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<(usize, usize), String> {
                     return Err(format!("event {index} ({name}): negative dur {dur}"));
                 }
             }
-            "b" => {
-                let id = event
-                    .get("id")
-                    .and_then(JsonValue::as_number)
-                    .ok_or_else(|| context("id"))?;
-                open_async.push((name.to_string(), id));
-            }
-            "e" => {
-                let id = event
-                    .get("id")
-                    .and_then(JsonValue::as_number)
-                    .ok_or_else(|| context("id"))?;
-                let position = open_async
-                    .iter()
-                    .position(|(n, i)| n == name && *i == id)
-                    .ok_or(format!(
-                        "event {index} ({name}): async end id {id} without begin"
-                    ))?;
-                open_async.remove(position);
-                pairs += 1;
-            }
             "i" | "C" => {}
             other => return Err(format!("event {index} ({name}): unknown ph {other:?}")),
         }
@@ -337,10 +307,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<(usize, usize), String> {
             return Err(format!("event {index} ({name}): non-finite ts"));
         }
     }
-    if let Some((name, id)) = open_async.first() {
-        return Err(format!("unbalanced async span {name} id {id}"));
-    }
-    Ok((events.len(), pairs))
+    Ok(events.len())
 }
 
 #[cfg(test)]
@@ -371,21 +338,7 @@ mod tests {
                 0,
                 1.0,
             ),
-            event(
-                SpanKind::Speculation,
-                TracePhase::AsyncBegin { id: 9 },
-                0,
-                1,
-                1.1,
-            ),
-            event(
-                SpanKind::Speculation,
-                TracePhase::AsyncEnd { id: 9 },
-                0,
-                2,
-                1.4,
-            ),
-            event(SpanKind::WatchdogFire, TracePhase::Instant, 0, 3, 1.2),
+            event(SpanKind::WatchdogFire, TracePhase::Instant, 0, 1, 1.2),
             event(
                 SpanKind::QueueDepth,
                 TracePhase::Counter { value: 3.0 },
@@ -396,26 +349,12 @@ mod tests {
         ];
         let trace = Trace::from_events(events);
         let json = trace.to_chrome_json("unit", true);
-        let (count, pairs) = validate_chrome_trace(&json).expect("schema-valid export");
-        assert_eq!(count, 5);
-        assert_eq!(pairs, 1);
+        let count = validate_chrome_trace(&json).expect("schema-valid export");
+        assert_eq!(count, 3);
         // Deterministic form: wall fields absent, rest identical in shape.
         let stable = trace.to_chrome_json("unit", false);
         assert!(!stable.contains("wall_ns"));
         validate_chrome_trace(&stable).expect("stable export is schema-valid too");
-    }
-
-    #[test]
-    fn validator_rejects_unbalanced_async() {
-        let events = vec![event(
-            SpanKind::Speculation,
-            TracePhase::AsyncBegin { id: 1 },
-            0,
-            0,
-            0.0,
-        )];
-        let json = Trace::from_events(events).to_chrome_json("unit", false);
-        assert!(validate_chrome_trace(&json).is_err());
     }
 
     #[test]

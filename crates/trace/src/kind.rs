@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// per-kind summary table and the Chrome-trace categories exhaustive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SpanKind {
-    /// One whole navigation decision: `[t, t + critical-path latency]`.
+    /// One whole navigation decision: `[t, t + latency]`.
     Decision,
     /// Point-cloud kernel stage of a decision.
     StagePointCloud,
@@ -18,9 +18,7 @@ pub enum SpanKind {
     StagePerception,
     /// Map pruning/export to the planner.
     StagePerceptionToPlanning,
-    /// Piece-wise planning + smoothing stage (critical-path share: the
-    /// masked plan-ahead portion is subtracted; see
-    /// [`crate::SpanKind::Speculation`]).
+    /// Piece-wise planning + smoothing stage.
     StagePlanning,
     /// Control-loop stage.
     StageControl,
@@ -32,9 +30,6 @@ pub enum SpanKind {
     /// drawn, tree size, rewires, collision queries, explored volume,
     /// volume cap).
     Plan,
-    /// Plan-ahead speculation lifetime, launch → adopt/patch/discard
-    /// (an async span; the id is deterministic per track + decision).
-    Speculation,
     /// One middleware bus publish (span length = mean transport latency).
     BusPublish,
     /// One middleware bus delivery (span from publish to ready time).
@@ -52,13 +47,11 @@ pub enum SpanKind {
     DegradationTransition,
     /// A fault frame perturbed this decision (instant).
     FaultInjected,
-    /// A speculation resolved (instant; detail = adopted/patched/discarded).
-    SpeculationOutcome,
 }
 
 impl SpanKind {
     /// Every kind, for summary tables and registry iteration.
-    pub const ALL: [SpanKind; 19] = [
+    pub const ALL: [SpanKind; 17] = [
         SpanKind::Decision,
         SpanKind::StagePointCloud,
         SpanKind::StagePerception,
@@ -68,7 +61,6 @@ impl SpanKind {
         SpanKind::StageCommunication,
         SpanKind::StageRuntime,
         SpanKind::Plan,
-        SpanKind::Speculation,
         SpanKind::BusPublish,
         SpanKind::BusDeliver,
         SpanKind::QueueDepth,
@@ -77,11 +69,10 @@ impl SpanKind {
         SpanKind::WatchdogFire,
         SpanKind::DegradationTransition,
         SpanKind::FaultInjected,
-        SpanKind::SpeculationOutcome,
     ];
 
     /// The seven decision-stage kinds, in pipeline order. Their spans
-    /// partition each decision's critical-path window, which is what
+    /// partition each decision's latency window, which is what
     /// makes the ≥95% coverage check hold by construction.
     pub const STAGES: [SpanKind; 7] = [
         SpanKind::StagePointCloud,
@@ -105,7 +96,6 @@ impl SpanKind {
             SpanKind::StageCommunication => "stage:communication",
             SpanKind::StageRuntime => "stage:runtime",
             SpanKind::Plan => "plan",
-            SpanKind::Speculation => "speculation",
             SpanKind::BusPublish => "bus:publish",
             SpanKind::BusDeliver => "bus:deliver",
             SpanKind::QueueDepth => "queue_depth",
@@ -114,7 +104,6 @@ impl SpanKind {
             SpanKind::WatchdogFire => "watchdog_fire",
             SpanKind::DegradationTransition => "degradation",
             SpanKind::FaultInjected => "fault_injected",
-            SpanKind::SpeculationOutcome => "speculation_outcome",
         }
     }
 
@@ -130,7 +119,7 @@ impl SpanKind {
             | SpanKind::StageControl
             | SpanKind::StageCommunication
             | SpanKind::StageRuntime => "decision",
-            SpanKind::Plan | SpanKind::Speculation | SpanKind::SpeculationOutcome => "planner",
+            SpanKind::Plan => "planner",
             SpanKind::BusPublish | SpanKind::BusDeliver | SpanKind::QueueDepth => "middleware",
             SpanKind::ShardRow | SpanKind::FleetTurn => "orchestration",
             SpanKind::WatchdogFire | SpanKind::DegradationTransition | SpanKind::FaultInjected => {
@@ -150,17 +139,6 @@ pub enum TracePhase {
     },
     /// An instant event (`ph: "i"`).
     Instant,
-    /// An async-span begin (`ph: "b"`); paired by `id` with the matching
-    /// [`TracePhase::AsyncEnd`].
-    AsyncBegin {
-        /// Deterministic pairing id (`track << 32 | sequence-at-launch`).
-        id: u64,
-    },
-    /// An async-span end (`ph: "e"`).
-    AsyncEnd {
-        /// Deterministic pairing id matching the begin event.
-        id: u64,
-    },
     /// A counter sample (`ph: "C"`).
     Counter {
         /// The sampled value.
@@ -179,7 +157,7 @@ pub enum TracePhase {
 pub struct TraceEvent {
     /// What kind of event this is (the registry entry).
     pub kind: SpanKind,
-    /// Span / instant / async / counter classification plus payload.
+    /// Span / instant / counter classification plus payload.
     pub phase: TracePhase,
     /// Explicitly assigned track (exported as `tid`); never an OS thread
     /// id — see the module docs of [`crate::collector`].

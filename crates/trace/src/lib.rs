@@ -10,7 +10,7 @@
 //!   ([`armed`]); when it returns `false` nothing else runs — no
 //!   allocation, no clock read, no formatting. The disarmed gate costs
 //!   at most a few nanoseconds per decision (measured by the
-//!   `trace_gate` group in the `kernel_scaling` bench), and the four
+//!   `trace_gate` group in the `kernel_scaling` bench), and the three
 //!   golden sweep fixtures regenerate byte-identical with tracing off.
 //! * **Enabled tracing never perturbs the simulation.** No
 //!   instrumentation point draws from, reseeds, or reorders any RNG
@@ -40,7 +40,7 @@ pub mod kind;
 
 pub use collector::{
     arm, armed, current_track, disarm, drain, dropped, flush, scoped, set_track, timer, timer_ns,
-    wall_now_ns, ScopedSpan, WallTimer, SHARD_TRACK_BASE, SPECULATION_TRACK,
+    wall_now_ns, ScopedSpan, WallTimer, SHARD_TRACK_BASE,
 };
 pub use export::{validate_chrome_trace, KindSummary, Trace};
 pub use json::{JsonValue, JsonWriter};

@@ -1,9 +1,8 @@
 //! Property tests for the collector's two structural guarantees:
 //!
-//! 1. **Spans stay balanced** — whatever mix of complete spans, scoped
-//!    spans, instants, counters and async begin/end pairs the
-//!    instrumentation emits, the exported Chrome trace validates and
-//!    every async begin finds its end.
+//! 1. **Exports validate** — whatever mix of complete spans, scoped
+//!    spans, instants and counters the instrumentation emits, the
+//!    exported Chrome trace validates and holds every event.
 //! 2. **Event ids are deterministic** — `(track, seq)` identifies an
 //!    event by the simulation's own emission order, so replaying the
 //!    same operation sequence yields bit-identical sim-time streams,
@@ -46,54 +45,29 @@ fn sim_key(e: &TraceEvent) -> SimKey {
 }
 
 /// Emits one event for op `i` with action `action` on the current track.
-/// Async begins return the id that must later be closed.
-fn emit(track: u32, action: u8, i: usize) -> Option<(SpanKind, u64)> {
+fn emit(action: u8, i: usize) {
     let t = i as f64 * 0.01;
-    match action % 5 {
-        0 => {
-            collector::complete(SpanKind::Decision, t, 0.005, 0, &[("op", i as f64)]);
-            None
-        }
-        1 => {
-            collector::instant(SpanKind::FaultInjected, t, &[]);
-            None
-        }
-        2 => {
-            collector::counter(SpanKind::QueueDepth, "/trace_props", t, i as f64);
-            None
-        }
-        3 => {
-            // Deterministic pairing id, same scheme the plan-ahead
-            // worker uses: track in the high half, op index below.
-            let id = ((track as u64) << 32) | i as u64;
-            collector::async_begin(SpanKind::Speculation, id, t, &[]);
-            Some((SpanKind::Speculation, id))
-        }
+    match action % 4 {
+        0 => collector::complete(SpanKind::Decision, t, 0.005, 0, &[("op", i as f64)]),
+        1 => collector::instant(SpanKind::FaultInjected, t, &[]),
+        2 => collector::counter(SpanKind::QueueDepth, "/trace_props", t, i as f64),
         _ => {
             let mut span = collector::scoped(SpanKind::ShardRow, t).expect("armed");
             span.set_sim_end(t + 0.002);
-            None
         }
     }
 }
 
 /// Runs one interleaved op sequence on a fresh thread and drains it.
-/// Every async begin is closed before disarming, so the resulting
-/// stream is balanced by construction — the property under test is
-/// that the *exporter agrees* and that ids replay identically.
+/// The property under test is that the *exporter agrees* and that ids
+/// replay identically.
 fn apply(ops: Vec<(u32, u8)>) -> Vec<TraceEvent> {
     std::thread::spawn(move || {
         let _ = collector::drain();
         collector::arm();
-        let mut open = Vec::new();
         for (i, &(track, action)) in ops.iter().enumerate() {
             collector::set_track(track);
-            if let Some(pair) = emit(track, action, i) {
-                open.push(pair);
-            }
-        }
-        for (j, (kind, id)) in open.into_iter().enumerate() {
-            collector::async_end(kind, id, 100.0 + j as f64, &[]);
+            emit(action, i);
         }
         collector::disarm();
         collector::set_track(0);
@@ -112,14 +86,8 @@ fn apply_parallel(per_track: Vec<Vec<u8>>) -> Vec<TraceEvent> {
             let track = 200 + t as u32;
             s.spawn(move || {
                 collector::set_track(track);
-                let mut open = Vec::new();
                 for (i, &action) in actions.iter().enumerate() {
-                    if let Some(pair) = emit(track, action, i) {
-                        open.push(pair);
-                    }
-                }
-                for (j, (kind, id)) in open.into_iter().enumerate() {
-                    collector::async_end(kind, id, 100.0 + j as f64, &[]);
+                    emit(action, i);
                 }
                 collector::flush();
             });
@@ -133,21 +101,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any interleaving of emission ops across tracks on one thread
-    /// yields (a) a schema-valid Chrome trace with every async span
-    /// paired, (b) dense per-track sequence numbers in emission order,
-    /// and (c) the exact same sim-time event stream when replayed.
+    /// yields (a) a schema-valid Chrome trace holding every event, (b)
+    /// dense per-track sequence numbers in emission order, and (c) the
+    /// exact same sim-time event stream when replayed.
     #[test]
-    fn spans_balance_and_ids_replay(ops in prop::collection::vec((0u32..4, 0u8..5), 0..48)) {
+    fn spans_balance_and_ids_replay(ops in prop::collection::vec((0u32..4, 0u8..4), 0..48)) {
         let _guard = TEST_LOCK.lock().unwrap();
         let first = apply(ops.clone());
 
-        // (a) exporter agrees the stream is balanced.
+        // (a) exporter agrees the stream is valid and complete.
         let trace = Trace::from_events(first.clone());
-        let asyncs = ops.iter().filter(|&&(_, a)| a % 5 == 3).count();
-        let (events, pairs) = validate_chrome_trace(&trace.to_chrome_json("props", false))
+        let events = validate_chrome_trace(&trace.to_chrome_json("props", false))
             .map_err(TestCaseError::Fail)?;
-        prop_assert_eq!(events, ops.len() + asyncs);
-        prop_assert_eq!(pairs, asyncs);
+        prop_assert_eq!(events, ops.len());
 
         // (b) per-track seqs are 0,1,2,... in emission order.
         let mut next = std::collections::HashMap::new();
@@ -170,7 +136,7 @@ proptest! {
     /// order in the sink is scheduler-dependent.
     #[test]
     fn per_track_ids_survive_thread_interleaving(
-        per_track in prop::collection::vec(prop::collection::vec(0u8..5, 1..24), 1..4),
+        per_track in prop::collection::vec(prop::collection::vec(0u8..4, 1..24), 1..4),
     ) {
         let _guard = TEST_LOCK.lock().unwrap();
         let first = apply_parallel(per_track.clone());
@@ -185,8 +151,7 @@ proptest! {
             };
             let first_track = project(&first);
             let second_track = project(&second);
-            let asyncs = actions.iter().filter(|&&a| a % 5 == 3).count();
-            prop_assert_eq!(first_track.len(), actions.len() + asyncs);
+            prop_assert_eq!(first_track.len(), actions.len());
             prop_assert_eq!(first_track, second_track, "track {} diverged", track);
         }
     }

@@ -36,14 +36,13 @@ fn main() {
             let m = &result.metrics;
             println!(
                 "  {:17} goal={:5} collided={:5}  t={:7.1} s  v={:4.2} m/s  \
-                 dynamic replans={:3}  predicted invalidations={}",
+                 dynamic replans={}",
                 format!("{mode:?}:"),
                 m.reached_goal,
                 m.collided,
                 m.mission_time,
                 m.mean_velocity,
                 m.dynamic_replans,
-                m.predicted_invalidations,
             );
         }
         println!();
