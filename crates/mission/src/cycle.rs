@@ -1515,3 +1515,35 @@ impl<'m> DecisionCycle<'m> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Retreat backs away from the nearest exported box; between boxes at
+    /// exactly the same surface distance it picks the one nearer the
+    /// export reference (centre distance²), then the smaller key.
+    #[test]
+    fn retreat_breaks_surface_distance_ties_by_reference_distance_then_key() {
+        // Two voxels 2 m either side of `pos` along x, at keys (4, 0, 0)
+        // and (-5, 0, 0) of a 0.5 m map.
+        let pos = Vec3::new(0.0, 0.25, 0.25);
+        let mut map = OccupancyMap::new(0.5);
+        let hits = vec![Vec3::new(2.25, 0.25, 0.25), Vec3::new(-2.25, 0.25, 0.25)];
+        map.integrate_cloud(&PointCloud::new(pos, hits), 0.5);
+        let retreat_from = |reference: Vec3| {
+            let export = PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, reference));
+            assert_eq!(export.len(), 2);
+            let trajectory = retreat_trajectory(&export, pos, 0.5);
+            let end = trajectory.end_position().expect("two-point retreat");
+            (end - pos).normalize()
+        };
+        // The +x voxel is nearer the reference: back away along −x.
+        assert_eq!(retreat_from(Vec3::new(1.0, 0.0, 0.0)), -Vec3::X);
+        // The −x voxel is nearer the reference: back away along +x.
+        assert_eq!(retreat_from(Vec3::new(-1.0, 0.0, 0.0)), Vec3::X);
+        // Equidistant from the reference too: the smaller key (−5, 0, 0)
+        // wins, so back away along +x.
+        assert_eq!(retreat_from(Vec3::new(0.0, 5.0, 1.0)), Vec3::X);
+    }
+}
