@@ -294,8 +294,13 @@ fn bench_export_precision(c: &mut Criterion) {
 /// map at the last pose, which after the first iteration changes nothing:
 /// every iteration pays the steady-state cost of one decision over a map
 /// of that size. Two knob sets: the oblivious baseline (0.3 m, unbounded
-/// export) and a binding 0.6 m budget, where only the kept prefix of the
-/// export is sorted.
+/// export, which copies the occupied block masks and ranks nothing) and a
+/// binding 0.6 m budget, which coarsens the masks and selects the kept
+/// voxels nearest first.
+///
+/// A second group prices the checker's input for one refresh:
+/// `planner_map_delta` diffs the 0.3 m unbounded exports of the last two
+/// scans, the `static_oblivious` shape.
 fn bench_perception_mission_map_step(c: &mut Criterion) {
     let env = EnvironmentGenerator::new(DifficultyConfig {
         goal_distance: 150.0,
@@ -306,12 +311,17 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     let heading = (env.goal() - env.start()).normalize();
     let mut mission_map = OccupancyMap::new(0.3);
     let mut last = None;
+    let mut exports = Vec::new();
     for i in 0..30 {
         let pose = Pose::new(env.start() + heading * (2.0 * i as f64), 0.0);
         let scan = rig.capture(env.field(), &pose);
         let cloud = PointCloud::new(pose.position, scan.points);
         mission_map.integrate_cloud(&cloud.downsampled(0.3), 0.5);
         mission_map.retain_within(pose.position, 70.0);
+        exports.push(PlannerMap::export(
+            &mission_map,
+            &ExportConfig::new(0.3, 1e9, pose.position),
+        ));
         last = Some((pose.position, cloud));
     }
     let (position, cloud) = last.expect("at least one scan");
@@ -354,6 +364,27 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    let [.., previous, current] = exports.as_slice() else {
+        unreachable!("thirty scans")
+    };
+    let delta = current.delta_from(previous).expect("same voxel size");
+    assert!(
+        !delta.is_empty(),
+        "consecutive scans must change the export"
+    );
+    let mut group = c.benchmark_group("planner_map_delta");
+    group.sample_size(20);
+    group.bench_function(
+        format!(
+            "0.3m/{}boxes_{}added_{}removed",
+            current.len(),
+            delta.added().len(),
+            delta.removed().len()
+        ),
+        |b| b.iter(|| std::hint::black_box(current.delta_from(previous)).map(|d| d.len())),
+    );
     group.finish();
 }
 

@@ -11,10 +11,9 @@
 //!
 //! # The `RingSearch` contract
 //!
-//! [`RingSearch`] is the single driver behind the four nearest-something
+//! [`RingSearch`] is the single driver behind the nearest-something
 //! queries that used to hand-roll the same loop
 //! (`PointGridIndex::nearest`, `ObstacleField::nearest_indexed`,
-//! `PlannerMap::distance_to_nearest`,
 //! `OccupancyMap::nearest_occupied_distance`). It enumerates the Chebyshev
 //! shells around the query's cell, from the first ring that can touch the
 //! occupied key bounds outward, and stops as soon as no further ring can

@@ -288,21 +288,32 @@ pub(crate) fn plan_through_hazards(
 /// A short, slow straight-line manoeuvre directly away from the nearest
 /// exported occupied box (straight up when the export is empty or the
 /// position is swallowed by a box), clipped so it does not run into
-/// other mapped occupancy. Used only to un-wedge a start-blocked drone
+/// other mapped occupancy. Boxes at the same surface distance go by the
+/// export's proximity rank: nearer the export reference first, then the
+/// smaller key. Used only to un-wedge a start-blocked drone
 /// in a dynamic mission: static missions never park inside the margin
 /// shell of mapped occupancy, but an escape manoeuvre or a passing actor
 /// can leave a dynamic one there, where every plan is start-blocked
 /// forever.
 pub fn retreat_trajectory(export: &PlannerMap, pos: Vec3, margin: f64) -> Trajectory {
     let away = export
-        .boxes()
-        .iter()
-        .min_by(|a, b| {
-            a.distance_to_point(pos)
-                .partial_cmp(&b.distance_to_point(pos))
-                .expect("distances are never NaN")
+        .occupied_keys()
+        .map(|key| {
+            let b = export.key_box(key);
+            (
+                b.distance_to_point(pos),
+                export.reference_distance_squared(key),
+                key,
+                b,
+            )
         })
-        .map(|b| pos - b.closest_point(pos))
+        .min_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("distances are never NaN")
+                .then(a.1.total_cmp(&b.1))
+                .then(a.2.cmp(&b.2))
+        })
+        .map(|(_, _, _, b)| pos - b.closest_point(pos))
         .and_then(|v| v.try_normalize())
         .unwrap_or(Vec3::Z);
     let mut length: f64 = 0.5;

@@ -10,12 +10,32 @@
 //!   limiting the planner's knowledge of the world. [...] we prune the map,
 //!   encoded in a tree, by selecting higher level trees (in the sorted
 //!   order) until the threshold is reached", sorted by proximity to the MAV.
+//!
+//! # One mask set
+//!
+//! A [`PlannerMap`] holds its voxels once, as the occupancy map holds
+//! them: one 512-bit mask per 8³ block, keyed by `key >> 3` (word `x & 7`,
+//! bit `(y & 7) << 3 | (z & 7)`), plus a voxel count. The export works on
+//! those masks directly:
+//!
+//! * **Coarsening is a shift.** The export precision is `res · 2^level`
+//!   (see [`roborun_geom::snap_to_lattice`]), and the coarse voxel holding
+//!   fine voxel `k`'s centre is `k >> level`: `(k + 0.5) / 2^level` stays
+//!   at least `2^-(level+1)` away from an integer, far beyond rounding. An
+//!   8³ fine block therefore lands in the single coarse block
+//!   `block >> level`, so the export costs one hash lookup per occupied
+//!   block, and at level 0 it copies the occupied masks unchanged.
+//! * **Ranking only under a binding budget.** Voxels are kept nearest
+//!   first until the volume budget is spent; when the budget keeps every
+//!   voxel nothing is ranked. Otherwise the voxels are ranked by
+//!   `(centre distance² to the reference, key)` and only the kept ones are
+//!   selected, never sorted: the map stores no order.
+//! * **Diffs are mask differences.** [`PlannerMap::delta_from`] takes
+//!   `new & !old` and `old & !new` block by block.
 
-use crate::occupancy::{block_of, slot_of};
+use crate::occupancy::{block_of, mask_has, mask_keys, mask_len, slot_of, BlockMask};
 use crate::OccupancyMap;
-use roborun_geom::{
-    snap_to_lattice, Aabb, FxHashMap, FxHashSet, RingSearch, RingSearchOutcome, Vec3, VoxelKey,
-};
+use roborun_geom::{snap_to_lattice, Aabb, FxHashMap, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one export (the two perception-to-planning knobs plus
@@ -49,7 +69,11 @@ impl ExportConfig {
     }
 }
 
-/// The planner's view of the world: coarse occupied boxes near the MAV.
+/// The planner's view of the world: coarse occupied voxels near the MAV.
+///
+/// Every exported voxel is one box of edge [`PlannerMap::voxel_size`]; the
+/// map holds them as block masks (see the module docs) and exposes them by
+/// key ([`PlannerMap::occupied_keys`], [`PlannerMap::key_box`]).
 ///
 /// # Example
 ///
@@ -65,20 +89,15 @@ impl ExportConfig {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlannerMap {
     voxel_size: f64,
-    boxes: Vec<Aabb>,
-    /// Occupied voxel keys at `voxel_size` resolution, for O(1) point
-    /// queries (the collision checker calls `is_occupied` millions of times
-    /// during an RRT* search).
-    keys: FxHashSet<VoxelKey>,
-    /// The same keys as one 512-bit mask per 8³ block of voxels, keyed by
-    /// `key >> 3` (word `x & 7`, bit `(y & 7) << 3 | (z & 7)`): the
-    /// neighbourhood scan of [`PlannerMap::is_occupied`] costs a few block
-    /// lookups and bit tests instead of one hash probe per voxel.
-    masks: FxHashMap<VoxelKey, [u64; 8]>,
-    /// Key-space bounds of `keys` (valid when non-empty) — they cap the
-    /// expanding-ring search of [`PlannerMap::distance_to_nearest`].
-    key_min: VoxelKey,
-    key_max: VoxelKey,
+    /// The position the export ranked voxels by.
+    reference: Vec3,
+    /// Exported voxels as one 512-bit mask per 8³ block (see the module
+    /// docs): the neighbourhood scan of [`PlannerMap::is_occupied`] costs
+    /// a few block lookups and bit tests instead of one hash probe per
+    /// voxel. Empty masks are never stored.
+    masks: FxHashMap<VoxelKey, BlockMask>,
+    /// Number of bits set in `masks`.
+    len: usize,
 }
 
 impl PlannerMap {
@@ -86,11 +105,9 @@ impl PlannerMap {
     pub fn empty(voxel_size: f64) -> Self {
         PlannerMap {
             voxel_size,
-            boxes: Vec::new(),
-            keys: FxHashSet::default(),
+            reference: Vec3::ZERO,
             masks: FxHashMap::default(),
-            key_min: VoxelKey { x: 0, y: 0, z: 0 },
-            key_max: VoxelKey { x: 0, y: 0, z: 0 },
+            len: 0,
         }
     }
 
@@ -99,63 +116,77 @@ impl PlannerMap {
     pub fn export(map: &OccupancyMap, config: &ExportConfig) -> Self {
         // Snap to the power-of-two lattice rooted at the map resolution.
         // Eight levels cover a 128x coarsening, far beyond Table II's range.
-        let precision =
-            snap_to_lattice(config.precision.max(map.resolution()), map.resolution(), 8);
+        let res = map.resolution();
+        let precision = snap_to_lattice(config.precision.max(res), res, 8);
+        // The lattice is `res · 2^level` exactly, so the ratio is too.
+        let level = ((precision / res) as u64).trailing_zeros();
+        debug_assert_eq!(precision, res * (1u64 << level) as f64);
 
-        // Re-key occupied voxels at the export resolution (tree pruning).
-        // The set's capacity only affects its iteration order, which the
-        // ranking below erases.
-        let mut coarse: FxHashSet<VoxelKey> =
-            FxHashSet::with_capacity_and_hasher(map.stats().occupied, Default::default());
-        for (key, _) in map.occupied_voxels() {
-            let center = key.center(map.resolution());
-            coarse.insert(VoxelKey::from_point(center, precision));
+        // Re-key occupied voxels at the export resolution (tree pruning),
+        // block by block (see the module docs).
+        let masks = if level == 0 {
+            map.occupied_masks().clone()
+        } else {
+            let shift = |k: VoxelKey| VoxelKey {
+                x: k.x >> level,
+                y: k.y >> level,
+                z: k.z >> level,
+            };
+            let mut coarse: FxHashMap<VoxelKey, BlockMask> = FxHashMap::default();
+            for (block, mask) in map.occupied_masks() {
+                let target = coarse.entry(shift(*block)).or_default();
+                for key in mask_keys(*block, *mask) {
+                    let (word, bit) = slot_of(shift(key));
+                    target[word] |= bit;
+                }
+            }
+            coarse
+        };
+        let export = PlannerMap {
+            voxel_size: precision,
+            reference: config.reference,
+            len: masks.values().map(mask_len).sum(),
+            masks,
+        };
+
+        // Keep voxels nearest the MAV first until the exported volume
+        // exceeds the budget. The kept count depends only on how many
+        // voxels there are, so ranking is needed only when it binds, and
+        // then only the kept voxels are selected. Squared distances are
+        // never negative (nor -0.0), so their bit patterns order exactly
+        // as the values do; keys are unique, so (distance², key) is a
+        // total order and the selection is exactly a full sort's prefix.
+        let kept = kept_count(export.len, precision.powi(3), config.max_volume);
+        if kept == export.len {
+            return export;
         }
-
-        // Rank coarse voxels by proximity to the MAV and keep them until the
-        // exported volume exceeds the budget. The kept count depends only
-        // on how many voxels there are, so only the kept prefix is sorted.
-        // Squared distances are never negative (nor -0.0), so their bit
-        // patterns order exactly as the values do; keys are unique, so
-        // (distance², key) is a total order and the prefix comes out
-        // exactly as a full sort would order it.
-        let mut ranked: Vec<(u64, VoxelKey)> = coarse
-            .into_iter()
-            .map(|key| {
-                let d2 = key.center(precision).distance_squared(config.reference);
-                assert!(!d2.is_nan(), "distances are never NaN");
-                (d2.to_bits(), key)
-            })
+        let mut ranked: Vec<(u64, VoxelKey)> = export
+            .occupied_keys()
+            .map(|key| (export.reference_distance_squared(key).to_bits(), key))
             .collect();
-        let kept = kept_count(ranked.len(), precision.powi(3), config.max_volume);
-        if kept < ranked.len() {
-            ranked.select_nth_unstable(kept);
-            ranked.truncate(kept);
-        }
-        ranked.sort_unstable();
-        PlannerMap::from_keys(precision, ranked.into_iter().map(|(_, key)| key))
+        ranked.select_nth_unstable(kept);
+        ranked.truncate(kept);
+        PlannerMap::from_keys(
+            precision,
+            config.reference,
+            ranked.into_iter().map(|(_, key)| key),
+        )
     }
 
-    /// A planner map of the voxels `keys` at `voxel_size`, one box per
-    /// distinct key, boxes in the order the keys come.
-    pub fn from_keys(voxel_size: f64, keys: impl IntoIterator<Item = VoxelKey>) -> Self {
-        let keys = keys.into_iter();
+    /// A planner map of the voxels `keys` at `voxel_size` (a repeated key
+    /// counts once), exported around `reference`.
+    pub fn from_keys(
+        voxel_size: f64,
+        reference: Vec3,
+        keys: impl IntoIterator<Item = VoxelKey>,
+    ) -> Self {
         let mut map = PlannerMap::empty(voxel_size);
-        map.boxes.reserve(keys.size_hint().0);
+        map.reference = reference;
         for key in keys {
-            if !map.keys.insert(key) {
-                continue;
-            }
-            if map.boxes.is_empty() {
-                map.key_min = key;
-                map.key_max = key;
-            } else {
-                map.key_min = map.key_min.componentwise_min(key);
-                map.key_max = map.key_max.componentwise_max(key);
-            }
-            map.boxes.push(map.key_box(key));
             let (word, bit) = slot_of(key);
-            map.masks.entry(block_of(key)).or_default()[word] |= bit;
+            let mask = map.masks.entry(block_of(key)).or_default();
+            map.len += usize::from(mask[word] & bit == 0);
+            mask[word] |= bit;
         }
         map
     }
@@ -165,26 +196,29 @@ impl PlannerMap {
         self.voxel_size
     }
 
-    /// The exported occupied boxes.
-    pub fn boxes(&self) -> &[Aabb] {
-        &self.boxes
+    /// Squared distance from the centre of voxel `key` to the position the
+    /// export ranked voxels by (the MAV at export time) — the export's
+    /// proximity rank.
+    pub fn reference_distance_squared(&self, key: VoxelKey) -> f64 {
+        let d2 = key.center(self.voxel_size).distance_squared(self.reference);
+        assert!(!d2.is_nan(), "distances are never NaN");
+        d2
     }
 
     /// Number of exported boxes.
     pub fn len(&self) -> usize {
-        self.boxes.len()
+        self.len
     }
 
     /// `true` when nothing was exported.
     pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
+        self.len == 0
     }
 
     /// Total exported occupied volume (m³).
     pub fn occupied_volume(&self) -> f64 {
-        self.boxes.len() as f64 * self.voxel_size.powi(3)
+        self.len as f64 * self.voxel_size.powi(3)
     }
-
     /// `true` when `p` lies within `margin` of any exported occupied box.
     ///
     /// Implemented as a local voxel-neighbourhood scan over the occupancy
@@ -192,7 +226,7 @@ impl PlannerMap {
     /// `O((margin / voxel_size + 2)³)` bit tests regardless of how many
     /// boxes were exported.
     pub fn is_occupied(&self, p: Vec3, margin: f64) -> bool {
-        if self.keys.is_empty() {
+        if self.is_empty() {
             return false;
         }
         // A box within `margin` of `p` has its closest point within
@@ -261,40 +295,6 @@ impl PlannerMap {
         false
     }
 
-    /// Distance from `p` to the nearest exported box surface, or `None`
-    /// when the map is empty.
-    ///
-    /// Searches voxel keys in expanding Chebyshev rings around `p`, so the
-    /// cost depends on how close the nearest box is, not on how many boxes
-    /// were exported; once the ring search would visit more cells than a
-    /// scan of the box list, it falls back to the linear reference (whose
-    /// result is identical).
-    pub fn distance_to_nearest(&self, p: Vec3) -> Option<f64> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mut best: Option<f64> = None;
-        let outcome = RingSearch::new(self.voxel_size, self.key_min, self.key_max)
-            .with_fallback_budget(2 * self.keys.len())
-            .run(p, None, |key| {
-                if self.keys.contains(&key) {
-                    let b = Aabb::from_center_half_extents(
-                        key.center(self.voxel_size),
-                        Vec3::splat(self.voxel_size * 0.5),
-                    );
-                    let d = b.distance_to_point(p);
-                    if best.map(|bd| d < bd).unwrap_or(true) {
-                        best = Some(d);
-                    }
-                }
-                best.map(|d| d * d)
-            });
-        if outcome == RingSearchOutcome::BudgetExhausted {
-            return self.distance_to_nearest_linear(p);
-        }
-        best
-    }
-
     /// The occupied voxel keys of the export, in no particular order.
     ///
     /// Every exported box is exactly one voxel at [`PlannerMap::voxel_size`]
@@ -302,12 +302,14 @@ impl PlannerMap {
     /// derived per-box state (the collision checker's broad-phase) address
     /// it by key and patch it from a [`PlannerMapDelta`].
     pub fn occupied_keys(&self) -> impl Iterator<Item = VoxelKey> + '_ {
-        self.keys.iter().copied()
+        self.masks
+            .iter()
+            .flat_map(|(block, mask)| mask_keys(*block, *mask))
     }
 
     /// `true` when `key` is one of the exported occupied voxels.
     pub fn contains_key(&self, key: VoxelKey) -> bool {
-        self.keys.contains(&key)
+        mask_has(&self.masks, key)
     }
 
     /// The axis-aligned box of one exported voxel key.
@@ -330,40 +332,28 @@ impl PlannerMap {
         if self.voxel_size != previous.voxel_size {
             return None;
         }
-        let added = self
-            .keys
-            .iter()
-            .filter(|k| !previous.keys.contains(k))
-            .copied()
-            .collect();
-        let removed = previous
-            .keys
-            .iter()
-            .filter(|k| !self.keys.contains(k))
-            .copied()
-            .collect();
         Some(PlannerMapDelta {
             voxel_size: self.voxel_size,
-            added,
-            removed,
+            added: mask_difference(&self.masks, &previous.masks),
+            removed: mask_difference(&previous.masks, &self.masks),
         })
     }
+}
 
-    /// Linear-scan reference for [`PlannerMap::distance_to_nearest`] —
-    /// retained for the equivalence proptests and benches.
-    pub fn distance_to_nearest_linear(&self, p: Vec3) -> Option<f64> {
-        self.boxes
-            .iter()
-            .map(|b| b.distance_to_point(p))
-            .min_by(|a, b| a.partial_cmp(b).expect("distances are never NaN"))
+/// The keys set in `masks` but not in `other`, block by block.
+fn mask_difference(
+    masks: &FxHashMap<VoxelKey, BlockMask>,
+    other: &FxHashMap<VoxelKey, BlockMask>,
+) -> Vec<VoxelKey> {
+    let mut keys = Vec::new();
+    for (block, mask) in masks {
+        let only = match other.get(block) {
+            Some(old) => std::array::from_fn(|w| mask[w] & !old[w]),
+            None => *mask,
+        };
+        keys.extend(mask_keys(*block, only));
     }
-
-    /// Bounds enclosing every exported box, or `None` when empty.
-    pub fn bounds(&self) -> Option<Aabb> {
-        let mut iter = self.boxes.iter();
-        let first = *iter.next()?;
-        Some(iter.fold(first, |acc, b| Aabb::union(&acc, b)))
-    }
+    keys
 }
 
 /// How many of `available` voxels of volume `voxel_volume` an export with
@@ -509,8 +499,7 @@ mod tests {
         let pm = PlannerMap::export(&map, &ExportConfig::new(0.3, 0.0, Vec3::ZERO));
         assert!(pm.is_empty());
         assert_eq!(pm.occupied_volume(), 0.0);
-        assert!(pm.distance_to_nearest(Vec3::ZERO).is_none());
-        assert!(pm.bounds().is_none());
+        assert!(pm.occupied_keys().next().is_none());
     }
 
     #[test]
@@ -529,18 +518,6 @@ mod tests {
         let pm = PlannerMap::export(&map, &ExportConfig::new(0.6, 1e6, Vec3::ZERO));
         assert!(pm.is_empty());
         assert_eq!(PlannerMap::empty(0.5).len(), 0);
-    }
-
-    #[test]
-    fn distance_and_bounds_queries() {
-        let map = wall_map();
-        let pm = PlannerMap::export(&map, &ExportConfig::new(0.3, 1e9, Vec3::new(0.0, 0.0, 5.0)));
-        let d = pm.distance_to_nearest(Vec3::new(0.0, 0.0, 5.0)).unwrap();
-        assert!(d > 10.0 && d < 12.5, "distance {d}");
-        let bounds = pm.bounds().unwrap();
-        for b in pm.boxes() {
-            assert!(bounds.contains_aabb(b));
-        }
     }
 
     #[test]

@@ -14,16 +14,16 @@
 //!
 //! Voxels live in 8³ blocks, the cells of edge `BLOCK_EDGE · resolution`
 //! (integer key division, so block membership is exact). A block's voxels
-//! are bits of a 512-bit mask laid out like [`crate::PlannerMap`]'s: the
-//! voxel `key` is word `x & 7`, bit `(y & 7) << 3 | (z & 7)`. The store is
-//! two maps of such masks keyed by `key >> 3`: *known* masks mark observed
-//! voxels, *occupied* masks (always subsets of the known ones) the
-//! occupied voxels. A mask that empties is removed, so the known map holds
-//! exactly the blocks with an observed voxel and the occupied map exactly
-//! the blocks with an occupied one — far fewer in a mission's map, which
-//! free voxels dominate. Counters of known and occupied voxels answer
-//! [`OccupancyMap::len`], [`OccupancyMap::known_volume`] and
-//! [`OccupancyMap::stats`] without a scan.
+//! are bits of a 512-bit mask: the voxel `key` is word `x & 7`, bit
+//! `(y & 7) << 3 | (z & 7)`. The store is two maps of such masks keyed by
+//! `key >> 3`: *known* masks mark observed voxels, *occupied* masks
+//! (always subsets of the known ones) the occupied voxels. A mask that
+//! empties is removed, so the known map holds exactly the blocks with an
+//! observed voxel and the occupied map exactly the blocks with an occupied
+//! one — far fewer in a mission's map, which free voxels dominate.
+//! Counters of known and occupied voxels answer [`OccupancyMap::len`],
+//! [`OccupancyMap::known_volume`] and [`OccupancyMap::stats`] without a
+//! scan.
 //!
 //! The per-decision operations cost what the MAV's neighbourhood holds,
 //! not what the mission has seen:
@@ -78,7 +78,7 @@ pub(crate) fn slot_of(key: VoxelKey) -> (usize, u64) {
 }
 
 /// The keys of the bits set in `mask`, one of the masks of block `block`.
-fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey> {
+pub(crate) fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey> {
     mask.into_iter().enumerate().flat_map(move |(x, word)| {
         let mut bits = word;
         std::iter::from_fn(move || {
@@ -97,15 +97,15 @@ fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey>
 }
 
 /// The voxels of one 8³ block as a 512-bit mask (see the module docs).
-type BlockMask = [u64; 8];
+pub(crate) type BlockMask = [u64; 8];
 
 /// Number of bits set in a block mask.
-fn mask_len(mask: &BlockMask) -> usize {
+pub(crate) fn mask_len(mask: &BlockMask) -> usize {
     mask.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 /// `true` when the mask of `key`'s block in `masks` has `key`'s bit set.
-fn mask_has(masks: &FxHashMap<VoxelKey, BlockMask>, key: VoxelKey) -> bool {
+pub(crate) fn mask_has(masks: &FxHashMap<VoxelKey, BlockMask>, key: VoxelKey) -> bool {
     let (word, bit) = slot_of(key);
     masks
         .get(&block_of(key))
@@ -681,6 +681,12 @@ impl OccupancyMap {
             .iter()
             .flat_map(|(block, mask)| mask_keys(*block, *mask))
             .map(move |k| (k, voxel_bounds(k, res)))
+    }
+
+    /// The occupied masks, keyed by block (see the module docs) — the
+    /// source [`crate::PlannerMap::export`] re-keys block by block.
+    pub(crate) fn occupied_masks(&self) -> &FxHashMap<VoxelKey, BlockMask> {
+        &self.occupied
     }
 
     /// The occupied voxels whose bounds lie within `radius` of `center`

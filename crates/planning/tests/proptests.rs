@@ -224,7 +224,9 @@ proptest! {
             // Probes at random and just inside / outside the margin of a
             // few exported boxes, where covered and uncovered cells meet.
             let mut probes = roborun_conformance::boundary_probes(i as u64, 0.5);
-            for b in export.boxes().iter().take(6) {
+            let few_boxes: Vec<Aabb> =
+                export.occupied_keys().take(6).map(|k| export.key_box(k)).collect();
+            for b in &few_boxes {
                 for d in [margin - 0.01, margin + 0.01, margin + 0.3] {
                     probes.push(Vec3::new(b.max.x + d, b.center().y, b.center().z));
                     probes.push(b.min - Vec3::splat(d / 3f64.sqrt()));
@@ -241,7 +243,7 @@ proptest! {
             }
             // Segments along y and z past those boxes cross bricks while
             // their other coordinates stay put; every sample must match.
-            for b in export.boxes().iter().take(6) {
+            for b in &few_boxes {
                 for d in [margin - 0.01, margin + 0.3] {
                     let a = Vec3::new(b.max.x + d, b.center().y - 6.0, b.center().z);
                     for end in [a + Vec3::new(0.0, 12.0, 0.0), a + Vec3::new(0.0, 6.0, 6.0)] {
@@ -294,7 +296,7 @@ proptest! {
         }
 
         // Predicted-hazard and posterior polyline walks.
-        let boxes: Vec<Aabb> = map.boxes().to_vec();
+        let boxes: Vec<Aabb> = map.occupied_keys().map(|k| map.key_box(k)).collect();
         let origin = Vec3::new(0.0, 0.0, 5.0);
         let hazards = PredictedHazards::new(boxes.clone(), 0.45, origin, 1e9);
         prop_assert_eq!(
