@@ -232,7 +232,7 @@ fn bench_collision_frontier_delta(c: &mut Criterion) {
 /// independently, or survey once and hand each mission an `Arc`-shared
 /// clone. The clone is a copy-on-write handle — `update_map` detaches —
 /// so per-mission cost drops from a full broad-phase build to a
-/// shallow copy (the `bench7` experiment reports the wall-clock ratio).
+/// shallow copy.
 fn bench_shared_world_amortization(c: &mut Criterion) {
     use roborun_mission::SharedStaticWorld;
     let env = EnvironmentGenerator::new(DifficultyConfig {
@@ -1069,9 +1069,9 @@ fn bench_predicted_costmap(c: &mut Criterion) {
 
 /// The sampling mix on the lane-heavy predicted-costmap fixture at an
 /// identical 2000-sample budget: uniform vs hazard-biased proposals.
-/// The mix's headline win is samples-to-solution (bench8 records the
-/// ladder); this entry tracks the per-sample overhead of the region
-/// draws so the proposal machinery itself stays cheap.
+/// The mix's headline win is samples-to-solution; this entry tracks the
+/// per-sample overhead of the region draws so the proposal machinery
+/// itself stays cheap.
 fn bench_rrtstar_sampling_mix(c: &mut Criterion) {
     use roborun_planning::{HazardContext, PredictedHazards, SamplingMix};
     let map = {
@@ -1145,8 +1145,7 @@ fn bench_aabb_dispatch_width(c: &mut Criterion) {
 }
 
 /// Peer-corridor point queries at K committed peers (64-waypoint
-/// corridors each): the BENCH_7 scaling row that motivated the
-/// candidate grid. Grid-backed, the cost per query is set by cell
+/// corridors each): the scaling that motivated the candidate grid. Grid-backed, the cost per query is set by cell
 /// occupancy, not the flat box count — the K rows sit on top of each
 /// other instead of scaling linearly.
 fn bench_peer_hazard_point_queries(c: &mut Criterion) {

@@ -15,7 +15,8 @@
 //! like Fig. 7) or a CSV series (for curve figures like Fig. 2/5/10/11)
 //! that can be plotted with any external tool. Experiments are named
 //! after the paper figure or table they regenerate (`fig7`, `table2`, …);
-//! the `benchN` experiments write the committed `BENCH_N.json` records.
+//! `trace` writes Chrome-trace exports of representative missions into
+//! `out/`.
 
 use roborun_core::latency_model::LatencySample;
 use roborun_core::{
@@ -112,479 +113,9 @@ fn main() {
     if want("fault_sweep") {
         fault_sweep();
     }
-    if want("bench7") {
-        bench7();
-    }
-    if want("bench8") {
-        bench8();
-    }
     if want("trace") {
         trace_export(full);
     }
-    if want("bench9") {
-        bench9();
-    }
-    if want("trajectory") {
-        trajectory();
-    }
-}
-
-/// Raw-speed kernel campaign: hazard-biased RRT* sampling vs uniform on
-/// the lane-heavy one-shot fixture, 4-wide vs 8-wide AABB broad-phase
-/// dispatch, the gridded
-/// peer-query rerun, and a multicore mode (`ROBORUN_BENCH_THREADS`) for
-/// the sweep / mission-service rows. Emits `BENCH_8.json`.
-fn bench8() {
-    use roborun_env::{Obstacle, ObstacleField};
-    use roborun_geom::{Aabb, Ray, SimdWidth, SplitMix64, Vec3};
-    use roborun_mission::{MissionService, ServiceConfig};
-    use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-    use roborun_planning::{
-        CollisionChecker, HazardContext, PredictedHazards, RrtConfig, RrtStar, SamplingMix,
-    };
-    use std::time::Instant;
-
-    println!("## Bench 8 — raw-speed kernels: biased sampling, 8-wide AABB\n");
-
-    let cores = roborun_trace::host_cores();
-    // The multicore bench mode: ROBORUN_BENCH_THREADS pins the worker
-    // count of every threaded row below; unset picks the machine width.
-    let bench_threads: Option<usize> = std::env::var("ROBORUN_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let threads = bench_threads.unwrap_or(cores);
-    println!(
-        "(host has {cores} core(s); thread mode: {})\n",
-        bench_threads.map_or("auto".to_string(), |t| format!("pinned to {t}"))
-    );
-
-    // --- Hazard-biased sampling on the lane-heavy one-shot fixture ----
-    // The predicted_costmap fixture: a wall at x = 20 with one gap at
-    // y in [4, 9], and a predicted lane past it blocking the straight
-    // exit. Gap regions derived from the lane guide proposals into the
-    // southern dip the detour needs.
-    let map = {
-        let mut map = OccupancyMap::new(0.5);
-        let origin = Vec3::new(0.0, 0.0, 5.0);
-        let mut points = Vec::new();
-        for yi in -60..=60 {
-            let y = yi as f64 * 0.5;
-            if (4.0..=9.0).contains(&y) {
-                continue;
-            }
-            for zi in 0..24 {
-                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
-            }
-        }
-        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
-        PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin))
-    };
-    let lanes = vec![Aabb::new(
-        Vec3::new(26.0, 2.0, 0.0),
-        Vec3::new(29.0, 25.0, 12.0),
-    )];
-    let start = Vec3::new(0.0, 0.0, 5.0);
-    let goal = Vec3::new(40.0, 0.0, 5.0);
-    let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 12.0));
-    let clearance = 0.45 * 0.6;
-    let mixes = [
-        ("uniform", SamplingMix::default()),
-        (
-            "biased",
-            SamplingMix {
-                enabled: true,
-                ..SamplingMix::default()
-            },
-        ),
-    ];
-    let run_plan = |seed: u64, mix: SamplingMix, max_samples: usize| {
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples,
-            sampling_mix: mix,
-            ..RrtConfig::default()
-        });
-        let hazards = PredictedHazards::new(lanes.clone(), clearance, start, 1e9);
-        let mut checker = CollisionChecker::new(map.clone(), 0.45, 0.3);
-        let mut ctx = HazardContext::new(&mut checker, &hazards);
-        planner.plan(&mut ctx, start, goal, &bounds)
-    };
-    // Samples to first solution: the search never stops early, so the
-    // metric is the smallest max_samples rung that yields a path.
-    let ladder = [25usize, 50, 100, 200, 400, 800, 1600, 3200, 6400];
-    let seeds = 8u64;
-    let mut sampling_rows = Vec::new();
-    for (label, mix) in mixes {
-        let mut to_solution = 0usize;
-        for seed in 0..seeds {
-            to_solution += ladder
-                .iter()
-                .copied()
-                .find(|&n| run_plan(seed, mix, n).found())
-                .unwrap_or(*ladder.last().unwrap());
-        }
-        let wall = Instant::now();
-        let mut cost = 0.0;
-        for seed in 0..seeds {
-            cost += run_plan(seed, mix, 2_000).cost;
-        }
-        let ms = wall.elapsed().as_secs_f64() * 1e3 / seeds as f64;
-        let mean_to_solution = to_solution as f64 / seeds as f64;
-        let mean_cost = cost / seeds as f64;
-        println!(
-            "sampling  {label:<8} {mean_to_solution:>6.0} samples to solution  \
-             {ms:>7.2} ms/plan @2000  mean cost {mean_cost:.2} m"
-        );
-        sampling_rows.push((label, mean_to_solution, ms, mean_cost));
-    }
-    let sample_reduction = sampling_rows[0].1 / sampling_rows[1].1;
-    let cost_ratio = sampling_rows[1].3 / sampling_rows[0].3;
-    println!(
-        "sampling  biased draws {sample_reduction:.1}x fewer samples to solution \
-         (cost ratio {cost_ratio:.3})\n"
-    );
-
-    // --- 4-wide vs 8-wide AABB broad-phase dispatch -------------------
-    // Same world, same rays, both forced widths: identical hits (width
-    // changes throughput, never results), throughput recorded per ray.
-    let obstacles: Vec<Obstacle> = {
-        let mut rng = SplitMix64::new(10_000);
-        (0..10_000u32)
-            .map(|id| {
-                let center = Vec3::new(
-                    rng.uniform(5.0, 185.0),
-                    rng.uniform(-90.0, 90.0),
-                    rng.uniform(0.0, 12.0),
-                );
-                let half = Vec3::new(
-                    rng.uniform(0.4, 2.0),
-                    rng.uniform(0.4, 2.0),
-                    rng.uniform(0.4, 3.0),
-                );
-                Obstacle::new(id, Aabb::from_center_half_extents(center, half))
-            })
-            .collect()
-    };
-    let rays: Vec<Ray> = {
-        let mut rng = SplitMix64::new(99);
-        (0..512)
-            .map(|_| {
-                let origin = Vec3::new(0.0, rng.uniform(-10.0, 10.0), rng.uniform(2.0, 8.0));
-                let yaw = rng.uniform(-0.9, 0.9);
-                let pitch = rng.uniform(-0.3, 0.3);
-                Ray::new(origin, Vec3::new(yaw.cos(), yaw.sin(), pitch.sin()))
-            })
-            .collect()
-    };
-    let mut width_rows = Vec::new();
-    let mut checksums = Vec::new();
-    for width in [SimdWidth::W4, SimdWidth::W8] {
-        let field = ObstacleField::with_simd_width(obstacles.clone(), width);
-        let rounds = 40usize;
-        let wall = Instant::now();
-        let mut checksum = 0.0f64;
-        for _ in 0..rounds {
-            for ray in &rays {
-                if let Some(hit) = field.raycast(ray, 120.0) {
-                    checksum += hit.distance;
-                }
-            }
-        }
-        let ns_per_ray = wall.elapsed().as_secs_f64() * 1e9 / (rounds * rays.len()) as f64;
-        println!(
-            "raycast   {} lanes  {ns_per_ray:>7.0} ns/ray over {} obstacles",
-            width.lanes(),
-            obstacles.len()
-        );
-        width_rows.push((width.lanes(), ns_per_ray));
-        checksums.push(checksum.to_bits());
-    }
-    assert_eq!(checksums[0], checksums[1], "W4 and W8 raycasts diverged");
-    println!();
-
-    // --- Peer-hazard query scaling rerun (now grid-backed) ------------
-    // The BENCH_7 scaling row that motivated the candidate grid: point
-    // queries against K committed peer corridors. With >= 16 flat boxes
-    // the grid makes the probe a hash lookup plus a few exact tests.
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer grid K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-    println!();
-
-    // --- Multicore mode: sweep, mission service ----------------------
-    // Both threaded rows honour the pinned width.
-    let mut sweep_request = SweepConfig::quick(41);
-    sweep_request.threads = Some(threads);
-    sweep_request.difficulties.truncate(4);
-    let wall = Instant::now();
-    let sweep_rows = run_sweep(&sweep_request).rows().len();
-    let sweep_seconds = wall.elapsed().as_secs_f64();
-    println!("multicore sweep    threads={threads}  {sweep_rows} rows in {sweep_seconds:.2} s");
-
-    let mut service_request = SweepConfig::quick(41);
-    service_request.difficulties.truncate(4);
-    let service_missions = 2 * service_request.difficulties.len();
-    let shards = threads.max(1);
-    let service = MissionService::start(ServiceConfig { shards });
-    let wall = Instant::now();
-    let id = service.submit(service_request).expect("valid request");
-    let rows = service.collect(id);
-    let service_seconds = wall.elapsed().as_secs_f64();
-    service.shutdown();
-    assert_eq!(rows.rows().len(), 4);
-    println!(
-        "multicore service  shards={shards}  {service_missions} missions in {service_seconds:.2} s\n"
-    );
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("raw_speed_kernels");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("bench_threads");
-    match bench_threads {
-        Some(t) => w.uint(t as u64),
-        None => w.null(),
-    }
-    w.key("biased_sampling");
-    w.begin_object();
-    for (label, to_solution, ms, cost) in &sampling_rows {
-        w.key(label);
-        w.begin_inline_object();
-        w.key("samples_to_solution");
-        w.float(*to_solution, 1);
-        w.key("ms_per_plan_2000");
-        w.float(*ms, 3);
-        w.key("mean_cost_m");
-        w.float(*cost, 3);
-        w.end();
-    }
-    w.key("sample_reduction");
-    w.float(sample_reduction, 2);
-    w.key("cost_ratio");
-    w.float(cost_ratio, 4);
-    w.end();
-    w.key("aabb_raycast");
-    w.begin_array();
-    for (lanes, ns) in &width_rows {
-        w.begin_inline_object();
-        w.key("lanes");
-        w.uint(*lanes as u64);
-        w.key("ns_per_ray");
-        w.float(*ns, 1);
-        w.end();
-    }
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.key("multicore");
-    w.begin_inline_object();
-    w.key("threads");
-    w.uint(threads as u64);
-    w.key("sweep_seconds");
-    w.float(sweep_seconds, 3);
-    w.key("service_shards");
-    w.uint(shards as u64);
-    w.key("service_seconds");
-    w.float(service_seconds, 3);
-    w.end();
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_8.json");
-    println!("wrote {path}\n");
-}
-
-/// Fleet-mission performance trajectory: mission-service throughput
-/// versus shard count, shared-broad-phase amortization, and peer-hazard
-/// query overhead. Emits machine-readable `BENCH_7.json` at the repo
-/// root alongside the human-readable table.
-fn bench7() {
-    use roborun_mission::{MissionService, ServiceConfig, SharedStaticWorld};
-    use std::time::Instant;
-
-    println!("## Bench 7 — fleet missions, mission service, shared worlds\n");
-
-    // Shard scaling is bounded by the physical core count; record it so
-    // a flat curve on a small box reads as what it is.
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // Mission-service throughput: the same 8-row request (2 missions per
-    // row) collected through 1, 2 and 4 shards. Rows are kept comparable
-    // in cost (moderate densities, short goals) so the shard scaling is
-    // visible instead of being hidden behind one dominant row.
-    let mut request = SweepConfig::quick(41);
-    request.difficulties.clear();
-    for &density in &[0.25, 0.35] {
-        for &spread in &[40.0, 60.0] {
-            for &goal in &[80.0, 110.0] {
-                request.difficulties.push(DifficultyConfig {
-                    obstacle_density: density,
-                    obstacle_spread: spread,
-                    goal_distance: goal,
-                });
-            }
-        }
-    }
-    let missions = 2 * request.difficulties.len();
-    let mut service_rows = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let service = MissionService::start(ServiceConfig { shards });
-        let start = Instant::now();
-        let id = service.submit(request.clone()).expect("valid request");
-        let results = service.collect(id);
-        let seconds = start.elapsed().as_secs_f64();
-        service.shutdown();
-        assert_eq!(results.rows().len(), request.difficulties.len());
-        let throughput = missions as f64 / seconds;
-        println!("service  shards={shards}  {missions} missions in {seconds:.2} s  ({throughput:.2} missions/s)");
-        service_rows.push((shards, seconds, throughput));
-    }
-
-    // Shared-broad-phase amortization: survey a world once and clone the
-    // checker per mission, versus rebuilding the survey every time.
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.3,
-        obstacle_spread: 40.0,
-        goal_distance: 100.0,
-    })
-    .generate(41);
-    let clones = 16usize;
-    let start = Instant::now();
-    let world = SharedStaticWorld::survey(&env, 1.0, 0.6);
-    let build_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let mut shared = Vec::with_capacity(clones);
-    for _ in 0..clones {
-        shared.push(world.checker());
-    }
-    let clone_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(shared.iter().all(|c| world.shares_broad_phase_with(c)));
-    let start = Instant::now();
-    for _ in 0..clones {
-        let _ = SharedStaticWorld::survey(&env, 1.0, 0.6);
-    }
-    let rebuild_ms = start.elapsed().as_secs_f64() * 1e3;
-    let amortized_speedup = rebuild_ms / (build_ms + clone_ms);
-    println!(
-        "\nbroad phase  build {build_ms:.1} ms + {clones} clones {clone_ms:.3} ms  \
-         vs {clones} rebuilds {rebuild_ms:.1} ms  (speedup {amortized_speedup:.1}x)"
-    );
-
-    // Peer-hazard query overhead: point queries against K committed peer
-    // corridors (64-waypoint trajectories, swept and inflated).
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("fleet_missions");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("service_throughput");
-    w.begin_array();
-    for (shards, seconds, throughput) in &service_rows {
-        w.begin_inline_object();
-        w.key("shards");
-        w.uint(*shards as u64);
-        w.key("missions");
-        w.uint(missions as u64);
-        w.key("seconds");
-        w.float(*seconds, 3);
-        w.key("missions_per_sec");
-        w.float(*throughput, 3);
-        w.end();
-    }
-    w.end();
-    w.key("shared_broad_phase");
-    w.begin_inline_object();
-    w.key("clones");
-    w.uint(clones as u64);
-    w.key("survey_build_ms");
-    w.float(build_ms, 3);
-    w.key("clone_total_ms");
-    w.float(clone_ms, 4);
-    w.key("rebuild_total_ms");
-    w.float(rebuild_ms, 3);
-    w.key("amortized_speedup");
-    w.float(amortized_speedup, 2);
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_7.json");
-    println!("\nwrote {path}\n");
-}
-
-/// The peer-hazard scaling row shared by the BENCH_7/8/9 trajectories:
-/// point queries against K committed peer corridors (64-waypoint
-/// trajectories, swept and inflated). Returns
-/// `(peers, boxes, ns_per_query, blocked)` rows.
-fn peer_hazard_query_rows() -> Vec<(usize, usize, f64, usize)> {
-    use roborun_geom::Vec3;
-    use roborun_planning::PeerTrajectoryHazard;
-    use std::time::Instant;
-    let queries = 100_000usize;
-    let mut rows = Vec::new();
-    for peers in [1usize, 2, 4, 8] {
-        let mut hazard = PeerTrajectoryHazard::new(0.46, 0.9);
-        for id in 0..peers {
-            let polyline: Vec<Vec3> = (0..64)
-                .map(|i| {
-                    let t = i as f64 * 2.0;
-                    Vec3::new(
-                        t,
-                        (id as f64) * 12.0 + (t * 0.1).sin() * 4.0,
-                        5.0 + t * 0.05,
-                    )
-                })
-                .collect();
-            hazard.set_peer(id as u64, &polyline);
-        }
-        let boxes = hazard.boxes().len();
-        let start = Instant::now();
-        let mut blocked = 0usize;
-        for q in 0..queries {
-            let t = (q % 997) as f64 * 0.13;
-            let p = Vec3::new(t, (t * 0.37).sin() * 20.0, 5.0 + (t * 0.11).cos() * 3.0);
-            if hazard.point_blocked(p) {
-                blocked += 1;
-            }
-        }
-        let ns_per_query = start.elapsed().as_secs_f64() * 1e9 / queries as f64;
-        rows.push((peers, boxes, ns_per_query, blocked));
-    }
-    rows
-}
-
-/// Writes the shared `peer_hazard_query` BENCH section (the trajectory
-/// diff keys the three files on it).
-fn write_peer_hazard_rows(w: &mut roborun_trace::JsonWriter, rows: &[(usize, usize, f64, usize)]) {
-    w.key("peer_hazard_query");
-    w.begin_array();
-    for (peers, boxes, ns, _) in rows {
-        w.begin_inline_object();
-        w.key("peers");
-        w.uint(*peers as u64);
-        w.key("boxes");
-        w.uint(*boxes as u64);
-        w.key("ns_per_query");
-        w.float(*ns, 1);
-        w.end();
-    }
-    w.end();
 }
 
 /// Chrome-trace export: arms the tracer, runs one representative static,
@@ -661,276 +192,6 @@ fn trace_export(full: bool) {
         config.fault_plan = scenario.fault_plan(41);
         MissionRunner::new(config).run(&env)
     });
-}
-
-/// Trace-layer cost trajectory: the disarmed gate and armed emission in
-/// nanoseconds per call, whole-mission overhead armed versus disarmed
-/// (with a metrics-equality check that tracing perturbed nothing), the
-/// shared log-histogram's quantile accuracy against exact percentiles,
-/// and the peer-hazard scaling row shared with BENCH_7/8. Emits
-/// `BENCH_9.json`.
-fn bench9() {
-    use roborun_geom::{percentile, LogHistogram, SplitMix64};
-    use roborun_trace::SpanKind;
-    use std::hint::black_box;
-    use std::time::Instant;
-
-    println!("## Bench 9 — trace overhead and histogram accuracy\n");
-    let cores = roborun_trace::host_cores();
-    println!("(host has {cores} core(s) available)\n");
-
-    // --- The disarmed gate: the entire cost tracing adds to a normal
-    // (untraced) run is one relaxed load and branch per call site.
-    let _ = roborun_trace::drain();
-    roborun_trace::disarm();
-    let rounds = 20_000_000u64;
-    let wall = Instant::now();
-    for i in 0..rounds {
-        roborun_trace::collector::complete(
-            black_box(SpanKind::Decision),
-            black_box(i as f64),
-            0.001,
-            0,
-            &[],
-        );
-    }
-    let disarmed_ns = wall.elapsed().as_secs_f64() * 1e9 / rounds as f64;
-
-    // --- Armed emission: thread-local ring push + amortised spill.
-    roborun_trace::arm();
-    let armed_rounds = 400_000u64;
-    let wall = Instant::now();
-    for i in 0..armed_rounds {
-        roborun_trace::collector::complete(
-            black_box(SpanKind::Decision),
-            black_box(i as f64),
-            0.001,
-            0,
-            &[("decision", i as f64)],
-        );
-    }
-    let armed_ns = wall.elapsed().as_secs_f64() * 1e9 / armed_rounds as f64;
-    roborun_trace::disarm();
-    let dropped = roborun_trace::dropped();
-    let retained = roborun_trace::drain().len();
-    println!(
-        "gate      disarmed {disarmed_ns:.2} ns/call   armed {armed_ns:.0} ns/event  \
-         ({retained} retained, {dropped} dropped)"
-    );
-
-    // --- Whole-mission overhead: the same mission disarmed then armed.
-    // Metrics equality doubles as the "enabled tracing perturbs nothing"
-    // check at bench time.
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        goal_distance: 120.0,
-        ..DifficultyConfig::mid()
-    })
-    .generate(23);
-    let mission = || {
-        MissionRunner::new(MissionConfig {
-            max_decisions: 600,
-            max_mission_time: 1_500.0,
-            ..MissionConfig::new(RuntimeMode::SpatialAware)
-        })
-        .run(&env)
-    };
-    let _ = mission(); // warm caches before timing either mode
-    let wall = Instant::now();
-    let disarmed_result = mission();
-    let disarmed_s = wall.elapsed().as_secs_f64();
-    roborun_trace::arm();
-    let wall = Instant::now();
-    let armed_result = mission();
-    let armed_s = wall.elapsed().as_secs_f64();
-    roborun_trace::disarm();
-    let mission_events = roborun_trace::drain().len();
-    assert_eq!(
-        disarmed_result.metrics, armed_result.metrics,
-        "tracing perturbed the mission"
-    );
-    let overhead_pct = (armed_s / disarmed_s.max(1e-12) - 1.0) * 100.0;
-    println!(
-        "mission   disarmed {disarmed_s:.3} s   armed {armed_s:.3} s  \
-         ({overhead_pct:+.1}%, {mission_events} events, identical metrics)"
-    );
-
-    // --- Histogram accuracy: a log-uniform latency-like sample spanning
-    // four decades, histogram quantiles against exact percentiles.
-    let mut rng = SplitMix64::new(7);
-    let samples: Vec<f64> = (0..100_000)
-        .map(|_| rng.uniform((1e-3f64).ln(), 10f64.ln()).exp())
-        .collect();
-    let hist: LogHistogram = samples.iter().copied().collect();
-    let mut accuracy = Vec::new();
-    for q in [0.5, 0.95, 0.99] {
-        let exact = percentile(&samples, q).expect("non-empty sample");
-        let approx = hist.quantile(q).expect("non-empty histogram");
-        let rel_err = (approx - exact).abs() / exact;
-        println!(
-            "histogram p{:<4} exact {exact:.5} s   histogram {approx:.5} s   rel err {rel_err:.4}",
-            q * 100.0
-        );
-        accuracy.push((q, exact, approx, rel_err));
-    }
-    println!();
-
-    // --- The shared scaling row for the BENCH trajectory diff.
-    let peer_rows = peer_hazard_query_rows();
-    for (peers, boxes, ns_per_query, blocked) in &peer_rows {
-        println!(
-            "peer hazard  K={peers}  {boxes} boxes  {ns_per_query:.0} ns/query  ({blocked} blocked)"
-        );
-    }
-
-    // Machine-readable trajectory for CI and the roadmap.
-    let mut w = roborun_trace::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("trace_observability");
-    w.key("host_cores");
-    w.uint(cores as u64);
-    w.key("trace_gate");
-    w.begin_inline_object();
-    w.key("disarmed_ns_per_call");
-    w.float(disarmed_ns, 3);
-    w.key("armed_ns_per_event");
-    w.float(armed_ns, 1);
-    w.key("events_retained");
-    w.uint(retained as u64);
-    w.key("events_dropped");
-    w.uint(dropped);
-    w.end();
-    w.key("mission_overhead");
-    w.begin_inline_object();
-    w.key("disarmed_seconds");
-    w.float(disarmed_s, 3);
-    w.key("armed_seconds");
-    w.float(armed_s, 3);
-    w.key("overhead_pct");
-    w.float(overhead_pct, 2);
-    w.key("events");
-    w.uint(mission_events as u64);
-    w.end();
-    w.key("histogram_accuracy");
-    w.begin_array();
-    for (q, exact, approx, rel_err) in &accuracy {
-        w.begin_inline_object();
-        w.key("q");
-        w.float(*q, 2);
-        w.key("exact_s");
-        w.float(*exact, 5);
-        w.key("histogram_s");
-        w.float(*approx, 5);
-        w.key("rel_err");
-        w.float(*rel_err, 4);
-        w.end();
-    }
-    w.end();
-    write_peer_hazard_rows(&mut w, &peer_rows);
-    w.end();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
-    std::fs::write(path, w.finish()).expect("write BENCH_9.json");
-    println!("\nwrote {path}\n");
-}
-
-/// BENCH-trajectory diff: discovers every committed `BENCH_<n>.json`
-/// baseline at the repo root, treats the highest generation as current,
-/// and compares every shared cost key (leaves whose name carries a
-/// `ns`/`ms`/`s`/`seconds` unit segment, matched by JSON path) against
-/// each earlier baseline, failing the run on a more-than-2x regression.
-/// Throughputs and identities (`missions_per_sec`, `peers`, `host_cores`)
-/// anchor the paths but are not compared. New bench generations join the
-/// diff automatically — no per-generation edits here.
-fn trajectory() {
-    use roborun_trace::JsonValue;
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut generations: Vec<u64> = std::fs::read_dir(root)
-        .expect("repo root readable")
-        .filter_map(|entry| {
-            let name = entry.ok()?.file_name().into_string().ok()?;
-            let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-            n.parse().ok()
-        })
-        .collect();
-    generations.sort_unstable();
-    let Some(&newest) = generations.last() else {
-        println!("no BENCH_<n>.json baseline at the repo root — run the newest bench first\n");
-        std::process::exit(1);
-    };
-    println!("## BENCH trajectory — shared cost keys, BENCH_{newest} vs every earlier baseline\n");
-    let load = |n: u64| -> JsonValue {
-        let text = std::fs::read_to_string(format!("{root}/BENCH_{n}.json"))
-            .expect("baseline listed by read_dir");
-        JsonValue::parse(&text).unwrap_or_else(|e| panic!("BENCH_{n}.json: {e}"))
-    };
-    let current_costs = cost_leaves(&load(newest));
-    let mut regressions = Vec::new();
-    let mut shared_total = 0usize;
-    for &n in generations.iter().rev().skip(1) {
-        let name = format!("BENCH_{n}.json");
-        let previous_costs = cost_leaves(&load(n));
-        let mut compared = 0usize;
-        for (path, new_value) in &current_costs {
-            let Some((_, old_value)) = previous_costs.iter().find(|(p, _)| p == path) else {
-                continue;
-            };
-            compared += 1;
-            let ratio = new_value / old_value.max(1e-12);
-            let verdict = if ratio > 2.0 { "REGRESSION" } else { "ok" };
-            println!("{name}  {path}  {old_value:.1} -> {new_value:.1}  ({ratio:.2}x)  {verdict}");
-            if ratio > 2.0 {
-                regressions.push(format!("{name} {path} {ratio:.2}x"));
-            }
-        }
-        println!("({compared} shared cost key(s) against {name})\n");
-        shared_total += compared;
-    }
-    if shared_total == 0 {
-        println!("BENCH_{newest} shares no cost key with any earlier baseline — nothing compared");
-        std::process::exit(1);
-    }
-    if !regressions.is_empty() {
-        println!("trajectory regressions (> 2x): {}", regressions.join(", "));
-        std::process::exit(1);
-    }
-    println!("no shared cost key regressed by more than 2x\n");
-}
-
-/// Flattens a parsed BENCH file into `(path, value)` cost leaves: number
-/// leaves whose key name carries a time unit as an underscore-separated
-/// segment (`ns_per_query`, `k64_ms`, `sweep_seconds`, `exact_s`), so
-/// counts like `missions` or rates like `missions_per_sec` stay out.
-fn cost_leaves(value: &roborun_trace::JsonValue) -> Vec<(String, f64)> {
-    use roborun_trace::JsonValue;
-    fn is_cost_key(key: &str) -> bool {
-        key.split('_')
-            .any(|seg| matches!(seg, "ns" | "ms" | "s" | "seconds"))
-    }
-    fn walk(value: &JsonValue, path: &str, out: &mut Vec<(String, f64)>) {
-        match value {
-            JsonValue::Object(members) => {
-                for (key, child) in members {
-                    walk(child, &format!("{path}/{key}"), out);
-                }
-            }
-            JsonValue::Array(items) => {
-                for (i, child) in items.iter().enumerate() {
-                    walk(child, &format!("{path}/{i}"), out);
-                }
-            }
-            JsonValue::Number(n) => {
-                let key = path.rsplit('/').next().unwrap_or(path);
-                if is_cost_key(key) {
-                    out.push((path.to_string(), *n));
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut out = Vec::new();
-    walk(value, "", &mut out);
-    out
 }
 
 /// The robustness evaluation: every deterministic fault scenario family,
@@ -1779,7 +1040,6 @@ fn sweep(full: bool) -> roborun_mission::SweepResults {
                 max_decisions: 4_000,
                 ..MissionConfig::new(RuntimeMode::SpatialOblivious)
             },
-            ..SweepConfig::default()
         })
     }
 }

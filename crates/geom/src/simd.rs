@@ -13,11 +13,9 @@
 //! width answers bit-identically to the scalar loop over its real lanes
 //! (enforced by exact-equivalence proptests), width selection can never
 //! change results — only throughput — and golden fixtures stay
-//! byte-identical whichever width the host picks.
-//!
-//! The environment variable `ROBORUN_SIMD_WIDTH` (`4` or `8`) overrides
-//! detection, which is how benches measure both widths on one host and
-//! how a deployment can pin the width.
+//! byte-identical whichever width the host picks. Benches and tests that
+//! measure or compare both widths on one host pick one explicitly with
+//! `ObstacleField::with_simd_width`.
 
 use std::sync::OnceLock;
 
@@ -40,29 +38,20 @@ impl SimdWidth {
         }
     }
 
-    /// The width the running host should use, computed once and cached.
-    ///
-    /// Order of precedence: the `ROBORUN_SIMD_WIDTH` environment
-    /// variable (`4` or `8`; anything else is ignored), then AVX
-    /// detection on `x86_64`, then the [`SimdWidth::W4`] fallback.
+    /// The width the running host should use, computed once and cached:
+    /// [`SimdWidth::W8`] on `x86_64` hosts with AVX, [`SimdWidth::W4`]
+    /// everywhere else.
     pub fn detect() -> SimdWidth {
         static DETECTED: OnceLock<SimdWidth> = OnceLock::new();
-        *DETECTED.get_or_init(|| match std::env::var("ROBORUN_SIMD_WIDTH") {
-            Ok(v) if v.trim() == "4" => SimdWidth::W4,
-            Ok(v) if v.trim() == "8" => SimdWidth::W8,
-            _ => SimdWidth::native(),
-        })
-    }
-
-    /// The width hardware detection alone would pick (no env override).
-    pub fn native() -> SimdWidth {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx") {
-                return SimdWidth::W8;
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx") {
+                    return SimdWidth::W8;
+                }
             }
-        }
-        SimdWidth::W4
+            SimdWidth::W4
+        })
     }
 }
 
@@ -82,6 +71,5 @@ mod tests {
         let b = SimdWidth::detect();
         assert_eq!(a, b);
         assert!(matches!(a, SimdWidth::W4 | SimdWidth::W8));
-        assert!(matches!(SimdWidth::native(), SimdWidth::W4 | SimdWidth::W8));
     }
 }

@@ -304,7 +304,8 @@ const LOG_HISTOGRAM_MIN: f64 = 1e-6;
 const LOG_HISTOGRAM_DECADES: usize = 10;
 /// Buckets per decade. 16 per decade bounds the relative quantile error
 /// at `10^(1/16) - 1 ≈ 15.5%` worst case (half that on average), which
-/// `experiments -- bench9` measures against exact percentiles.
+/// `log_histogram_quantiles_track_exact_percentiles` checks against exact
+/// percentiles.
 const LOG_HISTOGRAM_PER_DECADE: usize = 16;
 /// Interior bucket count (underflow and overflow buckets come on top).
 const LOG_HISTOGRAM_BUCKETS: usize = LOG_HISTOGRAM_DECADES * LOG_HISTOGRAM_PER_DECADE;

@@ -25,9 +25,6 @@
 //!   cycles in event-driven lockstep, exchanging committed trajectories
 //!   as peer hazards, plus the shared static survey checker N missions
 //!   amortise one broad-phase build over.
-//! * [`service`] — the async mission service: sweep requests sharded
-//!   across a worker pool, finished rows streamed over the middleware
-//!   bus in deterministic (request, row) order.
 //! * [`scenarios`] — the paper's two motivating missions (package delivery,
 //!   search and rescue) plus the small environments used by Figures 3/4.
 //! * [`sweep`] — the 27-environment evaluation of Section V with the
@@ -50,7 +47,6 @@ pub mod node_pipeline;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod service;
 pub mod sweep;
 
 pub use breakdown::{ZoneBreakdown, ZoneStats};
@@ -60,7 +56,6 @@ pub use metrics::{AggregateMetrics, MissionMetrics};
 pub use node_pipeline::{NodePipeline, NodePipelineConfig, NodePipelineResult};
 pub use runner::{DegradationConfig, MissionConfig, MissionResult, MissionRunner};
 pub use scenarios::{DynamicDifficulty, DynamicScenario, FaultScenario, Scenario};
-pub use service::{MissionService, RequestId, ServiceConfig};
 pub use sweep::{
     DynamicMatrixConfig, DynamicMatrixRow, DynamicSweepConfig, DynamicSweepRow, FaultSweepConfig,
     FaultSweepRow, SensitivityRow, SweepConfig, SweepError, SweepResults,

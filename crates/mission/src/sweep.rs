@@ -11,9 +11,8 @@ use roborun_core::RuntimeMode;
 use roborun_env::{DifficultyConfig, EnvironmentGenerator};
 use serde::{Deserialize, Serialize};
 
-/// A typed validation error for sweep configurations and mission-service
-/// requests: the up-front check that keeps a malformed knob from
-/// panicking deep inside a worker thread.
+/// A typed validation error for sweep configurations: the up-front check
+/// that keeps a malformed knob from panicking deep inside a worker thread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepError {
     /// A difficulty knob is NaN or infinite — it would corrupt seeds,
@@ -43,28 +42,6 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Validates a difficulty list: every knob of every configuration must be
-/// finite, and the list must be non-empty. Shared by
-/// [`SweepConfig::validate`] and the mission service's request
-/// validation.
-pub(crate) fn validate_difficulties(difficulties: &[DifficultyConfig]) -> Result<(), SweepError> {
-    if difficulties.is_empty() {
-        return Err(SweepError::NoEnvironments);
-    }
-    for (index, d) in difficulties.iter().enumerate() {
-        for (knob, value) in [
-            ("obstacle_density", d.obstacle_density),
-            ("obstacle_spread", d.obstacle_spread),
-            ("goal_distance", d.goal_distance),
-        ] {
-            if !value.is_finite() {
-                return Err(SweepError::NonFiniteKnob { index, knob, value });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Configuration of a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -77,9 +54,6 @@ pub struct SweepConfig {
     pub aware: MissionConfig,
     /// Mission configuration template for the spatial-oblivious runs.
     pub oblivious: MissionConfig,
-    /// Worker threads for [`run_sweep`]; `None` picks the machine's
-    /// available parallelism. `Some(1)` forces the serial path.
-    pub threads: Option<usize>,
 }
 
 impl Default for SweepConfig {
@@ -89,7 +63,6 @@ impl Default for SweepConfig {
             seed: 7,
             aware: MissionConfig::new(RuntimeMode::SpatialAware),
             oblivious: MissionConfig::new(RuntimeMode::SpatialOblivious),
-            threads: None,
         }
     }
 }
@@ -117,12 +90,25 @@ impl SweepConfig {
     }
 
     /// Up-front validation: every difficulty knob finite, at least one
-    /// environment. [`run_sweep`] asserts this before spawning workers
-    /// (so a NaN knob fails fast with a typed message instead of
-    /// panicking mid-sweep inside a worker thread), and the mission
-    /// service validates requests with the same check at submission.
+    /// environment. [`run_sweep`] asserts this before spawning workers,
+    /// so a NaN knob fails fast with a typed message instead of
+    /// panicking mid-sweep inside a worker thread.
     pub fn validate(&self) -> Result<(), SweepError> {
-        validate_difficulties(&self.difficulties)
+        if self.difficulties.is_empty() {
+            return Err(SweepError::NoEnvironments);
+        }
+        for (index, d) in self.difficulties.iter().enumerate() {
+            for (knob, value) in [
+                ("obstacle_density", d.obstacle_density),
+                ("obstacle_spread", d.obstacle_spread),
+                ("goal_distance", d.goal_distance),
+            ] {
+                if !value.is_finite() {
+                    return Err(SweepError::NonFiniteKnob { index, knob, value });
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -157,13 +143,6 @@ pub struct SweepResults {
 }
 
 impl SweepResults {
-    /// Builds results from precomputed rows, in environment order (the
-    /// mission service's collect path — its shard workers compute the
-    /// same [`run_sweep_row`] values a batch sweep would).
-    pub(crate) fn from_rows(rows: Vec<SweepRow>) -> SweepResults {
-        SweepResults { rows }
-    }
-
     /// The per-environment rows.
     pub fn rows(&self) -> &[SweepRow] {
         &self.rows
@@ -247,9 +226,8 @@ impl SweepResults {
 /// Computes one row of the sweep: environment `i`, both designs.
 ///
 /// Each row owns its seed (`config.seed + i`), so rows are independent of
-/// each other and of the order they are computed in. `pub(crate)` because
-/// the mission service's shard workers compute exactly these rows.
-pub(crate) fn run_sweep_row(config: &SweepConfig, i: usize) -> SweepRow {
+/// each other and of the order they are computed in.
+fn run_sweep_row(config: &SweepConfig, i: usize) -> SweepRow {
     let difficulty = config.difficulties[i];
     let env = EnvironmentGenerator::new(difficulty).generate(config.seed + i as u64);
     let mut aware_cfg = config.aware.clone();
@@ -267,10 +245,9 @@ pub(crate) fn run_sweep_row(config: &SweepConfig, i: usize) -> SweepRow {
 
 /// Runs the sweep: every difficulty configuration, both designs.
 ///
-/// Environments are evaluated in parallel on a scoped worker pool (rows
-/// already own their seeds, so the result is bit-identical to the serial
-/// reference — [`run_sweep_serial`] — and rows stay in configuration
-/// order). `config.threads` overrides the worker count.
+/// Environments are evaluated in parallel on a scoped worker pool, one
+/// worker per host core (rows own their seeds, so the result is
+/// bit-identical to a serial loop and rows stay in configuration order).
 ///
 /// # Panics
 ///
@@ -282,13 +259,13 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResults {
         panic!("invalid sweep config: {err}");
     }
     SweepResults {
-        rows: pooled_rows(config.difficulties.len(), config.threads, |i| {
+        rows: pooled_rows(config.difficulties.len(), None, |i| {
             run_sweep_row(config, i)
         }),
     }
 }
 
-/// The scoped worker pool both sweeps run on: computes `row(i)` for
+/// The scoped worker pool every sweep runs on: computes `row(i)` for
 /// `i in 0..n` on up to `threads` workers (defaulting to the machine's
 /// available parallelism), returning results in index order. Rows own
 /// their seeds, so the output is identical to a serial loop whatever the
@@ -373,23 +350,6 @@ fn pooled_rows<R: Send>(
         .collect()
 }
 
-/// The retained serial reference for [`run_sweep`]: one environment at a
-/// time, in configuration order.
-///
-/// # Panics
-///
-/// Panics up front on an invalid configuration, like [`run_sweep`].
-pub fn run_sweep_serial(config: &SweepConfig) -> SweepResults {
-    if let Err(err) = config.validate() {
-        panic!("invalid sweep config: {err}");
-    }
-    SweepResults {
-        rows: (0..config.difficulties.len())
-            .map(|i| run_sweep_row(config, i))
-            .collect(),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The dynamic (moving-obstacle) sweep
 // ---------------------------------------------------------------------------
@@ -404,8 +364,6 @@ pub struct DynamicSweepConfig {
     pub aware: MissionConfig,
     /// Mission configuration template for the spatial-oblivious runs.
     pub oblivious: MissionConfig,
-    /// Worker threads (same contract as [`SweepConfig::threads`]).
-    pub threads: Option<usize>,
 }
 
 impl DynamicSweepConfig {
@@ -425,7 +383,6 @@ impl DynamicSweepConfig {
             cases: DynamicScenario::ALL.iter().map(|&s| (s, seed)).collect(),
             aware,
             oblivious,
-            threads: None,
         }
     }
 }
@@ -462,19 +419,11 @@ fn run_dynamic_sweep_row(config: &DynamicSweepConfig, i: usize) -> DynamicSweepR
 
 /// Runs the moving-obstacle sweep: every `(family, seed)` case, both
 /// designs, on the same scoped worker pool as [`run_sweep`] (rows own
-/// their seeds, so results are bit-identical to
-/// [`run_dynamic_sweep_serial`] and stay in case order).
+/// their seeds, so results stay in case order).
 pub fn run_dynamic_sweep(config: &DynamicSweepConfig) -> Vec<DynamicSweepRow> {
-    pooled_rows(config.cases.len(), config.threads, |i| {
+    pooled_rows(config.cases.len(), None, |i| {
         run_dynamic_sweep_row(config, i)
     })
-}
-
-/// The retained serial reference for [`run_dynamic_sweep`].
-pub fn run_dynamic_sweep_serial(config: &DynamicSweepConfig) -> Vec<DynamicSweepRow> {
-    (0..config.cases.len())
-        .map(|i| run_dynamic_sweep_row(config, i))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -493,8 +442,6 @@ pub struct FaultSweepConfig {
     pub baseline: MissionConfig,
     /// Mission template for the degradation-aware runs (degradation on).
     pub aware: MissionConfig,
-    /// Worker threads (same contract as [`SweepConfig::threads`]).
-    pub threads: Option<usize>,
 }
 
 impl FaultSweepConfig {
@@ -515,7 +462,6 @@ impl FaultSweepConfig {
             cases: FaultScenario::ALL.iter().map(|&s| (s, seed)).collect(),
             baseline,
             aware,
-            threads: None,
         }
     }
 }
@@ -561,19 +507,9 @@ fn run_fault_sweep_row(config: &FaultSweepConfig, i: usize) -> FaultSweepRow {
 
 /// Runs the fault sweep: every `(family, seed)` case, fault-oblivious
 /// and degradation-aware, on the shared worker pool (rows own their
-/// seeds, so results are bit-identical to [`run_fault_sweep_serial`] and
-/// stay in case order).
+/// seeds, so results stay in case order).
 pub fn run_fault_sweep(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
-    pooled_rows(config.cases.len(), config.threads, |i| {
-        run_fault_sweep_row(config, i)
-    })
-}
-
-/// The retained serial reference for [`run_fault_sweep`].
-pub fn run_fault_sweep_serial(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
-    (0..config.cases.len())
-        .map(|i| run_fault_sweep_row(config, i))
-        .collect()
+    pooled_rows(config.cases.len(), None, |i| run_fault_sweep_row(config, i))
 }
 
 // ---------------------------------------------------------------------------
@@ -600,8 +536,6 @@ pub struct DynamicMatrixConfig {
     pub seed: u64,
     /// Mission configuration template for the aware runs.
     pub aware: MissionConfig,
-    /// Worker threads (same contract as [`SweepConfig::threads`]).
-    pub threads: Option<usize>,
 }
 
 impl DynamicMatrixConfig {
@@ -620,7 +554,6 @@ impl DynamicMatrixConfig {
             actor_waves: vec![1, 2],
             seed,
             aware,
-            threads: None,
         }
     }
 
@@ -680,21 +613,12 @@ fn run_dynamic_matrix_cell(
 }
 
 /// Runs the dynamic difficulty matrix on the shared worker pool (cells
-/// own their seeds, so results are bit-identical to
-/// [`run_dynamic_matrix_serial`] and stay in cell order).
+/// own their seeds, so results stay in cell order).
 pub fn run_dynamic_matrix(config: &DynamicMatrixConfig) -> Vec<DynamicMatrixRow> {
     let cells = config.cells();
-    pooled_rows(cells.len(), config.threads, |i| {
+    pooled_rows(cells.len(), None, |i| {
         run_dynamic_matrix_cell(config, &cells[i], i)
     })
-}
-
-/// The retained serial reference for [`run_dynamic_matrix`].
-pub fn run_dynamic_matrix_serial(config: &DynamicMatrixConfig) -> Vec<DynamicMatrixRow> {
-    let cells = config.cells();
-    (0..cells.len())
-        .map(|i| run_dynamic_matrix_cell(config, &cells[i], i))
-        .collect()
 }
 
 #[cfg(test)]
@@ -717,13 +641,12 @@ mod tests {
         config.difficulties.truncate(3);
         config.aware.max_decisions = 400;
         config.oblivious.max_decisions = 1_000;
-        config.threads = Some(3);
-        let parallel = run_sweep(&config);
-        let serial = run_sweep_serial(&config);
-        assert_eq!(parallel.rows().len(), serial.rows().len());
-        for (p, s) in parallel.rows().iter().zip(serial.rows()) {
-            assert_eq!(p, s);
-        }
+        // Three workers against one, whatever the host's core count.
+        let row = |i| run_sweep_row(&config, i);
+        let parallel = pooled_rows(config.difficulties.len(), Some(3), row);
+        let serial = pooled_rows(config.difficulties.len(), Some(1), row);
+        assert_eq!(parallel.len(), 3);
+        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -793,7 +716,9 @@ mod tests {
         config.families = vec![DynamicScenario::CrossingCorridor];
         config.speed_scales = vec![1.0, 1.75];
         config.actor_waves = vec![1];
-        let rows = run_dynamic_matrix(&config);
+        let cells = config.cells();
+        let cell = |i| run_dynamic_matrix_cell(&config, &cells[i], i);
+        let rows = pooled_rows(cells.len(), Some(3), cell);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].difficulty.speed_scale < rows[1].difficulty.speed_scale);
         for row in &rows {
@@ -802,12 +727,9 @@ mod tests {
             assert!(row.aware.decisions > 0);
             assert_eq!(row.aware.mode, RuntimeMode::SpatialAware);
         }
-        // Rows own their seeds: the pooled run matches the serial
-        // reference bit for bit.
-        let serial = run_dynamic_matrix_serial(&config);
-        for (p, s) in rows.iter().zip(&serial) {
-            assert_eq!(p, s);
-        }
+        // Rows own their seeds: the pooled run matches a one-worker run
+        // bit for bit.
+        assert_eq!(rows, pooled_rows(cells.len(), Some(1), cell));
         // And the CSV emitter renders one line per cell plus a header.
         let csv = crate::report::dynamic_matrix_csv(&rows);
         assert_eq!(csv.lines().count(), 3);

@@ -80,7 +80,6 @@ fn golden_config() -> SweepConfig {
         seed: 41,
         aware,
         oblivious,
-        threads: None,
     }
 }
 

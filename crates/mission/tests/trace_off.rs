@@ -46,7 +46,6 @@ fn row0_config() -> SweepConfig {
         seed: 41,
         aware,
         oblivious,
-        threads: None,
     }
 }
 

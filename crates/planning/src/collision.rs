@@ -221,8 +221,8 @@ pub struct CollisionChecker {
     /// Held behind an [`Arc`] so that cloning a checker whose broad-phase
     /// is already built shares the structure in O(1) instead of deep-
     /// copying the count bricks: N missions planned against the same
-    /// environment prebuild once and clone per mission (the fleet /
-    /// mission-service pattern). The share is copy-on-write —
+    /// environment prebuild once and clone per mission (the fleet and
+    /// shared-survey pattern). The share is copy-on-write —
     /// [`CollisionChecker::update_map`] patches through
     /// [`Arc::make_mut`], so the first per-mission delta detaches a
     /// private copy and siblings are never affected.
@@ -303,7 +303,7 @@ impl CollisionChecker {
     /// O(boxes × (margin / voxel)³) count increments.
     ///
     /// Because the built structure sits behind an [`Arc`], cloning the
-    /// checker afterwards shares it in O(1): a fleet or mission service
+    /// checker afterwards shares it in O(1): a fleet or a shared survey
     /// prebuilds one static checker per environment and hands each
     /// mission a clone, paying one build for N missions. Per-clone
     /// [`CollisionChecker::update_map`] patches detach privately

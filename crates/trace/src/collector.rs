@@ -8,15 +8,15 @@
 //!   no event storage is touched.
 //! * **Armed**, events are pushed into a `thread_local` buffer (no lock)
 //!   and spilled into the global sink only when the buffer fills or at
-//!   an explicit [`flush`] placed at a coarse boundary (mission end,
-//!   shard-row end), so the decision loop never contends on a mutex.
+//!   an explicit [`flush`] placed at a coarse boundary (mission end), so
+//!   the decision loop never contends on a mutex.
 //!
 //! # Deterministic ids
 //!
 //! An event's identity is `(track, seq)`. Tracks are **assigned by the
-//! instrumentation sites** via [`set_track`] (main mission loop 0, shard
-//! `s` at `SHARD_TRACK_BASE + s`, fleet drone `i` at track `i`) — never derived
-//! from OS thread ids — and `seq` counts per track in emission order.
+//! instrumentation sites** via [`set_track`] (main mission loop 0, fleet
+//! drone `i` at track `i`) — never derived from OS thread ids — and `seq`
+//! counts per track in emission order.
 //! As long as each track is driven by one thread at a time (true for
 //! every site above), ids depend only on the simulation's own event
 //! order, not on OS scheduling.
@@ -26,10 +26,6 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// First track of the mission-service shard workers (shard `s` emits on
-/// `SHARD_TRACK_BASE + s`).
-pub const SHARD_TRACK_BASE: u32 = 128;
 
 /// The global armed gate. Relaxed ordering is sufficient: arming is a
 /// coarse mode switch done outside any mission, and a decision that
@@ -124,7 +120,7 @@ pub fn current_track() -> u32 {
 }
 
 /// Spills the calling thread's buffered events into the global sink.
-/// Call at coarse boundaries only (mission end, shard-row end); the hot
+/// Call at coarse boundaries only (mission end); the hot
 /// path spills automatically when the local buffer fills.
 pub fn flush() {
     LOCAL.with(|local| {
@@ -308,73 +304,6 @@ pub fn timer_ns(timer: &Option<WallTimer>) -> u64 {
     timer.as_ref().map_or(0, WallTimer::elapsed_ns)
 }
 
-/// An RAII complete-span: measures wall time from construction to drop
-/// and emits one [`TracePhase::Complete`] event on drop. Simulated
-/// start/end times are set explicitly (the sim clock is owned by the
-/// caller); an unset end yields a zero-length sim span.
-#[derive(Debug)]
-pub struct ScopedSpan {
-    kind: SpanKind,
-    detail: Option<String>,
-    sim_start: f64,
-    sim_end: f64,
-    wall: Instant,
-    args: Vec<(&'static str, f64)>,
-}
-
-/// Opens a [`ScopedSpan`] when armed; `None` otherwise (so the disarmed
-/// path allocates nothing).
-#[inline]
-pub fn scoped(kind: SpanKind, sim_start: f64) -> Option<ScopedSpan> {
-    if !armed() {
-        return None;
-    }
-    Some(ScopedSpan {
-        kind,
-        detail: None,
-        sim_start,
-        sim_end: sim_start,
-        wall: Instant::now(),
-        args: Vec::new(),
-    })
-}
-
-impl ScopedSpan {
-    /// Attaches a free-form label.
-    pub fn with_detail(mut self, detail: &str) -> Self {
-        self.detail = Some(detail.to_string());
-        self
-    }
-
-    /// Sets the simulated end time of the span.
-    pub fn set_sim_end(&mut self, sim_end: f64) {
-        self.sim_end = sim_end;
-    }
-
-    /// Appends one numeric argument.
-    pub fn arg(&mut self, key: &'static str, value: f64) {
-        self.args.push((key, value));
-    }
-}
-
-impl Drop for ScopedSpan {
-    fn drop(&mut self) {
-        if !armed() {
-            return;
-        }
-        emit(
-            self.kind,
-            TracePhase::Complete {
-                sim_dur: (self.sim_end - self.sim_start).max(0.0),
-            },
-            self.sim_start,
-            self.wall.elapsed().as_nanos() as u64,
-            self.detail.take(),
-            &std::mem::take(&mut self.args),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,7 +320,6 @@ mod tests {
         instant(SpanKind::WatchdogFire, 0.5, &[]);
         counter(SpanKind::QueueDepth, "/t", 0.5, 1.0);
         assert!(timer().is_none());
-        assert!(scoped(SpanKind::ShardRow, 0.0).is_none());
         assert!(drain().is_empty());
     }
 
@@ -411,33 +339,5 @@ mod tests {
         set_track(0);
         let ids: Vec<(u32, u64)> = events.iter().map(|e| (e.track, e.seq)).collect();
         assert!(ids.contains(&(3, 0)) && ids.contains(&(3, 1)) && ids.contains(&(5, 0)));
-    }
-
-    #[test]
-    fn scoped_span_measures_and_emits_on_drop() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let _ = drain();
-        arm();
-        set_track(7);
-        {
-            let mut span = scoped(SpanKind::ShardRow, 10.0)
-                .unwrap()
-                .with_detail("row 4");
-            span.arg("row", 4.0);
-            span.set_sim_end(12.5);
-        }
-        disarm();
-        let events = drain();
-        set_track(0);
-        let row = events
-            .iter()
-            .find(|e| e.kind == SpanKind::ShardRow)
-            .expect("scoped span emitted");
-        assert_eq!(row.detail.as_deref(), Some("row 4"));
-        assert_eq!(row.args, vec![("row", 4.0)]);
-        match row.phase {
-            TracePhase::Complete { sim_dur } => assert!((sim_dur - 2.5).abs() < 1e-12),
-            ref other => panic!("expected complete span, got {other:?}"),
-        }
     }
 }

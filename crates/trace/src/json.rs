@@ -1,16 +1,13 @@
 //! A hand-rolled JSON writer and minimal parser.
 //!
 //! The offline `serde` shim is derive-decoration only — nothing in the
-//! workspace can serialize through it — so every machine-readable
-//! artifact (`BENCH_<pr>.json`, the Chrome-trace exports) is written by
-//! hand. This module centralises the emission that used to be
-//! duplicated `push_str` blocks in the bench binary, and adds the small
-//! parser the schema checks and the BENCH trajectory diff need.
+//! workspace can serialize through it — so the machine-readable Chrome
+//! trace exports are written by hand. This module holds that writer and
+//! the small parser the trace schema check needs.
 //!
-//! The writer mirrors the established `BENCH_*.json` house style: block
-//! containers indent their children by two spaces per level, while leaf
-//! rows use *inline* containers (`{"shards": 1, "seconds": 12.448}`) so
-//! the files stay diffable line-per-measurement.
+//! Block containers indent their children by two spaces per level, while
+//! leaf rows use *inline* containers (`{"ts": 0.5, "dur": 0.125}`)
+//! so the files stay diffable line-per-measurement.
 
 use std::fmt::Write as _;
 

@@ -36,8 +36,6 @@ pub enum SpanKind {
     BusDeliver,
     /// Per-topic queue depth after a publish/take (a counter event).
     QueueDepth,
-    /// One mission-service shard computing one sweep row.
-    ShardRow,
     /// One fleet lockstep turn (one drone's decision in the round).
     FleetTurn,
     /// The planning watchdog fired (instant).
@@ -51,7 +49,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for summary tables and registry iteration.
-    pub const ALL: [SpanKind; 17] = [
+    pub const ALL: [SpanKind; 16] = [
         SpanKind::Decision,
         SpanKind::StagePointCloud,
         SpanKind::StagePerception,
@@ -64,7 +62,6 @@ impl SpanKind {
         SpanKind::BusPublish,
         SpanKind::BusDeliver,
         SpanKind::QueueDepth,
-        SpanKind::ShardRow,
         SpanKind::FleetTurn,
         SpanKind::WatchdogFire,
         SpanKind::DegradationTransition,
@@ -99,7 +96,6 @@ impl SpanKind {
             SpanKind::BusPublish => "bus:publish",
             SpanKind::BusDeliver => "bus:deliver",
             SpanKind::QueueDepth => "queue_depth",
-            SpanKind::ShardRow => "shard_row",
             SpanKind::FleetTurn => "fleet_turn",
             SpanKind::WatchdogFire => "watchdog_fire",
             SpanKind::DegradationTransition => "degradation",
@@ -121,7 +117,7 @@ impl SpanKind {
             | SpanKind::StageRuntime => "decision",
             SpanKind::Plan => "planner",
             SpanKind::BusPublish | SpanKind::BusDeliver | SpanKind::QueueDepth => "middleware",
-            SpanKind::ShardRow | SpanKind::FleetTurn => "orchestration",
+            SpanKind::FleetTurn => "orchestration",
             SpanKind::WatchdogFire | SpanKind::DegradationTransition | SpanKind::FaultInjected => {
                 "faults"
             }

@@ -39,16 +39,16 @@ pub mod json;
 pub mod kind;
 
 pub use collector::{
-    arm, armed, current_track, disarm, drain, dropped, flush, scoped, set_track, timer, timer_ns,
-    wall_now_ns, ScopedSpan, WallTimer, SHARD_TRACK_BASE,
+    arm, armed, current_track, disarm, drain, dropped, flush, set_track, timer, timer_ns,
+    wall_now_ns, WallTimer,
 };
 pub use export::{validate_chrome_trace, KindSummary, Trace};
 pub use json::{JsonValue, JsonWriter};
 pub use kind::{SpanKind, TraceEvent, TracePhase};
 
 /// Number of usable cores on this host (the single home for the
-/// `available_parallelism` fallback duplicated across the sweep pool,
-/// the mission service, and the bench harness).
+/// `available_parallelism` fallback shared by the sweep pool and the
+/// benchmark headers).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }

@@ -1,8 +1,8 @@
 //! Property tests for the collector's two structural guarantees:
 //!
-//! 1. **Exports validate** — whatever mix of complete spans, scoped
-//!    spans, instants and counters the instrumentation emits, the
-//!    exported Chrome trace validates and holds every event.
+//! 1. **Exports validate** — whatever mix of complete spans, instants
+//!    and counters the instrumentation emits, the exported Chrome trace
+//!    validates and holds every event.
 //! 2. **Event ids are deterministic** — `(track, seq)` identifies an
 //!    event by the simulation's own emission order, so replaying the
 //!    same operation sequence yields bit-identical sim-time streams,
@@ -51,10 +51,7 @@ fn emit(action: u8, i: usize) {
         0 => collector::complete(SpanKind::Decision, t, 0.005, 0, &[("op", i as f64)]),
         1 => collector::instant(SpanKind::FaultInjected, t, &[]),
         2 => collector::counter(SpanKind::QueueDepth, "/trace_props", t, i as f64),
-        _ => {
-            let mut span = collector::scoped(SpanKind::ShardRow, t).expect("armed");
-            span.set_sim_end(t + 0.002);
-        }
+        _ => collector::complete(SpanKind::FleetTurn, t, 0.002, 0, &[]),
     }
 }
 
