@@ -4,14 +4,16 @@
 //! model (and therefore the governor) relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use roborun_core::{KnobSettings, RuntimeMode};
+use roborun_core::{Governor, GovernorConfig, KnobSettings, Profilers, RuntimeMode};
 use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
 use roborun_env::{DifficultyConfig, EnvironmentGenerator, Obstacle, ObstacleField};
 use roborun_geom::{Aabb, PointGridIndex, Pose, Ray, SplitMix64, Vec3};
 use roborun_mission::cycle::{path_clear_of_predicted, predicted_blockage_distance};
 use roborun_mission::{MissionConfig, MissionRunner};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-use roborun_planning::{CollisionChecker, RrtConfig, RrtStar, Trajectory, TrajectoryPoint};
+use roborun_planning::{
+    smooth_path, CollisionChecker, RrtConfig, RrtStar, SmoothingConfig, Trajectory, TrajectoryPoint,
+};
 use roborun_sim::CameraRig;
 
 /// A synthetic dense scan: a wall of points at the given distance.
@@ -298,7 +300,9 @@ fn bench_export_precision(c: &mut Criterion) {
 /// binding 0.6 m budget, which coarsens the masks and selects the kept
 /// voxels nearest first.
 ///
-/// A second group prices the checker's input for one refresh:
+/// A second group, `profile_and_govern`, times the runtime's profile and
+/// policy solve on each stepped map; a third prices the checker's input for
+/// one refresh:
 /// `planner_map_delta` diffs the 0.3 m unbounded exports of the last two
 /// scans, the `static_oblivious` shape.
 fn bench_perception_mission_map_step(c: &mut Criterion) {
@@ -340,9 +344,14 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("perception_mission_map_step");
     group.sample_size(20);
-    for (name, knobs) in [
-        ("oblivious_unbounded_0.3m", KnobSettings::static_baseline()),
-        ("aware_binding_0.6m", aware),
+    let mut stepped = Vec::new();
+    for (name, knobs, mode) in [
+        (
+            "oblivious_unbounded_0.3m",
+            KnobSettings::static_baseline(),
+            RuntimeMode::SpatialOblivious,
+        ),
+        ("aware_binding_0.6m", aware, RuntimeMode::SpatialAware),
     ] {
         let mut map = mission_map.clone();
         group.bench_function(name, |b| {
@@ -361,6 +370,34 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
                     ),
                 );
                 std::hint::black_box(export.len())
+            })
+        });
+        stepped.push((name, mode, map));
+    }
+    group.finish();
+
+    // The runtime's own per-decision work on each stepped map: profile the
+    // space (gap clusters, nearest obstacle at the MAV and at five upcoming
+    // waypoints, unknown-space probe) and solve for the policy. The
+    // oblivious governor ignores the profile, so its row is the profile.
+    let trajectory = smooth_path(
+        &[position, position + heading * 40.0],
+        3.0,
+        &SmoothingConfig::default(),
+    );
+    let profilers = Profilers::default();
+    let mut group = c.benchmark_group("profile_and_govern");
+    group.sample_size(20);
+    for (name, mode, map) in &stepped {
+        let governor = Governor::new(GovernorConfig {
+            mode: *mode,
+            ..GovernorConfig::default()
+        });
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                let profile =
+                    profilers.profile(&cloud, map, Some(&trajectory), position, 3.0, heading);
+                std::hint::black_box(governor.decide(&profile)).predicted_latency
             })
         });
     }

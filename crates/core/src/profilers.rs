@@ -15,7 +15,7 @@
 
 use crate::budget::WaypointState;
 use roborun_env::gaps::aabb_gap;
-use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
+use roborun_geom::{Aabb, Vec3};
 use roborun_perception::{OccupancyMap, PointCloud};
 use roborun_planning::Trajectory;
 use serde::{Deserialize, Serialize};
@@ -219,33 +219,32 @@ impl Profilers {
 /// nearest first (ties broken by the box corners, so the order — and the
 /// gap sums taken in it — never depends on hash iteration order).
 ///
-/// To keep the per-decision cost bounded, voxels are first re-keyed at a
-/// coarse clustering resolution (≥ 1.2 m); gap estimates therefore carry
+/// To keep the per-decision cost bounded, voxels are grouped into coarse
+/// clustering cells of `2^L` voxels per axis (edge `resolution · 2^L`),
+/// `L` the smallest level whose edge reaches 1.2 m (1.2 m at 0.15, 0.3 and
+/// 0.6 m voxels, one voxel from 1.2 m up); gap estimates therefore carry
 /// roughly that granularity, which is ample for the governor's precision
-/// constraints. Only the occupied voxels within `radius` are visited
-/// ([`OccupancyMap::occupied_voxels_within`]), and coarse keys are joined
-/// by probing their neighbours, so the cost follows the nearby obstacles,
-/// not the map.
+/// constraints. The cells and their boxes come straight from the map's
+/// block masks ([`OccupancyMap::occupied_cells_within`]), and cells are
+/// joined by merging sorted rows of cells, so the cost follows the nearby
+/// obstacles, not the map.
 pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) -> Vec<Aabb> {
-    let cluster_res = map.resolution().max(1.2);
-    let mut coarse: FxHashMap<VoxelKey, Aabb> = FxHashMap::default();
-    for (_, b) in map.occupied_voxels_within(center, radius) {
-        let key = VoxelKey::from_point(b.center(), cluster_res);
-        coarse
-            .entry(key)
-            .and_modify(|acc| *acc = Aabb::union(acc, &b))
-            .or_insert(b);
+    let cells = map.occupied_cells_within(center, radius, cluster_level(map.resolution()));
+    // The cells come sorted by key, so each row of cells sharing (x, y) is
+    // a run sorted by z: (x, y, first cell, end).
+    let mut rows: Vec<(i64, i64, usize, usize)> = Vec::new();
+    for (i, (key, _)) in cells.iter().enumerate() {
+        match rows.last_mut() {
+            Some(row) if (row.0, row.1) == (key.x, key.y) => row.3 = i + 1,
+            _ => rows.push((key.x, key.y, i, i + 1)),
+        }
     }
-    let nearby: Vec<(VoxelKey, Aabb)> = coarse.into_iter().collect();
-    let slot: FxHashMap<VoxelKey, usize> = nearby
-        .iter()
-        .enumerate()
-        .map(|(i, (key, _))| (*key, i))
-        .collect();
-    // Union-find over coarse-key indices. Two keys are adjacent when their
-    // Chebyshev distance is 1; probing the 13 neighbours that sort after a
-    // key (the other 13 probe back) visits every adjacent pair once.
-    let mut parent: Vec<usize> = (0..nearby.len()).collect();
+    // Union-find over cell indices. Two cells are adjacent when their
+    // Chebyshev distance is 1: within a row they are consecutive, and
+    // every other adjacent pair lies in a row and one of the four rows
+    // after it in key order, found by a cursor per offset (the targets
+    // ascend with the rows) and joined by a two-pointer pass over z.
+    let mut parent: Vec<usize> = (0..cells.len()).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
             let root = find(parent, parent[i]);
@@ -253,25 +252,45 @@ pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) 
         }
         parent[i]
     }
-    for (i, (key, _)) in nearby.iter().enumerate() {
-        for (dx, dy, dz) in FORWARD_NEIGHBOURS {
-            let neighbour = VoxelKey {
-                x: key.x + dx,
-                y: key.y + dy,
-                z: key.z + dz,
+    fn join(parent: &mut Vec<usize>, i: usize, j: usize) {
+        let (ra, rb) = (find(parent, i), find(parent, j));
+        if ra != rb {
+            parent[ra] = rb;
+        }
+    }
+    let z = |i: usize| cells[i].0.z;
+    let mut cursors = [0usize; 4];
+    for &(x, y, start, end) in &rows {
+        for i in start + 1..end {
+            if z(i) == z(i - 1) + 1 {
+                join(&mut parent, i - 1, i);
+            }
+        }
+        for (cursor, (dx, dy)) in cursors.iter_mut().zip(FORWARD_ROWS) {
+            let target = (x + dx, y + dy);
+            while rows.get(*cursor).is_some_and(|r| (r.0, r.1) < target) {
+                *cursor += 1;
+            }
+            let Some(&(_, _, other_start, other_end)) =
+                rows.get(*cursor).filter(|r| (r.0, r.1) == target)
+            else {
+                continue;
             };
-            if let Some(&j) = slot.get(&neighbour) {
-                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                if ra != rb {
-                    parent[ra] = rb;
+            let mut first = other_start;
+            for i in start..end {
+                while first < other_end && z(first) < z(i) - 1 {
+                    first += 1;
+                }
+                for j in (first..other_end).take_while(|&j| z(j) <= z(i) + 1) {
+                    join(&mut parent, i, j);
                 }
             }
         }
     }
     // Box unions are exact min/max, so each cluster's box is independent
     // of the order its members are folded in.
-    let mut clusters: Vec<Option<Aabb>> = vec![None; nearby.len()];
-    for (i, (_, bounds)) in nearby.iter().enumerate() {
+    let mut clusters: Vec<Option<Aabb>> = vec![None; cells.len()];
+    for (i, (_, bounds)) in cells.iter().enumerate() {
         let root = find(&mut parent, i);
         clusters[root] = Some(match clusters[root] {
             Some(acc) => Aabb::union(&acc, bounds),
@@ -283,23 +302,21 @@ pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) 
     out
 }
 
-/// The 13 neighbour offsets that sort after the origin in (x, y, z)
-/// lexicographic order — half of the 26-neighbourhood.
-const FORWARD_NEIGHBOURS: [(i64, i64, i64); 13] = [
-    (0, 0, 1),
-    (0, 1, -1),
-    (0, 1, 0),
-    (0, 1, 1),
-    (1, -1, -1),
-    (1, -1, 0),
-    (1, -1, 1),
-    (1, 0, -1),
-    (1, 0, 0),
-    (1, 0, 1),
-    (1, 1, -1),
-    (1, 1, 0),
-    (1, 1, 1),
-];
+/// The clustering cell level at voxel size `resolution`: the smallest `L`
+/// with `resolution · 2^L >= 1.2` m.
+fn cluster_level(resolution: f64) -> u32 {
+    let mut level = 0;
+    let mut cell = resolution;
+    while cell < 1.2 {
+        cell *= 2.0;
+        level += 1;
+    }
+    level
+}
+
+/// The (x, y) offsets of the four rows that sort after a row in key order
+/// and hold cells adjacent to its cells.
+const FORWARD_ROWS: [(i64, i64); 4] = [(0, 1), (1, -1), (1, 0), (1, 1)];
 
 /// Total order of cluster boxes: distance to `center`, then the corners.
 fn cluster_order(a: &Aabb, b: &Aabb, center: Vec3) -> Ordering {
@@ -341,6 +358,7 @@ fn cluster_gaps(clusters: &[Aabb]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roborun_geom::VoxelKey;
     use roborun_planning::{smooth_path, SmoothingConfig};
 
     fn map_from_points(points: Vec<Vec3>) -> OccupancyMap {
@@ -405,14 +423,23 @@ mod tests {
         assert!(profile.closest_obstacle < 7.0);
     }
 
-    /// The all-pairs clustering the production path replaced, kept as the
-    /// reference its output must equal (boxes and order).
+    /// The clustering cell: the first of `resolution · 2^L` that spans at
+    /// least 1.2 m.
+    fn reference_cell(resolution: f64) -> f64 {
+        (0..)
+            .map(|level| resolution * 2f64.powi(level))
+            .find(|cell| *cell >= 1.2)
+            .expect("a positive resolution reaches 1.2 m")
+    }
+
+    /// The all-pairs clustering over a voxel-by-voxel scan of the map, kept
+    /// as the reference the production path must equal (boxes and order).
     fn extract_obstacle_clusters_reference(
         map: &OccupancyMap,
         center: Vec3,
         radius: f64,
     ) -> Vec<Aabb> {
-        let cluster_res = map.resolution().max(1.2);
+        let cluster_res = reference_cell(map.resolution());
         let mut coarse: std::collections::HashMap<VoxelKey, Aabb> =
             std::collections::HashMap::new();
         for (_, b) in map
@@ -462,10 +489,13 @@ mod tests {
     #[test]
     fn clusters_match_the_all_pairs_reference_on_adversarial_maps() {
         let origin = Vec3::new(0.0, 0.0, 5.0);
-        for resolution in [0.3, 0.6, 1.2, 2.4] {
-            // Point sets keyed to the map voxels and to the 1.2 m
-            // clustering cells, so both discontinuities are hit.
-            for cell in [resolution, 1.2] {
+        // The lattice resolutions (1.2 m cells of 8, 4, 2 and 1 voxels and
+        // 2.4 m cells of one voxel), 0.1 m (1.6 m cells spanning 2³ blocks)
+        // and the off-lattice 0.5 m (2 m cells).
+        for resolution in [0.1, 0.15, 0.3, 0.5, 0.6, 1.2, 2.4] {
+            // Point sets keyed to the map voxels and to the clustering
+            // cells, so both discontinuities are hit.
+            for cell in [resolution, reference_cell(resolution)] {
                 for scenario in roborun_conformance::adversarial_point_sets(13, cell) {
                     let mut map = OccupancyMap::new(resolution);
                     map.integrate_cloud(&PointCloud::new(origin, scenario.points), resolution);

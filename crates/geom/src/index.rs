@@ -3,21 +3,20 @@
 //!
 //! These are the broad-phase primitives behind the workspace's hot
 //! kernels: RRT* nearest/near queries ([`PointGridIndex`]), the obstacle
-//! field's ray casts and the sensor simulation ([`GridRayWalk`]), and every
-//! nearest-obstacle query in the workspace ([`RingSearch`]). All are
-//! exact accelerators — every query is specified to return the same result
-//! as the corresponding linear scan, which the equivalence proptests in
-//! each consumer crate enforce.
+//! field's ray casts and the sensor simulation ([`GridRayWalk`]), and the
+//! grid nearest queries ([`RingSearch`]). All are exact accelerators —
+//! every query is specified to return the same result as the corresponding
+//! linear scan, which the equivalence proptests in each consumer crate
+//! enforce.
 //!
 //! # The `RingSearch` contract
 //!
 //! [`RingSearch`] is the single driver behind the nearest-something
 //! queries that used to hand-roll the same loop
-//! (`PointGridIndex::nearest`, `ObstacleField::nearest_indexed`,
-//! `OccupancyMap::nearest_occupied_distance`). It enumerates the Chebyshev
-//! shells around the query's cell, from the first ring that can touch the
-//! occupied key bounds outward, and stops as soon as no further ring can
-//! improve the caller's current best. Callers provide a single
+//! (`PointGridIndex::nearest`, `ObstacleField::nearest_indexed`). It
+//! enumerates the Chebyshev shells around the query's cell, from the first
+//! ring that can touch the occupied key bounds outward, and stops as soon
+//! as no further ring can improve the caller's current best. Callers provide a single
 //! `visit_cell` closure that inspects one candidate cell and returns the
 //! updated **squared** distance bound.
 //!
@@ -58,9 +57,8 @@ pub enum RingSearchOutcome {
 /// the exactness contract).
 ///
 /// A `RingSearch` is configured with the grid geometry (cell size and the
-/// occupied key bounds) plus two optional policies: a hard cap on the ring
-/// radius (for radius-limited queries) and a cell-visit budget past which
-/// the search abandons the rings in favour of the caller's linear fallback.
+/// occupied key bounds) plus an optional cell-visit budget past which the
+/// search abandons the rings in favour of the caller's linear fallback.
 ///
 /// # Example
 ///
@@ -86,7 +84,6 @@ pub struct RingSearch {
     cell: f64,
     key_min: VoxelKey,
     key_max: VoxelKey,
-    max_ring_cap: Option<i64>,
     fallback_budget: Option<usize>,
 }
 
@@ -106,16 +103,8 @@ impl RingSearch {
             cell,
             key_min,
             key_max,
-            max_ring_cap: None,
             fallback_budget: None,
         }
-    }
-
-    /// Limits the search to rings of Chebyshev radius `<= cap` — used by
-    /// radius-limited queries whose answer beyond the cap is "none".
-    pub fn cap_max_ring(mut self, cap: i64) -> Self {
-        self.max_ring_cap = Some(cap);
-        self
     }
 
     /// Stops the ring search once more than `cells` candidate cells have
@@ -150,15 +139,12 @@ impl RingSearch {
             let dz = (self.key_min.z - center.z).max(center.z - self.key_max.z);
             dx.max(dy).max(dz).max(0)
         };
-        let mut max_ring = {
+        let max_ring = {
             let dx = (center.x - self.key_min.x).max(self.key_max.x - center.x);
             let dy = (center.y - self.key_min.y).max(self.key_max.y - center.y);
             let dz = (center.z - self.key_min.z).max(self.key_max.z - center.z);
             dx.max(dy).max(dz).max(0)
         };
-        if let Some(cap) = self.max_ring_cap {
-            max_ring = max_ring.min(cap);
-        }
         let mut bound = initial_bound_squared;
         let mut visited = 0usize;
         for ring in start_ring..=max_ring {
@@ -793,31 +779,6 @@ mod tests {
                 });
         assert_eq!(outcome, RingSearchOutcome::BudgetExhausted);
         assert!(visited > 5, "budget is checked between rings");
-    }
-
-    #[test]
-    fn ring_search_cap_limits_radius() {
-        let lo = VoxelKey {
-            x: -10,
-            y: -10,
-            z: -10,
-        };
-        let hi = VoxelKey {
-            x: 10,
-            y: 10,
-            z: 10,
-        };
-        let mut max_seen = 0i64;
-        let outcome = RingSearch::new(1.0, lo, hi).cap_max_ring(2).run(
-            Vec3::new(0.5, 0.5, 0.5),
-            Some(1e9),
-            |key| {
-                max_seen = max_seen.max(key.x.abs().max(key.y.abs()).max(key.z.abs()));
-                Some(1e9)
-            },
-        );
-        assert_eq!(outcome, RingSearchOutcome::Complete);
-        assert_eq!(max_seen, 2);
     }
 
     #[test]

@@ -37,24 +37,27 @@
 //!   per-voxel centre-distance filter keeps.
 //! * **Profiler queries.** The profilers query the map on every decision
 //!   (nearest obstacle at the MAV and at each upcoming waypoint, occupied
-//!   voxels within the gap radius). They touch only the occupied map, scan
-//!   a block's bits with the same predicate as the linear references and
-//!   only *skip* whole blocks by a lower bound on their distance, with the
-//!   same one-voxel margin, so the results equal the linear scans bit for
-//!   bit (`nearest_occupied_distance_linear`, the filtered
-//!   `occupied_voxels`), which the proptests check after every integrate,
-//!   decay carve and retain. The occupied bounds the ring search starts
-//!   from are block keys: they only grow between retains (decay can leave
-//!   them conservatively large), and each retain recomputes them from the
-//!   occupied map.
-//! * **Identity.** Counters and bounds are derived state: skipped by serde
-//!   (see [`OccupancyMap::rebuild_spatial_caches`]) and left out of
-//!   `PartialEq`, which compares map content only — the masks, the decay
-//!   window, the epoch and the epoch stamps — so two maps holding the same
-//!   voxels compare equal however they were built.
+//!   cells within the gap radius). Both walk the occupied map, which the
+//!   mission's retain keeps to about a hundred blocks, and never probe
+//!   empty space. [`OccupancyMap::nearest_occupied_distance`] skips every
+//!   block whose distance lower bound, less a one-voxel margin, already
+//!   exceeds the best distance found, and scans the others' bits.
+//!   [`OccupancyMap::occupied_cells_within`] takes a block wholly inside the
+//!   sphere (one-voxel margin, as in the retain) as its mask stands and
+//!   filters a crossing block's bits with the per-voxel predicate; each
+//!   cell's box then comes from the lowest and highest set index per axis
+//!   of its part of the mask. Both equal their linear scans bit for bit
+//!   (`nearest_occupied_distance_linear`, the filtered `occupied_voxels`
+//!   grouped by cell), which the proptests check after every integrate,
+//!   decay carve and retain.
+//! * **Identity.** Counters are derived state: skipped by serde (see
+//!   [`OccupancyMap::rebuild_spatial_caches`]) and left out of `PartialEq`,
+//!   which compares map content only — the masks, the decay window, the
+//!   epoch and the epoch stamps — so two maps holding the same voxels
+//!   compare equal however they were built.
 
 use crate::PointCloud;
-use roborun_geom::{cell_min_distance_squared, Aabb, FxHashMap, Ray, RingSearch, Vec3, VoxelKey};
+use roborun_geom::{cell_min_distance_squared, Aabb, FxHashMap, Ray, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
 
 /// Block edge of the store, in voxels (see the module docs).
@@ -228,15 +231,6 @@ pub struct OccupancyMap {
     /// Number of occupied voxels, derivable like `known_len`.
     #[serde(skip)]
     occupied_len: usize,
-    /// Bounds of the occupied map's block keys (valid when `occupied_len >
-    /// 0`); they let the ring search skip shells that cannot contain an
-    /// occupied voxel. Derivable like `known_len`. Decay can
-    /// leave them conservatively large until the next retain, which only
-    /// costs ring pruning efficiency, never correctness.
-    #[serde(skip)]
-    occupied_min: VoxelKey,
-    #[serde(skip)]
-    occupied_max: VoxelKey,
     /// Stale-occupied decay window in epochs, or `None` (the default) for
     /// the classic accrete-only behaviour. Runtime configuration, not
     /// map content: excluded from serialized forms.
@@ -253,8 +247,7 @@ pub struct OccupancyMap {
 }
 
 /// Maps compare by content: the masks, the decay window, the epoch and
-/// the epoch stamps, not the derived counters and bounds (see the module
-/// docs).
+/// the epoch stamps, not the derived counters (see the module docs).
 impl PartialEq for OccupancyMap {
     fn eq(&self, other: &Self) -> bool {
         let OccupancyMap {
@@ -263,8 +256,6 @@ impl PartialEq for OccupancyMap {
             occupied,
             known_len: _,
             occupied_len: _,
-            occupied_min: _,
-            occupied_max: _,
             decay_after,
             current_epoch,
             last_occupied_epoch,
@@ -295,8 +286,6 @@ impl OccupancyMap {
             occupied: FxHashMap::default(),
             known_len: 0,
             occupied_len: 0,
-            occupied_min: VoxelKey { x: 0, y: 0, z: 0 },
-            occupied_max: VoxelKey { x: 0, y: 0, z: 0 },
             decay_after: None,
             current_epoch: 0,
             last_occupied_epoch: FxHashMap::default(),
@@ -471,13 +460,11 @@ impl OccupancyMap {
             }
             self.occupied_len -= 1;
             self.last_occupied_epoch.remove(&key);
-            // The occupied bounds stay conservatively large; the ring
-            // searches only use them as an outer cover.
         }
     }
 
-    /// Stamps one voxel occupied, maintaining the counters, the occupied
-    /// bounds and — while decay is enabled — the last-observed epoch.
+    /// Stamps one voxel occupied, maintaining the counters and — while
+    /// decay is enabled — the last-observed epoch.
     #[inline]
     fn mark_occupied(&mut self, key: VoxelKey) {
         let (word, bit) = slot_of(key);
@@ -490,13 +477,6 @@ impl OccupancyMap {
         let occupied = self.occupied.entry(block).or_default();
         if occupied[word] & bit == 0 {
             occupied[word] |= bit;
-            if self.occupied_len == 0 {
-                self.occupied_min = block;
-                self.occupied_max = block;
-            } else {
-                self.occupied_min = self.occupied_min.componentwise_min(block);
-                self.occupied_max = self.occupied_max.componentwise_max(block);
-            }
             self.occupied_len += 1;
         }
         if self.decay_after.is_some() {
@@ -689,28 +669,133 @@ impl OccupancyMap {
         &self.occupied
     }
 
-    /// The occupied voxels whose bounds lie within `radius` of `center`
-    /// (`bounds.distance_to_point(center) <= radius`) — exactly the
-    /// matching subset of [`OccupancyMap::occupied_voxels`], found by
-    /// skipping the blocks that lie farther than `radius`.
-    pub fn occupied_voxels_within(
+    /// The occupied cells of `2^level` voxels per axis (cell key `key >>
+    /// level`) that hold an occupied voxel whose bounds lie within `radius`
+    /// of `center` (`bounds.distance_to_point(center) <= radius`), each with
+    /// the union of those voxels' bounds, sorted by cell key — exactly the
+    /// matching subset of [`OccupancyMap::occupied_voxels`] grouped by cell
+    /// and folded with [`Aabb::union`].
+    ///
+    /// Works on the block masks (see the module docs): a block wholly
+    /// inside the sphere is taken as it stands, a crossing block filters
+    /// its bits, and a cell's box comes from the lowest and highest set
+    /// index per axis of its part of the mask — the mask word gives x, the
+    /// byte y and the bit z. Voxel bounds are monotone in the key, so that
+    /// box is the fold of the members' bounds bit for bit. A cell no coarser
+    /// than a block (`level <= 3`) lies in one block; a coarser one merges
+    /// the boxes of the blocks it holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level >= 63`.
+    pub fn occupied_cells_within(
         &self,
         center: Vec3,
         radius: f64,
-    ) -> impl Iterator<Item = (VoxelKey, Aabb)> + '_ {
+        level: u32,
+    ) -> Vec<(VoxelKey, Aabb)> {
+        assert!(level < 63, "cell level {level} out of range");
         let res = self.resolution;
         let block_size = self.block_size();
-        // Voxel bounds lie inside their block; the one-voxel margin keeps
-        // rounding from skipping a block that holds a match.
-        let reach = radius + res;
-        self.occupied
-            .iter()
-            .filter(move |(block, _)| {
-                cell_min_distance_squared(**block, block_size, center) <= reach * reach
+        let (outer, inner) = (radius + res, radius - res);
+        // A block splits into `per_axis³` sub-cells of `span³` voxels: the
+        // cells themselves up to level 3, above it the whole block (one
+        // part of a coarser cell).
+        let span = 1usize << level.min(3);
+        let per_axis = BLOCK_EDGE as usize / span;
+        // The (y, z) part of each sub-cell's mask in one word: `span`
+        // consecutive bytes (y), `span` consecutive bits of each (z).
+        let z_run = u64::MAX >> (64 - span);
+        let yz_masks: Vec<u64> = (0..per_axis * per_axis)
+            .map(|i| {
+                let (cy, cz) = (i / per_axis, i % per_axis);
+                (cy * span..(cy + 1) * span).fold(0, |m, y| m | (z_run << (cz * span)) << (8 * y))
             })
-            .flat_map(|(block, mask)| mask_keys(*block, *mask))
-            .map(move |k| (k, voxel_bounds(k, res)))
-            .filter(move |(_, bounds)| bounds.distance_to_point(center) <= radius)
+            .collect();
+        // (cell key, lowest member key, highest member key).
+        let mut cells: Vec<(VoxelKey, VoxelKey, VoxelKey)> = Vec::new();
+        for (block, mask) in &self.occupied {
+            if cell_min_distance_squared(*block, block_size, center) > outer * outer {
+                continue;
+            }
+            let mask = if inner > 0.0
+                && cell_max_distance_squared(*block, block_size, center) < inner * inner
+            {
+                *mask
+            } else {
+                let mut kept = [0u64; 8];
+                for key in mask_keys(*block, *mask) {
+                    if voxel_bounds(key, res).distance_to_point(center) <= radius {
+                        let (word, bit) = slot_of(key);
+                        kept[word] |= bit;
+                    }
+                }
+                kept
+            };
+            let origin = VoxelKey {
+                x: block.x << 3,
+                y: block.y << 3,
+                z: block.z << 3,
+            };
+            for (cx, words) in mask.chunks_exact(span).enumerate() {
+                if words.iter().all(|w| *w == 0) {
+                    continue;
+                }
+                for &yz in &yz_masks {
+                    let mut x_range = None;
+                    let mut union = 0u64;
+                    for (dx, word) in words.iter().enumerate() {
+                        let bits = word & yz;
+                        if bits != 0 {
+                            x_range = Some((x_range.map_or(dx, |(lo, _)| lo), dx));
+                            union |= bits;
+                        }
+                    }
+                    let Some((x_lo, x_hi)) = x_range else {
+                        continue;
+                    };
+                    let mut z_bits = union | union >> 32;
+                    z_bits |= z_bits >> 16;
+                    z_bits |= z_bits >> 8;
+                    let z_bits = z_bits as u8;
+                    let lo = VoxelKey {
+                        x: origin.x + (cx * span + x_lo) as i64,
+                        y: origin.y + i64::from(union.trailing_zeros() / 8),
+                        z: origin.z + i64::from(z_bits.trailing_zeros()),
+                    };
+                    let hi = VoxelKey {
+                        x: origin.x + (cx * span + x_hi) as i64,
+                        y: origin.y + i64::from((63 - union.leading_zeros()) / 8),
+                        z: origin.z + i64::from(7 - z_bits.leading_zeros()),
+                    };
+                    let cell = VoxelKey {
+                        x: lo.x >> level,
+                        y: lo.y >> level,
+                        z: lo.z >> level,
+                    };
+                    cells.push((cell, lo, hi));
+                }
+            }
+        }
+        cells.sort_unstable_by_key(|(cell, _, _)| *cell);
+        cells.dedup_by(|(cell, lo, hi), (kept, kept_lo, kept_hi)| {
+            let same = cell == kept;
+            if same {
+                *kept_lo = kept_lo.componentwise_min(*lo);
+                *kept_hi = kept_hi.componentwise_max(*hi);
+            }
+            same
+        });
+        cells
+            .into_iter()
+            .map(|(cell, lo, hi)| {
+                let bounds = Aabb {
+                    min: voxel_bounds(lo, res).min,
+                    max: voxel_bounds(hi, res).max,
+                };
+                (cell, bounds)
+            })
+            .collect()
     }
 
     /// Distance from `p` to the centre of the nearest occupied voxel within
@@ -718,35 +803,33 @@ impl OccupancyMap {
     /// `d_obs` the profilers feed to the governor (as opposed to the
     /// ground-truth distance the simulator knows).
     ///
-    /// Searches the blocks in expanding Chebyshev rings around `p` and
-    /// scans each visited block's occupied bits, so the cost follows the
-    /// occupied voxels near `p`, not the size of the map. The result
-    /// equals [`OccupancyMap::nearest_occupied_distance_linear`] bit for
-    /// bit (see the module docs).
+    /// Walks the occupied blocks and scans the bits of each block that
+    /// could still hold a closer voxel: a block is skipped when its
+    /// distance lower bound exceeds the best distance so far (or
+    /// `max_radius`) by more than a voxel. The result equals
+    /// [`OccupancyMap::nearest_occupied_distance_linear`] bit for bit (see
+    /// the module docs).
     pub fn nearest_occupied_distance(&self, p: Vec3, max_radius: f64) -> Option<f64> {
-        if self.occupied_len == 0 || max_radius < 0.0 {
+        if max_radius < 0.0 {
             return None;
         }
+        let res = self.resolution;
         let block_size = self.block_size();
-        // An occupied voxel centre within `max_radius` lies within this
-        // many rings of the query's block; `max_radius` also seeds the
-        // prune bound so farther blocks are skipped before the first hit.
-        let ring_cap = ((max_radius / block_size).ceil() as i64).saturating_add(1);
         let mut best: Option<f64> = None;
-        RingSearch::new(block_size, self.occupied_min, self.occupied_max)
-            .cap_max_ring(ring_cap)
-            .run(p, Some(max_radius * max_radius), |block| {
-                if let Some(mask) = self.occupied.get(&block) {
-                    for key in mask_keys(block, *mask) {
-                        let d = key.center(self.resolution).distance(p);
-                        if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
-                            best = Some(d);
-                        }
-                    }
+        for (block, mask) in &self.occupied {
+            // Voxel centres lie inside their block; the one-voxel margin
+            // keeps rounding from skipping a block that holds a match.
+            let reach = best.unwrap_or(max_radius) + res;
+            if cell_min_distance_squared(*block, block_size, p) > reach * reach {
+                continue;
+            }
+            for key in mask_keys(*block, *mask) {
+                let d = key.center(res).distance(p);
+                if d <= max_radius && best.is_none_or(|b| d < b) {
+                    best = Some(d);
                 }
-                let cutoff = best.unwrap_or(max_radius);
-                Some(cutoff * cutoff)
-            });
+            }
+        }
         best
     }
 
@@ -832,27 +915,24 @@ impl OccupancyMap {
             }
         });
         self.occupied_len -= occupied_dropped;
-        self.recompute_occupied_bounds();
     }
 
-    /// Rebuilds the voxel counters and the occupied bounds from the masks.
+    /// Rebuilds the voxel counters from the masks.
     ///
-    /// All three are `#[serde(skip)]`: they are derivable state, so
-    /// serialized forms carry only the masks and a deserialized map starts
-    /// with zeroed counters. Deserializers must call this before querying —
-    /// after it, every query answers exactly as on the original map
-    /// (enforced by the round-trip test).
+    /// Both are `#[serde(skip)]`: they are derivable state, so serialized
+    /// forms carry only the masks and a deserialized map starts with zeroed
+    /// counters. Deserializers must call this before querying — after it,
+    /// every query answers exactly as on the original map (enforced by the
+    /// round-trip test).
     pub fn rebuild_spatial_caches(&mut self) {
         self.known_len = self.known.values().map(mask_len).sum();
         self.occupied_len = self.occupied.values().map(mask_len).sum();
-        self.recompute_occupied_bounds();
     }
 
     /// `true` when the derived state agrees with the masks: no mask is
     /// empty, every occupied mask is a subset of its block's known mask,
-    /// the counters equal the mask populations, the occupied bounds cover
-    /// every occupied block, and every epoch stamp belongs to an occupied
-    /// voxel.
+    /// the counters equal the mask populations, and every epoch stamp
+    /// belongs to an occupied voxel.
     pub fn spatial_caches_consistent(&self) -> bool {
         let masks_sound = self.known.values().all(|mask| *mask != [0; 8])
             && self.occupied.iter().all(|(block, mask)| {
@@ -861,10 +941,6 @@ impl OccupancyMap {
             });
         let known_len: usize = self.known.values().map(mask_len).sum();
         let occupied_len: usize = self.occupied.values().map(mask_len).sum();
-        let bounds_cover = self.occupied.keys().all(|block| {
-            self.occupied_min.componentwise_min(*block) == self.occupied_min
-                && self.occupied_max.componentwise_max(*block) == self.occupied_max
-        });
         let stamps_occupied = self
             .last_occupied_epoch
             .keys()
@@ -872,23 +948,7 @@ impl OccupancyMap {
         masks_sound
             && known_len == self.known_len
             && occupied_len == self.occupied_len
-            && bounds_cover
             && stamps_occupied
-    }
-
-    /// Recomputes the occupied bounds from the occupied map.
-    fn recompute_occupied_bounds(&mut self) {
-        let mut blocks = self.occupied.keys().copied();
-        if let Some(first) = blocks.next() {
-            let (lo, hi) = blocks.fold((first, first), |(lo, hi), block| {
-                (lo.componentwise_min(block), hi.componentwise_max(block))
-            });
-            self.occupied_min = lo;
-            self.occupied_max = hi;
-        } else {
-            self.occupied_min = VoxelKey { x: 0, y: 0, z: 0 };
-            self.occupied_max = VoxelKey { x: 0, y: 0, z: 0 };
-        }
     }
 }
 
@@ -1042,10 +1102,10 @@ mod tests {
     #[test]
     fn serde_skip_round_trip_answers_identically() {
         // What a serde round trip produces with `#[serde(skip)]` on the
-        // derived counters and bounds: the masks restored, the skipped
-        // fields at their defaults. After `rebuild_spatial_caches` the map
-        // compares equal to the original and answers nearest queries and
-        // statistics identically.
+        // derived counters: the masks restored, the skipped fields at their
+        // defaults. After `rebuild_spatial_caches` the map compares equal
+        // to the original and answers nearest queries and statistics
+        // identically.
         let mut original = OccupancyMap::new(0.5);
         let origin = Vec3::new(0.0, 0.0, 5.0);
         original.integrate_cloud(&cloud_with_wall(origin, 8.0), 0.5);
@@ -1054,8 +1114,9 @@ mod tests {
             occupied: original.occupied.clone(),
             ..OccupancyMap::new(original.resolution)
         };
-        assert!(
-            restored.nearest_occupied_distance(origin, 100.0).is_none(),
+        assert_ne!(
+            restored.stats(),
+            original.stats(),
             "an unrebuilt cache must be observably stale, or the test is vacuous"
         );
         restored.rebuild_spatial_caches();
@@ -1104,7 +1165,7 @@ mod tests {
             0.25,
         );
         assert_eq!(map.state_at(actor_cell), Some(VoxelState::Free));
-        // The occupied cache agrees (the ring search no longer finds it).
+        // The occupied masks agree (the nearest query no longer finds it).
         let d = map.nearest_occupied_distance(origin, 100.0).unwrap();
         assert!(d > 6.0, "decayed voxel still reported at {d}");
         // Re-observation re-occupies and re-protects the cell.
@@ -1187,14 +1248,12 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn retain_within_keeps_the_block_store_exact_at_every_radius() {
-        // A dense slab of occupied voxels, so every retain radius cuts
-        // through blocks and the wholly-inside / wholly-outside shortcuts
-        // sit right next to the crossing blocks they must not swallow;
-        // then random integrate and decay steps scatter free and occupied
-        // voxels (and epoch stamps) around it.
-        let res = 0.5;
+    /// A dense slab of occupied voxels, so every query radius cuts through
+    /// blocks and the wholly-inside / wholly-outside shortcuts sit right
+    /// next to the crossing blocks they must not swallow; then random
+    /// integrate and decay steps scatter free and occupied voxels (and
+    /// epoch stamps) around it.
+    fn dense_slab_map(res: f64) -> OccupancyMap {
         let mut base = OccupancyMap::new(res);
         base.set_stale_decay(Some(1));
         let mut points = Vec::new();
@@ -1227,17 +1286,34 @@ mod tests {
                 .collect();
             base.integrate_cloud(&PointCloud::new(origin, hits), res * 0.5);
         }
-        let before = known_voxels(&base);
-        assert!(!base.last_occupied_epoch.is_empty());
+        base
+    }
+
+    /// Radii from zero through every block-crossing distance to one
+    /// containing the whole slab, around two centres in it, one above it
+    /// and one far off (where every block misses).
+    fn slab_query_cases() -> Vec<(Vec3, f64)> {
         let far = Vec3::new(500.0, -300.0, 40.0);
         let mut cases: Vec<(Vec3, f64)> = Vec::new();
-        for center in [Vec3::ZERO, Vec3::new(1.3, -2.9, 1.7), far] {
-            // Radii from zero through every block-crossing distance to one
-            // containing the whole map; at `far` every block misses.
+        for center in [
+            Vec3::ZERO,
+            Vec3::new(1.3, -2.9, 1.7),
+            Vec3::new(-3.1, 5.2, 9.4),
+            far,
+        ] {
             cases.extend((0..50).map(|i| (center, i as f64 * 0.23)));
             cases.push((center, 1e4));
         }
-        for (center, radius) in cases {
+        cases
+    }
+
+    #[test]
+    fn retain_within_keeps_the_block_store_exact_at_every_radius() {
+        let res = 0.5;
+        let base = dense_slab_map(res);
+        let before = known_voxels(&base);
+        assert!(!base.last_occupied_epoch.is_empty());
+        for (center, radius) in slab_query_cases() {
             let mut map = base.clone();
             map.retain_within(center, radius);
             let expected: BTreeMap<VoxelKey, VoxelState> = before
@@ -1281,13 +1357,59 @@ mod tests {
     }
 
     #[test]
+    fn mask_queries_equal_their_scans_at_every_radius_and_level() {
+        // Whole blocks full of occupied voxels exercise the whole-block
+        // path at every level; the scattered voxels around them the
+        // per-bit filter of the crossing blocks.
+        for res in [0.5, 0.3] {
+            let map = dense_slab_map(res);
+            for (center, radius) in slab_query_cases() {
+                assert_eq!(
+                    map.nearest_occupied_distance(center, radius)
+                        .map(f64::to_bits),
+                    map.nearest_occupied_distance_linear(center, radius)
+                        .map(f64::to_bits),
+                    "res {res} r={radius} at {center}"
+                );
+                for level in 0..=4 {
+                    let mut scanned: BTreeMap<VoxelKey, Aabb> = BTreeMap::new();
+                    for (key, bounds) in map
+                        .occupied_voxels()
+                        .filter(|(_, b)| b.distance_to_point(center) <= radius)
+                    {
+                        let cell = VoxelKey {
+                            x: key.x >> level,
+                            y: key.y >> level,
+                            z: key.z >> level,
+                        };
+                        scanned
+                            .entry(cell)
+                            .and_modify(|acc| *acc = Aabb::union(acc, &bounds))
+                            .or_insert(bounds);
+                    }
+                    let bits = |b: &Aabb| {
+                        [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f64::to_bits)
+                    };
+                    let expected: Vec<_> = scanned.iter().map(|(k, b)| (*k, bits(b))).collect();
+                    let cells: Vec<_> = map
+                        .occupied_cells_within(center, radius, level)
+                        .iter()
+                        .map(|(k, b)| (*k, bits(b)))
+                        .collect();
+                    assert_eq!(
+                        cells, expected,
+                        "res {res} level {level} r={radius} at {center}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn equal_content_compares_equal_whatever_the_history() {
         // Map A sees an obstacle at x = 4, then a later ray along the same
         // axis decays it to free; map B only ever sees the later cloud.
-        // Both hold the same voxels and stamps, though A's occupied bounds
-        // still reach back to the decayed voxel: the later cloud's first
-        // hit, off the axis, keeps A's occupied voxels from running out
-        // before the decay, so the bounds never reset.
+        // Both hold the same voxels and stamps, so they compare equal.
         let origin = Vec3::new(0.0, 0.0, 5.0);
         let through = PointCloud::new(
             origin,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use roborun_geom::{snap_to_lattice, Aabb, Vec3, VoxelKey};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(
@@ -30,7 +30,7 @@ proptest! {
         prop_assert!(coarser.len() <= ds.len());
     }
 
-    /// The expanding-ring nearest query must return exactly what the
+    /// The occupied-block nearest query must return exactly what the
     /// retained linear scan returns, on random maps and random queries.
     #[test]
     fn ring_nearest_queries_match_linear_scans(points in arb_points(150),
@@ -261,8 +261,9 @@ proptest! {
     /// The block store stays exact under every operation that changes
     /// the occupied voxels: integration, a decay-enabled carve that
     /// downgrades stale voxels, and `retain_within`. After every step the
-    /// counters and bounds agree with the blocks, and both block-skipping
-    /// queries equal their full scans bit for bit.
+    /// counters agree with the blocks, and both mask queries equal their
+    /// full scans bit for bit: the nearest distance, and the cells of
+    /// `2^level` voxels from one voxel (level 0) to 2³ blocks (level 4).
     #[test]
     fn block_store_stays_exact_under_integrate_decay_and_retain(
         steps in prop::collection::vec(
@@ -300,22 +301,55 @@ proptest! {
                     );
                 }
                 for r in [0.0, resolution, radius, 20.0] {
-                    let mut within: Vec<_> = map
-                        .occupied_voxels_within(q, r)
-                        .map(|(k, _)| k)
-                        .collect();
-                    let mut scanned: Vec<_> = map
-                        .occupied_voxels()
-                        .filter(|(_, b)| b.distance_to_point(q) <= r)
-                        .map(|(k, _)| k)
-                        .collect();
-                    within.sort();
-                    scanned.sort();
-                    prop_assert_eq!(within, scanned);
+                    for level in 0..=4 {
+                        prop_assert_eq!(
+                            cells_bits(map.occupied_cells_within(q, r, level)),
+                            cells_bits(occupied_cells_scanned(&map, q, r, level)),
+                            "level {} radius {} at {}", level, r, q
+                        );
+                    }
                 }
             }
         }
     }
+}
+
+/// The occupied cells of `2^level` voxels within `radius` of `center` by a
+/// full scan: every occupied voxel whose bounds lie within the radius,
+/// grouped by `key >> level`, bounds folded with `Aabb::union`.
+fn occupied_cells_scanned(
+    map: &OccupancyMap,
+    center: Vec3,
+    radius: f64,
+    level: u32,
+) -> Vec<(VoxelKey, Aabb)> {
+    let mut cells: BTreeMap<VoxelKey, Aabb> = BTreeMap::new();
+    for (key, bounds) in map
+        .occupied_voxels()
+        .filter(|(_, b)| b.distance_to_point(center) <= radius)
+    {
+        let cell = VoxelKey {
+            x: key.x >> level,
+            y: key.y >> level,
+            z: key.z >> level,
+        };
+        cells
+            .entry(cell)
+            .and_modify(|acc| *acc = Aabb::union(acc, &bounds))
+            .or_insert(bounds);
+    }
+    cells.into_iter().collect()
+}
+
+/// Cells with their boxes as bits, so equality is bit equality.
+fn cells_bits(cells: Vec<(VoxelKey, Aabb)>) -> Vec<(VoxelKey, [u64; 6])> {
+    cells
+        .into_iter()
+        .map(|(key, b)| {
+            let corners = [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z];
+            (key, corners.map(f64::to_bits))
+        })
+        .collect()
 }
 
 /// The export as it was before it worked on block masks: every occupied

@@ -100,7 +100,7 @@ pub fn disarm() {
 }
 
 /// Nanoseconds since the tracer was first armed (0 if never armed).
-pub fn wall_now_ns() -> u64 {
+fn wall_now_ns() -> u64 {
     EPOCH
         .get()
         .map_or(0, |epoch| epoch.elapsed().as_nanos() as u64)
@@ -112,11 +112,6 @@ pub fn wall_now_ns() -> u64 {
 /// (the fleet coordinator) still produces deterministic per-track ids.
 pub fn set_track(track: u32) {
     LOCAL.with(|local| local.borrow_mut().track = track);
-}
-
-/// The calling thread's current track id.
-pub fn current_track() -> u32 {
-    LOCAL.with(|local| local.borrow().track)
 }
 
 /// Spills the calling thread's buffered events into the global sink.

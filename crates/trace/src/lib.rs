@@ -39,8 +39,7 @@ pub mod json;
 pub mod kind;
 
 pub use collector::{
-    arm, armed, current_track, disarm, drain, dropped, flush, set_track, timer, timer_ns,
-    wall_now_ns, WallTimer,
+    arm, armed, disarm, drain, dropped, flush, set_track, timer, timer_ns, WallTimer,
 };
 pub use export::{validate_chrome_trace, KindSummary, Trace};
 pub use json::{JsonValue, JsonWriter};
