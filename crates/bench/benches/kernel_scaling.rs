@@ -425,6 +425,39 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// One camera-rig sweep, the per-decision work `sim.capture_ms` traces:
+/// each mission rig (`static_*`'s six cameras, `dynamic_nodes`' nine with
+/// the tilted three) captured from 30 poses 5 m apart along the
+/// start→goal line of a mid environment, facing the goal, one pose per
+/// iteration in turn.
+fn bench_sim_capture(c: &mut Criterion) {
+    let env = EnvironmentGenerator::new(DifficultyConfig {
+        goal_distance: 150.0,
+        ..DifficultyConfig::mid()
+    })
+    .generate(4);
+    let heading = (env.goal() - env.start()).normalize();
+    let yaw = heading.y.atan2(heading.x);
+    let poses: Vec<Pose> = (0..30)
+        .map(|i| Pose::new(env.start() + heading * (5.0 * i as f64), yaw))
+        .collect();
+    let mission = MissionConfig::new(RuntimeMode::SpatialAware);
+    let mut group = c.benchmark_group("sim_capture");
+    for (name, rig) in [
+        ("static_rig", mission.camera_rig()),
+        ("dynamic_rig", mission.dynamic_camera_rig()),
+    ] {
+        let mut next = 0;
+        group.bench_function(format!("{name}/{}rays", rig.rays_per_sweep()), |b| {
+            b.iter(|| {
+                next = (next + 1) % poses.len();
+                rig.capture(env.field(), &poses[next]).points.len()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Random boxes spread over a mission-scale corridor.
 fn random_obstacles(n: usize, seed: u64) -> Vec<Obstacle> {
     let mut rng = SplitMix64::new(seed);
@@ -1233,6 +1266,7 @@ criterion_group!(
     bench_shared_world_amortization,
     bench_export_precision,
     bench_perception_mission_map_step,
+    bench_sim_capture,
     bench_obstacle_raycast_scaling,
     bench_obstacle_nearest_scaling,
     bench_point_nearest_scaling,

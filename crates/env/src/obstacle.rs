@@ -651,8 +651,7 @@ impl ObstacleField {
     }
 
     /// Distance the ray can travel before hitting an obstacle, capped at
-    /// `max_range`. This is the primitive behind the visibility model and
-    /// the simulated depth cameras.
+    /// `max_range`. This is the primitive behind the visibility model.
     pub fn free_distance(&self, ray: &Ray, max_range: f64) -> f64 {
         self.raycast(ray, max_range)
             .map(|h| h.distance)
@@ -679,19 +678,6 @@ impl ObstacleField {
             t += step;
         }
         self.is_occupied_with_margin(b, margin)
-    }
-
-    /// A new field containing only the obstacles whose surface lies within
-    /// `radius` of `p` — used by the sensor simulation to avoid testing
-    /// every obstacle in a kilometre-long mission corridor against every
-    /// depth ray.
-    pub fn subfield_within(&self, p: Vec3, radius: f64) -> ObstacleField {
-        ObstacleField::new(
-            self.within_indices(p, radius)
-                .into_iter()
-                .map(|i| self.obstacles[i as usize])
-                .collect(),
-        )
     }
 
     /// Axis-aligned bounds enclosing every obstacle, or `None` when empty.
@@ -955,16 +941,6 @@ mod tests {
         assert_eq!(f2.len(), 5);
         f2.push(Obstacle::new(99, Aabb::new(Vec3::ZERO, Vec3::splat(1.0))));
         assert_eq!(f2.len(), 6);
-    }
-
-    #[test]
-    fn subfield_keeps_nearby_obstacles_only() {
-        let f = two_box_field();
-        let sub = f.subfield_within(Vec3::new(10.0, 0.0, 2.0), 3.0);
-        assert_eq!(sub.len(), 1);
-        assert_eq!(sub.obstacles()[0].id, 0);
-        let all = f.subfield_within(Vec3::new(15.0, 2.0, 2.0), 100.0);
-        assert_eq!(all.len(), 2);
     }
 
     #[test]

@@ -879,7 +879,7 @@ impl<'m> DecisionCycle<'m> {
         let scan = self.rig.capture(field, &pose);
         let mut sensed_points = match self.fault_injector.as_mut() {
             Some(injector) => injector.corrupt_sweep(pose.position, &scan.points),
-            None => scan.points.clone(),
+            None => scan.points,
         };
         if let Some(burst) = frame.sensor_burst {
             sensed_points = burst_injector(burst).corrupt_sweep(pose.position, &sensed_points);
