@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the middleware substrate: raw pub/sub
-//! throughput, fan-out cost and executor spin overhead.
+//! throughput and fan-out cost.
 //!
 //! These validate that the transport layer's real cost is negligible next
 //! to the navigation kernels (the modeled "comm" term dominates it by
@@ -7,7 +7,7 @@
 //! of the reproduction itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use roborun_middleware::{Executor, MessageBus, Node, QosProfile};
+use roborun_middleware::{MessageBus, Node, QosProfile};
 
 /// Publish/take round trips for a point-cloud-sized payload.
 fn bench_pub_sub_round_trip(c: &mut Criterion) {
@@ -65,40 +65,5 @@ fn bench_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-/// Executor spin cost with a producer/consumer pair and a timer.
-fn bench_executor_spin(c: &mut Criterion) {
-    let mut group = c.benchmark_group("middleware_executor");
-    group.sample_size(40);
-    group.bench_function("spin_once_pipeline", |b| {
-        let bus = MessageBus::default();
-        let source = Node::new(&bus, "source").unwrap();
-        let sink = Node::new(&bus, "sink").unwrap();
-        let publisher = source.publisher::<u64>("/ticks").unwrap();
-        let subscription = sink
-            .subscribe::<u64>("/ticks", QosProfile::reliable(32))
-            .unwrap();
-        let mut executor = Executor::new(&bus);
-        let mut tick = 0u64;
-        executor.add_task("producer", move |_| {
-            let _ = publisher.publish(tick);
-            tick += 1;
-        });
-        executor.add_task(
-            "consumer",
-            move |_| {
-                while subscription.try_recv().is_some() {}
-            },
-        );
-        executor.add_timer("heartbeat", 1.0, |_| {});
-        b.iter(|| std::hint::black_box(executor.spin_once(0.1)));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pub_sub_round_trip,
-    bench_fanout,
-    bench_executor_spin
-);
+criterion_group!(benches, bench_pub_sub_round_trip, bench_fanout);
 criterion_main!(benches);

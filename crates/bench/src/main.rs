@@ -363,7 +363,7 @@ fn node_graph(full: bool) {
 /// audited by the safety monitor.
 fn faults(full: bool) {
     use roborun_core::SafetyReport;
-    use roborun_sim::FaultConfig;
+    use roborun_faults::FaultPlanConfig;
     println!("## Fault injection — degraded sensing, same governor\n");
     let difficulty = if full {
         DifficultyConfig::mid()
@@ -375,14 +375,14 @@ fn faults(full: bool) {
     };
     let env = EnvironmentGenerator::new(difficulty).generate(21);
     let mut rows = Vec::new();
-    for (label, faults) in [
-        ("healthy", FaultConfig::healthy()),
-        ("fog 12 m", FaultConfig::fog(12.0)),
-        ("fog 6 m", FaultConfig::fog(6.0)),
-        ("flaky sensors", FaultConfig::flaky_sensors(0.1, 0.3)),
+    for (label, fault_plan) in [
+        ("healthy", FaultPlanConfig::healthy()),
+        ("fog 12 m", FaultPlanConfig::fog(12.0)),
+        ("fog 6 m", FaultPlanConfig::fog(6.0)),
+        ("flaky sensors", FaultPlanConfig::flaky_sensors(0.1, 0.3)),
     ] {
         let config = MissionConfig {
-            faults,
+            fault_plan,
             max_decisions: if full { 8_000 } else { 4_000 },
             max_mission_time: if full { 10_000.0 } else { 5_000.0 },
             ..MissionConfig::new(RuntimeMode::SpatialAware)

@@ -32,7 +32,8 @@
 //!
 //! | channel | injection point |
 //! |---------|-----------------|
-//! | sensor blackout / burst | between the camera rig and cloud integration |
+//! | sensor blackout / burst | between the camera rig and cloud integration ([`FaultFrame::corrupt_sweep`]) |
+//! | sensor fog | the same corruptor drops returns beyond the cap; both drivers clamp the profiled visibility to it |
 //! | bus loss / duplication / delay | [`MessageBus::publish`](roborun_middleware::MessageBus) via [`FaultyBus`] |
 //! | planner spike / forced failure | around the planner call, charged to the planning latency |
 //! | stale map | the map-integration step of the perception operators |
@@ -51,7 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use roborun_geom::SplitMix64;
+use roborun_geom::{SplitMix64, Vec3};
 use roborun_middleware::{LinkDisposition, LinkFaultModel, MessageBus, TopicName};
 use serde::{Deserialize, Serialize};
 
@@ -102,9 +103,14 @@ impl FaultWindows {
     }
 }
 
-/// Perception-side faults: full sensor blackouts and depth-noise bursts.
+/// Perception-side faults: full sensor blackouts, depth-noise bursts and
+/// fog.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SensorFaultChannel {
+    /// Fog: on every decision, depth returns farther than this from the
+    /// sensor are lost and the profiled visibility is clamped to it
+    /// (metres, positive). `None` disables fog.
+    pub fog_cap: Option<f64>,
     /// Decisions on which the whole sweep is lost (no depth returns at
     /// all, and the map is not updated).
     pub blackout: Option<FaultWindows>,
@@ -224,10 +230,45 @@ impl FaultPlanConfig {
         FaultPlanConfig::default()
     }
 
+    /// A foggy mission: visibility capped at `cap` metres (at least 1 m)
+    /// and mild range noise (0.05 m) on every decision.
+    pub fn fog(cap: f64) -> Self {
+        FaultPlanConfig {
+            sensor: SensorFaultChannel {
+                fog_cap: Some(cap.max(1.0)),
+                burst: Some(FaultWindows::every(1, 1)),
+                burst_noise_std: 0.05,
+                ..SensorFaultChannel::default()
+            },
+            ..FaultPlanConfig::default()
+        }
+    }
+
+    /// A flaky sensing stack: one sweep in every `round(1 / sweep_dropout)`
+    /// decisions is lost (none when `sweep_dropout` is 0), and on every
+    /// decision a `point_dropout` fraction of the returns is lost and the
+    /// rest carry 0.08 m of range noise. Both rates are clamped to
+    /// `[0, 1]`.
+    pub fn flaky_sensors(sweep_dropout: f64, point_dropout: f64) -> Self {
+        let sweep_dropout = sweep_dropout.clamp(0.0, 1.0);
+        FaultPlanConfig {
+            sensor: SensorFaultChannel {
+                blackout: (sweep_dropout > 0.0)
+                    .then(|| FaultWindows::every((1.0 / sweep_dropout).round() as u64, 1)),
+                burst: Some(FaultWindows::every(1, 1)),
+                burst_dropout: point_dropout.clamp(0.0, 1.0),
+                burst_noise_std: 0.08,
+                ..SensorFaultChannel::default()
+            },
+            ..FaultPlanConfig::default()
+        }
+    }
+
     /// `true` when every channel is disabled; healthy plans must not be
     /// armed so that faults-off runs stay byte-identical.
     pub fn is_healthy(&self) -> bool {
-        self.sensor.blackout.is_none()
+        self.sensor.fog_cap.is_none()
+            && self.sensor.blackout.is_none()
             && (self.sensor.burst.is_none()
                 || (self.sensor.burst_dropout <= 0.0 && self.sensor.burst_noise_std <= 0.0))
             && (self.planner.spike.is_none() || self.planner.spike_latency <= 0.0)
@@ -242,8 +283,14 @@ impl FaultPlanConfig {
     ///
     /// Returns a description of the first invalid field: degenerate
     /// windows, probabilities outside `[0, 1]`, negative or non-finite
-    /// latencies, or invalid topic names on the bus channel.
+    /// latencies, a non-positive fog cap, or invalid topic names on the
+    /// bus channel.
     pub fn validate(&self) -> Result<(), String> {
+        if let Some(cap) = self.sensor.fog_cap {
+            if cap.is_nan() || cap <= 0.0 {
+                return Err(format!("sensor.fog_cap must be positive, got {cap}"));
+            }
+        }
         if let Some(w) = &self.sensor.blackout {
             w.validate("sensor.blackout")?;
         }
@@ -285,9 +332,8 @@ impl FaultPlanConfig {
     }
 }
 
-/// Burst-corruption parameters for one decision, ready to drive a
-/// deterministic per-decision corruptor (the mission side feeds these to
-/// `roborun_sim::FaultInjector`).
+/// Burst-corruption parameters for one decision, consumed by
+/// [`FaultFrame::corrupt_sweep`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SensorBurst {
     /// Per-point dropout probability, in `[0, 1]`.
@@ -307,6 +353,8 @@ pub struct FaultFrame {
     pub sensor_blackout: bool,
     /// Surviving depth returns are corrupted with these parameters.
     pub sensor_burst: Option<SensorBurst>,
+    /// Fog cap on depth returns and profiled visibility (metres).
+    pub fog_cap: Option<f64>,
     /// Extra planning latency charged this decision (seconds).
     pub planner_spike: f64,
     /// The planner call fails outright this decision.
@@ -320,6 +368,7 @@ impl FaultFrame {
     pub fn is_healthy(&self) -> bool {
         !self.sensor_blackout
             && self.sensor_burst.is_none()
+            && self.fog_cap.is_none()
             && self.planner_spike <= 0.0
             && !self.planner_failure
             && !self.map_stale
@@ -330,9 +379,53 @@ impl FaultFrame {
     pub fn injected_count(&self) -> usize {
         usize::from(self.sensor_blackout)
             + usize::from(self.sensor_burst.is_some())
+            + usize::from(self.fog_cap.is_some())
             + usize::from(self.planner_spike > 0.0)
             + usize::from(self.planner_failure)
             + usize::from(self.map_stale)
+    }
+
+    /// Applies this decision's sensing faults to one sweep of depth
+    /// returns measured from `origin` and returns the survivors: returns
+    /// beyond the fog cap are lost first, then the burst drops and
+    /// radially perturbs the rest. The burst draws from a fresh
+    /// [`SplitMix64`] seeded with [`SensorBurst::seed`] — per point a
+    /// dropout draw when `dropout > 0`, then a Gaussian draw when
+    /// `noise_std > 0` — so the corruption is a pure function of
+    /// `(plan seed, decision index)`. A frame without fog or burst hands
+    /// `points` back untouched. Blackouts are the caller's to honour: a
+    /// blacked-out sweep is never captured.
+    pub fn corrupt_sweep(&self, origin: Vec3, points: Vec<Vec3>) -> Vec<Vec3> {
+        if self.fog_cap.is_none() && self.sensor_burst.is_none() {
+            return points;
+        }
+        let cap = self.fog_cap.unwrap_or(f64::INFINITY);
+        let SensorBurst {
+            dropout,
+            noise_std,
+            seed,
+        } = self.sensor_burst.unwrap_or(SensorBurst {
+            dropout: 0.0,
+            noise_std: 0.0,
+            seed: 0,
+        });
+        let mut rng = SplitMix64::new(seed);
+        let mut out = Vec::with_capacity(points.len());
+        for p in points {
+            let offset = p - origin;
+            let range = offset.norm();
+            if range > cap || (dropout > 0.0 && rng.chance(dropout)) {
+                continue;
+            }
+            let point = if noise_std > 0.0 && range > 1e-9 {
+                let noisy_range = (range + rng.gaussian_with(0.0, noise_std)).max(0.05);
+                origin + offset * (noisy_range / range)
+            } else {
+                p
+            };
+            out.push(point);
+        }
+        out
     }
 }
 
@@ -419,6 +512,7 @@ impl FaultPlan {
         FaultFrame {
             sensor_blackout,
             sensor_burst,
+            fog_cap: sensor.fog_cap,
             planner_spike,
             planner_failure,
             map_stale,
@@ -536,6 +630,7 @@ mod tests {
                 burst: Some(FaultWindows::every(17, 5)),
                 burst_dropout: 0.4,
                 burst_noise_std: 0.1,
+                ..SensorFaultChannel::default()
             },
             planner: PlannerFaultChannel {
                 spike: Some(FaultWindows::every(23, 4)),
@@ -635,6 +730,7 @@ mod tests {
                 burst: Some(FaultWindows::every(1, 1)),
                 burst_dropout: 0.5,
                 burst_noise_std: 0.0,
+                ..SensorFaultChannel::default()
             },
             ..FaultPlanConfig::default()
         });
@@ -692,6 +788,217 @@ mod tests {
         assert_eq!(clone.now(), bus.now());
         bus.shutdown();
         assert!(clone.is_shutdown());
+    }
+
+    fn ring_of_points(origin: Vec3, count: usize, range: f64) -> Vec<Vec3> {
+        (0..count)
+            .map(|i| {
+                let angle = i as f64 / count as f64 * std::f64::consts::TAU;
+                origin + Vec3::new(angle.cos() * range, angle.sin() * range, 0.0)
+            })
+            .collect()
+    }
+
+    fn burst_frame(dropout: f64, noise_std: f64, seed: u64) -> FaultFrame {
+        FaultFrame {
+            sensor_burst: Some(SensorBurst {
+                dropout,
+                noise_std,
+                seed,
+            }),
+            ..FaultFrame::default()
+        }
+    }
+
+    /// `(x, y)` bit patterns of a 40-point, 12 m ring around (1, 2, 5)
+    /// after a burst with dropout 0.3, noise 0.2 m and seed `0x5EED_B1A5`,
+    /// as produced by the per-point draw order `corrupt_sweep` documents.
+    const BURST_RING_BITS: [[u64; 2]; 23] = [
+        [0x40295e1f9b804a16, 0x4000000000000000],
+        [0x402a0cdcd2625005, 0x400f3c9add45c71a],
+        [0x40284773885cadd2, 0x40167a53cbba95ed],
+        [0x4025d246172b9ae6, 0x402266acfb32173a],
+        [0x40199690c62789eb, 0x40292f3f6e60ce9f],
+        [0x4006b1ec6902d1d5, 0x402b31f6674556cb],
+        [0x3ff0000000000003, 0x402c2afd519b4d7e],
+        [0xbfeb0730c71aaea2, 0x402b4b04d59990e3],
+        [0xc01e492d5d11c68a, 0x40252496ae88e346],
+        [0xc024bcf0d4e08bb8, 0x4016c6ad359e9f7e],
+        [0xc025be624be7c38d, 0x400f0ae2c207015a],
+        [0xc025893f2e5a3778, 0x3fc16c754527fc88],
+        [0xc024d6ef4d0bca5f, 0xbffb5e462ee8d9fe],
+        [0xc021b7915966831d, 0xc014a68b988acac8],
+        [0xc01e3f1f898d3072, 0xc01a3f1f898d3070],
+        [0xc006428b14f0fb16, 0xc023485a28eefaf5],
+        [0xbfeb2920b8b8f9f8, 0xc02358692de530fb],
+        [0x3fefffffffffffeb, 0xc024d9d9c2117d82],
+        [0x4006e076ed72015b, 0xc0237b6cba95cb6d],
+        [0x40128771da313d2e, 0xc0225ba30cde23b3],
+        [0x40205c5f68ec460e, 0xc01f882f91e50f9e],
+        [0x40271d9a00645b2b, 0xc00b092a910e3fa6],
+        [0x402988371c32aad3, 0x3fc176ea0d7021e8],
+    ];
+
+    /// The same burst after a 10 m fog cap on a ring alternating 6 m and
+    /// 25 m returns: fogged points make no draws.
+    const FOG_BURST_RING_BITS: [[u64; 2]; 11] = [
+        [0x401abc3f3700942b, 0x4000000000000000],
+        [0x401b7dbcad6072f3, 0x400f43f6950d7c98],
+        [0x40167cb0c4d056bb, 0x40156e803c739e59],
+        [0x4007739982db29fd, 0x401fc70abe44f09e],
+        [0xc003afdffc31cecc, 0x401b0dcfbbfe9a44],
+        [0xc011d82c98926ee5, 0x400e3203dcb88654],
+        [0xc01455faa3369afb, 0x4000000000000002],
+        [0xc012086da7c7eb6f, 0x3fcaea0a21891180],
+        [0x3feffffffffffff6, 0xc0107ccd93de3ffc],
+        [0x4017449353767d5f, 0xbff7fee749dfecc4],
+        [0x401ae699e11a4e9d, 0x3fc1e4038eecbc70],
+    ];
+
+    fn assert_bits(out: &[Vec3], expected: &[[u64; 2]]) {
+        let bits: Vec<[u64; 2]> = out.iter().map(|p| [p.x.to_bits(), p.y.to_bits()]).collect();
+        assert_eq!(bits, expected);
+        assert!(out.iter().all(|p| p.z.to_bits() == 5.0f64.to_bits()));
+    }
+
+    #[test]
+    fn burst_corruption_is_pinned_bit_for_bit() {
+        let origin = Vec3::new(1.0, 2.0, 5.0);
+        let out = burst_frame(0.3, 0.2, 0x5EED_B1A5)
+            .corrupt_sweep(origin, ring_of_points(origin, 40, 12.0));
+        assert_bits(&out, &BURST_RING_BITS);
+    }
+
+    #[test]
+    fn fog_then_burst_is_pinned_bit_for_bit() {
+        let origin = Vec3::new(1.0, 2.0, 5.0);
+        let near = ring_of_points(origin, 40, 6.0);
+        let far = ring_of_points(origin, 40, 25.0);
+        let points: Vec<Vec3> = (0..40)
+            .map(|i| if i % 2 == 0 { near[i] } else { far[i] })
+            .collect();
+        let frame = FaultFrame {
+            fog_cap: Some(10.0),
+            ..burst_frame(0.3, 0.2, 0x5EED_B1A5)
+        };
+        assert_bits(&frame.corrupt_sweep(origin, points), &FOG_BURST_RING_BITS);
+    }
+
+    #[test]
+    fn healthy_frame_hands_the_sweep_back_untouched() {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let points = ring_of_points(origin, 40, 12.0);
+        let expected = points.clone();
+        let buffer = points.as_ptr();
+        let out = FaultFrame::default().corrupt_sweep(origin, points);
+        assert_eq!(out, expected);
+        assert_eq!(out.as_ptr(), buffer, "the healthy path must not copy");
+    }
+
+    #[test]
+    fn fog_removes_far_points_and_keeps_near_ones() {
+        let frame = FaultFrame {
+            fog_cap: Some(10.0),
+            ..FaultFrame::default()
+        };
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let near = ring_of_points(origin, 20, 6.0);
+        let mut all = near.clone();
+        all.extend(ring_of_points(origin, 20, 25.0));
+        let out = frame.corrupt_sweep(origin, all);
+        assert_eq!(out, near);
+        assert_eq!(frame.injected_count(), 1);
+    }
+
+    #[test]
+    fn point_dropout_removes_roughly_the_requested_fraction() {
+        let origin = Vec3::ZERO;
+        let out =
+            burst_frame(0.5, 0.0, 7).corrupt_sweep(origin, ring_of_points(origin, 2_000, 8.0));
+        let kept = out.len() as f64 / 2_000.0;
+        assert!((0.4..0.6).contains(&kept), "kept fraction {kept}");
+    }
+
+    #[test]
+    fn range_noise_perturbs_along_the_ray() {
+        let origin = Vec3::new(1.0, 2.0, 5.0);
+        let points = ring_of_points(origin, 200, 10.0);
+        let out = burst_frame(0.0, 0.2, 7).corrupt_sweep(origin, points.clone());
+        assert_eq!(out.len(), points.len());
+        let mean_range: f64 =
+            out.iter().map(|p| p.distance(origin)).sum::<f64>() / out.len() as f64;
+        assert!((mean_range - 10.0).abs() < 0.2, "mean range {mean_range}");
+        // Direction is preserved: each noisy point stays on its original ray.
+        for (noisy, original) in out.iter().zip(points.iter()) {
+            let a = (*noisy - origin).normalize();
+            let b = (*original - origin).normalize();
+            assert!(a.dot(b) > 0.999);
+        }
+    }
+
+    #[test]
+    fn corruption_is_deterministic_per_decision() {
+        let plan = FaultPlan::new(FaultPlanConfig::flaky_sensors(0.1, 0.3));
+        let origin = Vec3::ZERO;
+        let points = ring_of_points(origin, 500, 15.0);
+        let mut outputs = Vec::new();
+        for d in 0..20 {
+            let frame = plan.frame(d);
+            let a = frame.corrupt_sweep(origin, points.clone());
+            let b = FaultPlan::new(FaultPlanConfig::flaky_sensors(0.1, 0.3))
+                .frame(d)
+                .corrupt_sweep(origin, points.clone());
+            assert_eq!(a, b);
+            if !frame.sensor_blackout {
+                outputs.push(a);
+            }
+        }
+        outputs.dedup();
+        assert!(outputs.len() > 1, "corruption should vary per decision");
+    }
+
+    #[test]
+    fn presets_arm_the_documented_channels() {
+        let fog = FaultPlanConfig::fog(12.0);
+        assert!(!fog.is_healthy() && fog.validate().is_ok());
+        assert_eq!(fog.sensor.fog_cap, Some(12.0));
+        assert_eq!(FaultPlanConfig::fog(0.2).sensor.fog_cap, Some(1.0));
+        let frame = FaultPlan::new(fog).frame(3);
+        assert_eq!(frame.fog_cap, Some(12.0));
+        let burst = frame
+            .sensor_burst
+            .expect("fog carries noise every decision");
+        assert_eq!((burst.dropout, burst.noise_std), (0.0, 0.05));
+
+        let flaky = FaultPlan::new(FaultPlanConfig::flaky_sensors(0.1, 0.3));
+        let blackouts = (0..1_000)
+            .filter(|&d| flaky.frame(d).sensor_blackout)
+            .count();
+        assert_eq!(blackouts, 100);
+        assert!((0..1_000).all(|d| {
+            let frame = flaky.frame(d);
+            frame.sensor_blackout || frame.sensor_burst.is_some_and(|b| b.dropout == 0.3)
+        }));
+        let no_sweep_loss = FaultPlanConfig::flaky_sensors(0.0, 0.3);
+        assert!(no_sweep_loss.sensor.blackout.is_none() && !no_sweep_loss.is_healthy());
+        let every_sweep_lost = FaultPlan::new(FaultPlanConfig::flaky_sensors(1.0, 0.0));
+        assert!((0..50).all(|d| every_sweep_lost.frame(d).sensor_blackout));
+    }
+
+    #[test]
+    fn invalid_sensor_channels_are_rejected() {
+        let mut bad = FaultPlanConfig::flaky_sensors(0.1, 0.3);
+        bad.sensor.burst_dropout = 1.5;
+        assert!(bad.validate().is_err());
+        let mut bad = FaultPlanConfig::fog(10.0);
+        bad.sensor.burst_noise_std = -0.1;
+        assert!(bad.validate().is_err());
+        for cap in [0.0, -1.0, f64::NAN] {
+            let mut bad = FaultPlanConfig::fog(10.0);
+            bad.sensor.fog_cap = Some(cap);
+            assert!(bad.validate().is_err(), "fog cap {cap} accepted");
+        }
+        assert!(FaultPlanConfig::fog(20.0).validate().is_ok());
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   typed end to end.
 //! * [`QosProfile`] — keep-last depth, reliability and durability (latched
 //!   topics), mirroring the ROS 2 QoS vocabulary the pipeline would use.
-//! * [`Executor`] — a deterministic single-threaded executor over simulated
-//!   time with tasks and periodic timers.
 //! * [`CommLatencyModel`] — the transport-cost model behind the "comm"
 //!   slices of the paper's Fig. 11 latency breakdown.
 //! * [`GraphInfo`] — `rqt_graph`-style introspection of the node graph.
@@ -47,7 +45,6 @@
 
 pub mod bus;
 pub mod error;
-pub mod executor;
 pub mod graph;
 pub mod latency;
 pub mod link_faults;
@@ -59,7 +56,6 @@ pub mod topic;
 
 pub use bus::{MessageBus, NodeConnections, PublishReceipt};
 pub use error::{BusError, MiddlewareError};
-pub use executor::Executor;
 pub use graph::{GraphInfo, TopicInfo};
 pub use latency::{CommLatencyModel, CommStats};
 pub use link_faults::{LinkDisposition, LinkFaultModel, LinkFaultStats};

@@ -3,7 +3,7 @@
 //! A [`Node`] is a named participant on the [`MessageBus`]; it creates
 //! typed [`Publisher`]s and [`Subscription`]s. The handles are plain
 //! structs (no lifetimes) so they can be stored in pipeline-stage structs
-//! and moved into executor callbacks.
+//! and moved into closures.
 
 use crate::bus::{MessageBus, PublishReceipt};
 use crate::error::MiddlewareError;

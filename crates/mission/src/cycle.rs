@@ -69,10 +69,18 @@
 //! keeping healthy missions bit-identical to the pre-fault behaviour
 //! (locked by all golden fixtures):
 //!
-//! * **Sensor blackout / bursts** hit the sensing stage: a blackout
-//!   loses the whole sweep and withholds map integration; a burst
-//!   corrupts the surviving depth returns through a per-decision
-//!   deterministic corruptor.
+//! * **Sensor blackout / bursts / fog** hit the sensing stage
+//!   (`sense_cloud`, shared by both drivers): a blackout loses the
+//!   whole sweep and withholds map integration; fog drops the returns
+//!   beyond its cap, and a burst drops and perturbs the rest through the
+//!   per-decision deterministic corruptor
+//!   ([`FaultFrame::corrupt_sweep`]). Fog also clamps the profiled
+//!   visibility, so the deadline equation sees the shorter view. The
+//!   presets [`FaultPlanConfig::fog`](roborun_faults::FaultPlanConfig::fog)
+//!   (cap plus mild noise every decision) and
+//!   [`FaultPlanConfig::flaky_sensors`](roborun_faults::FaultPlanConfig::flaky_sensors)
+//!   (periodic blackouts plus per-point dropout and noise) cover the
+//!   common degraded-sensing missions.
 //! * **Stale-map epochs** withhold integration only: the planner keeps
 //!   exporting from the aging map.
 //! * **Planner latency spikes** inflate the modelled planning latency.
@@ -119,36 +127,37 @@ use roborun_core::{
     SpatialProfile,
 };
 use roborun_dynamics::{DynamicWorld, PoseCache};
-use roborun_env::{Environment, Zone};
-use roborun_faults::{FaultFrame, FaultPlan, SensorBurst};
-use roborun_geom::{Aabb, Vec3};
+use roborun_env::{Environment, ObstacleField, Zone};
+use roborun_faults::{FaultFrame, FaultPlan};
+use roborun_geom::{Aabb, Pose, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     first_polyline_conflict, polyline_clear_of_boxes, CollisionChecker, HazardContext,
     PeerTrajectoryHazard, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
     PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint,
 };
-use roborun_sim::{
-    CameraRig, DroneConfig, DroneState, EnergyModel, FaultConfig, FaultInjector, LatencyBreakdown,
-    SimClock,
-};
+use roborun_sim::{CameraRig, DroneConfig, DroneState, EnergyModel, LatencyBreakdown, SimClock};
 
 // ---------------------------------------------------------------------------
 // Shared per-decision policies (used by both drivers)
 // ---------------------------------------------------------------------------
 
-/// Builds the per-decision burst corruptor both drivers use for the
-/// fault plan's depth-noise bursts: a one-shot [`FaultInjector`] seeded
-/// from the burst parameters (pure in the burst, so the corruption is a
-/// deterministic function of `(plan seed, decision index)`).
-pub(crate) fn burst_injector(burst: SensorBurst) -> FaultInjector {
-    FaultInjector::new(FaultConfig {
-        sweep_dropout_probability: 0.0,
-        point_dropout_probability: burst.dropout,
-        range_noise_std: burst.noise_std,
-        fog_visibility_cap: f64::INFINITY,
-        seed: burst.seed,
-    })
+/// The sensing stage of both drivers: the rig's sweep from `pose` in
+/// `field`, with the frame's sensor faults applied. A blackout loses the
+/// whole sweep (an empty cloud, never captured); otherwise fog and the
+/// burst corrupt the captured returns ([`FaultFrame::corrupt_sweep`]).
+pub(crate) fn sense_cloud(
+    rig: &CameraRig,
+    field: &ObstacleField,
+    pose: &Pose,
+    frame: &FaultFrame,
+) -> PointCloud {
+    let points = if frame.sensor_blackout {
+        Vec::new()
+    } else {
+        frame.corrupt_sweep(pose.position, rig.capture(field, pose).points)
+    };
+    PointCloud::new(pose.position, points)
 }
 
 /// Direction of travel used for the unknown-space probe: the current
@@ -678,7 +687,6 @@ pub(crate) struct DecisionCycle<'m> {
     planner_seed_base: u64,
     planning_margin: f64,
     baseline_velocity: f64,
-    fault_injector: Option<FaultInjector>,
     drone: DroneState,
     clock: SimClock,
     map: OccupancyMap,
@@ -747,7 +755,6 @@ impl<'m> DecisionCycle<'m> {
             _ => cfg.camera_rig(),
         };
         let planner_seed_base = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(env.seed());
-        let fault_injector = (!cfg.faults.is_healthy()).then(|| FaultInjector::new(cfg.faults));
         let fault_plan =
             (!cfg.fault_plan.is_healthy()).then(|| FaultPlan::new(cfg.fault_plan.clone()));
         let drone = DroneState::at(env.start());
@@ -775,7 +782,6 @@ impl<'m> DecisionCycle<'m> {
             planner_seed_base,
             planning_margin,
             baseline_velocity,
-            fault_injector,
             flown_path: vec![drone.position],
             flown_times: vec![0.0],
             drone,
@@ -857,17 +863,9 @@ impl<'m> DecisionCycle<'m> {
 
     // ------------------------------------------------------------ stages
 
-    /// Sensing: capture the camera rig (from the dynamic snapshot field
-    /// of the current instant when actors exist), apply sensor faults.
-    /// A fault-plan blackout loses the whole sweep; a burst corrupts the
-    /// surviving returns through a per-decision deterministic corruptor.
+    /// Sensing: [`sense_cloud`] from the dynamic snapshot field of the
+    /// current instant when actors exist, else from the static field.
     fn sense(&mut self, frame: &FaultFrame) -> Sensed {
-        let pose = self.drone.pose();
-        if frame.sensor_blackout {
-            return Sensed {
-                raw_cloud: PointCloud::new(pose.position, Vec::new()),
-            };
-        }
         let snapshot;
         let field = match self.dynamics {
             Some(world) if !world.is_static() => {
@@ -876,21 +874,14 @@ impl<'m> DecisionCycle<'m> {
             }
             _ => self.env.field(),
         };
-        let scan = self.rig.capture(field, &pose);
-        let mut sensed_points = match self.fault_injector.as_mut() {
-            Some(injector) => injector.corrupt_sweep(pose.position, &scan.points),
-            None => scan.points,
-        };
-        if let Some(burst) = frame.sensor_burst {
-            sensed_points = burst_injector(burst).corrupt_sweep(pose.position, &sensed_points);
-        }
         Sensed {
-            raw_cloud: PointCloud::new(pose.position, sensed_points),
+            raw_cloud: sense_cloud(&self.rig, field, &self.drone.pose(), frame),
         }
     }
 
-    /// Profiling: the spatial profile the governor decides from.
-    fn profile(&self, sensed: &Sensed) -> SpatialProfile {
+    /// Profiling: the spatial profile the governor decides from, with
+    /// the visibility clamped to the frame's fog cap.
+    fn profile(&self, sensed: &Sensed, frame: &FaultFrame) -> SpatialProfile {
         let heading = direction_towards(self.drone.position, self.env.goal(), self.drone.velocity);
         let mut profile = self.cfg.profilers.profile(
             &sensed.raw_cloud,
@@ -900,10 +891,10 @@ impl<'m> DecisionCycle<'m> {
             self.drone.speed(),
             heading,
         );
-        if let Some(injector) = self.fault_injector.as_ref() {
+        if let Some(cap) = frame.fog_cap {
             // Fog also limits how far the MAV can trust its view, which
             // the deadline equation must see.
-            profile.visibility = profile.visibility.min(injector.visibility_cap());
+            profile.visibility = profile.visibility.min(cap);
         }
         profile
     }
@@ -1270,7 +1261,7 @@ impl<'m> DecisionCycle<'m> {
 
         // sense → profile → govern → operate → cost.
         let sensed = self.sense(&frame);
-        let profile = self.profile(&sensed);
+        let profile = self.profile(&sensed, &frame);
         let policy = self.govern(&profile);
         let knobs = policy.knobs;
         let stale_map = frame.sensor_blackout || frame.map_stale;

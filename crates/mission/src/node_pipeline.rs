@@ -35,7 +35,7 @@ use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     swept_polyline_boxes, CollisionChecker, PlanError, PlannerScratch, PredictedHazards, Trajectory,
 };
-use roborun_sim::{CameraRig, DroneState, FaultInjector, SimClock, StoppingModel};
+use roborun_sim::{CameraRig, DroneState, SimClock, StoppingModel};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -200,42 +200,24 @@ fn latest_checked<T: Message>(sub: &Subscription<T>, corrupted: &mut u64) -> Opt
 
 struct SensorNode {
     rig: CameraRig,
-    /// Sensing faults of [`MissionConfig::faults`] (`None` when healthy),
-    /// applied to every captured sweep like the direct driver does.
-    fault_injector: Option<FaultInjector>,
     points_pub: Publisher<PointCloudMsg>,
     odom_pub: Publisher<OdometryMsg>,
 }
 
 impl SensorNode {
-    fn new(node: &Node, rig: CameraRig, config: &MissionConfig) -> Self {
+    fn new(node: &Node, rig: CameraRig) -> Self {
         SensorNode {
             rig,
-            fault_injector: (!config.faults.is_healthy())
-                .then(|| FaultInjector::new(config.faults)),
             points_pub: node.publisher("/sensors/points").expect("points topic"),
             odom_pub: node.publisher("/sensors/odometry").expect("odometry topic"),
         }
     }
 
     fn spin(&mut self, field: &ObstacleField, drone: &DroneState, frame: &FaultFrame) {
-        let pose = drone.pose();
-        let cloud = if frame.sensor_blackout {
-            // The whole sweep is lost: an empty cloud still crosses the
-            // bus (the frame header a real driver would publish), so
-            // downstream nodes observe the blackout rather than hanging.
-            PointCloud::new(pose.position, Vec::new())
-        } else {
-            let scan = self.rig.capture(field, &pose);
-            let mut points = match self.fault_injector.as_mut() {
-                Some(injector) => injector.corrupt_sweep(pose.position, &scan.points),
-                None => scan.points,
-            };
-            if let Some(burst) = frame.sensor_burst {
-                points = cycle::burst_injector(burst).corrupt_sweep(pose.position, &points);
-            }
-            PointCloud::new(pose.position, points)
-        };
+        // A blacked-out sweep still crosses the bus as an empty cloud
+        // (the frame header a real driver would publish), so downstream
+        // nodes observe the blackout rather than hanging.
+        let cloud = cycle::sense_cloud(&self.rig, field, &drone.pose(), frame);
         let _ = self.points_pub.publish(PointCloudMsg(cloud));
         let _ = self.odom_pub.publish(OdometryMsg {
             position: drone.position,
@@ -248,9 +230,6 @@ impl SensorNode {
 struct PerceptionNode {
     map: OccupancyMap,
     profilers: Profilers,
-    /// Fog cap of [`MissionConfig::faults`] on the profiled visibility
-    /// (`None` when the sensing faults are healthy).
-    visibility_cap: Option<f64>,
     map_retain_radius: f64,
     cloud_sub: Subscription<PointCloudMsg>,
     odom_sub: Subscription<OdometryMsg>,
@@ -281,8 +260,6 @@ impl PerceptionNode {
         PerceptionNode {
             map,
             profilers: config.profilers,
-            visibility_cap: (!config.faults.is_healthy())
-                .then_some(config.faults.fog_visibility_cap),
             map_retain_radius: config.map_retain_radius,
             cloud_sub: node
                 .subscribe("/sensors/points", QosProfile::sensor_data())
@@ -315,8 +292,9 @@ impl PerceptionNode {
     }
 
     /// First half of the perception stage: ingest the newest sensor data
-    /// and publish the profiled spatial state the governor needs.
-    fn profile_spin(&mut self, goal: Vec3) {
+    /// and publish the profiled spatial state the governor needs, with
+    /// the visibility clamped to the decision's `fog_cap`.
+    fn profile_spin(&mut self, goal: Vec3, fog_cap: Option<f64>) {
         if let Some(sample) = latest_checked(&self.cloud_sub, &mut self.corrupted) {
             self.latest_cloud = Some(sample.message.0);
             self.cloud_fresh = true;
@@ -339,7 +317,7 @@ impl PerceptionNode {
             odom.speed,
             heading,
         );
-        if let Some(cap) = self.visibility_cap {
+        if let Some(cap) = fog_cap {
             // Fog also limits how far the MAV can trust its view, which
             // the deadline equation must see.
             profile.visibility = profile.visibility.min(cap);
@@ -1025,7 +1003,6 @@ impl NodePipeline {
                 Some(_) => cfg.dynamic_camera_rig(),
                 None => cfg.camera_rig(),
             },
-            cfg,
         );
         let mut perception = PerceptionNode::new(&perception_host, cfg, map_resolution);
         let mut runtime = RuntimeNode::new(&runtime_host, governor);
@@ -1082,7 +1059,7 @@ impl NodePipeline {
                 None => env.field(),
             };
             sensor.spin(sense_field, &drone, &frame);
-            perception.profile_spin(env.goal());
+            perception.profile_spin(env.goal(), frame.fog_cap);
             let Some(policy) = runtime.spin() else { break };
             let stale_map = frame.sensor_blackout || frame.map_stale;
             if perception.map_spin(stale_map) {
@@ -1315,7 +1292,7 @@ impl NodePipeline {
 mod tests {
     use super::*;
     use roborun_env::{DifficultyConfig, EnvironmentGenerator};
-    use roborun_sim::FaultConfig;
+    use roborun_faults::FaultPlanConfig;
 
     fn short_environment(seed: u64) -> Environment {
         let cfg = DifficultyConfig {
@@ -1465,16 +1442,16 @@ mod tests {
     #[test]
     fn sensing_faults_reach_the_node_driver() {
         let env = short_environment(21);
-        let run = |faults: FaultConfig| {
+        let run = |fault_plan: FaultPlanConfig| {
             let mut config = quick_config(RuntimeMode::SpatialAware);
             config.mission.max_decisions = 120;
-            config.mission.faults = faults;
+            config.mission.fault_plan = fault_plan;
             NodePipeline::new(config).run(&env).mission
         };
-        let healthy = run(FaultConfig::healthy());
+        let healthy = run(FaultPlanConfig::healthy());
         // Fog caps the profiled visibility the governor budgets from, and
         // its range noise reaches the sensed cloud.
-        let foggy = run(FaultConfig::fog(8.0));
+        let foggy = run(FaultPlanConfig::fog(8.0));
         assert!(!foggy.telemetry.records().is_empty());
         assert!(foggy
             .telemetry
@@ -1483,8 +1460,8 @@ mod tests {
             .all(|r| r.visibility <= 8.0));
         assert_ne!(foggy.telemetry.records(), healthy.telemetry.records());
         // Dropped sweeps and points are deterministic and change the run.
-        let flaky = run(FaultConfig::flaky_sensors(0.1, 0.3));
-        let again = run(FaultConfig::flaky_sensors(0.1, 0.3));
+        let flaky = run(FaultPlanConfig::flaky_sensors(0.1, 0.3));
+        let again = run(FaultPlanConfig::flaky_sensors(0.1, 0.3));
         assert_eq!(flaky.metrics, again.metrics);
         assert_eq!(flaky.telemetry.records(), again.telemetry.records());
         assert_ne!(flaky.telemetry.records(), healthy.telemetry.records());

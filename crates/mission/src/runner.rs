@@ -20,7 +20,7 @@ use roborun_env::Environment;
 use roborun_faults::FaultPlanConfig;
 use roborun_geom::Vec3;
 use roborun_sim::{
-    CameraRig, ComputeLatencyModel, CpuModel, DepthCamera, DroneConfig, EnergyModel, FaultConfig,
+    CameraRig, ComputeLatencyModel, CpuModel, DepthCamera, DroneConfig, EnergyModel,
 };
 use serde::{Deserialize, Serialize};
 
@@ -67,9 +67,6 @@ pub struct MissionConfig {
     /// Per-knob ablation forwarded to the governor: frozen knobs stay at
     /// their static Table II values while the rest keep adapting.
     pub ablation: KnobAblation,
-    /// Sensing faults injected between the camera rig and the point-cloud
-    /// kernel (fog, dropouts, range noise). Healthy by default.
-    pub faults: FaultConfig,
     /// Lookahead horizon (seconds) over which moving obstacles' predicted
     /// occupancy invalidates the followed trajectory and fresh plans.
     /// Only consulted when a mission runs against a
@@ -93,11 +90,18 @@ pub struct MissionConfig {
     /// delta the incremental collision checker patches from). `None`
     /// (the default) keeps the classic accrete-only map bit for bit.
     pub voxel_decay: Option<u64>,
-    /// Deterministic fault campaign over the whole stack: sensor
-    /// blackouts/bursts, planner spikes and forced failures, stale-map
-    /// epochs, and (on the node pipeline) bus link faults. Healthy by
-    /// default; a healthy plan is never armed, so faults-off missions run
-    /// the exact pre-fault code path bit for bit.
+    /// Deterministic fault campaign over the whole stack, and the one
+    /// place sensing faults are configured. Its sensor channel covers
+    /// everything between the camera rig and the point-cloud kernel:
+    /// blackouts (the whole sweep is lost and integration is withheld),
+    /// bursts (per-point dropout and radial range noise) and fog (returns
+    /// beyond `fog_cap` are lost and the profiled visibility is clamped
+    /// to it). [`FaultPlanConfig::fog`] and
+    /// [`FaultPlanConfig::flaky_sensors`] are the degraded-sensing
+    /// presets. The other channels inject planner spikes and forced
+    /// failures, stale-map epochs and (on the node pipeline) bus link
+    /// faults. Healthy by default; a healthy plan is never armed, so
+    /// faults-off missions run the exact pre-fault code path bit for bit.
     pub fault_plan: FaultPlanConfig,
     /// Graceful-degradation runtime: the planning watchdog with bounded
     /// retries, the reuse → hover → wedge-retreat fallback ladder, and
@@ -191,7 +195,6 @@ impl MissionConfig {
             planning_margin_factor: 1.7,
             waypoint_budgeting: true,
             ablation: KnobAblation::none(),
-            faults: FaultConfig::healthy(),
             dynamic_lookahead: 4.0,
             predicted_costmap: false,
             voxel_decay: None,
@@ -458,7 +461,7 @@ mod tests {
         for seed in [21, 5, 9] {
             let env = short_environment(seed);
             let foggy_cfg = MissionConfig {
-                faults: FaultConfig::fog(12.0),
+                fault_plan: FaultPlanConfig::fog(12.0),
                 max_decisions: 1_500,
                 max_mission_time: 3_000.0,
                 ..MissionConfig::new(RuntimeMode::SpatialAware)
@@ -491,7 +494,7 @@ mod tests {
     fn flaky_sensors_do_not_crash_the_mission() {
         let env = short_environment(9);
         let cfg = MissionConfig {
-            faults: FaultConfig::flaky_sensors(0.1, 0.3),
+            fault_plan: FaultPlanConfig::flaky_sensors(0.1, 0.3),
             max_decisions: 1_200,
             max_mission_time: 3_000.0,
             ..MissionConfig::new(RuntimeMode::SpatialAware)

@@ -403,6 +403,7 @@ impl FaultScenario {
                     burst: Some(FaultWindows::every(7, 2)),
                     burst_dropout: 0.5,
                     burst_noise_std: 0.3,
+                    fog_cap: None,
                 };
                 plan.planner = PlannerFaultChannel {
                     // Outage-coupled replan stalls: when perception drops

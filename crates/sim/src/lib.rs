@@ -48,7 +48,6 @@ pub mod clock;
 pub mod cpu;
 pub mod drone;
 pub mod energy;
-pub mod faults;
 pub mod latency;
 pub mod stopping;
 
@@ -57,6 +56,5 @@ pub use clock::SimClock;
 pub use cpu::{CpuModel, CpuSample};
 pub use drone::{DroneConfig, DroneState};
 pub use energy::EnergyModel;
-pub use faults::{FaultConfig, FaultInjector, FaultStats};
 pub use latency::{ComputeLatencyModel, LatencyBreakdown, PipelineStage, StageCoefficients};
 pub use stopping::StoppingModel;

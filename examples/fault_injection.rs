@@ -10,16 +10,16 @@ use roborun::prelude::*;
 fn main() {
     let env = Scenario::PackageDelivery.short_environment(21);
 
-    for (label, faults) in [
-        ("healthy sensing", FaultConfig::healthy()),
-        ("fog (8 m visibility)", FaultConfig::fog(8.0)),
+    for (label, fault_plan) in [
+        ("healthy sensing", FaultPlanConfig::healthy()),
+        ("fog (8 m visibility)", FaultPlanConfig::fog(8.0)),
         (
             "flaky cameras (10% sweeps, 30% points lost)",
-            FaultConfig::flaky_sensors(0.1, 0.3),
+            FaultPlanConfig::flaky_sensors(0.1, 0.3),
         ),
     ] {
         let config = MissionConfig {
-            faults,
+            fault_plan,
             max_decisions: 1_500,
             max_mission_time: 3_000.0,
             ..MissionConfig::new(RuntimeMode::SpatialAware)

@@ -13,7 +13,8 @@
 //! | [`perception`] | `roborun-perception` | point clouds, occupancy map, export operators |
 //! | [`planning`] | `roborun-planning` | RRT*, collision checking, path smoothing |
 //! | [`control`] | `roborun-control` | PID, trajectory following |
-//! | [`middleware`] | `roborun-middleware` | ROS-like pub/sub bus, nodes, QoS, executor, bags |
+//! | [`middleware`] | `roborun-middleware` | ROS-like pub/sub bus, nodes, QoS, bags |
+//! | [`faults`] | `roborun-faults` | deterministic fault plans: sensor, planner, map and bus faults |
 //! | [`dynamics`] | `roborun-dynamics` | moving-obstacle actors, dynamic worlds, predicted occupancy |
 //! | [`core`] | `roborun-core` | **the RoboRun runtime**: profilers, governor, solver, safety |
 //! | [`cognitive`] | `roborun-cognitive` | cognitive co-task model over the freed CPU headroom |
@@ -45,6 +46,7 @@ pub use roborun_control as control;
 pub use roborun_core as core;
 pub use roborun_dynamics as dynamics;
 pub use roborun_env as env;
+pub use roborun_faults as faults;
 pub use roborun_geom as geom;
 pub use roborun_middleware as middleware;
 pub use roborun_mission as mission;
@@ -65,17 +67,14 @@ pub mod prelude {
     };
     pub use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
     pub use roborun_env::{DifficultyConfig, Environment, EnvironmentGenerator, Zone};
+    pub use roborun_faults::FaultPlanConfig;
     pub use roborun_geom::{Aabb, Vec3};
-    pub use roborun_middleware::{
-        CommLatencyModel, Executor, GraphInfo, MessageBus, Node, QosProfile,
-    };
+    pub use roborun_middleware::{CommLatencyModel, GraphInfo, MessageBus, Node, QosProfile};
     pub use roborun_mission::sweep::{run_dynamic_sweep, run_sweep};
     pub use roborun_mission::{
         AggregateMetrics, DynamicScenario, DynamicSweepConfig, MissionConfig, MissionMetrics,
         MissionResult, MissionRunner, NodePipeline, NodePipelineConfig, NodePipelineResult,
         Scenario, SweepConfig, SweepResults,
     };
-    pub use roborun_sim::{
-        ComputeLatencyModel, DroneConfig, EnergyModel, FaultConfig, StoppingModel,
-    };
+    pub use roborun_sim::{ComputeLatencyModel, DroneConfig, EnergyModel, StoppingModel};
 }

@@ -84,7 +84,7 @@ fn ablation_fault_injection_and_safety_audit_compose() {
     // Full RoboRun, but with the volume knobs frozen and mild sensor flakiness.
     let config = MissionConfig {
         ablation: KnobAblation::volume_frozen(),
-        faults: FaultConfig::flaky_sensors(0.05, 0.2),
+        fault_plan: FaultPlanConfig::flaky_sensors(0.05, 0.2),
         max_decisions: 1_200,
         max_mission_time: 3_000.0,
         ..MissionConfig::new(RuntimeMode::SpatialAware)
@@ -132,15 +132,14 @@ fn middleware_is_usable_standalone_through_the_facade() {
         .subscribe::<f64>("/telemetry/battery", QosProfile::sensor_data())
         .unwrap();
 
-    let mut executor = Executor::new(&bus);
     let mut level = 100.0f64;
-    executor.add_timer("battery_tick", 0.5, move |_| {
+    for tick in 1..=20 {
+        bus.set_time(tick as f64 * 0.5);
         level -= 0.1;
         let _ = battery.publish(level);
-    });
-    executor.spin_until(10.0, 0.25);
+    }
 
-    assert_eq!(log_sub.drain().len(), 20); // timer fires at t = 0.5, 1.0, …, 10.0
+    assert_eq!(log_sub.drain().len(), 20); // one sample at t = 0.5, 1.0, …, 10.0
     assert!(dash_sub.latest().is_some());
     let graph = GraphInfo::snapshot(&bus);
     assert_eq!(graph.nodes.len(), 3);
