@@ -120,10 +120,11 @@ fn bench_integrate_cloud_batched_vs_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// Incremental broad-phase patching against a from-scratch rebuild, on a
+/// Incremental broad-phase refresh against a from-scratch rebuild, on a
 /// single-delta map refresh over a ~7k-box export — the per-decision cost
 /// the mission runner pays now that its collision checker lives across
-/// replans.
+/// replans. Every refresh is followed by one query next to the changed
+/// voxel, so a refresh deferred to the first query would still be timed.
 fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
     let origin = Vec3::new(0.0, 0.0, 5.0);
     let mut base = OccupancyMap::new(0.3);
@@ -149,6 +150,7 @@ fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
     let delta = map2.delta_from(&map1).expect("same voxel size");
     assert!(!delta.is_empty() && delta.len() <= 2, "delta: {delta:?}");
 
+    let probe = Vec3::new(17.7, 0.15, 9.15);
     let mut group = c.benchmark_group("collision_broadphase_single_delta");
     group.sample_size(10);
     group.bench_function(format!("patch/{}boxes", map2.len()), |b| {
@@ -158,8 +160,9 @@ fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
             // Patch forward and back: two single-delta updates per iter,
             // always exercising the incremental path.
             checker.update_map(map2.clone());
+            let forward = checker.point_free(probe);
             checker.update_map(map1.clone());
-            std::hint::black_box(checker.queries())
+            std::hint::black_box((forward, checker.point_free(probe)))
         })
     });
     group.bench_function(format!("rebuild/{}boxes", map2.len()), |b| {
@@ -179,7 +182,8 @@ fn bench_collision_patch_vs_rebuild(c: &mut Criterion) {
 /// obstacles and forgets old ones (the worst-case static missions average
 /// ~380 added and ~170 removed keys per refresh), at the mission's 0.3 m
 /// voxels and 0.765 m margin. Unlike the single-delta case this prices
-/// the per-box cost of the patch.
+/// the per-box cost of the refresh; each refresh is again followed by one
+/// query inside the changed patch.
 fn bench_collision_frontier_delta(c: &mut Criterion) {
     let (voxel, margin) = (0.3, 0.765);
     // Three walls plus one extra patch, integrated from a nearby origin so
@@ -219,47 +223,13 @@ fn bench_collision_frontier_delta(c: &mut Criterion) {
     group.bench_function(format!("patch/{added}added_{removed}removed"), |b| {
         let mut checker = CollisionChecker::new(before.clone(), margin, voxel);
         checker.prebuild_broad_phase();
+        let probe = Vec3::new(29.7, 0.0, 2.0);
         b.iter(|| {
             // Forward and back: two frontier refreshes per iter.
             checker.update_map(after.clone());
+            let forward = checker.point_free(probe);
             checker.update_map(before.clone());
-            std::hint::black_box(checker.queries())
-        })
-    });
-    group.finish();
-}
-
-/// Cross-mission shared-world amortization: N missions in one
-/// environment either survey (build + prebuild the static broad phase)
-/// independently, or survey once and hand each mission an `Arc`-shared
-/// clone. The clone is a copy-on-write handle — `update_map` detaches —
-/// so per-mission cost drops from a full broad-phase build to a
-/// shallow copy.
-fn bench_shared_world_amortization(c: &mut Criterion) {
-    use roborun_mission::SharedStaticWorld;
-    let env = EnvironmentGenerator::new(DifficultyConfig {
-        obstacle_density: 0.3,
-        obstacle_spread: 40.0,
-        goal_distance: 100.0,
-    })
-    .generate(41);
-    let missions = 8usize;
-    let mut group = c.benchmark_group("shared_world_amortization");
-    group.sample_size(10);
-    group.bench_function(format!("survey_once_clone/{missions}missions"), |b| {
-        b.iter(|| {
-            let world = SharedStaticWorld::survey(&env, 1.0, 0.6);
-            let checkers: Vec<_> = (0..missions).map(|_| world.checker()).collect();
-            assert!(checkers.iter().all(|c| world.shares_broad_phase_with(c)));
-            std::hint::black_box(checkers).len()
-        })
-    });
-    group.bench_function(format!("survey_per_mission/{missions}missions"), |b| {
-        b.iter(|| {
-            let checkers: Vec<_> = (0..missions)
-                .map(|_| SharedStaticWorld::survey(&env, 1.0, 0.6).checker())
-                .collect();
-            std::hint::black_box(checkers).len()
+            std::hint::black_box((forward, checker.point_free(probe)))
         })
     });
     group.finish();
@@ -1263,7 +1233,6 @@ criterion_group!(
     bench_integrate_cloud_batched_vs_reference,
     bench_collision_patch_vs_rebuild,
     bench_collision_frontier_delta,
-    bench_shared_world_amortization,
     bench_export_precision,
     bench_perception_mission_map_step,
     bench_sim_capture,

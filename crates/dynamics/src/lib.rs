@@ -45,7 +45,7 @@
 //!    downgrades an occupied voxel when a fresh sensor ray traverses it
 //!    after the occupying observation has gone stale. Those removals
 //!    flow into `PlannerMap::delta_from` as `removed` keys, which the
-//!    incremental `CollisionChecker::update_map` already patches — this
+//!    incremental `CollisionChecker::update_map` already takes in — this
 //!    crate never reaches into the map.
 //!
 //! With an empty actor set every view degenerates exactly to the static

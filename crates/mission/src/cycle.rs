@@ -695,8 +695,8 @@ pub(crate) struct DecisionCycle<'m> {
     flown_times: Vec<f64>,
     follower: Option<TrajectoryFollower>,
     // One collision checker lives across the whole mission: each replan
-    // patches its broad-phase from the export delta instead of rebuilding
-    // it from scratch (the margin never changes mid-run).
+    // refreshes its broad phase from the export delta instead of
+    // rebuilding it from scratch (the margin never changes mid-run).
     collision: Option<CollisionChecker>,
     // The predicted (soft) hazard source, retargeted every decision from
     // the dynamic world's predicted boxes — the other half of the

@@ -24,23 +24,18 @@
 //! iteration. Re-running the same fleet twice produces bit-identical
 //! [`FleetResult`]s, including every flown position.
 //!
-//! # Shared static world (cross-mission caching)
+//! # Shared static world
 //!
-//! All K missions fly the same obstacle field, so the fleet builds the
-//! ground-truth survey checker **once** ([`SharedStaticWorld`]) and hands
-//! each per-drone audit an `O(1)` clone: the broad-phase lives behind an
-//! `Arc` inside [`CollisionChecker`], shared between clones until one of
-//! them patches its map (copy-on-write). The `kernel_scaling` bench
-//! measures the amortized build cost; the per-drone perception maps stay
-//! private — sharing observed maps across drones would change what each
-//! drone has *sensed*, which is the paper's variable under test.
+//! All K missions fly the same obstacle field, but each drone keeps its
+//! own perception map, planner export and collision checker: sharing
+//! observed maps across drones would change what each drone has
+//! *sensed*, which is the paper's variable under test. The drones share
+//! only the environment itself and each other's published trajectories.
 
 use crate::cycle::DecisionCycle;
 use crate::runner::{MissionConfig, MissionResult};
 use roborun_env::Environment;
 use roborun_geom::Vec3;
-use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-use roborun_planning::CollisionChecker;
 
 /// Configuration of one fleet mission.
 #[derive(Debug, Clone)]
@@ -96,109 +91,6 @@ impl FleetResult {
             .iter()
             .all(|m| m.metrics.reached_goal && !m.metrics.collided)
     }
-}
-
-/// The fleet's shared ground-truth survey of a static environment: one
-/// [`CollisionChecker`] built from a dense surface scan of every
-/// obstacle, with its broad-phase prebuilt. [`SharedStaticWorld::checker`]
-/// clones are `O(1)` — the broad-phase is `Arc`-shared until a clone
-/// patches its map — so N missions (or N audits) in one environment pay
-/// one build instead of N.
-#[derive(Debug, Clone)]
-pub struct SharedStaticWorld {
-    checker: CollisionChecker,
-}
-
-impl SharedStaticWorld {
-    /// Surveys the environment at the given voxel resolution: every
-    /// obstacle's surface is sampled on a `resolution`-spaced grid and
-    /// integrated into a ground-truth planner map (deterministic — no
-    /// sensing noise), and the resulting checker's broad-phase is built
-    /// eagerly so clones never pay for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution` is not a positive finite number.
-    pub fn survey(env: &Environment, resolution: f64, margin: f64) -> Self {
-        assert!(
-            resolution.is_finite() && resolution > 0.0,
-            "survey resolution must be positive and finite"
-        );
-        let mut map = OccupancyMap::new(resolution);
-        for obstacle in env.obstacles() {
-            let b = obstacle.bounds;
-            // Short rays from just above the top face keep the free-space
-            // carve cheap; the accrete-only map never un-marks occupied
-            // surface voxels anyway.
-            let origin = Vec3::new(b.center().x, b.center().y, b.max.z + resolution);
-            let points = sample_surface(b.min, b.max, resolution);
-            map.integrate_cloud(&PointCloud::new(origin, points), resolution);
-        }
-        let export = PlannerMap::export(&map, &ExportConfig::new(resolution, 1e12, env.start()));
-        let mut checker = CollisionChecker::new(export, margin, resolution);
-        checker.prebuild_broad_phase();
-        SharedStaticWorld { checker }
-    }
-
-    /// An `O(1)` clone of the prebuilt survey checker: the broad-phase is
-    /// shared with every other clone until this one patches its map.
-    pub fn checker(&self) -> CollisionChecker {
-        self.checker.clone()
-    }
-
-    /// `true` when `other` still shares this survey's broad-phase
-    /// storage (i.e. it has not been detached by a map patch).
-    pub fn shares_broad_phase_with(&self, other: &CollisionChecker) -> bool {
-        self.checker.shares_broad_phase_with(other)
-    }
-}
-
-/// Surface samples of the box `[min, max]` on a `step`-spaced grid:
-/// every face, edges and corners included, deduplicated by construction
-/// (each face samples its own interior plus the boundary rows it owns).
-fn sample_surface(min: Vec3, max: Vec3, step: f64) -> Vec<Vec3> {
-    let mut points = Vec::new();
-    let xs = axis_samples(min.x, max.x, step);
-    let ys = axis_samples(min.y, max.y, step);
-    let zs = axis_samples(min.z, max.z, step);
-    for &x in &xs {
-        for &y in &ys {
-            points.push(Vec3::new(x, y, min.z));
-            if max.z > min.z {
-                points.push(Vec3::new(x, y, max.z));
-            }
-        }
-    }
-    // Interior z rows only: the top/bottom faces already cover the ends.
-    let z_interior: Vec<f64> = zs
-        .iter()
-        .copied()
-        .filter(|&z| z > min.z && z < max.z)
-        .collect();
-    for &z in &z_interior {
-        for &y in &ys {
-            points.push(Vec3::new(min.x, y, z));
-            if max.x > min.x {
-                points.push(Vec3::new(max.x, y, z));
-            }
-        }
-        for &x in xs.iter().filter(|&&x| x > min.x && x < max.x) {
-            points.push(Vec3::new(x, min.y, z));
-            if max.y > min.y {
-                points.push(Vec3::new(x, max.y, z));
-            }
-        }
-    }
-    points
-}
-
-/// `lo..=hi` sampled every `step` metres, endpoint always included.
-fn axis_samples(lo: f64, hi: f64, step: f64) -> Vec<f64> {
-    let span = (hi - lo).max(0.0);
-    let n = (span / step).ceil().max(1.0) as usize;
-    let mut out: Vec<f64> = (0..n).map(|i| lo + i as f64 * step).collect();
-    out.push(hi);
-    out
 }
 
 /// Runs a fleet mission: `config.drones` drones in the environment's
@@ -403,25 +295,6 @@ mod tests {
             max_mission_time: 1_500.0,
             ..MissionConfig::new(RuntimeMode::SpatialAware)
         }
-    }
-
-    #[test]
-    fn survey_checker_clones_share_the_broad_phase() {
-        let env = short_environment(7);
-        let world = SharedStaticWorld::survey(&env, 1.0, 0.6);
-        let a = world.checker();
-        let b = world.checker();
-        assert!(world.shares_broad_phase_with(&a));
-        assert!(a.shares_broad_phase_with(&b));
-        // The survey sees the obstacles: some segment across the field
-        // must be blocked, while the start hover point is free.
-        let mut probe = world.checker();
-        assert!(probe.point_free(env.start()));
-        let blocked = env.obstacles().iter().any(|o| {
-            let c = o.bounds.center();
-            !probe.point_free(c) || !probe.segment_free(env.start(), c)
-        });
-        assert!(blocked, "survey checker saw no obstacle at all");
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //!   from real per-topic traffic instead of modeled.
 //! * [`fleet`] — multi-drone missions in one shared world: K decision
 //!   cycles in event-driven lockstep, exchanging committed trajectories
-//!   as peer hazards, plus the shared static survey checker N missions
-//!   amortise one broad-phase build over.
+//!   as peer hazards.
 //! * [`scenarios`] — the paper's two motivating missions (package delivery,
 //!   search and rescue) plus the small environments used by Figures 3/4.
 //! * [`sweep`] — the 27-environment evaluation of Section V with the
@@ -51,7 +50,7 @@ pub mod sweep;
 
 pub use breakdown::{ZoneBreakdown, ZoneStats};
 pub use cycle::DegradationStats;
-pub use fleet::{run_fleet, FleetConfig, FleetResult, SharedStaticWorld};
+pub use fleet::{run_fleet, FleetConfig, FleetResult};
 pub use metrics::{AggregateMetrics, MissionMetrics};
 pub use node_pipeline::{NodePipeline, NodePipelineConfig, NodePipelineResult};
 pub use runner::{DegradationConfig, MissionConfig, MissionResult, MissionRunner};

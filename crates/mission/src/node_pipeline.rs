@@ -475,15 +475,15 @@ struct PlanningNode {
     decisions_since_plan: usize,
     decisions: usize,
     emergency_stop: bool,
-    /// Long-lived collision checker (costmap path only): patched from the
-    /// export delta per replan.
+    /// Long-lived collision checker, refreshed from the export delta per
+    /// replan.
     collision: Option<CollisionChecker>,
     /// The per-mission predicted hazard source, retargeted from the
     /// decision's predicted boxes (incremental patch) — the node's half
     /// of the composed hazard context, mirroring the direct driver's.
     hazards: PredictedHazards,
-    /// RRT* search buffers reused across the long-lived-checker plans
-    /// (allocation reuse only, mirroring the direct driver's).
+    /// RRT* search buffers reused across plans (allocation reuse only,
+    /// mirroring the direct driver's).
     scratch: PlannerScratch,
     /// Decisions where a predicted moving-obstacle conflict forced a
     /// replan (always zero in static worlds).
@@ -733,38 +733,31 @@ impl PlanningNode {
             cycle::sampling_mix_for(self.hazard_biased_sampling),
         );
         let cruise = commanded_velocity.max(0.5);
-        // The predicted costmap keeps one checker across the mission —
-        // patched from the export delta — and composes it with the
-        // predicted boxes so the search routes around lanes in one shot.
-        // Without it the node plans exactly as before (a fresh checker
-        // per plan), keeping the default path untouched.
-        let outcome = if self.predicted_costmap {
-            let check_step = cycle::planning_check_step(&knobs);
-            match self.collision.as_mut() {
-                Some(checker) => {
-                    checker.update_map(map.clone());
-                    checker.set_check_step(check_step);
-                }
-                None => {
-                    self.collision =
-                        Some(CollisionChecker::new(map.clone(), self.margin, check_step));
-                }
+        // One checker across the mission, refreshed from the export
+        // delta; the predicted costmap composes it with the predicted
+        // boxes so the search routes around lanes in one shot.
+        let check_step = cycle::planning_check_step(&knobs);
+        match self.collision.as_mut() {
+            Some(checker) => {
+                checker.update_map(map.clone());
+                checker.set_check_step(check_step);
             }
-            let one_shot = self.predicted_costmap && !self.hazards.is_empty() && !in_danger;
-            cycle::plan_through_hazards(
-                &planner,
-                self.collision.as_mut().expect("checker just initialised"),
-                &self.hazards,
-                one_shot,
-                odom.position,
-                local_goal,
-                &bounds,
-                cruise,
-                &mut self.scratch,
-            )
-        } else {
-            planner.plan(map, odom.position, local_goal, &bounds, cruise)
-        };
+            None => {
+                self.collision = Some(CollisionChecker::new(map.clone(), self.margin, check_step));
+            }
+        }
+        let one_shot = self.predicted_costmap && !self.hazards.is_empty() && !in_danger;
+        let outcome = cycle::plan_through_hazards(
+            &planner,
+            self.collision.as_mut().expect("checker just initialised"),
+            &self.hazards,
+            one_shot,
+            odom.position,
+            local_goal,
+            &bounds,
+            cruise,
+            &mut self.scratch,
+        );
         // Tell perception whether the exported map swallowed our own
         // position, so it can fall back to the worst-case export precision.
         let start_blocked = matches!(outcome, Err(PlanError::StartBlocked));

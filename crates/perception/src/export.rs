@@ -32,6 +32,10 @@
 //!   selected, never sorted: the map stores no order.
 //! * **Diffs are mask differences.** [`PlannerMap::delta_from`] takes
 //!   `new & !old` and `old & !new` block by block.
+//! * **Dilation is word shifts.** [`PlannerMap::dilated`] grows the voxels
+//!   by a whole number of cells per axis, one axis at a time: z moves bits
+//!   inside the bytes of a word, y moves whole bytes, x moves whole words,
+//!   and the bits shifted out of a block land in its neighbour.
 
 use crate::occupancy::{block_of, mask_has, mask_keys, mask_len, slot_of, BlockMask};
 use crate::OccupancyMap;
@@ -219,6 +223,15 @@ impl PlannerMap {
     pub fn occupied_volume(&self) -> f64 {
         self.len as f64 * self.voxel_size.powi(3)
     }
+
+    /// How many cells per axis [`PlannerMap::is_occupied`] looks past the
+    /// cell of its query point: a box within `margin` of `p` has its
+    /// closest point within `margin` per axis, so its key offset is at
+    /// most `floor(margin / voxel) + 1` in each direction.
+    pub fn reach(&self, margin: f64) -> i64 {
+        (margin / self.voxel_size).floor() as i64 + 1
+    }
+
     /// `true` when `p` lies within `margin` of any exported occupied box.
     ///
     /// Implemented as a local voxel-neighbourhood scan over the occupancy
@@ -229,11 +242,8 @@ impl PlannerMap {
         if self.is_empty() {
             return false;
         }
-        // A box within `margin` of `p` has its closest point within
-        // `margin` per axis, so its key offset is at most
-        // floor(margin / voxel) + 1 in each direction.
         let voxel = self.voxel_size;
-        let reach = (margin / voxel).floor() as i64 + 1;
+        let reach = self.reach(margin);
         let center = VoxelKey::from_point(p, voxel);
         // Squared gap from coordinate `q` to the voxels `k0..=k1`, computed
         // term for term as `Aabb::distance_to_point` computes it, so sums of
@@ -299,8 +309,8 @@ impl PlannerMap {
     ///
     /// Every exported box is exactly one voxel at [`PlannerMap::voxel_size`]
     /// resolution, so the key set identifies the boxes: consumers that keep
-    /// derived per-box state (the collision checker's broad-phase) address
-    /// it by key and patch it from a [`PlannerMapDelta`].
+    /// derived state (the collision checker's covered masks) refresh it
+    /// from a [`PlannerMapDelta`].
     pub fn occupied_keys(&self) -> impl Iterator<Item = VoxelKey> + '_ {
         self.masks
             .iter()
@@ -318,6 +328,16 @@ impl PlannerMap {
             key.center(self.voxel_size),
             Vec3::splat(self.voxel_size * 0.5),
         )
+    }
+
+    /// Every cell within `reach` cells of an exported voxel along each
+    /// axis, as block masks keyed like the map's own (see the module
+    /// docs); no stored mask is empty. With `reach = self.reach(margin)`
+    /// these are the only cells where `is_occupied(p, margin)` can hold.
+    pub fn dilated(&self, reach: i64) -> FxHashMap<VoxelKey, BlockMask> {
+        let z = dilate_axis(&self.masks, Axis::Z, reach);
+        let y = dilate_axis(&z, Axis::Y, reach);
+        dilate_axis(&y, Axis::X, reach)
     }
 
     /// The key-level difference `self − previous`, or `None` when the two
@@ -354,6 +374,88 @@ fn mask_difference(
         keys.extend(mask_keys(*block, only));
     }
     keys
+}
+
+/// An axis of the block-mask layout (see the module docs).
+#[derive(Clone, Copy)]
+enum Axis {
+    X,
+    Y,
+    Z,
+}
+
+/// `mask` moved `t` cells along `axis` (`|t| < 8`); bits leaving the
+/// block are dropped.
+fn shift(mask: &BlockMask, axis: Axis, t: i64) -> BlockMask {
+    // One bit per byte: the lanes of the z rows.
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    match axis {
+        Axis::X => std::array::from_fn(|x| {
+            usize::try_from(x as i64 - t)
+                .ok()
+                .and_then(|from| mask.get(from))
+                .map_or(0, |&word| word)
+        }),
+        Axis::Y if t >= 0 => mask.map(|word| word << (8 * t)),
+        Axis::Y => mask.map(|word| word >> (-8 * t)),
+        Axis::Z if t >= 0 => mask.map(|word| (word << t) & (LANES * ((0xFF << t) & 0xFF))),
+        Axis::Z => mask.map(|word| (word >> -t) & (LANES * (0xFF >> -t))),
+    }
+}
+
+/// The union of `shift(mask, axis, t)` over `t` in `lo..=hi`
+/// (`-8 < lo <= hi < 8`), by doubling runs of shifts in one direction: a
+/// bit shifted out of the block in that direction stays out, so shifting
+/// a partial union again is exact.
+fn smear(mask: &BlockMask, axis: Axis, lo: i64, hi: i64) -> BlockMask {
+    if lo < 0 && hi > 0 {
+        let (down, up) = (smear(mask, axis, lo, 0), smear(mask, axis, 0, hi));
+        return std::array::from_fn(|w| down[w] | up[w]);
+    }
+    let (mut out, step) = if lo >= 0 {
+        (shift(mask, axis, lo), 1)
+    } else {
+        (shift(mask, axis, hi), -1)
+    };
+    let mut done = 0;
+    while done < hi - lo {
+        let k = (done + 1).min(hi - lo - done);
+        let moved = shift(&out, axis, step * k);
+        out = std::array::from_fn(|w| out[w] | moved[w]);
+        done += k;
+    }
+    out
+}
+
+/// `masks` grown by `reach` cells both ways along `axis`. Block `b`'s
+/// cells land in blocks `b + q` for `q` in
+/// `floor(-reach / 8)..=floor((7 + reach) / 8)`, each a smear over the
+/// shifts that end inside that block.
+fn dilate_axis(
+    masks: &FxHashMap<VoxelKey, BlockMask>,
+    axis: Axis,
+    reach: i64,
+) -> FxHashMap<VoxelKey, BlockMask> {
+    let mut out: FxHashMap<VoxelKey, BlockMask> = FxHashMap::default();
+    for (block, mask) in masks {
+        for q in (-reach).div_euclid(8)..=(7 + reach) / 8 {
+            let part = smear(mask, axis, (-reach - 8 * q).max(-7), (reach - 8 * q).min(7));
+            if part == [0; 8] {
+                continue;
+            }
+            let mut target = *block;
+            match axis {
+                Axis::X => target.x += q,
+                Axis::Y => target.y += q,
+                Axis::Z => target.z += q,
+            }
+            let cover = out.entry(target).or_default();
+            for (word, bits) in cover.iter_mut().zip(part) {
+                *word |= bits;
+            }
+        }
+    }
+    out
 }
 
 /// How many of `available` voxels of volume `voxel_volume` an export with
@@ -518,6 +620,50 @@ mod tests {
         let pm = PlannerMap::export(&map, &ExportConfig::new(0.6, 1e6, Vec3::ZERO));
         assert!(pm.is_empty());
         assert_eq!(PlannerMap::empty(0.5).len(), 0);
+    }
+
+    #[test]
+    fn dilation_matches_the_brute_force_cube_union() {
+        // Voxels on both sides of block edges at negative and positive
+        // keys, dilated by reaches within one block and past two.
+        let keys = [
+            (-9, 0, -8),
+            (-8, -1, 7),
+            (0, 0, 0),
+            (7, 8, -1),
+            (15, -17, 3),
+        ]
+        .map(|(x, y, z)| VoxelKey { x, y, z });
+        let map = PlannerMap::from_keys(0.3, Vec3::ZERO, keys);
+        for reach in [0, 1, 3, 7, 8, 9, 17] {
+            let dilated = map.dilated(reach);
+            assert!(dilated.values().all(|mask| *mask != [0; 8]));
+            let mut cells: Vec<VoxelKey> = dilated
+                .iter()
+                .flat_map(|(block, mask)| mask_keys(*block, *mask))
+                .collect();
+            cells.sort_unstable();
+            let mut expected: Vec<VoxelKey> = keys
+                .iter()
+                .flat_map(|k| {
+                    let span = move |c: i64| c - reach..=c + reach;
+                    span(k.x).flat_map(move |x| {
+                        span(k.y).flat_map(move |y| span(k.z).map(move |z| VoxelKey { x, y, z }))
+                    })
+                })
+                .collect();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(cells, expected, "reach {reach}");
+        }
+    }
+
+    #[test]
+    fn reach_is_the_neighbourhood_scan_bound() {
+        let map = PlannerMap::empty(0.3);
+        assert_eq!(map.reach(0.0), 1);
+        assert_eq!(map.reach(0.765), 3);
+        assert_eq!(map.reach(2.5), 9);
     }
 
     #[test]

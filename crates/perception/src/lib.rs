@@ -28,5 +28,5 @@ pub mod occupancy;
 pub mod point_cloud;
 
 pub use export::{ExportConfig, PlannerMap, PlannerMapDelta};
-pub use occupancy::{MapStats, OccupancyMap, VoxelState};
+pub use occupancy::{block_of, mask_keys, slot_of, BlockMask, MapStats, OccupancyMap, VoxelState};
 pub use point_cloud::PointCloud;

@@ -64,7 +64,7 @@ use serde::{Deserialize, Serialize};
 const BLOCK_EDGE: i64 = 8;
 
 /// The 8³ block holding `key` (shared with [`crate::PlannerMap`]'s masks).
-pub(crate) fn block_of(key: VoxelKey) -> VoxelKey {
+pub fn block_of(key: VoxelKey) -> VoxelKey {
     VoxelKey {
         x: key.x >> 3,
         y: key.y >> 3,
@@ -73,7 +73,7 @@ pub(crate) fn block_of(key: VoxelKey) -> VoxelKey {
 }
 
 /// The mask word and bit of `key` inside its block.
-pub(crate) fn slot_of(key: VoxelKey) -> (usize, u64) {
+pub fn slot_of(key: VoxelKey) -> (usize, u64) {
     (
         (key.x & 7) as usize,
         1 << (((key.y & 7) << 3) | (key.z & 7)),
@@ -81,7 +81,7 @@ pub(crate) fn slot_of(key: VoxelKey) -> (usize, u64) {
 }
 
 /// The keys of the bits set in `mask`, one of the masks of block `block`.
-pub(crate) fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey> {
+pub fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item = VoxelKey> {
     mask.into_iter().enumerate().flat_map(move |(x, word)| {
         let mut bits = word;
         std::iter::from_fn(move || {
@@ -100,7 +100,7 @@ pub(crate) fn mask_keys(block: VoxelKey, mask: BlockMask) -> impl Iterator<Item 
 }
 
 /// The voxels of one 8³ block as a 512-bit mask (see the module docs).
-pub(crate) type BlockMask = [u64; 8];
+pub type BlockMask = [u64; 8];
 
 /// Number of bits set in a block mask.
 pub(crate) fn mask_len(mask: &BlockMask) -> usize {

@@ -7,201 +7,104 @@
 //! why the governor is allowed to relax this knob in open space.
 //!
 //! Because the checker's clearance margin is fixed at construction, it
-//! keeps a margin-aware broad-phase of per-cell **coverage counts**: a
-//! voxel cell's count is the number of exported boxes whose margin-inflated
-//! key range (`BroadPhase::inflated_range`) covers it. Counts live in
-//! 8³-cell bricks keyed by `key >> 3` in one hash map; cells outside every
-//! brick have count zero, and a brick is dropped the moment its last
-//! non-zero count returns to zero, so the structure only ever holds the
-//! neighbourhood of the current export.
+//! keeps a margin-aware broad phase: one **covered mask** per 8³ block,
+//! the map's own block masks dilated by the reach of the exact query,
+//! [`PlannerMap::reach`] cells per axis ([`PlannerMap::dilated`]). The
+//! exact query, [`PlannerMap::is_occupied`] on the map the checker already
+//! holds, only examines keys within that reach of the query's cell, so an
+//! uncovered cell proves the point free and `!covered || !is_occupied` is
+//! exactly `!is_occupied`. That stays true for any superset of the
+//! dilation, so the broad phase keeps no copy of the keys and cannot
+//! disagree with the reference. The RRT* search issues millions of point
+//! queries per plan, and most sit in open space where one bit test
+//! settles them; the samples of one segment reuse the covered mask of the
+//! previous sample, so a hash probe is paid only where the segment enters
+//! a new block. The broad phase is built lazily once enough queries have
+//! arrived to amortise its O(blocks) cost, so trivial plans (direct
+//! connections in open space) never pay for it; a precision change drops
+//! it and restarts that count.
 //!
-//! A zero count proves freedom: a point within `margin` of a box lies in
-//! the box's margin-inflated bounds, and flooring is monotone, so the
-//! point's cell lies in that box's key range and would have been counted.
-//! A non-zero count only says some box is close to the cell, so such
-//! queries fall back to the exact answer, [`PlannerMap::is_occupied`] on
-//! the map the checker already holds — the broad-phase keeps no copy of
-//! the keys and cannot disagree with the reference. The RRT* search issues
-//! millions of point queries per plan, and most sit in open space where
-//! one bit test settles them; the samples of one segment reuse the brick
-//! of the previous sample, so a hash probe is paid only where the segment
-//! enters a new brick. The broad-phase is built lazily once
-//! enough queries have arrived to amortise its O(boxes) cost, so trivial
-//! plans (direct connections in open space) never pay for it.
-//!
-//! Once built, the broad-phase survives map refreshes:
-//! [`CollisionChecker::update_map`] adds −1 over the range of every key the
-//! [`PlannerMapDelta`] removed and +1 over the range of every key it added.
-//! The range is a pure function of (key, voxel, margin), so a removal
-//! exactly undoes its insertion and the patched counts equal a rebuild's.
+//! Once built, the broad phase survives map refreshes:
+//! [`CollisionChecker::update_map`] ORs in the dilation of the voxels the
+//! [`PlannerMapDelta`] added and leaves the cover of removed voxels in
+//! place. Those stale bits only send more queries to the exact answer;
+//! once the voxels removed since the last build reach a quarter of the
+//! map's, the masks are rebuilt from the map.
 
-use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
-use roborun_perception::{PlannerMap, PlannerMapDelta};
+use roborun_geom::{FxHashMap, Vec3, VoxelKey};
+use roborun_perception::{block_of, mask_keys, slot_of, BlockMask, PlannerMap, PlannerMapDelta};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// Point queries answered by the map directly before the broad-phase is
-/// built; past this count the build cost is amortised.
+/// Point queries answered by the map directly before the broad phase is
+/// built (counted from construction or from the last drop); past this
+/// count the build cost is amortised.
 const LAZY_BUILD_QUERIES: usize = 128;
 
-/// log₂ of the brick edge in cells: bricks are 8³ cells.
-const BRICK_SHIFT: u32 = 3;
-/// Cells per brick.
-const BRICK_CELLS: usize = 1 << (3 * BRICK_SHIFT);
+/// A block key and a copy of its covered mask (all zero when absent).
+type RecentBlock = Option<(VoxelKey, BlockMask)>;
 
-/// One bit per cell of a brick.
-type BrickBits = [u64; BRICK_CELLS / 64];
-
-/// Coverage counts of one 8³ block of cells.
-///
-/// A count never exceeds the number of exported boxes, and a map of 2³²
-/// boxes would need hundreds of GB for its keys alone, so `u32` counts
-/// cannot wrap for any margin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Brick {
-    /// One bit per cell, set while its count is non-zero: queries read
-    /// only this cache line, stored inline in the hash map entry. The
-    /// brick is removed from the map when it reaches all zeros.
-    covered: BrickBits,
-    /// Count per cell, indexed by [`Brick::index`].
-    counts: Box<[u32; BRICK_CELLS]>,
-}
-
-impl Brick {
-    /// Key of the brick holding `cell`.
-    fn key(cell: VoxelKey) -> VoxelKey {
-        VoxelKey {
-            x: cell.x >> BRICK_SHIFT,
-            y: cell.y >> BRICK_SHIFT,
-            z: cell.z >> BRICK_SHIFT,
-        }
-    }
-
-    /// Position of `cell` inside its brick.
-    fn index(cell: VoxelKey) -> usize {
-        let mask = (1 << BRICK_SHIFT) - 1;
-        (((cell.x & mask) << (2 * BRICK_SHIFT))
-            | ((cell.y & mask) << BRICK_SHIFT)
-            | (cell.z & mask)) as usize
-    }
-}
-
-/// A brick key and a copy of its covered bits (all zero when absent).
-type RecentBrick = Option<(VoxelKey, BrickBits)>;
-
-/// The margin-aware broad-phase: per-cell coverage counts in bricks.
+/// The margin-aware broad phase: covered masks per 8³ block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BroadPhase {
-    /// Exported voxel size the structure was built for (metres).
+    /// Exported voxel size the masks were built for (metres).
     voxel: f64,
-    /// Bricks with at least one non-zero count.
-    bricks: FxHashMap<VoxelKey, Brick>,
+    /// Cells the masks reach past each voxel, per axis.
+    reach: i64,
+    /// The covered cells, a superset of the dilated map; no mask is empty.
+    covered: FxHashMap<VoxelKey, BlockMask>,
+    /// Voxels removed from the map since the last build, whose cover is
+    /// still set.
+    stale: usize,
 }
 
 impl BroadPhase {
-    /// Key range covered by the margin-inflated box of `source`.
-    ///
-    /// Any point within `margin` of the box lies inside its inflated
-    /// bounds, so its cell lies inside this range.
-    fn inflated_range(source: VoxelKey, voxel: f64, margin: f64) -> (VoxelKey, VoxelKey) {
-        let b = Aabb::from_center_half_extents(source.center(voxel), Vec3::splat(voxel * 0.5))
-            .inflate(margin);
-        (
-            VoxelKey::from_point(b.min, voxel),
-            VoxelKey::from_point(b.max, voxel),
-        )
-    }
-
     fn build(map: &PlannerMap, margin: f64) -> Self {
-        let mut grid = BroadPhase {
+        let reach = map.reach(margin);
+        BroadPhase {
             voxel: map.voxel_size(),
-            bricks: FxHashMap::default(),
-        };
-        for source in map.occupied_keys() {
-            grid.count_box(source, margin, true);
+            reach,
+            covered: map.dilated(reach),
+            stale: 0,
         }
-        grid
     }
 
-    /// Adds +1 (`add`) or −1 over the inflated range of `source`, one
-    /// brick at a time, creating bricks on the way up and dropping them
-    /// when their last count returns to zero.
-    fn count_box(&mut self, source: VoxelKey, margin: f64, add: bool) {
-        let (lo, hi) = BroadPhase::inflated_range(source, self.voxel, margin);
-        // Splits `a..=b` into its per-brick sub-ranges.
-        let spans = |a: i64, b: i64| {
-            (a >> BRICK_SHIFT..=b >> BRICK_SHIFT).map(move |k| {
-                let first = k << BRICK_SHIFT;
-                (a.max(first), b.min(first + (1 << BRICK_SHIFT) - 1))
-            })
-        };
-        for (x0, x1) in spans(lo.x, hi.x) {
-            for (y0, y1) in spans(lo.y, hi.y) {
-                for (z0, z1) in spans(lo.z, hi.z) {
-                    let key = Brick::key(VoxelKey {
-                        x: x0,
-                        y: y0,
-                        z: z0,
-                    });
-                    // Removals only visit bricks their insertion created.
-                    let brick = self.bricks.entry(key).or_insert_with(|| Brick {
-                        covered: BrickBits::default(),
-                        counts: Box::new([0; BRICK_CELLS]),
-                    });
-                    for x in x0..=x1 {
-                        for y in y0..=y1 {
-                            for z in z0..=z1 {
-                                let i = Brick::index(VoxelKey { x, y, z });
-                                let count = &mut brick.counts[i];
-                                *count = if add { *count + 1 } else { *count - 1 };
-                                if *count == u32::from(add) {
-                                    // 0 → 1 or 1 → 0: the cell's bit flips.
-                                    brick.covered[i / 64] ^= 1 << (i % 64);
-                                }
-                            }
-                        }
-                    }
-                    if brick.covered == BrickBits::default() {
-                        self.bricks.remove(&key);
-                    }
-                }
+    /// Refreshes the cover for `map`, the export `delta` leads to: the
+    /// added voxels' dilation is ORed in, and the masks are rebuilt once
+    /// the stale voxels reach a quarter of the map's.
+    fn apply_delta(&mut self, map: &PlannerMap, delta: &PlannerMapDelta, margin: f64) {
+        self.stale += delta.removed().len();
+        if 4 * self.stale > map.len() {
+            *self = BroadPhase::build(map, margin);
+            return;
+        }
+        if delta.added().is_empty() {
+            return;
+        }
+        let added = PlannerMap::from_keys(self.voxel, Vec3::ZERO, delta.added().iter().copied());
+        for (block, mask) in added.dilated(self.reach) {
+            let cover = self.covered.entry(block).or_default();
+            for (word, bits) in cover.iter_mut().zip(mask) {
+                *word |= bits;
             }
         }
     }
 
-    /// Patches the counts for a map refresh: +1 over every added box's
-    /// range, −1 over every removed box's (additions first, so a brick that
-    /// both gains and loses boxes is never dropped and re-allocated). The
-    /// result equals a from-scratch build for the new map, brick for brick.
-    fn apply_delta(&mut self, delta: &PlannerMapDelta, margin: f64) {
-        for &source in delta.added() {
-            self.count_box(source, margin, true);
-        }
-        for &source in delta.removed() {
-            self.count_box(source, margin, false);
-        }
-    }
-
-    /// `true` when some box's inflated range covers the cell of `p`;
-    /// `false` proves `p` is farther than the margin from every box.
-    /// `recent` carries the covered bits of the last brick looked up, so
-    /// runs of nearby queries (segment samples a cell apart) skip the
-    /// hash probe.
-    fn covers(&self, p: Vec3, recent: &mut RecentBrick) -> bool {
+    /// `true` when the cell of `p` is covered; `false` proves `p` is
+    /// farther than the margin from every box. `recent` carries the
+    /// covered mask of the last block looked up, so runs of nearby
+    /// queries (segment samples a cell apart) skip the hash probe.
+    fn covers(&self, p: Vec3, recent: &mut RecentBlock) -> bool {
         let cell = VoxelKey::from_point(p, self.voxel);
-        let key = Brick::key(cell);
-        let bits = match recent {
-            Some((k, bits)) if *k == key => bits,
+        let block = block_of(cell);
+        let mask = match recent {
+            Some((k, mask)) if *k == block => mask,
             _ => {
-                let bits = self
-                    .bricks
-                    .get(&key)
-                    .map_or_else(BrickBits::default, |b| b.covered);
-                &recent.insert((key, bits)).1
+                let mask = self.covered.get(&block).copied().unwrap_or_default();
+                &recent.insert((block, mask)).1
             }
         };
-        let i = Brick::index(cell);
-        bits[i / 64] >> (i % 64) & 1 != 0
+        let (word, bit) = slot_of(cell);
+        mask[word] & bit != 0
     }
 }
 
@@ -216,17 +119,10 @@ pub struct CollisionChecker {
     check_step: f64,
     /// Number of point queries performed since construction (work metric).
     queries: usize,
-    /// Broad-phase, built lazily after [`LAZY_BUILD_QUERIES`] queries.
-    ///
-    /// Held behind an [`Arc`] so that cloning a checker whose broad-phase
-    /// is already built shares the structure in O(1) instead of deep-
-    /// copying the count bricks: N missions planned against the same
-    /// environment prebuild once and clone per mission (the fleet and
-    /// shared-survey pattern). The share is copy-on-write —
-    /// [`CollisionChecker::update_map`] patches through
-    /// [`Arc::make_mut`], so the first per-mission delta detaches a
-    /// private copy and siblings are never affected.
-    broad_phase: Option<Arc<BroadPhase>>,
+    /// Broad phase, built lazily after [`LAZY_BUILD_QUERIES`] queries.
+    broad_phase: Option<BroadPhase>,
+    /// Query count from which a missing broad phase is built.
+    build_at: usize,
 }
 
 impl CollisionChecker {
@@ -247,6 +143,7 @@ impl CollisionChecker {
             check_step,
             queries: 0,
             broad_phase: None,
+            build_at: LAZY_BUILD_QUERIES,
         }
     }
 
@@ -273,72 +170,49 @@ impl CollisionChecker {
     /// `true` when the point is free of obstacles (with margin).
     ///
     /// Early queries delegate to the map's voxel-neighbourhood lookup; once
-    /// enough queries have arrived to amortise it, the coverage-count
-    /// broad-phase is built and a query becomes one hash probe and bit
-    /// test in free space, falling back to the map lookup only in cells
-    /// some box's inflated range covers. Always returns the same boolean as
-    /// `!self.map().is_occupied(p, self.margin())`.
+    /// enough queries have arrived to amortise it, the covered masks are
+    /// built and a query becomes one hash probe and bit test in free
+    /// space, falling back to the map lookup only in covered cells. Always
+    /// returns the same boolean as `!self.map().is_occupied(p, self.margin())`.
     pub fn point_free(&mut self, p: Vec3) -> bool {
         self.point_free_near(p, &mut None)
     }
 
-    /// [`CollisionChecker::point_free`] reusing the brick of the previous
-    /// query of a run (see [`BroadPhase::covers`]).
-    fn point_free_near(&mut self, p: Vec3, recent: &mut RecentBrick) -> bool {
+    /// [`CollisionChecker::point_free`] reusing the covered mask of the
+    /// previous query of a run (see [`BroadPhase::covers`]).
+    fn point_free_near(&mut self, p: Vec3, recent: &mut RecentBlock) -> bool {
         self.queries += 1;
-        if self.broad_phase.is_none() {
-            if self.queries < LAZY_BUILD_QUERIES {
-                return !self.map.is_occupied(p, self.margin);
-            }
-            self.broad_phase = Some(Arc::new(BroadPhase::build(&self.map, self.margin)));
+        if self.broad_phase.is_none() && self.queries < self.build_at {
+            return !self.map.is_occupied(p, self.margin);
         }
-        let broad_phase = self.broad_phase.as_ref().expect("broad phase just built");
+        let broad_phase = self
+            .broad_phase
+            .get_or_insert_with(|| BroadPhase::build(&self.map, self.margin));
         !broad_phase.covers(p, recent) || !self.map.is_occupied(p, self.margin)
     }
 
-    /// Builds the broad-phase immediately instead of waiting for the lazy
-    /// query threshold — callers that keep the checker across many plans
-    /// (the mission runner) pay the build once and patch it afterwards.
-    /// The build adds +1 over every box's inflated key range, so it costs
-    /// O(boxes × (margin / voxel)³) count increments.
-    ///
-    /// Because the built structure sits behind an [`Arc`], cloning the
-    /// checker afterwards shares it in O(1): a fleet or a shared survey
-    /// prebuilds one static checker per environment and hands each
-    /// mission a clone, paying one build for N missions. Per-clone
-    /// [`CollisionChecker::update_map`] patches detach privately
-    /// (copy-on-write), so sharing never changes any answer.
+    /// Builds the broad phase immediately instead of waiting for the lazy
+    /// query threshold. The build dilates every occupied block mask, so it
+    /// costs O(blocks) word operations and hash inserts.
     pub fn prebuild_broad_phase(&mut self) {
-        if self.broad_phase.is_none() {
-            self.broad_phase = Some(Arc::new(BroadPhase::build(&self.map, self.margin)));
-        }
+        self.broad_phase
+            .get_or_insert_with(|| BroadPhase::build(&self.map, self.margin));
     }
 
-    /// `true` when `self` and `other` still share one broad-phase
-    /// allocation (neither has detached with a copy-on-write patch).
-    /// Exposed for the cross-mission-caching tests and benches.
-    #[doc(hidden)]
-    pub fn shares_broad_phase_with(&self, other: &CollisionChecker) -> bool {
-        match (&self.broad_phase, &other.broad_phase) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-
-    /// Replaces the checked map with a fresh export, patching the built
-    /// broad-phase's coverage counts from the key delta between the two
-    /// exports — work proportional to the changed boxes, not the map.
-    /// When the exports are incompatible (different voxel size — a
-    /// precision-knob change), the broad-phase is dropped and rebuilt
-    /// lazily.
+    /// Replaces the checked map with a fresh export. A built broad phase
+    /// is refreshed from the key delta between the two exports (see the
+    /// module docs), work proportional to the changed blocks, not the
+    /// map. When the exports are incompatible (different voxel size — a
+    /// precision-knob change), the broad phase is dropped and rebuilt
+    /// lazily, as for a fresh checker.
     pub fn update_map(&mut self, new_map: PlannerMap) {
         if let Some(grid) = self.broad_phase.as_mut() {
             match new_map.delta_from(&self.map) {
-                // `make_mut` detaches a private copy when the structure
-                // is shared with sibling missions (copy-on-write) and
-                // patches in place when uniquely owned.
-                Some(delta) => Arc::make_mut(grid).apply_delta(&delta, self.margin),
-                None => self.broad_phase = None,
+                Some(delta) => grid.apply_delta(&new_map, &delta, self.margin),
+                None => {
+                    self.broad_phase = None;
+                    self.build_at = self.queries + LAZY_BUILD_QUERIES;
+                }
             }
         }
         self.map = new_map;
@@ -346,7 +220,7 @@ impl CollisionChecker {
 
     /// Changes the segment sample spacing (the planning precision knob) —
     /// the governor retunes it every decision while the margin, and with it
-    /// the broad-phase, stays fixed.
+    /// the broad phase, stays fixed.
     ///
     /// # Panics
     ///
@@ -359,42 +233,20 @@ impl CollisionChecker {
         self.check_step = check_step;
     }
 
-    /// Canonical view of the broad-phase: every cell whose covered bit is
-    /// set and its coverage count, sorted by cell, or `None` while
-    /// unbuilt. Exposed for the incremental-update conformance tests,
-    /// which assert a patched structure matches a from-scratch rebuild
-    /// cell for cell.
+    /// Every covered cell of the broad phase, sorted, or `None` while
+    /// unbuilt. Exposed for the conformance tests, which compare a
+    /// refreshed cover with a rebuild's and with the margin regions of
+    /// the exported boxes.
     #[doc(hidden)]
-    pub fn broad_phase_cells(&self) -> Option<Vec<(VoxelKey, u32)>> {
+    pub fn broad_phase_cells(&self) -> Option<Vec<VoxelKey>> {
         let grid = self.broad_phase.as_ref()?;
-        let mut cells = Vec::new();
-        for (key, brick) in &grid.bricks {
-            let edge = 1 << BRICK_SHIFT;
-            for (x, y, z) in (0..edge)
-                .flat_map(|x| (0..edge).flat_map(move |y| (0..edge).map(move |z| (x, y, z))))
-            {
-                let cell = VoxelKey {
-                    x: key.x * edge + x,
-                    y: key.y * edge + y,
-                    z: key.z * edge + z,
-                };
-                let i = Brick::index(cell);
-                if brick.covered[i / 64] >> (i % 64) & 1 != 0 {
-                    cells.push((cell, brick.counts[i]));
-                }
-            }
-        }
-        cells.sort_unstable_by_key(|(cell, _)| *cell);
+        let mut cells: Vec<VoxelKey> = grid
+            .covered
+            .iter()
+            .flat_map(|(block, mask)| mask_keys(*block, *mask))
+            .collect();
+        cells.sort_unstable();
         Some(cells)
-    }
-
-    /// Number of bricks the broad-phase holds, or `None` while unbuilt.
-    /// Exposed for the conformance tests: a patched structure must drop
-    /// every brick whose counts all returned to zero, so its brick count
-    /// equals a rebuild's.
-    #[doc(hidden)]
-    pub fn broad_phase_bricks(&self) -> Option<usize> {
-        self.broad_phase.as_ref().map(|grid| grid.bricks.len())
     }
 
     /// Linear reference for [`CollisionChecker::point_free`], delegating to
@@ -518,6 +370,22 @@ mod tests {
         }
     }
 
+    /// Every cell within `reach` cells of a key of `map`, per axis, sorted.
+    fn cube_union(map: &PlannerMap, reach: i64) -> Vec<VoxelKey> {
+        let span = move |c: i64| c - reach..=c + reach;
+        let mut cells: Vec<VoxelKey> = map
+            .occupied_keys()
+            .flat_map(|k| {
+                span(k.x).flat_map(move |x| {
+                    span(k.y).flat_map(move |y| span(k.z).map(move |z| VoxelKey { x, y, z }))
+                })
+            })
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        cells
+    }
+
     #[test]
     fn incremental_update_matches_fresh_rebuild() {
         let mut base = OccupancyMap::new(0.3);
@@ -527,8 +395,7 @@ mod tests {
             .collect();
         base.integrate_cloud(&PointCloud::new(origin, points), 0.3);
         let map1 = PlannerMap::export(&base, &ExportConfig::new(0.3, 1e9, origin));
-        // A second scan adds a nearer blob and the retain radius could have
-        // dropped voxels — exercise both sides of the delta.
+        // A second scan adds a nearer blob; going back removes it again.
         base.integrate_cloud(
             &PointCloud::new(
                 origin,
@@ -537,33 +404,45 @@ mod tests {
             0.3,
         );
         let map2 = PlannerMap::export(&base, &ExportConfig::new(0.3, 1e9, origin));
-        assert!(!map2.delta_from(&map1).unwrap().is_empty());
+        let delta = map2.delta_from(&map1).unwrap();
+        assert!(!delta.added().is_empty() && delta.removed().is_empty());
 
-        let mut patched = CollisionChecker::new(map1, 0.45, 0.3);
+        let mut patched = CollisionChecker::new(map1.clone(), 0.45, 0.3);
         patched.prebuild_broad_phase();
+        let probe = |checker: &mut CollisionChecker, map: &PlannerMap| {
+            for xi in 0..40 {
+                for yi in -12..=12 {
+                    let p = Vec3::new(xi as f64 * 0.5, yi as f64 * 0.5, 5.0);
+                    assert_eq!(
+                        checker.point_free(p),
+                        CollisionChecker::point_free_reference(map, p, 0.45),
+                        "patched checker mismatch at {p}"
+                    );
+                }
+            }
+        };
+        // Additions only: the patched cover is the rebuild's.
         patched.update_map(map2.clone());
         let mut rebuilt = CollisionChecker::new(map2.clone(), 0.45, 0.3);
         rebuilt.prebuild_broad_phase();
         assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
-        assert_eq!(patched.broad_phase_bricks(), rebuilt.broad_phase_bricks());
-        for xi in 0..40 {
-            for yi in -12..=12 {
-                let p = Vec3::new(xi as f64 * 0.5, yi as f64 * 0.5, 5.0);
-                assert_eq!(
-                    patched.point_free(p),
-                    CollisionChecker::point_free_reference(&map2, p, 0.45),
-                    "patched checker mismatch at {p}"
-                );
-            }
-        }
+        assert_eq!(
+            rebuilt.broad_phase_cells(),
+            Some(cube_union(&map2, map2.reach(0.45)))
+        );
+        probe(&mut patched, &map2);
+        // A removal leaves its cover in place: the cover stays map2's, a
+        // superset of map1's, and every answer stays exact.
+        patched.update_map(map1.clone());
+        assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
+        probe(&mut patched, &map1);
     }
 
     #[test]
-    fn wide_margin_counts_match_the_reference_across_negative_brick_edges() {
-        // Boxes straddling the brick edges at key -8 (x, z) and 0 (y),
-        // checked with a margin of more than 8 voxels: every box's range
-        // spans three or more bricks per axis and cells are covered by
-        // every box at once.
+    fn wide_margin_cover_matches_the_reference_across_negative_block_edges() {
+        // Boxes straddling the block edges at key -8 (x, z) and 0 (y),
+        // checked with a margin of more than 8 voxels: every box's cover
+        // spans three or more blocks per axis and overlaps every other's.
         let (voxel, margin) = (0.3, 2.5);
         let origin = Vec3::new(6.0, 6.0, 6.0);
         let (xz, y) = ([-2.55, -2.25], [-0.15, 0.15]);
@@ -575,14 +454,14 @@ mod tests {
         let map = PlannerMap::export(&base, &ExportConfig::new(voxel, 1e9, origin));
         let keys: Vec<VoxelKey> = map.occupied_keys().collect();
         assert!(keys.iter().any(|k| k.x == -9) && keys.iter().any(|k| k.y == 0));
-        let (lo, hi) = BroadPhase::inflated_range(keys[0], voxel, margin);
-        assert!((hi.x >> BRICK_SHIFT) - (lo.x >> BRICK_SHIFT) >= 2);
+        assert!(map.reach(margin) > 8);
 
         let mut checker = CollisionChecker::new(map.clone(), margin, voxel);
         checker.prebuild_broad_phase();
-        let cells = checker.broad_phase_cells().unwrap();
-        let max_count = cells.iter().map(|&(_, count)| count).max();
-        assert_eq!(max_count, Some(map.len() as u32));
+        assert_eq!(
+            checker.broad_phase_cells(),
+            Some(cube_union(&map, map.reach(margin)))
+        );
         for i in 0..12 * 12 * 12 {
             let step = |j: i32| -7.0 + j as f64 * 0.61;
             let p = Vec3::new(step(i / 144), step(i / 12 % 12) + 3.1, step(i % 12));
@@ -592,9 +471,10 @@ mod tests {
                 "mismatch at {p}"
             );
         }
-        // Removing every box empties every brick.
+        // Removing every box leaves more stale voxels than the map has, so
+        // the cover is rebuilt empty.
         checker.update_map(PlannerMap::empty(voxel));
-        assert_eq!(checker.broad_phase_bricks(), Some(0));
+        assert_eq!(checker.broad_phase_cells(), Some(Vec::new()));
     }
 
     #[test]
@@ -609,16 +489,25 @@ mod tests {
         let map_coarse = PlannerMap::export(&base, &ExportConfig::new(0.6, 1e9, origin));
         let mut checker = CollisionChecker::new(map_fine, 0.45, 0.3);
         checker.prebuild_broad_phase();
+        for _ in 0..LAZY_BUILD_QUERIES {
+            checker.point_free(Vec3::ZERO);
+        }
         checker.update_map(map_coarse.clone());
-        // The broad-phase was dropped (incompatible voxel size) and answers
-        // still match the reference once rebuilt.
-        for xi in 0..30 {
-            let p = Vec3::new(xi as f64 * 0.7, 0.3, 5.0);
+        // The broad phase was dropped (incompatible voxel size), is rebuilt
+        // lazily as for a fresh checker, and answers match the reference
+        // before and after.
+        for i in 0..LAZY_BUILD_QUERIES {
+            assert!(checker.broad_phase_cells().is_none());
+            let p = Vec3::new((i % 30) as f64 * 0.7, 0.3, 5.0);
             assert_eq!(
                 checker.point_free(p),
                 CollisionChecker::point_free_reference(&map_coarse, p, 0.45)
             );
         }
+        assert_eq!(
+            checker.broad_phase_cells(),
+            Some(cube_union(&map_coarse, map_coarse.reach(0.45)))
+        );
     }
 
     #[test]

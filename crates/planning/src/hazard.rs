@@ -223,9 +223,9 @@ pub fn first_polyline_conflict(
 /// The candidate grid over the predicted boxes: every cell of the
 /// `GRID_CELL` lattice overlapped by a box's clearance-inflated bounds
 /// lists that box's index, so a point query touches one hash probe plus
-/// exact distance tests instead of every box. Exact by the same argument
-/// as the collision checker's broad-phase: a point within `clearance` of
-/// a box lies inside its inflated bounds, hence inside a registered cell.
+/// exact distance tests instead of every box. Exact because a point
+/// within `clearance` of a box lies inside its inflated bounds, hence
+/// inside a registered cell.
 #[derive(Debug, Clone, PartialEq)]
 struct SoftGrid {
     candidates: FxHashMap<VoxelKey, Vec<u32>>,

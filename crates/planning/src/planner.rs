@@ -157,10 +157,10 @@ impl Planner {
 
     /// [`Planner::plan`] against a caller-owned hazard source.
     ///
-    /// Long-lived callers (the mission runner plans every few decisions
+    /// Long-lived callers (both mission drivers plan every few decisions
     /// against a lightly changed export) keep one [`CollisionChecker`]
     /// alive, refresh it with [`CollisionChecker::update_map`] — which
-    /// patches the built broad-phase from the export delta instead of
+    /// ORs the added voxels' cover into the built broad phase instead of
     /// rebuilding it — and retune the sample spacing with
     /// [`CollisionChecker::set_check_step`]. The checker's own margin and
     /// step are used; the planner config's copies apply only to the

@@ -2,7 +2,7 @@
 //! smoothing invariants.
 
 use proptest::prelude::*;
-use roborun_geom::{Aabb, Vec3};
+use roborun_geom::{Aabb, Vec3, VoxelKey};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     polyline_clear_of_boxes, smooth_path, CollisionChecker, HazardSource, PeerTrajectoryHazard,
@@ -165,13 +165,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Satellite conformance for the incremental broad-phase: a random
+    /// Conformance for the incremental broad phase: a random
     /// sequence of `PlannerMap` delta applications (growing scans, with a
-    /// retain-radius contraction on alternate steps so bricks empty and
-    /// later refill) must leave the patched coverage counts equal to a
-    /// from-scratch rebuild after every step — cell for cell, in the
-    /// number of live bricks (an all-zero brick that survived would leak),
-    /// and on every probe query.
+    /// retain-radius contraction on alternate steps so blocks empty and
+    /// later refill) must leave the refreshed cover containing a
+    /// from-scratch rebuild's after every step, equal to it while nothing
+    /// was removed, never beyond the cover of every export seen so far,
+    /// and exact on every probe query.
     #[test]
     fn incremental_broad_phase_matches_rebuild_after_every_delta(
         scans in prop::collection::vec(
@@ -188,18 +188,24 @@ proptest! {
         let origin = Vec3::new(0.0, 0.0, 5.0);
         let mut map = OccupancyMap::new(0.5);
         let mut patched: Option<CollisionChecker> = None;
+        let mut seen: Vec<VoxelKey> = Vec::new();
+        let mut removed_any = false;
         let n_scans = scans.len();
         for (i, scan) in scans.into_iter().enumerate() {
             map.integrate_cloud(&PointCloud::new(origin, scan), 0.5);
             if i % 2 == 1 || i + 1 == n_scans {
                 // Alternate steps (and the final one) also remove keys,
-                // exercising the removal side of the patch between
+                // exercising the removal side of the refresh between
                 // additions.
                 map.retain_within(origin, retain_radius);
             }
             let export = PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin));
+            seen.extend(export.occupied_keys());
             match patched.as_mut() {
-                Some(checker) => checker.update_map(export.clone()),
+                Some(checker) => {
+                    removed_any |= !export.delta_from(checker.map()).unwrap().removed().is_empty();
+                    checker.update_map(export.clone());
+                }
                 None => {
                     let mut checker = CollisionChecker::new(export.clone(), margin, 0.5);
                     checker.prebuild_broad_phase();
@@ -209,18 +215,24 @@ proptest! {
             let patched = patched.as_mut().unwrap();
             let mut rebuilt = CollisionChecker::new(export.clone(), margin, 0.5);
             rebuilt.prebuild_broad_phase();
-            prop_assert_eq!(
-                patched.broad_phase_cells(),
-                rebuilt.broad_phase_cells(),
-                "coverage counts diverged after delta step {}",
-                i
+            let (cover, exact) = (
+                patched.broad_phase_cells().unwrap(),
+                rebuilt.broad_phase_cells().unwrap(),
             );
-            prop_assert_eq!(
-                patched.broad_phase_bricks(),
-                rebuilt.broad_phase_bricks(),
-                "live bricks diverged after delta step {}",
-                i
-            );
+            if removed_any {
+                let everything = PlannerMap::from_keys(0.5, origin, seen.iter().copied());
+                let mut bound = CollisionChecker::new(everything, margin, 0.5);
+                bound.prebuild_broad_phase();
+                let bound = bound.broad_phase_cells().unwrap();
+                for cell in &exact {
+                    prop_assert!(cover.binary_search(cell).is_ok(), "{:?} lost at step {}", cell, i);
+                }
+                for cell in &cover {
+                    prop_assert!(bound.binary_search(cell).is_ok(), "{:?} invented at step {}", cell, i);
+                }
+            } else {
+                prop_assert_eq!(&cover, &exact, "cover diverged after delta step {}", i);
+            }
             // Probes at random and just inside / outside the margin of a
             // few exported boxes, where covered and uncovered cells meet.
             let mut probes = roborun_conformance::boundary_probes(i as u64, 0.5);
@@ -255,6 +267,53 @@ proptest! {
                         prop_assert_eq!(patched.segment_free(a, end), reference);
                     }
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The broad phase never drops a point it must answer: every point
+    /// within `margin` of an exported box lies in a covered cell (and is
+    /// reported blocked). Keys straddle block edges on both sides of zero,
+    /// and margins reach 2.5 m at 0.3 m voxels, where the cover spans more
+    /// than eight cells and crosses two blocks per axis.
+    #[test]
+    fn every_point_within_the_margin_of_a_box_is_covered(
+        keys in prop::collection::vec((-20i64..20, -20i64..20, -20i64..20), 1..30),
+        probes in prop::collection::vec(
+            (0usize..30, (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 0.0f64..1.0),
+            1..40,
+        ),
+        margin in 0.0f64..2.5,
+    ) {
+        let voxel = 0.3;
+        let map = PlannerMap::from_keys(
+            voxel,
+            Vec3::ZERO,
+            keys.iter().map(|&(x, y, z)| VoxelKey { x, y, z }),
+        );
+        // The drawn margin and one whose reach (9 cells) always crosses
+        // two blocks.
+        for margin in [margin, 2.49] {
+            let mut checker = CollisionChecker::new(map.clone(), margin, voxel);
+            checker.prebuild_broad_phase();
+            let cells = checker.broad_phase_cells().unwrap();
+            for &(k, (u, v, w), (dx, dy, dz), f) in &probes {
+                let (x, y, z) = keys[k % keys.len()];
+                let b = map.key_box(VoxelKey { x, y, z });
+                let inside = b.min + Vec3::new(u, v, w) * voxel;
+                // Stay a hair inside the margin so rounding cannot carry
+                // the point out of it.
+                let offset = margin * f * (1.0 - 1e-9);
+                let p = Vec3::new(dx, dy, dz)
+                    .try_normalize()
+                    .map_or(inside, |dir| inside + dir * offset);
+                let cell = VoxelKey::from_point(p, voxel);
+                prop_assert!(cells.binary_search(&cell).is_ok(), "{} ({:?}) not covered", p, cell);
+                prop_assert!(!checker.point_free(p), "{} within {} of a box reported free", p, margin);
             }
         }
     }

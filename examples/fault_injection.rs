@@ -10,6 +10,7 @@ use roborun::prelude::*;
 fn main() {
     let env = Scenario::PackageDelivery.short_environment(21);
 
+    let mut stalled = Vec::new();
     for (label, fault_plan) in [
         ("healthy sensing", FaultPlanConfig::healthy()),
         ("fog (8 m visibility)", FaultPlanConfig::fog(8.0)),
@@ -36,11 +37,19 @@ fn main() {
             result.metrics.mean_velocity
         );
         println!("safety: {}\n", safety.summary());
+        if !result.metrics.reached_goal {
+            stalled.push(label);
+        }
     }
 
-    println!(
-        "RoboRun degrades gracefully: fog shortens the profiled visibility, the deadline\n\
-         equation shortens the budget, and the governor trades velocity for safety instead\n\
-         of colliding."
-    );
+    if stalled.is_empty() {
+        println!("Every mission reached the goal.");
+    } else {
+        println!(
+            "Did not reach the goal: {}.\n\
+             Organic stalls do not yet enter the degradation ladder; see the ROADMAP item\n\
+             \"Organic failures enter the degradation ladder\".",
+            stalled.join("; ")
+        );
+    }
 }
