@@ -7,12 +7,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use roborun_core::{Governor, GovernorConfig, KnobSettings, Profilers, RuntimeMode};
 use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
 use roborun_env::{DifficultyConfig, EnvironmentGenerator, Obstacle, ObstacleField};
-use roborun_geom::{Aabb, PointGridIndex, Pose, Ray, SplitMix64, Vec3};
-use roborun_mission::cycle::{path_clear_of_predicted, predicted_blockage_distance};
+use roborun_geom::{Aabb, Pose, Ray, SplitMix64, Vec3};
+use roborun_mission::cycle::{
+    path_clear_of_predicted, planning_bounds, predicted_blockage_distance,
+};
 use roborun_mission::{MissionConfig, MissionRunner};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
-    smooth_path, CollisionChecker, RrtConfig, RrtStar, SmoothingConfig, Trajectory, TrajectoryPoint,
+    smooth_path, CollisionChecker, PlannerScratch, RrtConfig, RrtStar, SmoothingConfig, Trajectory,
+    TrajectoryPoint,
 };
 use roborun_sim::CameraRig;
 
@@ -274,7 +277,12 @@ fn bench_export_precision(c: &mut Criterion) {
 /// policy solve on each stepped map; a third prices the checker's input for
 /// one refresh:
 /// `planner_map_delta` diffs the 0.3 m unbounded exports of the last two
-/// scans, the `static_oblivious` shape.
+/// scans, the `static_oblivious` shape. A fourth, `rrt_mission_plan`,
+/// times one mission plan on each stepped map's export: the mission
+/// planner's 900-sample RRT* from the last pose to a goal at the planning
+/// horizon that an obstacle hides, inside the mission's sampling bounds, with
+/// the mission margin and the knobs' check step, through a checker and
+/// scratch reused from plan to plan as the drivers reuse theirs.
 fn bench_perception_mission_map_step(c: &mut Criterion) {
     let env = EnvironmentGenerator::new(DifficultyConfig {
         goal_distance: 150.0,
@@ -392,6 +400,58 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
         ),
         |b| b.iter(|| std::hint::black_box(current.delta_from(previous)).map(|d| d.len())),
     );
+    group.finish();
+
+    let mut group = c.benchmark_group("rrt_mission_plan");
+    group.sample_size(20);
+    for ((name, mode, map), knobs) in stepped.iter().zip([KnobSettings::static_baseline(), aware]) {
+        let mission = MissionConfig::new(*mode);
+        let margin = mission.drone.body_radius * mission.planning_margin_factor;
+        let export = PlannerMap::export(
+            map,
+            &ExportConfig::new(
+                knobs.map_to_planner_precision,
+                knobs.map_to_planner_volume,
+                position,
+            ),
+        );
+        let mut checker = CollisionChecker::new(export, margin, knobs.map_to_planner_precision);
+        // The scans flew the start→goal line, which stays free, so the
+        // goal is the first point of the planning-horizon circle (15°
+        // steps from the heading) whose straight segment is blocked.
+        let lateral = Vec3::new(-heading.y, heading.x, 0.0);
+        let goal = (0..24)
+            .map(|i| {
+                let (sin, cos) = (i as f64 * std::f64::consts::PI / 12.0).sin_cos();
+                position + (heading * cos + lateral * sin) * mission.planning_horizon
+            })
+            .find(|&g| checker.point_free(g) && !checker.segment_free(position, g))
+            .expect("an obstacle lies across the horizon");
+        let bounds = planning_bounds(position, goal, env.bounds());
+        let planner = RrtStar::new(RrtConfig {
+            max_samples: 900,
+            seed: 7,
+            ..RrtConfig::default()
+        });
+        let mut scratch = PlannerScratch::new();
+        let probe = planner.plan_with_scratch(&mut checker, position, goal, &bounds, &mut scratch);
+        assert_eq!(
+            probe.samples_drawn, 900,
+            "{name}: the plan must search, not connect directly"
+        );
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                std::hint::black_box(planner.plan_with_scratch(
+                    &mut checker,
+                    position,
+                    goal,
+                    &bounds,
+                    &mut scratch,
+                ))
+                .tree_size
+            })
+        });
+    }
     group.finish();
 }
 
@@ -537,60 +597,7 @@ fn bench_obstacle_nearest_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Point-index nearest-neighbor scaling: the RRT* inner query at tree
-/// sizes of 10^2..10^4 nodes.
-fn bench_point_nearest_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("point_nearest_neighbor");
-    for &n in &[100usize, 1_000, 10_000] {
-        let mut rng = SplitMix64::new(n as u64);
-        let points: Vec<Vec3> = (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.uniform(-50.0, 50.0),
-                    rng.uniform(-50.0, 50.0),
-                    rng.uniform(0.0, 12.0),
-                )
-            })
-            .collect();
-        let mut index = PointGridIndex::new(6.0);
-        for &p in &points {
-            index.insert(p);
-        }
-        let queries: Vec<Vec3> = (0..64)
-            .map(|_| {
-                Vec3::new(
-                    rng.uniform(-60.0, 60.0),
-                    rng.uniform(-60.0, 60.0),
-                    rng.uniform(0.0, 12.0),
-                )
-            })
-            .collect();
-        group.bench_with_input(BenchmarkId::new("indexed", n), &index, |b, index| {
-            b.iter(|| {
-                queries
-                    .iter()
-                    .map(|&q| std::hint::black_box(index.nearest(q)).unwrap_or(0) as usize)
-                    .sum::<usize>()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("linear", n), &points, |b, points| {
-            b.iter(|| {
-                queries
-                    .iter()
-                    .map(|&q| {
-                        std::hint::black_box(roborun_geom::index::nearest_linear(points, q))
-                            .unwrap_or(0) as usize
-                    })
-                    .sum::<usize>()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Whole-search RRT* comparison on a 4000-sample search: the grid-indexed
-/// tree against the O(n^2) linear reference (identical results, enforced by
-/// the planning equivalence proptests).
+/// Whole-search RRT* on a 4000-sample search through a single-gap wall.
 fn bench_rrtstar_4000_samples(c: &mut Criterion) {
     // A wall with a single gap keeps the planner from shortcutting, so the
     // tree actually grows toward max_samples; mission-scale sampling bounds
@@ -625,55 +632,6 @@ fn bench_rrtstar_4000_samples(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("indexed", |b| {
         b.iter(|| std::hint::black_box(planner.plan(&mut checker, start, goal, &bounds)).tree_size)
-    });
-    group.bench_function("linear", |b| {
-        b.iter(|| {
-            std::hint::black_box(planner.plan_linear_reference(&mut checker, start, goal, &bounds))
-                .tree_size
-        })
-    });
-    group.finish();
-}
-
-/// The neighbor kernel isolated on the final 4000-sample tree: the exact
-/// nearest/near query stream RRT* issues, indexed vs linear. This is the
-/// O(n^2) -> ~O(n) component of the tree build; the whole-plan bench above
-/// includes the (also accelerated, but shared) collision-checking cost.
-fn bench_rrt_neighbor_kernel_4000(c: &mut Criterion) {
-    let mut rng = SplitMix64::new(17);
-    let bounds = Aabb::new(Vec3::new(-5.0, -75.0, 1.0), Vec3::new(155.0, 75.0, 28.0));
-    let mut index = PointGridIndex::new(12.0);
-    let mut points = Vec::new();
-    for _ in 0..4_000 {
-        let p = rng.point_in_aabb(&bounds);
-        index.insert(p);
-        points.push(p);
-    }
-    let queries: Vec<Vec3> = (0..256).map(|_| rng.point_in_aabb(&bounds)).collect();
-    let mut group = c.benchmark_group("rrt_neighbor_kernel_4000");
-    group.bench_function("indexed", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &q in &queries {
-                acc += std::hint::black_box(index.nearest(q)).unwrap_or(0) as usize;
-                acc += std::hint::black_box(index.within_radius(q, 12.0)).len();
-            }
-            acc
-        })
-    });
-    group.bench_function("linear", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &q in &queries {
-                acc += std::hint::black_box(roborun_geom::index::nearest_linear(&points, q))
-                    .unwrap_or(0) as usize;
-                acc += std::hint::black_box(roborun_geom::index::within_radius_linear(
-                    &points, q, 12.0,
-                ))
-                .len();
-            }
-            acc
-        })
     });
     group.finish();
 }
@@ -1238,9 +1196,7 @@ criterion_group!(
     bench_sim_capture,
     bench_obstacle_raycast_scaling,
     bench_obstacle_nearest_scaling,
-    bench_point_nearest_scaling,
     bench_rrtstar_4000_samples,
-    bench_rrt_neighbor_kernel_4000,
     bench_dynamic_world_step,
     bench_predicted_validation,
     bench_walk_pose_anchor,

@@ -225,26 +225,33 @@ impl Profilers {
 /// 0.6 m voxels, one voxel from 1.2 m up); gap estimates therefore carry
 /// roughly that granularity, which is ample for the governor's precision
 /// constraints. The cells and their boxes come straight from the map's
-/// block masks ([`OccupancyMap::occupied_cells_within`]), and cells are
-/// joined by merging sorted rows of cells, so the cost follows the nearby
-/// obstacles, not the map.
+/// block masks ([`OccupancyMap::occupied_cells_within`]), and the
+/// vertical runs of cells are joined by merging sorted rows of runs, so
+/// the cost follows the nearby obstacle columns, not the map.
 pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) -> Vec<Aabb> {
     let cells = map.occupied_cells_within(center, radius, cluster_level(map.resolution()));
-    // The cells come sorted by key, so each row of cells sharing (x, y) is
-    // a run sorted by z: (x, y, first cell, end).
-    let mut rows: Vec<(i64, i64, usize, usize)> = Vec::new();
-    for (i, (key, _)) in cells.iter().enumerate() {
-        match rows.last_mut() {
-            Some(row) if (row.0, row.1) == (key.x, key.y) => row.3 = i + 1,
-            _ => rows.push((key.x, key.y, i, i + 1)),
+    // The cells come sorted by key, so each row of cells sharing (x, y)
+    // is sorted by z and splits into maximal z-runs of consecutive cells:
+    // (x, y, z first, z last, box). A run's cells are adjacent, so it joins
+    // its cluster whole.
+    let mut runs: Vec<(i64, i64, i64, i64, Aabb)> = Vec::new();
+    for &(key, bounds) in &cells {
+        match runs.last_mut() {
+            Some(run) if (run.0, run.1) == (key.x, key.y) && run.3 + 1 == key.z => {
+                run.3 = key.z;
+                run.4 = Aabb::union(&run.4, &bounds);
+            }
+            _ => runs.push((key.x, key.y, key.z, key.z, bounds)),
         }
     }
-    // Union-find over cell indices. Two cells are adjacent when their
-    // Chebyshev distance is 1: within a row they are consecutive, and
-    // every other adjacent pair lies in a row and one of the four rows
-    // after it in key order, found by a cursor per offset (the targets
-    // ascend with the rows) and joined by a two-pointer pass over z.
-    let mut parent: Vec<usize> = (0..cells.len()).collect();
+    // Union-find over runs. Two cells are adjacent when their Chebyshev
+    // distance is 1, so two runs are when they lie in the same row or in
+    // neighbouring rows and their z-intervals overlap within ±1 (runs of
+    // one row never are: they are maximal). Every adjacent pair lies in a
+    // row and one of the four rows after it in key order, found by a
+    // cursor per offset (the targets ascend with the runs) and joined by a
+    // two-pointer pass over the z-intervals.
+    let mut parent: Vec<usize> = (0..runs.len()).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
             let root = find(parent, parent[i]);
@@ -252,49 +259,38 @@ pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) 
         }
         parent[i]
     }
-    fn join(parent: &mut Vec<usize>, i: usize, j: usize) {
-        let (ra, rb) = (find(parent, i), find(parent, j));
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    }
-    let z = |i: usize| cells[i].0.z;
     let mut cursors = [0usize; 4];
-    for &(x, y, start, end) in &rows {
-        for i in start + 1..end {
-            if z(i) == z(i - 1) + 1 {
-                join(&mut parent, i - 1, i);
-            }
-        }
+    for (i, &(x, y, lo, hi, _)) in runs.iter().enumerate() {
         for (cursor, (dx, dy)) in cursors.iter_mut().zip(FORWARD_ROWS) {
             let target = (x + dx, y + dy);
-            while rows.get(*cursor).is_some_and(|r| (r.0, r.1) < target) {
+            // Skip runs of earlier rows and runs of the target row that
+            // end below this run's reach (later runs of this row start
+            // higher, so they never need them).
+            while runs
+                .get(*cursor)
+                .is_some_and(|r| (r.0, r.1) < target || ((r.0, r.1) == target && r.3 < lo - 1))
+            {
                 *cursor += 1;
             }
-            let Some(&(_, _, other_start, other_end)) =
-                rows.get(*cursor).filter(|r| (r.0, r.1) == target)
-            else {
-                continue;
-            };
-            let mut first = other_start;
-            for i in start..end {
-                while first < other_end && z(first) < z(i) - 1 {
-                    first += 1;
-                }
-                for j in (first..other_end).take_while(|&j| z(j) <= z(i) + 1) {
-                    join(&mut parent, i, j);
+            let adjacent = runs[*cursor..]
+                .iter()
+                .take_while(|r| (r.0, r.1) == target && r.2 <= hi + 1);
+            for j in *cursor..*cursor + adjacent.count() {
+                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+                if ra != rb {
+                    parent[ra] = rb;
                 }
             }
         }
     }
     // Box unions are exact min/max, so each cluster's box is independent
     // of the order its members are folded in.
-    let mut clusters: Vec<Option<Aabb>> = vec![None; cells.len()];
-    for (i, (_, bounds)) in cells.iter().enumerate() {
+    let mut clusters: Vec<Option<Aabb>> = vec![None; runs.len()];
+    for (i, run) in runs.iter().enumerate() {
         let root = find(&mut parent, i);
         clusters[root] = Some(match clusters[root] {
-            Some(acc) => Aabb::union(&acc, bounds),
-            None => *bounds,
+            Some(acc) => Aabb::union(&acc, &run.4),
+            None => run.4,
         });
     }
     let mut out: Vec<Aabb> = clusters.into_iter().flatten().collect();

@@ -30,6 +30,7 @@ impl Aabb {
     ///
     /// The corners are re-ordered component-wise so the resulting box is
     /// always well formed (`min ≤ max` on every axis).
+    #[inline]
     pub fn new(a: Vec3, b: Vec3) -> Self {
         Aabb {
             min: a.min(b),
@@ -42,6 +43,7 @@ impl Aabb {
     /// # Panics
     ///
     /// Panics if any half extent is negative.
+    #[inline]
     pub fn from_center_half_extents(center: Vec3, half_extents: Vec3) -> Self {
         assert!(
             half_extents.x >= 0.0 && half_extents.y >= 0.0 && half_extents.z >= 0.0,
@@ -54,6 +56,7 @@ impl Aabb {
     }
 
     /// The smallest box containing both `a` and `b`.
+    #[inline]
     pub fn union(a: &Aabb, b: &Aabb) -> Aabb {
         Aabb {
             min: a.min.min(b.min),

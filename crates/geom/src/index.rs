@@ -1,19 +1,18 @@
-//! Spatial acceleration structures: a uniform-grid point index, the shared
-//! expanding-ring search driver and a DDA voxel ray walker.
+//! Spatial acceleration structures: the shared expanding-ring search
+//! driver and a DDA voxel ray walker.
 //!
 //! These are the broad-phase primitives behind the workspace's hot
-//! kernels: RRT* nearest/near queries ([`PointGridIndex`]), the obstacle
-//! field's ray casts and the sensor simulation ([`GridRayWalk`]), and the
-//! grid nearest queries ([`RingSearch`]). All are exact accelerators —
-//! every query is specified to return the same result as the corresponding
-//! linear scan, which the equivalence proptests in each consumer crate
-//! enforce.
+//! kernels: the RRT* tree's nearest query and the grid nearest queries
+//! ([`RingSearch`]), and the obstacle field's ray casts and the sensor
+//! simulation ([`GridRayWalk`]). All are exact accelerators — every query
+//! is specified to return the same result as the corresponding linear
+//! scan, which the equivalence tests in each consumer crate enforce.
 //!
 //! # The `RingSearch` contract
 //!
 //! [`RingSearch`] is the single driver behind the nearest-something
-//! queries that used to hand-roll the same loop
-//! (`PointGridIndex::nearest`, `ObstacleField::nearest_indexed`). It
+//! queries that used to hand-roll the same loop (the RRT* tree grid's
+//! nearest node, `ObstacleField::nearest_indexed`). It
 //! enumerates the Chebyshev shells around the query's cell, from the first
 //! ring that can touch the occupied key bounds outward, and stops as soon
 //! as no further ring can improve the caller's current best. Callers provide a single
@@ -38,7 +37,6 @@
 //!   Because the linear reference is exact by definition, the fallback
 //!   never changes the result, only the cost curve.
 
-use crate::fxhash::FxHashMap;
 use crate::{Ray, Vec3, VoxelKey};
 
 /// How a [`RingSearch::run`] call ended.
@@ -180,195 +178,9 @@ impl RingSearch {
     }
 }
 
-/// A uniform-grid index over an incrementally grown set of points.
-///
-/// Points are bucketed by the [`VoxelKey`] of the cell containing them.
-/// [`PointGridIndex::nearest`] and [`PointGridIndex::within_radius`] visit
-/// only the cells an expanding search ring (respectively a bounding cube)
-/// touches, turning the O(n) scans of a growing RRT* tree into near-O(1)
-/// lookups.
-///
-/// # Example
-///
-/// ```
-/// use roborun_geom::index::PointGridIndex;
-/// use roborun_geom::Vec3;
-///
-/// let mut index = PointGridIndex::new(4.0);
-/// index.insert(Vec3::ZERO);
-/// index.insert(Vec3::new(10.0, 0.0, 0.0));
-/// assert_eq!(index.nearest(Vec3::new(9.0, 0.0, 0.0)), Some(1));
-/// assert_eq!(index.within_radius(Vec3::ZERO, 2.0), vec![0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PointGridIndex {
-    cell: f64,
-    points: Vec<Vec3>,
-    cells: FxHashMap<VoxelKey, Vec<u32>>,
-    key_min: VoxelKey,
-    key_max: VoxelKey,
-}
-
-impl PointGridIndex {
-    /// Creates an empty index with the given cell edge length (metres).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell_size <= 0` or is not finite.
-    pub fn new(cell_size: f64) -> Self {
-        assert!(
-            cell_size > 0.0 && cell_size.is_finite(),
-            "cell size must be positive and finite, got {cell_size}"
-        );
-        PointGridIndex {
-            cell: cell_size,
-            points: Vec::new(),
-            cells: FxHashMap::default(),
-            key_min: VoxelKey { x: 0, y: 0, z: 0 },
-            key_max: VoxelKey { x: 0, y: 0, z: 0 },
-        }
-    }
-
-    /// Cell edge length (metres).
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when no points have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The indexed points, in insertion order (the point's id is its index).
-    pub fn points(&self) -> &[Vec3] {
-        &self.points
-    }
-
-    /// Position of the point with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn position(&self, id: u32) -> Vec3 {
-        self.points[id as usize]
-    }
-
-    /// Removes every point while keeping the bucket map's table allocation,
-    /// so a long-lived index (e.g. a planner scratch reused across replans)
-    /// re-fills without re-growing the hash table each time.
-    pub fn clear(&mut self) {
-        self.points.clear();
-        self.cells.clear();
-        self.key_min = VoxelKey { x: 0, y: 0, z: 0 };
-        self.key_max = VoxelKey { x: 0, y: 0, z: 0 };
-    }
-
-    /// Inserts a point and returns its id (insertion index).
-    pub fn insert(&mut self, p: Vec3) -> u32 {
-        let id = u32::try_from(self.points.len()).expect("point index overflow");
-        let key = VoxelKey::from_point(p, self.cell);
-        if self.points.is_empty() {
-            self.key_min = key;
-            self.key_max = key;
-        } else {
-            self.key_min = self.key_min.componentwise_min(key);
-            self.key_max = self.key_max.componentwise_max(key);
-        }
-        self.points.push(p);
-        self.cells.entry(key).or_default().push(id);
-        id
-    }
-
-    /// Id of the point closest to `target` (squared-distance metric), or
-    /// `None` when empty. Ties resolve to the lowest id, matching a linear
-    /// first-wins scan.
-    pub fn nearest(&self, target: Vec3) -> Option<u32> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut best: Option<(f64, u32)> = None;
-        RingSearch::new(self.cell, self.key_min, self.key_max).run(target, None, |key| {
-            if let Some(ids) = self.cells.get(&key) {
-                for &id in ids {
-                    let d2 = self.points[id as usize].distance_squared(target);
-                    let better = match best {
-                        None => true,
-                        Some((bd2, bid)) => d2 < bd2 || (d2 == bd2 && id < bid),
-                    };
-                    if better {
-                        best = Some((d2, id));
-                    }
-                }
-            }
-            best.map(|(d2, _)| d2)
-        });
-        best.map(|(_, id)| id)
-    }
-
-    /// Ids of all points within `radius` of `p` (Euclidean `<=` test, the
-    /// same predicate as a linear scan), in ascending id order.
-    pub fn within_radius(&self, p: Vec3, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.within_radius_into(p, radius, &mut out);
-        out
-    }
-
-    /// Allocation-free [`PointGridIndex::within_radius`]: clears `out` and
-    /// fills it with the same ids in the same ascending order, reusing the
-    /// buffer's capacity. Hot per-sample callers (the RRT* near-set query)
-    /// keep one scratch buffer alive instead of allocating two `Vec`s per
-    /// sample.
-    pub fn within_radius_into(&self, p: Vec3, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
-        if self.points.is_empty() || radius < 0.0 {
-            return;
-        }
-        let lo = VoxelKey::from_point(p - Vec3::splat(radius), self.cell)
-            .componentwise_max(self.key_min);
-        let hi = VoxelKey::from_point(p + Vec3::splat(radius), self.cell)
-            .componentwise_min(self.key_max);
-        let cube_cells = (hi.x - lo.x + 1).max(0) as u128
-            * (hi.y - lo.y + 1).max(0) as u128
-            * (hi.z - lo.z + 1).max(0) as u128;
-        if cube_cells > self.cells.len() as u128 {
-            // The cube covers more cells than exist: walking the occupied
-            // cells directly is cheaper.
-            for (key, ids) in &self.cells {
-                if key.x >= lo.x
-                    && key.x <= hi.x
-                    && key.y >= lo.y
-                    && key.y <= hi.y
-                    && key.z >= lo.z
-                    && key.z <= hi.z
-                {
-                    out.extend(ids.iter().copied());
-                }
-            }
-        } else {
-            for x in lo.x..=hi.x {
-                for y in lo.y..=hi.y {
-                    for z in lo.z..=hi.z {
-                        if let Some(ids) = self.cells.get(&VoxelKey { x, y, z }) {
-                            out.extend(ids.iter().copied());
-                        }
-                    }
-                }
-            }
-        }
-        // Filter before sorting: the distance test typically discards most
-        // gathered ids, and sorting the survivors is much cheaper.
-        out.retain(|&id| self.points[id as usize].distance(p) <= radius);
-        out.sort_unstable();
-    }
-}
-
 /// Squared distance from `p` to the closest point of the cell `key` at the
 /// given cell size (zero when `p` lies inside the cell).
+#[inline]
 pub fn cell_min_distance_squared(key: VoxelKey, cell: f64, p: Vec3) -> f64 {
     let mut d2 = 0.0;
     for (k, coord) in [(key.x, p.x), (key.y, p.y), (key.z, p.z)] {
@@ -561,124 +373,10 @@ impl Iterator for GridRayWalk {
     }
 }
 
-/// Reference linear nearest-point scan (squared-distance metric, first
-/// minimal index wins) — retained for equivalence tests and benchmarks.
-pub fn nearest_linear(points: &[Vec3], target: Vec3) -> Option<u32> {
-    let mut best: Option<(f64, u32)> = None;
-    for (i, p) in points.iter().enumerate() {
-        let d2 = p.distance_squared(target);
-        if best.map(|(bd2, _)| d2 < bd2).unwrap_or(true) {
-            best = Some((d2, i as u32));
-        }
-    }
-    best.map(|(_, i)| i)
-}
-
-/// Reference linear radius scan (`distance <= radius`, ascending index) —
-/// retained for equivalence tests and benchmarks.
-pub fn within_radius_linear(points: &[Vec3], p: Vec3, radius: f64) -> Vec<u32> {
-    points
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| q.distance(p) <= radius)
-        .map(|(i, _)| i as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SplitMix64;
-
-    fn random_points(seed: u64, n: usize, span: f64) -> Vec<Vec3> {
-        let mut rng = SplitMix64::new(seed);
-        (0..n)
-            .map(|_| {
-                Vec3::new(
-                    rng.uniform(-span, span),
-                    rng.uniform(-span, span),
-                    rng.uniform(-span, span),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn empty_index_queries() {
-        let index = PointGridIndex::new(2.0);
-        assert!(index.is_empty());
-        assert_eq!(index.len(), 0);
-        assert_eq!(index.nearest(Vec3::ZERO), None);
-        assert!(index.within_radius(Vec3::ZERO, 10.0).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_cell_size_panics() {
-        let _ = PointGridIndex::new(0.0);
-    }
-
-    #[test]
-    fn nearest_matches_linear_on_random_points() {
-        for seed in 0..20 {
-            let points = random_points(seed, 200, 50.0);
-            let mut index = PointGridIndex::new(4.0);
-            for &p in &points {
-                index.insert(p);
-            }
-            let queries = random_points(seed + 1000, 50, 80.0);
-            for q in queries {
-                assert_eq!(index.nearest(q), nearest_linear(&points, q), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn within_radius_matches_linear_on_random_points() {
-        for seed in 0..20 {
-            let points = random_points(seed, 200, 50.0);
-            let mut index = PointGridIndex::new(4.0);
-            for &p in &points {
-                index.insert(p);
-            }
-            let mut rng = SplitMix64::new(seed + 2000);
-            for _ in 0..30 {
-                let q = Vec3::new(
-                    rng.uniform(-80.0, 80.0),
-                    rng.uniform(-80.0, 80.0),
-                    rng.uniform(-80.0, 80.0),
-                );
-                let radius = rng.uniform(0.0, 60.0);
-                assert_eq!(
-                    index.within_radius(q, radius),
-                    within_radius_linear(&points, q, radius),
-                    "seed {seed}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nearest_ties_resolve_to_lowest_id() {
-        let mut index = PointGridIndex::new(1.0);
-        // Two points equidistant from the query, in different cells.
-        index.insert(Vec3::new(-2.0, 0.0, 0.0));
-        index.insert(Vec3::new(2.0, 0.0, 0.0));
-        assert_eq!(index.nearest(Vec3::ZERO), Some(0));
-    }
-
-    #[test]
-    fn incremental_growth_extends_bounds() {
-        let mut index = PointGridIndex::new(2.0);
-        index.insert(Vec3::ZERO);
-        // Far point inserted later must still be found.
-        index.insert(Vec3::new(500.0, -300.0, 120.0));
-        assert_eq!(index.nearest(Vec3::new(490.0, -290.0, 110.0)), Some(1));
-        assert_eq!(
-            index.within_radius(Vec3::new(500.0, -300.0, 120.0), 1.0),
-            vec![1]
-        );
-    }
 
     #[test]
     fn ray_walk_visits_marched_cells() {

@@ -58,8 +58,8 @@ pub use aabb::{Aabb, Aabb4, Aabb8};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use grid::{CellIndex, Grid3};
 pub use index::{
-    cell_min_distance_squared, for_each_shell_key, for_each_shell_key_in, GridRayWalk,
-    PointGridIndex, RingSearch, RingSearchOutcome,
+    cell_min_distance_squared, for_each_shell_key, for_each_shell_key_in, GridRayWalk, RingSearch,
+    RingSearchOutcome,
 };
 pub use polynomial::Polynomial;
 pub use pose::Pose;
@@ -68,4 +68,4 @@ pub use sampling::SplitMix64;
 pub use simd::SimdWidth;
 pub use stats::{linear_fit, percentile, LogHistogram, RunningStats};
 pub use vec3::Vec3;
-pub use voxel::{precision_lattice, snap_to_lattice, VoxelKey};
+pub use voxel::{ceil_steps, floor_i64, precision_lattice, snap_to_lattice, VoxelKey};

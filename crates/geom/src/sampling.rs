@@ -36,6 +36,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.state;
@@ -45,6 +46,7 @@ impl SplitMix64 {
     }
 
     /// Uniform double in `[0, 1)`.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         // 53 bits of mantissa.
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
@@ -55,6 +57,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `lo > hi`.
+    #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo <= hi, "uniform range inverted: [{lo}, {hi})");
         lo + (hi - lo) * self.next_f64()
@@ -71,6 +74,7 @@ impl SplitMix64 {
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
@@ -94,6 +98,7 @@ impl SplitMix64 {
     }
 
     /// Uniform point inside an axis-aligned box.
+    #[inline]
     pub fn point_in_aabb(&mut self, aabb: &Aabb) -> Vec3 {
         Vec3::new(
             self.uniform(aabb.min.x, aabb.max.x),

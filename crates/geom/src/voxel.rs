@@ -31,19 +31,21 @@ impl VoxelKey {
     /// # Panics
     ///
     /// Panics if `voxel_size <= 0`.
+    #[inline]
     pub fn from_point(p: Vec3, voxel_size: f64) -> Self {
         assert!(
             voxel_size > 0.0,
             "voxel size must be positive, got {voxel_size}"
         );
         VoxelKey {
-            x: (p.x / voxel_size).floor() as i64,
-            y: (p.y / voxel_size).floor() as i64,
-            z: (p.z / voxel_size).floor() as i64,
+            x: floor_i64(p.x / voxel_size),
+            y: floor_i64(p.y / voxel_size),
+            z: floor_i64(p.z / voxel_size),
         }
     }
 
     /// World-space centre of this voxel at resolution `voxel_size`.
+    #[inline]
     pub fn center(&self, voxel_size: f64) -> Vec3 {
         Vec3::new(
             (self.x as f64 + 0.5) * voxel_size,
@@ -69,6 +71,7 @@ impl VoxelKey {
 
     /// Componentwise minimum of two keys — the lower-corner fold used by
     /// every key-bounds tracker in the workspace.
+    #[inline]
     pub fn componentwise_min(self, other: VoxelKey) -> VoxelKey {
         VoxelKey {
             x: self.x.min(other.x),
@@ -79,6 +82,7 @@ impl VoxelKey {
 
     /// Componentwise maximum of two keys — the upper-corner fold used by
     /// every key-bounds tracker in the workspace.
+    #[inline]
     pub fn componentwise_max(self, other: VoxelKey) -> VoxelKey {
         VoxelKey {
             x: self.x.max(other.x),
@@ -86,6 +90,28 @@ impl VoxelKey {
             z: self.z.max(other.z),
         }
     }
+}
+
+/// `x.floor() as i64` in integer arithmetic: truncate, then step down
+/// when truncation rounded a negative fraction up. Equal to the float
+/// expression for every input, saturating at the `i64` range (±∞ too) and
+/// mapping NaN to 0, but without the library `floor` call the baseline
+/// x86-64 target (no SSE4.1 `roundsd`) makes, so key computations inline.
+#[inline]
+pub fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    // `t` is exact whenever `x` has a fraction (|x| < 2^52), so the
+    // comparison is exact too; at the saturated ends it only fires for
+    // `i64::MIN`, where the subtraction saturates.
+    t.saturating_sub(i64::from((t as f64) > x))
+}
+
+/// `x.ceil().max(1.0) as usize` in integer arithmetic: the segment
+/// subdivision count of the collision walkers (at least one step).
+#[inline]
+pub fn ceil_steps(x: f64) -> usize {
+    let t = x as usize;
+    t.saturating_add(usize::from((t as f64) < x)).max(1)
 }
 
 /// The power-of-two precision lattice `{vox_min · 2^n : 0 ≤ n < levels}`.
@@ -153,6 +179,31 @@ mod tests {
         assert_eq!(k, VoxelKey { x: 1, y: -1, z: 2 });
         let k2 = VoxelKey::from_point(Vec3::new(1.4, -0.2, 2.9), 0.5);
         assert_eq!(k2, VoxelKey { x: 2, y: -1, z: 5 });
+    }
+
+    #[test]
+    fn integer_floor_and_ceil_match_the_float_expressions() {
+        let edges = [
+            -0.5,
+            -0.0,
+            0.0,
+            -1.0,
+            1.0,
+            2.5,
+            -2.5,
+            4503599627370496.5,
+            9.3e18,
+            -9.3e18,
+            -9223372036854775808.0,
+            9223372036854775808.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            assert_eq!(floor_i64(x), x.floor() as i64, "floor {x}");
+            assert_eq!(ceil_steps(x), x.ceil().max(1.0) as usize, "ceil {x}");
+        }
     }
 
     #[test]

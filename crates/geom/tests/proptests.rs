@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use roborun_geom::{
-    percentile, precision_lattice, snap_to_lattice, Aabb, Aabb4, Aabb8, Polynomial, Pose, Ray,
-    RunningStats, SplitMix64, Vec3, VoxelKey,
+    ceil_steps, floor_i64, percentile, precision_lattice, snap_to_lattice, Aabb, Aabb4, Aabb8,
+    Polynomial, Pose, Ray, RunningStats, SplitMix64, Vec3, VoxelKey,
 };
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -256,44 +256,37 @@ proptest! {
         prop_assert!((lhs - rhs).abs() < 1e-6);
     }
 
+    /// The integer floor behind `VoxelKey::from_point` (and the walkers'
+    /// integer step count) equals the float expressions everywhere:
+    /// arbitrary bit patterns (NaN, ±inf, subnormals, huge magnitudes),
+    /// integers scaled past 2^52 and 2^63, one ulp either side of each,
+    /// and fractions around ±0.
+    #[test]
+    fn integer_floor_matches_the_float_floor(bits in any::<u64>(),
+                                             n in -4_000_000i64..4_000_000,
+                                             shift in 0i32..70,
+                                             frac in -1.0f64..1.0) {
+        let scaled = n as f64 * 2f64.powi(shift);
+        let mut xs = vec![f64::from_bits(bits), frac, -frac, n as f64 + frac];
+        for x in [n as f64, scaled, -scaled, 2f64.powi(63), -(2f64.powi(63))] {
+            xs.extend([
+                x,
+                f64::from_bits(x.to_bits().wrapping_add(1)),
+                f64::from_bits(x.to_bits().wrapping_sub(1)),
+            ]);
+        }
+        for x in xs {
+            prop_assert_eq!(floor_i64(x), x.floor() as i64, "floor of {:e}", x);
+            prop_assert_eq!(ceil_steps(x), x.ceil().max(1.0) as usize, "ceil of {:e}", x);
+        }
+    }
+
     #[test]
     fn splitmix_uniform_bounds(seed in any::<u64>(), lo in -100.0f64..0.0, span in 0.001f64..100.0) {
         let mut rng = SplitMix64::new(seed);
         for _ in 0..32 {
             let x = rng.uniform(lo, lo + span);
             prop_assert!(x >= lo && x < lo + span);
-        }
-    }
-}
-
-/// The point-grid nearest/radius queries swept over the shared adversarial
-/// scenario family (exact voxel-face points, dense lattices, clusters) at
-/// several cell sizes — shapes uniform random sampling rarely produces.
-#[test]
-fn adversarial_point_scenarios_match_linear_references() {
-    use roborun_geom::index::{nearest_linear, within_radius_linear, PointGridIndex};
-    for cell in [0.5, 1.0, 4.0] {
-        for scenario in roborun_conformance::adversarial_point_sets(5, cell) {
-            let mut index = PointGridIndex::new(cell);
-            for &p in &scenario.points {
-                index.insert(p);
-            }
-            for q in roborun_conformance::boundary_probes(5, cell) {
-                assert_eq!(
-                    index.nearest(q),
-                    nearest_linear(&scenario.points, q),
-                    "nearest diverged on {} cell={cell} q={q}",
-                    scenario.name
-                );
-                for radius in [0.0, cell * 0.5, cell, 13.7] {
-                    assert_eq!(
-                        index.within_radius(q, radius),
-                        within_radius_linear(&scenario.points, q, radius),
-                        "within_radius diverged on {} cell={cell} q={q} r={radius}",
-                        scenario.name
-                    );
-                }
-            }
         }
     }
 }

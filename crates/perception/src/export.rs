@@ -39,7 +39,7 @@
 
 use crate::occupancy::{block_of, mask_has, mask_keys, mask_len, slot_of, BlockMask};
 use crate::OccupancyMap;
-use roborun_geom::{snap_to_lattice, Aabb, FxHashMap, Vec3, VoxelKey};
+use roborun_geom::{floor_i64, snap_to_lattice, Aabb, FxHashMap, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one export (the two perception-to-planning knobs plus
@@ -229,7 +229,7 @@ impl PlannerMap {
     /// closest point within `margin` per axis, so its key offset is at
     /// most `floor(margin / voxel) + 1` in each direction.
     pub fn reach(&self, margin: f64) -> i64 {
-        (margin / self.voxel_size).floor() as i64 + 1
+        floor_i64(margin / self.voxel_size) + 1
     }
 
     /// `true` when `p` lies within `margin` of any exported occupied box.

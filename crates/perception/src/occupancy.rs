@@ -64,6 +64,7 @@ use serde::{Deserialize, Serialize};
 const BLOCK_EDGE: i64 = 8;
 
 /// The 8³ block holding `key` (shared with [`crate::PlannerMap`]'s masks).
+#[inline]
 pub fn block_of(key: VoxelKey) -> VoxelKey {
     VoxelKey {
         x: key.x >> 3,
@@ -73,6 +74,7 @@ pub fn block_of(key: VoxelKey) -> VoxelKey {
 }
 
 /// The mask word and bit of `key` inside its block.
+#[inline]
 pub fn slot_of(key: VoxelKey) -> (usize, u64) {
     (
         (key.x & 7) as usize,

@@ -1,8 +1,7 @@
 //! Point clouds and the point-cloud precision/volume operators.
 
-use roborun_geom::{Aabb, Vec3, VoxelKey};
+use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A point cloud in the world frame, as produced by the camera rig.
 ///
@@ -83,7 +82,7 @@ impl PointCloud {
             cell_size > 0.0,
             "cell size must be positive, got {cell_size}"
         );
-        let mut cells: HashMap<VoxelKey, (Vec3, usize)> = HashMap::new();
+        let mut cells: FxHashMap<VoxelKey, (Vec3, usize)> = FxHashMap::default();
         for &p in &self.points {
             let key = VoxelKey::from_point(p, cell_size);
             let entry = cells.entry(key).or_insert((Vec3::ZERO, 0));

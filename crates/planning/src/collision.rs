@@ -17,12 +17,15 @@
 //! dilation, so the broad phase keeps no copy of the keys and cannot
 //! disagree with the reference. The RRT* search issues millions of point
 //! queries per plan, and most sit in open space where one bit test
-//! settles them; the samples of one segment reuse the covered mask of the
-//! previous sample, so a hash probe is paid only where the segment enters
-//! a new block. The broad phase is built lazily once enough queries have
-//! arrived to amortise its O(blocks) cost, so trivial plans (direct
-//! connections in open space) never pay for it; a precision change drops
-//! it and restarts that count.
+//! settles them. The checker keeps a copy of the last covered mask it
+//! looked up, so consecutive samples — along one segment and across the
+//! segments of a search, which mostly start at nearby tree nodes — pay a
+//! hash probe only where they enter a new block. That copy is derived
+//! state: every map update and every broad-phase build or drop clears it,
+//! and checker equality ignores it. The broad phase is built lazily once
+//! enough queries have arrived to amortise its O(blocks) cost, so trivial
+//! plans (direct connections in open space) never pay for it; a precision
+//! change drops it and restarts that count.
 //!
 //! Once built, the broad phase survives map refreshes:
 //! [`CollisionChecker::update_map`] ORs in the dilation of the voxels the
@@ -31,7 +34,7 @@
 //! once the voxels removed since the last build reach a quarter of the
 //! map's, the masks are rebuilt from the map.
 
-use roborun_geom::{FxHashMap, Vec3, VoxelKey};
+use roborun_geom::{ceil_steps, FxHashMap, Vec3, VoxelKey};
 use roborun_perception::{block_of, mask_keys, slot_of, BlockMask, PlannerMap, PlannerMapDelta};
 use serde::{Deserialize, Serialize};
 
@@ -40,8 +43,17 @@ use serde::{Deserialize, Serialize};
 /// count the build cost is amortised.
 const LAZY_BUILD_QUERIES: usize = 128;
 
-/// A block key and a copy of its covered mask (all zero when absent).
-type RecentBlock = Option<(VoxelKey, BlockMask)>;
+/// The last covered-mask lookup: a block key and a copy of its mask (all
+/// zero when the block is absent). A cache of the broad phase, not state
+/// of the checker: every checker compares equal here, and serde skips it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecentBlock(Option<(VoxelKey, BlockMask)>);
+
+impl PartialEq for RecentBlock {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 /// The margin-aware broad phase: covered masks per 8³ block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,19 +104,27 @@ impl BroadPhase {
     /// `true` when the cell of `p` is covered; `false` proves `p` is
     /// farther than the margin from every box. `recent` carries the
     /// covered mask of the last block looked up, so runs of nearby
-    /// queries (segment samples a cell apart) skip the hash probe.
+    /// queries skip the hash probe; it must have been filled by this
+    /// broad phase, unchanged since. Always inlined: it is the body of
+    /// the segment walk's loop.
+    #[inline(always)]
     fn covers(&self, p: Vec3, recent: &mut RecentBlock) -> bool {
         let cell = VoxelKey::from_point(p, self.voxel);
         let block = block_of(cell);
-        let mask = match recent {
+        let mask = match &recent.0 {
             Some((k, mask)) if *k == block => mask,
-            _ => {
-                let mask = self.covered.get(&block).copied().unwrap_or_default();
-                &recent.insert((block, mask)).1
-            }
+            _ => self.look_up(block, recent),
         };
         let (word, bit) = slot_of(cell);
         mask[word] & bit != 0
+    }
+
+    /// The hash probe behind [`BroadPhase::covers`], kept out of its loop.
+    #[cold]
+    #[inline(never)]
+    fn look_up<'a>(&self, block: VoxelKey, recent: &'a mut RecentBlock) -> &'a BlockMask {
+        let mask = self.covered.get(&block).copied().unwrap_or_default();
+        &recent.0.insert((block, mask)).1
     }
 }
 
@@ -123,6 +143,9 @@ pub struct CollisionChecker {
     broad_phase: Option<BroadPhase>,
     /// Query count from which a missing broad phase is built.
     build_at: usize,
+    /// The broad phase's last block lookup (see [`RecentBlock`]).
+    #[serde(skip)]
+    recent: RecentBlock,
 }
 
 impl CollisionChecker {
@@ -144,6 +167,7 @@ impl CollisionChecker {
             queries: 0,
             broad_phase: None,
             build_at: LAZY_BUILD_QUERIES,
+            recent: RecentBlock::default(),
         }
     }
 
@@ -171,32 +195,34 @@ impl CollisionChecker {
     ///
     /// Early queries delegate to the map's voxel-neighbourhood lookup; once
     /// enough queries have arrived to amortise it, the covered masks are
-    /// built and a query becomes one hash probe and bit test in free
-    /// space, falling back to the map lookup only in covered cells. Always
-    /// returns the same boolean as `!self.map().is_occupied(p, self.margin())`.
+    /// built and a query becomes one bit test in free space (plus a hash
+    /// probe when it leaves the last block looked up), falling back to the
+    /// map lookup only in covered cells. Always returns the same boolean
+    /// as `!self.map().is_occupied(p, self.margin())`.
+    #[inline]
     pub fn point_free(&mut self, p: Vec3) -> bool {
-        self.point_free_near(p, &mut None)
-    }
-
-    /// [`CollisionChecker::point_free`] reusing the covered mask of the
-    /// previous query of a run (see [`BroadPhase::covers`]).
-    fn point_free_near(&mut self, p: Vec3, recent: &mut RecentBlock) -> bool {
         self.queries += 1;
         if self.broad_phase.is_none() && self.queries < self.build_at {
             return !self.map.is_occupied(p, self.margin);
         }
-        let broad_phase = self
-            .broad_phase
-            .get_or_insert_with(|| BroadPhase::build(&self.map, self.margin));
-        !broad_phase.covers(p, recent) || !self.map.is_occupied(p, self.margin)
+        let broad_phase = match &mut self.broad_phase {
+            Some(built) => built,
+            unbuilt => {
+                self.recent = RecentBlock::default();
+                unbuilt.insert(BroadPhase::build(&self.map, self.margin))
+            }
+        };
+        !broad_phase.covers(p, &mut self.recent) || !self.map.is_occupied(p, self.margin)
     }
 
     /// Builds the broad phase immediately instead of waiting for the lazy
     /// query threshold. The build dilates every occupied block mask, so it
     /// costs O(blocks) word operations and hash inserts.
     pub fn prebuild_broad_phase(&mut self) {
-        self.broad_phase
-            .get_or_insert_with(|| BroadPhase::build(&self.map, self.margin));
+        if self.broad_phase.is_none() {
+            self.recent = RecentBlock::default();
+            self.broad_phase = Some(BroadPhase::build(&self.map, self.margin));
+        }
     }
 
     /// Replaces the checked map with a fresh export. A built broad phase
@@ -206,6 +232,7 @@ impl CollisionChecker {
     /// precision-knob change), the broad phase is dropped and rebuilt
     /// lazily, as for a fresh checker.
     pub fn update_map(&mut self, new_map: PlannerMap) {
+        self.recent = RecentBlock::default();
         if let Some(grid) = self.broad_phase.as_mut() {
             match new_map.delta_from(&self.map) {
                 Some(delta) => grid.apply_delta(&new_map, &delta, self.margin),
@@ -264,15 +291,39 @@ impl CollisionChecker {
         }
         // Guarded like every other hazard walker: at least one step, so
         // both endpoints are sampled even when the ratio degenerates.
-        let steps = (length / self.check_step).ceil().max(1.0) as usize;
-        let mut recent = None;
-        for i in 0..=steps {
-            let t = i as f64 / steps as f64;
-            if !self.point_free_near(a.lerp(b, t), &mut recent) {
+        let steps = ceil_steps(length / self.check_step);
+        let sample = |i: usize| a.lerp(b, i as f64 / steps as f64);
+        // Until the broad phase exists, any sample may be the one that
+        // builds it.
+        let mut first = 0;
+        while self.broad_phase.is_none() {
+            if first > steps {
+                return true;
+            }
+            if !self.point_free(sample(first)) {
                 return false;
             }
+            first += 1;
         }
-        true
+        // Then the rest of the walk is `point_free` with the per-query
+        // bookkeeping hoisted out of the loop.
+        let CollisionChecker {
+            map,
+            margin,
+            queries,
+            broad_phase: Some(broad_phase),
+            recent,
+            ..
+        } = self
+        else {
+            unreachable!("the broad phase was built above")
+        };
+        let blocked = (first..=steps).position(|i| {
+            let p = sample(i);
+            broad_phase.covers(p, recent) && map.is_occupied(p, *margin)
+        });
+        *queries += blocked.map_or(steps + 1 - first, |walked| walked + 1);
+        blocked.is_none()
     }
 
     /// `true` when every consecutive pair of waypoints is connected by a
@@ -436,6 +487,42 @@ mod tests {
         patched.update_map(map1.clone());
         assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
         probe(&mut patched, &map1);
+    }
+
+    #[test]
+    fn update_map_drops_the_cached_block_between_segments() {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let mut base = OccupancyMap::new(0.3);
+        base.integrate_cloud(
+            &PointCloud::new(origin, vec![Vec3::new(10.0, 0.0, 5.0)]),
+            0.3,
+        );
+        let map1 = PlannerMap::export(&base, &ExportConfig::new(0.3, 1e9, origin));
+        let mut checker = CollisionChecker::new(map1, 0.45, 0.3);
+        checker.prebuild_broad_phase();
+        // Both segments run inside the block x ∈ [2.4, 4.8), y ∈ [0, 2.4),
+        // z ∈ [4.8, 7.2) of the 0.3 m export; the first leaves its covered
+        // mask (empty: no box near) cached.
+        let (a, b) = (Vec3::new(4.0, 1.0, 5.0), Vec3::new(4.4, 1.6, 5.6));
+        assert!(checker.segment_free(a, b));
+        // A box appears inside that block between the two segments.
+        base.integrate_cloud(&PointCloud::new(origin, vec![a]), 0.3);
+        let map2 = PlannerMap::export(&base, &ExportConfig::new(0.3, 1e9, origin));
+        assert!(map2.delta_from(checker.map()).is_some());
+        checker.update_map(map2.clone());
+        assert!(!CollisionChecker::point_free_reference(&map2, a, 0.45));
+        assert!(
+            !checker.segment_free(a, b),
+            "a stale cached mask passed the new box"
+        );
+        // The cache is invisible to equality: same map, same query count,
+        // different last blocks.
+        let mut other = CollisionChecker::new(map2, 0.45, 0.3);
+        other.prebuild_broad_phase();
+        for _ in 0..checker.queries() {
+            other.point_free(Vec3::new(-30.0, -30.0, 5.0));
+        }
+        assert_eq!(checker, other);
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! [`PlannerMapDelta`]: roborun_perception::PlannerMapDelta
 
 use crate::CollisionChecker;
-use roborun_geom::{Aabb, FxHashMap, Vec3, VoxelKey};
+use roborun_geom::{ceil_steps, Aabb, FxHashMap, Vec3, VoxelKey};
 
 /// Minimum spacing between interpolated samples on predicted-hazard
 /// polyline walks (metres): a crossing actor must not slip between two
@@ -141,7 +141,7 @@ fn walk_polyline(
             }
             Some(a) => {
                 let length = a.distance(p);
-                let segments = (length / step).ceil().max(1.0) as usize;
+                let segments = ceil_steps(length / step);
                 for i in 1..=segments {
                     if !visit(a.lerp(p, i as f64 / segments as f64)) {
                         return false;
@@ -709,7 +709,7 @@ impl HazardSource for PeerTrajectoryHazard {
         let step = self.clearance.max(MIN_SAMPLE_STEP);
         // The guarded walker form: at least one step, both endpoints
         // sampled even when the ratio degenerates.
-        let steps = (length / step).ceil().max(1.0) as usize;
+        let steps = ceil_steps(length / step);
         for i in 0..=steps {
             if !HazardSource::point_free(self, a.lerp(b, i as f64 / steps as f64)) {
                 return false;
@@ -771,7 +771,7 @@ impl<'a> HazardContext<'a> {
             .min(self.predicted.clearance().max(MIN_SAMPLE_STEP));
         // Guarded like every other hazard walker: at least one step, so
         // both endpoints are sampled even when the ratio degenerates.
-        let steps = (length / step).ceil().max(1.0) as usize;
+        let steps = ceil_steps(length / step);
         for i in 0..=steps {
             self.predicted_queries += 1;
             if self

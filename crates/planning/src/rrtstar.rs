@@ -9,13 +9,37 @@
 //! volume of the explored tree and terminating growth when it exceeds the
 //! governor's planner-volume knob.
 //!
-//! The tree's nearest/near queries run against a
-//! [`roborun_geom::PointGridIndex`] that grows incrementally with the tree,
-//! so a search over n samples costs ~O(n) instead of the O(n²) of the
-//! retained linear scans. [`RrtStar::plan_linear_reference`] runs the same
-//! search with linear neighbor scans; both paths share one generic core
-//! and are specified to return bit-identical results (enforced by the
-//! equivalence proptests in `tests/proptests.rs`).
+//! # The tree grid
+//!
+//! Every tree node lies in the plan's region — the sampling bounds plus
+//! the start and the goal — because each one steers an existing node
+//! towards a target drawn inside it. The nearest/near queries therefore
+//! run on a flat grid over that region, padded by one cell against
+//! steering's rounding, with cells one rewire radius wide. A cell is a
+//! linked list of eight-node chunks holding the coordinates by axis, so
+//! a query tests a chunk at a time; cell heads and chunks are reused from
+//! plan to plan, and nothing is hashed. Nearest scans every node while
+//! the tree is small and then runs the shared [`RingSearch`], both with
+//! a (squared distance, id) tie-break, and it answers the goal-biased
+//! draws from a running nearest-to-goal node. Near gathers the cells the
+//! query's radius cube touches, prefilters by squared distance with a
+//! little slack and keeps exactly the nodes a linear `distance <= radius`
+//! scan keeps, with their distances, in cell order.
+//!
+//! # Parent choice and rewiring
+//!
+//! The new node's parent is the cheapest candidate with a free edge: the
+//! candidates strictly cheaper than the nearest node are visited in
+//! (cost through them, id) order and the first free edge wins, falling
+//! back to the nearest node, whose edge steering already checked. That
+//! is the parent the classic ascending-id loop keeps — minimum cost among
+//! free candidates, ties to the nearest node, then to the lowest id —
+//! with fewer edge checks, since the loop also checks every candidate
+//! that only beats a running best. The rewire loop reuses the near set's
+//! distances ([`Vec3::distance`] is bit-symmetric). Neither depends on
+//! the near set's order. The linear-scan search with the ascending-id
+//! loop survives as a test oracle that every plan must match node for
+//! node.
 //!
 //! # The sampling mix
 //!
@@ -40,9 +64,9 @@
 //! for the sample budget at plan start. Nodes are append-only, ids are
 //! dense `u32`s in insertion order, and rewiring mutates only
 //! parent/cost — positions never move, so neighbor indices remain valid
-//! for the whole plan. Each new node enters the neighbor index as soon
+//! for the whole plan. Each new node enters the tree grid as soon
 //! as it is pushed, so every sample's nearest/near queries see the whole
-//! tree. The arena, the index and every per-plan buffer live in a
+//! tree. The arena, the grid and every per-plan buffer live in a
 //! caller-owned [`PlannerScratch`]: a replanning mission hands the same
 //! scratch to every [`RrtStar::plan_with_scratch`] call and allocates
 //! nothing per decision once the buffers reach steady-state capacity.
@@ -50,7 +74,7 @@
 //! from a fresh root, bit-identical to [`RrtStar::plan`].
 
 use crate::hazard::HazardSource;
-use roborun_geom::{Aabb, PointGridIndex, SplitMix64, Vec3};
+use roborun_geom::{Aabb, RingSearch, SplitMix64, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
 
 /// Sampling-mix configuration: how RRT* splits its non-goal-biased draws
@@ -237,6 +261,19 @@ impl RrtResult {
     pub fn found(&self) -> bool {
         !self.path.is_empty()
     }
+
+    /// The direct-connection result: a free start→goal segment, no tree.
+    fn direct(start: Vec3, goal: Vec3) -> RrtResult {
+        RrtResult {
+            path: vec![start, goal],
+            cost: start.distance(goal),
+            samples_drawn: 0,
+            tree_size: 1,
+            explored_volume: 0.0,
+            volume_capped: false,
+            rewires: 0,
+        }
+    }
 }
 
 /// Parent sentinel of the tree root in [`NodeArena::parents`].
@@ -256,6 +293,10 @@ struct NodeArena {
     positions: Vec<Vec3>,
     parents: Vec<u32>,
     costs: Vec<f64>,
+    /// Every node's parent and cost bits as pushed, before any rewiring:
+    /// the per-sample record the oracle tests compare.
+    #[cfg(test)]
+    pushed: Vec<(u32, u64)>,
 }
 
 impl NodeArena {
@@ -263,6 +304,8 @@ impl NodeArena {
         self.positions.clear();
         self.parents.clear();
         self.costs.clear();
+        #[cfg(test)]
+        self.pushed.clear();
     }
 
     fn reserve(&mut self, additional: usize) {
@@ -282,6 +325,8 @@ impl NodeArena {
         self.positions.push(position);
         self.parents.push(parent);
         self.costs.push(cost);
+        #[cfg(test)]
+        self.pushed.push((parent, cost.to_bits()));
         id
     }
 
@@ -455,40 +500,26 @@ impl Sampler {
 }
 
 /// Caller-owned scratch for [`RrtStar::plan_with_scratch`]: every
-/// allocation the search needs — the node arena, the spatial index, and
-/// the near-set / gap-region / linear-reference buffers — lives here and
-/// is `clear()`-reused across plans, so a replanning mission allocates
+/// allocation the search needs — the node arena, the tree grid, and the
+/// near-set / parent-order / gap-region buffers — lives here and is
+/// `clear()`-reused across plans, so a replanning mission allocates
 /// nothing per decision once the buffers reach steady-state capacity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlannerScratch {
     arena: NodeArena,
-    grid: PointGridIndex,
-    linear_points: Vec<Vec3>,
-    near_buf: Vec<u32>,
+    grid: TreeGrid,
+    near_buf: Vec<Near>,
+    parent_order: Vec<(f64, u32)>,
     gap_regions: Vec<Aabb>,
     /// Plans after which some scratch buffer had to grow its capacity —
     /// zero in steady state.
     grow_events: u64,
 }
 
-impl Default for PlannerScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlannerScratch {
-    /// Creates an empty scratch. The spatial-index cell size is set (and
-    /// reset when the planner's rewire radius changes) per plan.
+    /// Creates an empty scratch. The tree grid is sized per plan.
     pub fn new() -> Self {
-        PlannerScratch {
-            arena: NodeArena::default(),
-            grid: PointGridIndex::new(1.0),
-            linear_points: Vec::new(),
-            near_buf: Vec::new(),
-            gap_regions: Vec::new(),
-            grow_events: 0,
-        }
+        Self::default()
     }
 
     /// Plans after which some scratch buffer had to grow (zero once the
@@ -497,35 +528,16 @@ impl PlannerScratch {
         self.grow_events
     }
 
-    /// Recreates the spatial index when the cell size changed.
-    fn ensure_cell(&mut self, cell: f64) {
-        if (self.grid.cell_size() - cell).abs() > 1e-12 {
-            self.grid = PointGridIndex::new(cell);
-        }
-    }
-
-    /// Resets the arena and the active neighbor store for a search rooted
-    /// at `start`.
-    fn reset(&mut self, start: Vec3, capacity: usize, linear: bool) {
-        self.arena.clear();
-        self.arena.reserve(capacity);
-        self.arena.push(start, NO_PARENT, 0.0);
-        if linear {
-            self.linear_points.clear();
-            self.linear_points.push(start);
-        } else {
-            self.grid.clear();
-            self.grid.insert(start);
-        }
-    }
-
     /// Total buffer capacity (in elements) — compared across a plan to
     /// count growth events.
     fn footprint(&self) -> usize {
         self.arena.positions.capacity()
+            + self.grid.heads.capacity()
+            + self.grid.chunks.capacity()
+            + self.grid.points.capacity()
             + self.near_buf.capacity()
+            + self.parent_order.capacity()
             + self.gap_regions.capacity()
-            + self.linear_points.capacity()
     }
 }
 
@@ -557,8 +569,9 @@ impl RrtStar {
     /// handed the composed [`crate::HazardContext`] and only the static
     /// map when handed a bare [`crate::CollisionChecker`].
     ///
-    /// Neighbor queries run against an incrementally grown grid index;
-    /// the result is identical to [`RrtStar::plan_linear_reference`].
+    /// # Panics
+    ///
+    /// Panics if the bounds, the start or the goal are not finite.
     pub fn plan<H: HazardSource>(
         &self,
         checker: &mut H,
@@ -573,6 +586,10 @@ impl RrtStar {
     /// [`RrtStar::plan`] against a caller-owned [`PlannerScratch`]: all
     /// search buffers are reused across calls (zero steady-state
     /// allocation); the result is bit-identical to [`RrtStar::plan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bounds, the start or the goal are not finite.
     pub fn plan_with_scratch<H: HazardSource>(
         &self,
         checker: &mut H,
@@ -581,67 +598,57 @@ impl RrtStar {
         sampling_bounds: &Aabb,
         scratch: &mut PlannerScratch,
     ) -> RrtResult {
-        self.plan_impl(checker, start, goal, sampling_bounds, scratch, false)
-    }
-
-    /// The retained linear-scan reference: the same search with O(n)
-    /// nearest/near scans per sample. Kept for the equivalence proptests
-    /// and the kernel-scaling benches; prefer [`RrtStar::plan`].
-    pub fn plan_linear_reference<H: HazardSource>(
-        &self,
-        checker: &mut H,
-        start: Vec3,
-        goal: Vec3,
-        sampling_bounds: &Aabb,
-    ) -> RrtResult {
-        let mut scratch = PlannerScratch::new();
-        self.plan_impl(checker, start, goal, sampling_bounds, &mut scratch, true)
-    }
-
-    /// Shared entry: direct-connection shortcut, then a reset of the
-    /// scratch buffers, then the generic search loop. Linear mode is the
-    /// equivalence-reference path.
-    fn plan_impl<H: HazardSource>(
-        &self,
-        checker: &mut H,
-        start: Vec3,
-        goal: Vec3,
-        sampling_bounds: &Aabb,
-        scratch: &mut PlannerScratch,
-        linear: bool,
-    ) -> RrtResult {
-        let cfg = &self.config;
-
         // Direct connection shortcut: open sky missions should not pay
         // for tree growth at all.
         if checker.segment_free(start, goal) {
-            return RrtResult {
-                path: vec![start, goal],
-                cost: start.distance(goal),
-                samples_drawn: 0,
-                tree_size: 1,
-                explored_volume: 0.0,
-                volume_capped: false,
-                rewires: 0,
-            };
+            return RrtResult::direct(start, goal);
         }
-
         let footprint_before = scratch.footprint();
-        if !linear {
-            // Cells at the rewire radius: a near() query touches at most
-            // 3^3 cells, and nearest() usually terminates in the first
-            // ring.
-            scratch.ensure_cell(cfg.rewire_radius.max(1e-3));
-        }
-        scratch.reset(start, cfg.max_samples + 1, linear);
+        let region = Aabb::union(sampling_bounds, &Aabb::new(start, goal));
+        scratch.grid.reset(self.config.rewire_radius, &region, goal);
         let PlannerScratch {
             arena,
             grid,
-            linear_points,
             near_buf,
+            parent_order,
             gap_regions,
             ..
         } = scratch;
+        let result = self.search(
+            checker,
+            start,
+            goal,
+            sampling_bounds,
+            grid,
+            arena,
+            near_buf,
+            parent_order,
+            gap_regions,
+        );
+        if scratch.footprint() > footprint_before {
+            scratch.grow_events += 1;
+        }
+        result
+    }
+
+    /// The search loop: one target per sample until the sample budget
+    /// runs out or the volume monitor trips. Generic over the tree index
+    /// so the test oracle (linear scans, ascending-id parent loop) runs
+    /// the very same loop.
+    #[allow(clippy::too_many_arguments)]
+    fn search<T: TreeIndex, H: HazardSource>(
+        &self,
+        checker: &mut H,
+        start: Vec3,
+        goal: Vec3,
+        sampling_bounds: &Aabb,
+        tree: &mut T,
+        arena: &mut NodeArena,
+        near: &mut Vec<Near>,
+        parent_order: &mut Vec<(f64, u32)>,
+        gap_regions: &mut Vec<Aabb>,
+    ) -> RrtResult {
+        let cfg = &self.config;
         let sampler = Sampler::for_plan(
             &cfg.sampling_mix,
             goal,
@@ -649,58 +656,10 @@ impl RrtStar {
             checker.bias_boxes(),
             gap_regions,
         );
-        let result = if linear {
-            let mut neighbors = LinearNeighbors {
-                points: linear_points,
-            };
-            self.search(
-                checker,
-                start,
-                goal,
-                sampling_bounds,
-                &mut neighbors,
-                arena,
-                near_buf,
-                gap_regions,
-                &sampler,
-            )
-        } else {
-            let mut neighbors = GridNeighbors { index: grid };
-            self.search(
-                checker,
-                start,
-                goal,
-                sampling_bounds,
-                &mut neighbors,
-                arena,
-                near_buf,
-                gap_regions,
-                &sampler,
-            )
-        };
-        if scratch.footprint() > footprint_before {
-            scratch.grow_events += 1;
-        }
-        result
-    }
-
-    /// The generic search loop (grid-indexed and linear-reference paths
-    /// share it bit-identically): one target per sample until the sample
-    /// budget runs out or the volume monitor trips.
-    #[allow(clippy::too_many_arguments)]
-    fn search<N: NeighborSearch, H: HazardSource>(
-        &self,
-        checker: &mut H,
-        start: Vec3,
-        goal: Vec3,
-        sampling_bounds: &Aabb,
-        neighbors: &mut N,
-        arena: &mut NodeArena,
-        near_buf: &mut Vec<u32>,
-        gap_regions: &[Aabb],
-        sampler: &Sampler,
-    ) -> RrtResult {
-        let cfg = &self.config;
+        arena.clear();
+        arena.reserve(cfg.max_samples + 1);
+        arena.push(start, NO_PARENT, 0.0);
+        tree.insert(start);
         let mut rng = SplitMix64::new(cfg.seed);
         let mut explored = Aabb::new(start, start);
         let mut best_goal_node: Option<u32> = None;
@@ -717,35 +676,35 @@ impl RrtStar {
                 volume_capped = true;
                 break;
             }
-            let nearest_idx = neighbors.nearest(target);
+            let nearest_idx = tree.nearest(target);
             let nearest_pos = arena.position(nearest_idx);
             let new_pos = steer(nearest_pos, target, cfg.steer_length);
             if !checker.segment_free(nearest_pos, new_pos) {
                 continue;
             }
             // Choose the best parent within the rewire radius.
-            neighbors.near_into(new_pos, cfg.rewire_radius, near_buf);
-            let mut best_parent = nearest_idx;
-            let mut best_cost = arena.cost(nearest_idx) + nearest_pos.distance(new_pos);
-            for &n in near_buf.iter() {
-                let candidate_cost = arena.cost(n) + arena.position(n).distance(new_pos);
-                if candidate_cost < best_cost && checker.segment_free(arena.position(n), new_pos) {
-                    best_parent = n;
-                    best_cost = candidate_cost;
-                }
-            }
+            tree.near_into(new_pos, cfg.rewire_radius, near);
+            let nearest_cost = arena.cost(nearest_idx) + nearest_pos.distance(new_pos);
+            let (best_parent, best_cost) = T::choose_parent(
+                nearest_idx,
+                nearest_cost,
+                near,
+                &arena.costs,
+                parent_order,
+                |n| checker.segment_free(arena.position(n), new_pos),
+            );
             let new_idx = arena.push(new_pos, best_parent, best_cost);
-            neighbors.insert(new_pos);
+            tree.insert(new_pos);
             explored = Aabb::union(&explored, &Aabb::new(new_pos, new_pos));
 
             // Rewire neighbours through the new node when cheaper.
-            for &n in near_buf.iter() {
-                let through_new = best_cost + new_pos.distance(arena.position(n));
-                if through_new + 1e-9 < arena.cost(n)
-                    && checker.segment_free(new_pos, arena.position(n))
+            for n in near.iter() {
+                let through_new = best_cost + n.dist;
+                if through_new + 1e-9 < arena.cost(n.id)
+                    && checker.segment_free(new_pos, arena.position(n.id))
                 {
-                    arena.parents[n as usize] = new_idx;
-                    arena.costs[n as usize] = through_new;
+                    arena.parents[n.id as usize] = new_idx;
+                    arena.costs[n.id as usize] = through_new;
                     rewires += 1;
                 }
             }
@@ -790,71 +749,348 @@ impl RrtStar {
     }
 }
 
-/// Neighbor queries over the growing tree (ids in insertion order). The
-/// two implementations must agree exactly: nearest uses the
-/// squared-distance metric with ties to the lowest index, `near_into`
-/// refills its output with `distance <= radius` matches in
-/// ascending index order (the `_into` shape lets the search reuse one
-/// scratch buffer instead of allocating per sample).
-trait NeighborSearch {
+/// A near-set member: a node id and its distance to the query point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Near {
+    id: u32,
+    dist: f64,
+}
+
+/// Neighbour queries over the growing tree, whose ids are insertion
+/// indices. `nearest` minimises the squared distance with ties to the
+/// lowest id; `near_into` refills its output with every node at
+/// `distance <= radius` and that distance, in any order: the parent
+/// choice orders candidates by (cost, id) itself, and each rewire reads
+/// and writes only its own node, so no result depends on the order.
+trait TreeIndex {
+    /// Adds the next node (its id is the number of nodes inserted so far).
     fn insert(&mut self, p: Vec3);
+
+    /// The node nearest `target`; the tree is never empty.
     fn nearest(&self, target: Vec3) -> u32;
-    fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<u32>);
-}
 
-/// Grid-accelerated neighbor queries (the default). Borrows the
-/// scratch-owned index so its cells are reused across plans.
-struct GridNeighbors<'a> {
-    index: &'a mut PointGridIndex,
-}
+    /// The near set of `p` within `radius`.
+    fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<Near>);
 
-impl NeighborSearch for GridNeighbors<'_> {
-    fn insert(&mut self, p: Vec3) {
-        self.index.insert(p);
-    }
-
-    fn nearest(&self, target: Vec3) -> u32 {
-        self.index.nearest(target).expect("tree is never empty")
-    }
-
-    fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<u32>) {
-        self.index.within_radius_into(p, radius, out);
+    /// The new node's parent and cost: [`choose_parent`]. The test oracle
+    /// overrides it with the ascending-id loop.
+    fn choose_parent(
+        nearest: u32,
+        nearest_cost: f64,
+        near: &[Near],
+        costs: &[f64],
+        order: &mut Vec<(f64, u32)>,
+        edge_free: impl FnMut(u32) -> bool,
+    ) -> (u32, f64) {
+        choose_parent(nearest, nearest_cost, near, costs, order, edge_free)
     }
 }
 
-/// Linear-scan neighbor queries (the retained reference). Borrows the
-/// scratch polyline buffer; reused (cleared) across calls.
-struct LinearNeighbors<'a> {
-    points: &'a mut Vec<Vec3>,
+/// The cheapest parent with a free edge. Candidates strictly cheaper than
+/// the nearest node (cost through it `costs[id] + dist`) are visited in
+/// (cost, id) order, and the first whose edge `edge_free` accepts wins;
+/// with none, the nearest node, whose edge is already known free, keeps
+/// the new node. This is the parent of the ascending-id loop that checks
+/// every candidate beating its running best: the minimum cost among free
+/// candidates, ties to the nearest node, then to the lowest id. `order`
+/// is scratch.
+fn choose_parent(
+    nearest: u32,
+    nearest_cost: f64,
+    near: &[Near],
+    costs: &[f64],
+    order: &mut Vec<(f64, u32)>,
+    mut edge_free: impl FnMut(u32) -> bool,
+) -> (u32, f64) {
+    order.clear();
+    order.extend(
+        near.iter()
+            .map(|n| (costs[n.id as usize] + n.dist, n.id))
+            .filter(|&(cost, _)| cost < nearest_cost),
+    );
+    // Selection, not a sort: the cheapest edge is free ~98% of the time.
+    while let Some((i, _)) = order
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    {
+        let (cost, id) = order.swap_remove(i);
+        if edge_free(id) {
+            return (id, cost);
+        }
+    }
+    (nearest, nearest_cost)
 }
 
-impl NeighborSearch for LinearNeighbors<'_> {
-    fn insert(&mut self, p: Vec3) {
-        self.points.push(p);
+/// Empty-list sentinel of [`TreeGrid`]'s cell heads and chunk links.
+const NO_NODE: u32 = u32::MAX;
+
+/// Most cells a [`TreeGrid`] allocates. A region that needs more at the
+/// rewire-radius cell gets wider cells (queries are exact at any cell).
+const MAX_GRID_CELLS: f64 = (1u32 << 18) as f64;
+
+/// Relative slack of the near query's squared-distance prefilter: the
+/// rounded `radius²` can fall one ulp below a squared distance whose
+/// rounded root still equals `radius`, and the prefilter must pass every
+/// node the exact `distance <= radius` test accepts.
+const PREFILTER_SLACK: f64 = 1.0 + 1e-12;
+
+/// Nodes per [`Chunk`].
+const CHUNK: usize = 8;
+
+/// Trees of at most this many nodes answer nearest by scanning every
+/// node. Around a sparse tree the ring search visits mostly empty cells:
+/// on random nodes in a 90 × 90 × 30 m region with 12 m cells (2-core
+/// x86-64 host) the scan won below about 250 nodes (60 nodes: 170
+/// against 730 ns) and lost above (900 nodes: 1.6 against 0.5 µs).
+const SCAN_NEAREST_MAX: usize = 192;
+
+/// Up to [`CHUNK`] nodes of one grid cell, coordinates split by axis so
+/// the near query tests a whole chunk without a branch per node.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    /// Node coordinates; unused slots hold +∞ and fail every distance test.
+    x: [f64; CHUNK],
+    y: [f64; CHUNK],
+    z: [f64; CHUNK],
+    ids: [u32; CHUNK],
+    len: usize,
+    /// The cell's previous chunk, `NO_NODE` for its first.
+    next: u32,
+}
+
+impl Chunk {
+    const EMPTY: Chunk = Chunk {
+        x: [f64::INFINITY; CHUNK],
+        y: [f64::INFINITY; CHUNK],
+        z: [f64::INFINITY; CHUNK],
+        ids: [NO_NODE; CHUNK],
+        len: 0,
+        next: NO_NODE,
+    };
+
+    /// Squared distances from every slot to `p`, each computed as
+    /// [`Vec3::distance_squared`] computes it (the same bits).
+    #[inline]
+    fn distances_squared(&self, p: Vec3) -> [f64; CHUNK] {
+        std::array::from_fn(|j| {
+            let (dx, dy, dz) = (self.x[j] - p.x, self.y[j] - p.y, self.z[j] - p.z);
+            dx * dx + dy * dy + dz * dz
+        })
+    }
+}
+
+/// The tree grid (see the module docs): a flat grid of cells, each a
+/// linked list of node chunks, over the plan's region.
+#[derive(Debug, Clone, Default)]
+struct TreeGrid {
+    /// Cell edge (metres); keys are `VoxelKey::from_point(p, cell)`.
+    cell: f64,
+    /// Key of the grid's first cell.
+    lo: VoxelKey,
+    /// Cells per axis.
+    dims: [i64; 3],
+    /// Each cell's newest chunk, `NO_NODE` while the cell is empty.
+    heads: Vec<u32>,
+    chunks: Vec<Chunk>,
+    /// Every node's position, by id.
+    points: Vec<Vec3>,
+    /// Componentwise key bounds of the nodes (valid once one is in).
+    key_min: VoxelKey,
+    key_max: VoxelKey,
+    /// The goal, and the (squared distance, id) of the node nearest it.
+    goal: Vec3,
+    goal_nearest: (f64, u32),
+}
+
+impl TreeGrid {
+    /// Empties the grid and sizes it for a plan whose nodes all lie in
+    /// `region`, with cells `cell` wide (wider if the region would need
+    /// more than [`MAX_GRID_CELLS`]) and one cell of padding per side.
+    fn reset(&mut self, cell: f64, region: &Aabb, goal: Vec3) {
+        assert!(
+            region.min.is_finite() && region.max.is_finite(),
+            "planning region must be finite, got {region:?}"
+        );
+        let span = |cell: f64| {
+            let lo = VoxelKey::from_point(region.min, cell);
+            let hi = VoxelKey::from_point(region.max, cell);
+            [hi.x - lo.x + 3, hi.y - lo.y + 3, hi.z - lo.z + 3]
+        };
+        let mut cell = cell;
+        while span(cell).iter().map(|&n| n as f64).product::<f64>() > MAX_GRID_CELLS {
+            cell *= 2.0;
+        }
+        let dims = span(cell);
+        let first = VoxelKey::from_point(region.min, cell);
+        self.cell = cell;
+        self.lo = VoxelKey {
+            x: first.x - 1,
+            y: first.y - 1,
+            z: first.z - 1,
+        };
+        self.dims = dims;
+        self.heads.clear();
+        self.heads
+            .resize((dims[0] * dims[1] * dims[2]) as usize, NO_NODE);
+        self.chunks.clear();
+        self.points.clear();
+        self.goal = goal;
+        self.goal_nearest = (f64::INFINITY, NO_NODE);
     }
 
-    fn nearest(&self, target: Vec3) -> u32 {
-        let mut best = 0u32;
-        let mut best_d = f64::INFINITY;
-        for (i, p) in self.points.iter().enumerate() {
-            let d = p.distance_squared(target);
-            if d < best_d {
-                best_d = d;
-                best = i as u32;
+    /// Flat index of `key`, or `None` outside the grid.
+    #[inline]
+    fn slot(&self, key: VoxelKey) -> Option<usize> {
+        let (x, y, z) = (key.x - self.lo.x, key.y - self.lo.y, key.z - self.lo.z);
+        let [nx, ny, nz] = self.dims;
+        ((0..nx).contains(&x) && (0..ny).contains(&y) && (0..nz).contains(&z))
+            .then(|| ((x * ny + y) * nz + z) as usize)
+    }
+
+    /// Calls `visit` with every chunk of the cell at flat index `slot`.
+    #[inline]
+    fn for_each_chunk(&self, slot: usize, mut visit: impl FnMut(&Chunk)) {
+        let mut c = self.heads[slot];
+        while c != NO_NODE {
+            let chunk = &self.chunks[c as usize];
+            visit(chunk);
+            c = chunk.next;
+        }
+    }
+
+    /// The node nearest `target`, or `None` while the grid is empty.
+    fn nearest_node(&self, target: Vec3) -> Option<u32> {
+        if self.points.is_empty() {
+            return None;
+        }
+        Some(if target == self.goal {
+            self.goal_nearest.1
+        } else if self.points.len() <= SCAN_NEAREST_MAX {
+            self.nearest_by_scan(target)
+        } else {
+            self.nearest_by_rings(target)
+        })
+    }
+
+    /// Nearest by a linear scan in id order (strict `<` keeps the lowest
+    /// id of a tie).
+    fn nearest_by_scan(&self, target: Vec3) -> u32 {
+        let mut best = (f64::INFINITY, NO_NODE);
+        for (id, p) in (0..).zip(&self.points) {
+            let d2 = p.distance_squared(target);
+            if d2 < best.0 {
+                best = (d2, id);
             }
         }
-        best
+        best.1
     }
 
-    fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<u32>) {
+    /// Nearest by the ring search over the cells.
+    fn nearest_by_rings(&self, target: Vec3) -> u32 {
+        let mut best = (f64::INFINITY, NO_NODE);
+        RingSearch::new(self.cell, self.key_min, self.key_max).run(target, None, |key| {
+            let slot = self.slot(key).expect("node keys lie in the grid");
+            self.for_each_chunk(slot, |chunk| {
+                // The chunk's minimum (unused slots are +∞), held by its
+                // first slot that reaches it: ids ascend within a chunk.
+                let d2 = chunk.distances_squared(target);
+                let min = d2.iter().fold(f64::INFINITY, |m, &d| m.min(d));
+                if min <= best.0 {
+                    let j = d2
+                        .iter()
+                        .position(|&d| d == min)
+                        .expect("the minimum is a slot");
+                    if min < best.0 || chunk.ids[j] < best.1 {
+                        best = (min, chunk.ids[j]);
+                    }
+                }
+            });
+            (best.1 != NO_NODE).then_some(best.0)
+        });
+        best.1
+    }
+}
+
+impl TreeIndex for TreeGrid {
+    fn insert(&mut self, p: Vec3) {
+        let id = u32::try_from(self.points.len()).expect("tree node count overflow");
+        let key = VoxelKey::from_point(p, self.cell);
+        let slot = self.slot(key).expect("tree node outside the planning grid");
+        let head = self.heads[slot];
+        if head == NO_NODE || self.chunks[head as usize].len == CHUNK {
+            self.heads[slot] = u32::try_from(self.chunks.len()).expect("chunk count overflow");
+            self.chunks.push(Chunk {
+                next: head,
+                ..Chunk::EMPTY
+            });
+        }
+        let chunk = &mut self.chunks[self.heads[slot] as usize];
+        let j = chunk.len;
+        (chunk.x[j], chunk.y[j], chunk.z[j], chunk.ids[j]) = (p.x, p.y, p.z, id);
+        chunk.len += 1;
+        self.points.push(p);
+        if id == 0 {
+            (self.key_min, self.key_max) = (key, key);
+        } else {
+            self.key_min = self.key_min.componentwise_min(key);
+            self.key_max = self.key_max.componentwise_max(key);
+        }
+        // Ids ascend, so a tie keeps the earlier node.
+        let d2 = p.distance_squared(self.goal);
+        if d2 < self.goal_nearest.0 {
+            self.goal_nearest = (d2, id);
+        }
+    }
+
+    fn nearest(&self, target: Vec3) -> u32 {
+        self.nearest_node(target).expect("the tree is never empty")
+    }
+
+    fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<Near>) {
         out.clear();
-        out.extend(
-            self.points
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| q.distance(p) <= radius)
-                .map(|(i, _)| i as u32),
-        );
+        if self.points.is_empty() || radius < 0.0 {
+            return;
+        }
+        let lo = VoxelKey::from_point(p - Vec3::splat(radius), self.cell)
+            .componentwise_max(self.key_min);
+        let hi = VoxelKey::from_point(p + Vec3::splat(radius), self.cell)
+            .componentwise_min(self.key_max);
+        if lo.x > hi.x || lo.y > hi.y || lo.z > hi.z {
+            return;
+        }
+        let bound = radius * radius * PREFILTER_SLACK;
+        for x in lo.x..=hi.x {
+            for y in lo.y..=hi.y {
+                // The cells of one (x, y) row are consecutive slots.
+                let row = self
+                    .slot(VoxelKey { x, y, z: lo.z })
+                    .expect("inside the grid");
+                for slot in row..=row + (hi.z - lo.z) as usize {
+                    self.for_each_chunk(slot, |chunk| {
+                        let d2 = chunk.distances_squared(p);
+                        let used = (1u32 << chunk.len) - 1;
+                        let mut hits = d2
+                            .iter()
+                            .enumerate()
+                            .fold(0u32, |m, (j, &d2)| m | u32::from(d2 <= bound) << j)
+                            & used;
+                        while hits != 0 {
+                            let j = hits.trailing_zeros() as usize;
+                            hits &= hits - 1;
+                            // The node's `distance(p)`, bit for bit.
+                            let dist = d2[j].sqrt();
+                            if dist <= radius {
+                                out.push(Near {
+                                    id: chunk.ids[j],
+                                    dist,
+                                });
+                            }
+                        }
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -871,6 +1107,7 @@ fn steer(from: Vec3, towards: Vec3, max_len: f64) -> Vec3 {
 mod tests {
     use super::*;
     use crate::CollisionChecker;
+    use proptest::prelude::*;
     use roborun_geom::Vec3;
     use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 
@@ -1100,24 +1337,347 @@ mod tests {
         .is_ok());
     }
 
+    /// The pre-grid search, kept as the oracle: linear nearest/near scans
+    /// and the ascending-id parent loop.
+    #[derive(Default)]
+    struct LinearTree(Vec<Vec3>);
+
+    impl TreeIndex for LinearTree {
+        fn insert(&mut self, p: Vec3) {
+            self.0.push(p);
+        }
+
+        fn nearest(&self, target: Vec3) -> u32 {
+            nearest_linear(&self.0, target).expect("the tree is never empty")
+        }
+
+        fn near_into(&self, p: Vec3, radius: f64, out: &mut Vec<Near>) {
+            *out = near_linear(&self.0, p, radius);
+        }
+
+        fn choose_parent(
+            nearest: u32,
+            nearest_cost: f64,
+            near: &[Near],
+            costs: &[f64],
+            _: &mut Vec<(f64, u32)>,
+            edge_free: impl FnMut(u32) -> bool,
+        ) -> (u32, f64) {
+            ascending_id_parent(nearest, nearest_cost, near, costs, edge_free)
+        }
+    }
+
+    /// Linear nearest scan: squared distance, first minimal index wins.
+    fn nearest_linear(points: &[Vec3], target: Vec3) -> Option<u32> {
+        let mut best: Option<(f64, u32)> = None;
+        for (i, p) in points.iter().enumerate() {
+            let d2 = p.distance_squared(target);
+            if best.is_none_or(|(bd2, _)| d2 < bd2) {
+                best = Some((d2, i as u32));
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+
+    /// Linear near scan: `distance <= radius`, ascending index.
+    fn near_linear(points: &[Vec3], p: Vec3, radius: f64) -> Vec<Near> {
+        points
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| q.distance(p) <= radius)
+            .map(|(i, q)| Near {
+                id: i as u32,
+                dist: q.distance(p),
+            })
+            .collect()
+    }
+
+    /// The parent loop the cost-ordered choice replaced: every candidate
+    /// that beats the running best has its edge checked.
+    fn ascending_id_parent(
+        nearest: u32,
+        nearest_cost: f64,
+        near: &[Near],
+        costs: &[f64],
+        mut edge_free: impl FnMut(u32) -> bool,
+    ) -> (u32, f64) {
+        let (mut best, mut best_cost) = (nearest, nearest_cost);
+        for n in near {
+            let cost = costs[n.id as usize] + n.dist;
+            if cost < best_cost && edge_free(n.id) {
+                (best, best_cost) = (n.id, cost);
+            }
+        }
+        (best, best_cost)
+    }
+
+    /// Plans with the grid search and with the oracle on fresh copies of
+    /// `checker` and asserts they agree node for node: the same result,
+    /// every node's position, parent and cost as pushed (so every sample
+    /// drew the same nearest node, new position and parent) and after
+    /// rewiring, and no more collision queries than the oracle.
+    fn assert_matches_oracle(
+        planner: &RrtStar,
+        checker: &CollisionChecker,
+        start: Vec3,
+        goal: Vec3,
+        bounds: &Aabb,
+    ) -> Result<(), String> {
+        let mut c1 = checker.clone();
+        let mut scratch = PlannerScratch::new();
+        let indexed = planner.plan_with_scratch(&mut c1, start, goal, bounds, &mut scratch);
+        let mut c2 = checker.clone();
+        let mut arena = NodeArena::default();
+        let oracle = if c2.segment_free(start, goal) {
+            RrtResult::direct(start, goal)
+        } else {
+            planner.search(
+                &mut c2,
+                start,
+                goal,
+                bounds,
+                &mut LinearTree::default(),
+                &mut arena,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        };
+        let grid = &scratch.arena;
+        let checks = [
+            (indexed == oracle, "result"),
+            (grid.positions == arena.positions, "positions"),
+            (grid.pushed == arena.pushed, "pushed parents and costs"),
+            (grid.parents == arena.parents, "rewired parents"),
+            (
+                grid.costs
+                    .iter()
+                    .map(|c| c.to_bits())
+                    .eq(arena.costs.iter().map(|c| c.to_bits())),
+                "rewired costs",
+            ),
+            (c1.queries() <= c2.queries(), "collision queries"),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some((_, what)) => Err(format!("{what} diverged from the oracle")),
+            None => Ok(()),
+        }
+    }
+
     #[test]
     fn indexed_and_linear_reference_plans_are_identical() {
         let start = Vec3::new(0.0, 0.0, 5.0);
         let goal = Vec3::new(40.0, 0.0, 5.0);
+        let checker = wall_with_gap_checker();
         for seed in 0..8 {
             let planner = RrtStar::new(RrtConfig {
                 seed,
                 max_samples: 800,
                 ..RrtConfig::default()
             });
-            let mut c1 = wall_with_gap_checker();
-            let mut c2 = wall_with_gap_checker();
-            let indexed = planner.plan(&mut c1, start, goal, &corridor_bounds());
-            let linear = planner.plan_linear_reference(&mut c2, start, goal, &corridor_bounds());
-            assert_eq!(indexed, linear, "seed {seed}");
-            // Both paths consumed the collision checker identically too.
-            assert_eq!(c1.queries(), c2.queries(), "seed {seed}");
+            assert_matches_oracle(&planner, &checker, start, goal, &corridor_bounds())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
+    }
+
+    /// The wall of the planning proptests: x = 20, a gap at `[gap_lo, gap_hi]`.
+    fn wall_map(gap_lo: f64, gap_hi: f64) -> PlannerMap {
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let mut map = OccupancyMap::new(0.5);
+        let mut points = Vec::new();
+        for yi in -40..=40 {
+            let y = yi as f64 * 0.5;
+            if y >= gap_lo && y <= gap_hi {
+                continue;
+            }
+            for zi in 0..20 {
+                points.push(Vec3::new(20.0, y, zi as f64 * 0.5));
+            }
+        }
+        map.integrate_cloud(&PointCloud::new(origin, points), 1.0);
+        PlannerMap::export(&map, &ExportConfig::new(0.5, 1e9, origin))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The grid search equals the linear-scan, ascending-id oracle on
+        /// random walls, sample by sample.
+        #[test]
+        fn indexed_rrtstar_matches_linear_reference(gap_center in -15.0f64..15.0,
+                                                    gap_width in 2.0f64..8.0,
+                                                    seed in 0u64..1000,
+                                                    samples in 100usize..500) {
+            let map = wall_map(gap_center - gap_width * 0.5, gap_center + gap_width * 0.5);
+            let planner = RrtStar::new(RrtConfig {
+                seed,
+                max_samples: samples,
+                ..RrtConfig::default()
+            });
+            let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 11.0));
+            let checker = CollisionChecker::new(map, 0.45, 0.5);
+            let verdict = assert_matches_oracle(
+                &planner,
+                &checker,
+                Vec3::new(0.0, 0.0, 5.0),
+                Vec3::new(40.0, 0.0, 5.0),
+                &bounds,
+            );
+            prop_assert!(verdict.is_ok(), "{:?}", verdict);
+        }
+
+        /// The cost-ordered parent equals the ascending-id loop's on
+        /// candidate sets full of ties — equal costs, costs equal to the
+        /// nearest node's, the nearest node among the candidates — and
+        /// checks a subset of the loop's edges.
+        #[test]
+        fn cost_ordered_parent_matches_the_ascending_id_loop(
+            candidates in prop::collection::vec((0u32..5, 0u32..3, any::<bool>()), 0..24),
+            nearest_pick in 0usize..32,
+            nearest_cost_step in 0u32..8,
+        ) {
+            // Ids ascend with gaps; costs and distances on a coarse lattice.
+            let near: Vec<Near> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, d, _))| Near { id: 2 * i as u32 + 1, dist: 0.5 * d as f64 })
+                .collect();
+            let mut costs = vec![0.0; 2 * candidates.len() + 2];
+            let mut free = vec![false; costs.len()];
+            for (n, &(c, _, f)) in near.iter().zip(&candidates) {
+                costs[n.id as usize] = 0.5 * c as f64;
+                free[n.id as usize] = f;
+            }
+            let (nearest, nearest_cost) = match near.get(nearest_pick) {
+                Some(n) => (n.id, costs[n.id as usize] + n.dist),
+                None => (0, 0.5 * nearest_cost_step as f64),
+            };
+            let mut loop_checked = Vec::new();
+            let expected = ascending_id_parent(nearest, nearest_cost, &near, &costs, |id| {
+                loop_checked.push(id);
+                free[id as usize]
+            });
+            let mut checked = Vec::new();
+            let got = choose_parent(nearest, nearest_cost, &near, &costs, &mut Vec::new(), |id| {
+                checked.push(id);
+                free[id as usize]
+            });
+            prop_assert_eq!(got.0, expected.0);
+            prop_assert_eq!(got.1.to_bits(), expected.1.to_bits());
+            prop_assert!(checked.iter().all(|id| loop_checked.contains(id)));
+        }
+    }
+
+    /// The tree grid's nearest (both the scan and the ring search) and near
+    /// queries against linear scans over the adversarial point
+    /// family (shared with the other spatial indexes), at regions from
+    /// random bounds with the start and goal outside them, with duplicate
+    /// points and points on the grid's cell faces; queries at the boundary
+    /// probes, the points themselves and the goal.
+    #[test]
+    fn tree_grid_matches_linear_scans_on_adversarial_point_sets() {
+        let mut rng = SplitMix64::new(29);
+        for cell in [0.5, 1.0, 4.0] {
+            for scenario in roborun_conformance::adversarial_point_sets(5, cell) {
+                let corner = Vec3::new(
+                    rng.uniform(-30.0, 30.0),
+                    rng.uniform(-30.0, 30.0),
+                    rng.uniform(-5.0, 10.0),
+                );
+                let bounds = Aabb::new(corner, corner + Vec3::splat(rng.uniform(0.0, 15.0)));
+                let hull = Aabb::from_points(scenario.points.iter().copied())
+                    .unwrap_or_else(|| Aabb::new(corner - Vec3::splat(9.0), corner));
+                let (start, goal) = (hull.min, hull.max);
+                let mut grid = TreeGrid::default();
+                let region = Aabb::union(&bounds, &Aabb::new(start, goal));
+                grid.reset(cell, &region, goal);
+                let c = grid.cell;
+                let mut points = scenario.points.clone();
+                points.extend(scenario.points.iter().take(3).copied());
+                let on_faces = |p: Vec3| {
+                    Vec3::new(
+                        (p.x / c).floor() * c,
+                        (p.y / c).floor() * c,
+                        (p.z / c).floor() * c,
+                    )
+                };
+                points.extend(scenario.points.iter().step_by(4).map(|&p| on_faces(p)));
+                for &p in &points {
+                    grid.insert(p);
+                }
+                let mut probes = roborun_conformance::boundary_probes(5, cell);
+                probes.extend(points.iter().copied());
+                probes.push(goal);
+                let mut near = Vec::new();
+                for q in probes {
+                    let expected = nearest_linear(&points, q);
+                    let both =
+                        expected.map(|_| (grid.nearest_by_scan(q), grid.nearest_by_rings(q)));
+                    assert_eq!(
+                        both,
+                        expected.map(|id| (id, id)),
+                        "nearest diverged on {} cell={cell} q={q}",
+                        scenario.name
+                    );
+                    assert_eq!(grid.nearest_node(q), expected);
+                    for radius in [0.0, cell * 0.5, cell, 13.7] {
+                        grid.near_into(q, radius, &mut near);
+                        near.sort_unstable_by_key(|n| n.id);
+                        assert_eq!(
+                            near,
+                            near_linear(&points, q, radius),
+                            "near diverged on {} cell={cell} q={q} r={radius}",
+                            scenario.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_keeps_nodes_whose_distance_rounds_to_the_radius() {
+        // A node at exactly `radius = distance(p, q)` where the squared
+        // distance rounds above `radius²`: the prefilter must still pass it.
+        let mut rng = SplitMix64::new(31);
+        let bounds = Aabb::new(Vec3::splat(-20.0), Vec3::splat(20.0));
+        let mut hits = 0;
+        for _ in 0..200 {
+            let (p, q) = (rng.point_in_aabb(&bounds), rng.point_in_aabb(&bounds));
+            let radius = q.distance(p);
+            if q.distance_squared(p) <= radius * radius {
+                continue;
+            }
+            hits += 1;
+            let mut grid = TreeGrid::default();
+            grid.reset(radius, &bounds, Vec3::ZERO);
+            grid.insert(q);
+            let mut near = Vec::new();
+            grid.near_into(p, radius, &mut near);
+            assert_eq!(
+                near,
+                vec![Near {
+                    id: 0,
+                    dist: radius
+                }],
+                "p={p} q={q}"
+            );
+        }
+        assert!(hits > 10, "only {hits} rounding cases found");
+    }
+
+    #[test]
+    fn tree_grid_widens_cells_past_the_cell_budget() {
+        let region = Aabb::new(Vec3::splat(-1e4), Vec3::splat(1e4));
+        let mut grid = TreeGrid::default();
+        grid.reset(1.0, &region, Vec3::ZERO);
+        assert!(grid.heads.len() as f64 <= MAX_GRID_CELLS);
+        assert!(grid.cell > 1.0);
+        let corners = [region.min, region.max, Vec3::ZERO];
+        for &p in &corners {
+            grid.insert(p);
+        }
+        assert_eq!(grid.nearest_by_rings(Vec3::splat(9e3)), 1);
     }
 
     #[test]

@@ -413,15 +413,15 @@ fn rrt_search_is_pinned_on_the_gap_wall_fixture() {
     }
     #[rustfmt::skip]
     const PINNED: [(u64, Run, [u64; 7]); 9] = [
-        (1, Run::Bare, [9, 10892540326747991488, 4631094171727193632, 900, 850, 1043, 103088]),
-        (1, Run::Uniform, [9, 11882922428639462018, 4631501913529733524, 900, 596, 481, 68577]),
-        (1, Run::Mixed, [7, 917186041966453849, 4631131290171588629, 900, 835, 2213, 402537]),
-        (2, Run::Bare, [7, 6050002087062523957, 4631034519715960384, 900, 874, 1204, 113465]),
-        (2, Run::Uniform, [8, 14643481025549107460, 4631450147453526695, 900, 584, 675, 85984]),
-        (2, Run::Mixed, [9, 13056429529907066152, 4631240817869246298, 900, 827, 2581, 472347]),
-        (3, Run::Bare, [7, 17586315258660233141, 4631090423676846715, 900, 858, 1358, 111851]),
-        (3, Run::Uniform, [8, 7726338971037163255, 4631482128482099970, 900, 758, 582, 95231]),
-        (3, Run::Mixed, [8, 3414244028819508272, 4631268446388872006, 900, 811, 1043, 380057]),
+        (1, Run::Bare, [9, 10892540326747991488, 4631094171727193632, 900, 850, 1043, 78941]),
+        (1, Run::Uniform, [9, 11882922428639462018, 4631501913529733524, 900, 596, 481, 54507]),
+        (1, Run::Mixed, [7, 917186041966453849, 4631131290171588629, 900, 835, 2213, 370817]),
+        (2, Run::Bare, [7, 6050002087062523957, 4631034519715960384, 900, 874, 1204, 89924]),
+        (2, Run::Uniform, [8, 14643481025549107460, 4631450147453526695, 900, 584, 675, 70875]),
+        (2, Run::Mixed, [9, 13056429529907066152, 4631240817869246298, 900, 827, 2581, 436555]),
+        (3, Run::Bare, [7, 17586315258660233141, 4631090423676846715, 900, 858, 1358, 86765]),
+        (3, Run::Uniform, [8, 7726338971037163255, 4631482128482099970, 900, 758, 582, 76673]),
+        (3, Run::Mixed, [8, 3414244028819508272, 4631268446388872006, 900, 811, 1043, 349503]),
     ];
     let (map, lanes, start, goal, bounds) = lane_fixture();
     for (seed, run, expected) in PINNED {

@@ -37,31 +37,6 @@ fn wall_map(gap_lo: f64, gap_hi: f64) -> PlannerMap {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The grid-indexed RRT* must be bit-identical to the retained linear
-    /// reference on random worlds: same path, same costs, same sample and
-    /// collision-query counts.
-    #[test]
-    fn indexed_rrtstar_matches_linear_reference(gap_center in -15.0f64..15.0,
-                                                gap_width in 2.0f64..8.0,
-                                                seed in 0u64..1000,
-                                                samples in 100usize..500) {
-        let map = wall_map(gap_center - gap_width * 0.5, gap_center + gap_width * 0.5);
-        let planner = RrtStar::new(RrtConfig {
-            seed,
-            max_samples: samples,
-            ..RrtConfig::default()
-        });
-        let start = Vec3::new(0.0, 0.0, 5.0);
-        let goal = Vec3::new(40.0, 0.0, 5.0);
-        let bounds = Aabb::new(Vec3::new(-5.0, -25.0, 1.0), Vec3::new(45.0, 25.0, 11.0));
-        let mut c1 = CollisionChecker::new(map.clone(), 0.45, 0.5);
-        let mut c2 = CollisionChecker::new(map, 0.45, 0.5);
-        let indexed = planner.plan(&mut c1, start, goal, &bounds);
-        let linear = planner.plan_linear_reference(&mut c2, start, goal, &bounds);
-        prop_assert_eq!(indexed, linear);
-        prop_assert_eq!(c1.queries(), c2.queries());
-    }
-
     #[test]
     fn smoothing_respects_speed_cap(waypoints in arb_waypoints(),
                                     cruise in 0.2f64..12.0,
