@@ -18,13 +18,13 @@
 //! steering's rounding, with cells one rewire radius wide. A cell is a
 //! linked list of eight-node chunks holding the coordinates by axis, so
 //! a query tests a chunk at a time; cell heads and chunks are reused from
-//! plan to plan, and nothing is hashed. Nearest scans every node while
-//! the tree is small and then runs the shared [`RingSearch`], both with
-//! a (squared distance, id) tie-break, and it answers the goal-biased
-//! draws from a running nearest-to-goal node. Near gathers the cells the
-//! query's radius cube touches, prefilters by squared distance with a
-//! little slack and keeps exactly the nodes a linear `distance <= radius`
-//! scan keeps, with their distances, in cell order.
+//! plan to plan, and nothing is hashed. Nearest runs the shared
+//! [`RingSearch`] with a (squared distance, id) tie-break, and it answers
+//! the goal-biased draws from a running nearest-to-goal node. Near
+//! gathers the cells the query's radius cube touches, prefilters by
+//! squared distance with a little slack and keeps exactly the nodes a
+//! linear `distance <= radius` scan keeps, with their distances, in cell
+//! order.
 //!
 //! # Parent choice and rewiring
 //!
@@ -838,15 +838,11 @@ const PREFILTER_SLACK: f64 = 1.0 + 1e-12;
 /// Nodes per [`Chunk`].
 const CHUNK: usize = 8;
 
-/// Trees of at most this many nodes answer nearest by scanning every
-/// node. Around a sparse tree the ring search visits mostly empty cells:
-/// on random nodes in a 90 × 90 × 30 m region with 12 m cells (2-core
-/// x86-64 host) the scan won below about 250 nodes (60 nodes: 170
-/// against 730 ns) and lost above (900 nodes: 1.6 against 0.5 µs).
-const SCAN_NEAREST_MAX: usize = 192;
-
 /// Up to [`CHUNK`] nodes of one grid cell, coordinates split by axis so
-/// the near query tests a whole chunk without a branch per node.
+/// the near query tests a whole chunk without a branch per node. Against
+/// one link per node, chunks cut a 900-sample mission plan by 2% at the
+/// 0.3 m export and 6% at the 0.6 m export (`rrt_mission_plan`, ten
+/// alternating pairs on a 2-core x86-64 host).
 #[derive(Debug, Clone, Copy)]
 struct Chunk {
     /// Node coordinates; unused slots hold +∞ and fail every distance test.
@@ -966,24 +962,9 @@ impl TreeGrid {
         }
         Some(if target == self.goal {
             self.goal_nearest.1
-        } else if self.points.len() <= SCAN_NEAREST_MAX {
-            self.nearest_by_scan(target)
         } else {
             self.nearest_by_rings(target)
         })
-    }
-
-    /// Nearest by a linear scan in id order (strict `<` keeps the lowest
-    /// id of a tie).
-    fn nearest_by_scan(&self, target: Vec3) -> u32 {
-        let mut best = (f64::INFINITY, NO_NODE);
-        for (id, p) in (0..).zip(&self.points) {
-            let d2 = p.distance_squared(target);
-            if d2 < best.0 {
-                best = (d2, id);
-            }
-        }
-        best.1
     }
 
     /// Nearest by the ring search over the cells.
@@ -1568,8 +1549,8 @@ mod tests {
         }
     }
 
-    /// The tree grid's nearest (both the scan and the ring search) and near
-    /// queries against linear scans over the adversarial point
+    /// The tree grid's nearest (the ring search, and the goal shortcut)
+    /// and near queries against linear scans over the adversarial point
     /// family (shared with the other spatial indexes), at regions from
     /// random bounds with the start and goal outside them, with duplicate
     /// points and points on the grid's cell faces; queries at the boundary
@@ -1611,11 +1592,9 @@ mod tests {
                 let mut near = Vec::new();
                 for q in probes {
                     let expected = nearest_linear(&points, q);
-                    let both =
-                        expected.map(|_| (grid.nearest_by_scan(q), grid.nearest_by_rings(q)));
+                    let rings = expected.map(|_| grid.nearest_by_rings(q));
                     assert_eq!(
-                        both,
-                        expected.map(|id| (id, id)),
+                        rings, expected,
                         "nearest diverged on {} cell={cell} q={q}",
                         scenario.name
                     );
