@@ -60,7 +60,7 @@ pub use knobs::{KnobRanges, KnobSettings};
 pub use latency_model::PipelineLatencyModel;
 pub use modes::RuntimeMode;
 pub use operators::{Operators, PerceptionWork};
-pub use profilers::{Profilers, SpatialProfile};
+pub use profilers::{Profilers, SpatialProfile, Visibility};
 pub use safety::SafetyReport;
 pub use solver::{KnobSolver, SolverConfig};
 pub use telemetry::{DecisionRecord, Degradation, MissionTelemetry};

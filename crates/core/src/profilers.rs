@@ -12,6 +12,18 @@
 //! The profilers only read pipeline data structures (point cloud, occupancy
 //! map, trajectory, sensor state) — never the simulator's ground truth — so
 //! the governor sees the world exactly the way the real system would.
+//!
+//! A spatial-oblivious decision reads only the visibility terms (closest
+//! obstacle, closest unknown and the clamped visibility): its governor
+//! returns the static policy whatever the profile holds, and visibility
+//! feeds only the decision record and the dynamic closing-speed range. The
+//! direct driver therefore asks it of [`Profilers::visibility`] alone and
+//! skips the gap clustering, the volumes and the waypoint probes.
+//! [`Profilers::profile`] builds on the same function, so the two agree bit
+//! for bit. The node driver still publishes the full profile for both
+//! modes: it charges its communication slice from the bytes each message
+//! carries, so a smaller `/runtime/profile` message would change the
+//! simulated time of its oblivious missions.
 
 use crate::budget::WaypointState;
 use roborun_env::gaps::aabb_gap;
@@ -128,7 +140,46 @@ impl Default for Profilers {
     }
 }
 
+/// The visibility terms of a profile: Table I's closest obstacle and
+/// closest unknown, and the visibility estimate the deadline is budgeted
+/// from (see [`Profilers::visibility`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Visibility {
+    /// Distance to the closest observed obstacle (metres).
+    pub closest_obstacle: f64,
+    /// Distance to the closest unknown space along the direction of travel
+    /// (metres).
+    pub closest_unknown: f64,
+    /// The shorter of the two, clamped to the profilers' visibility range
+    /// (metres).
+    pub visibility: f64,
+}
+
 impl Profilers {
+    /// The visibility terms at `position`, probing unknown space along
+    /// `heading`: all of the profile a spatial-oblivious decision reads
+    /// (see the module docs). [`Profilers::profile`] takes its visibility
+    /// terms from here.
+    pub fn visibility(&self, map: &OccupancyMap, position: Vec3, heading: Vec3) -> Visibility {
+        let closest_obstacle = map
+            .nearest_occupied_distance(position, self.max_visibility)
+            .unwrap_or(self.max_visibility);
+        let probe_dir = if heading.norm() > 1e-9 {
+            heading
+        } else {
+            Vec3::X
+        };
+        let closest_unknown =
+            map.distance_to_unknown(position, probe_dir, self.max_visibility, self.probe_step);
+        Visibility {
+            closest_obstacle,
+            closest_unknown,
+            visibility: closest_obstacle
+                .min(closest_unknown)
+                .clamp(self.min_visibility, self.max_visibility),
+        }
+    }
+
     /// Builds a [`SpatialProfile`] from the pipeline's data structures.
     ///
     /// * `cloud` — this decision's (already down-sampled) point cloud.
@@ -149,22 +200,12 @@ impl Profilers {
         let clusters = extract_obstacle_clusters(map, position, self.gap_radius);
         let (gap_min, gap_avg) = cluster_gaps(&clusters);
 
-        // --- Closest obstacle / closest unknown. ---
-        let closest_obstacle = map
-            .nearest_occupied_distance(position, self.max_visibility)
-            .unwrap_or(self.max_visibility);
-        let probe_dir = if heading.norm() > 1e-9 {
-            heading
-        } else {
-            Vec3::X
-        };
-        let closest_unknown =
-            map.distance_to_unknown(position, probe_dir, self.max_visibility, self.probe_step);
-
-        // --- Visibility estimate for the deadline. ---
-        let visibility = closest_obstacle
-            .min(closest_unknown)
-            .clamp(self.min_visibility, self.max_visibility);
+        // --- Closest obstacle / closest unknown / visibility. ---
+        let Visibility {
+            closest_obstacle,
+            closest_unknown,
+            visibility,
+        } = self.visibility(map, position, heading);
 
         // --- Volumes. ---
         // The sensed volume is the extent of this decision's returns,
@@ -586,6 +627,43 @@ mod tests {
             assert!(w.visibility >= profilers.min_visibility);
             assert!(w.visibility <= profilers.max_visibility);
             assert!(w.velocity > 0.0);
+        }
+    }
+
+    #[test]
+    fn visibility_equals_the_full_profile_on_adversarial_maps() {
+        let profilers = Profilers::default();
+        let origin = Vec3::new(0.0, 0.0, 5.0);
+        let traj = smooth_path(
+            &[origin, Vec3::new(12.0, -3.0, 6.0)],
+            2.0,
+            &SmoothingConfig::default(),
+        );
+        let headings = [Vec3::X, Vec3::ZERO, Vec3::new(-1.0, 2.0, -0.5), -Vec3::Z];
+        let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        for resolution in [0.15, 0.3, 0.6] {
+            for scenario in roborun_conformance::adversarial_point_sets(29, resolution) {
+                let mut map = OccupancyMap::new(resolution);
+                let cloud = PointCloud::new(origin, scenario.points);
+                map.integrate_cloud(&cloud, resolution);
+                for probe in roborun_conformance::boundary_probes(29, resolution) {
+                    for heading in headings {
+                        let seen = profilers.visibility(&map, probe, heading);
+                        for trajectory in [None, Some(&traj)] {
+                            let profile =
+                                profilers.profile(&cloud, &map, trajectory, probe, 1.0, heading);
+                            assert!(
+                                bits(seen.closest_obstacle, profile.closest_obstacle)
+                                    && bits(seen.closest_unknown, profile.closest_unknown)
+                                    && bits(seen.visibility, profile.visibility),
+                                "{} at res {resolution}, probe {probe}, heading {heading}: \
+                                 {seen:?} vs {profile:?}",
+                                scenario.name
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -124,7 +124,6 @@ use crate::runner::{DegradationConfig, MissionConfig, MissionResult};
 use roborun_control::TrajectoryFollower;
 use roborun_core::{
     DecisionRecord, Degradation, Governor, KnobSettings, MissionTelemetry, Policy, RuntimeMode,
-    SpatialProfile,
 };
 use roborun_dynamics::{DynamicWorld, PoseCache};
 use roborun_env::{Environment, ObstacleField, Zone};
@@ -675,6 +674,15 @@ struct Planned {
 /// The full per-mission state of the direct driver, advanced one decision
 /// at a time by [`DecisionCycle::run_decision`]. [`crate::MissionRunner`]
 /// owns nothing beyond its config; everything the loop touches lives here.
+///
+/// An oblivious mission's decisions profile visibility only
+/// ([`roborun_core::Profilers::visibility`]): the static policy reads
+/// nothing else, so the gap clustering, volumes and waypoint probes of the
+/// full profile would be priced for no reader. The node driver's
+/// perception node still publishes the full profile in both modes, because
+/// that driver charges its communication slice from the bytes on the bus
+/// and a smaller `/runtime/profile` message would change its oblivious
+/// missions' simulated time.
 pub(crate) struct DecisionCycle<'m> {
     cfg: &'m MissionConfig,
     env: &'m Environment,
@@ -879,10 +887,22 @@ impl<'m> DecisionCycle<'m> {
         }
     }
 
-    /// Profiling: the spatial profile the governor decides from, with
-    /// the visibility clamped to the frame's fog cap.
-    fn profile(&self, sensed: &Sensed, frame: &FaultFrame) -> SpatialProfile {
+    /// Profiling and governing: the decision's visibility, clamped to the
+    /// frame's fog cap, and the policy. An aware mission profiles the full
+    /// Table I state for the governor to solve from; an oblivious one
+    /// profiles visibility only (see [`DecisionCycle`]).
+    fn profile_and_govern(&self, sensed: &Sensed, frame: &FaultFrame) -> (f64, Policy) {
         let heading = direction_towards(self.drone.position, self.env.goal(), self.drone.velocity);
+        // Fog also limits how far the MAV can trust its view, which the
+        // deadline equation must see.
+        let fogged = |visibility: f64| frame.fog_cap.map_or(visibility, |cap| visibility.min(cap));
+        if !self.cfg.mode.is_aware() {
+            let seen = self
+                .cfg
+                .profilers
+                .visibility(&self.map, self.drone.position, heading);
+            return (fogged(seen.visibility), self.governor.oblivious_policy());
+        }
         let mut profile = self.cfg.profilers.profile(
             &sensed.raw_cloud,
             &self.map,
@@ -891,17 +911,8 @@ impl<'m> DecisionCycle<'m> {
             self.drone.speed(),
             heading,
         );
-        if let Some(cap) = frame.fog_cap {
-            // Fog also limits how far the MAV can trust its view, which
-            // the deadline equation must see.
-            profile.visibility = profile.visibility.min(cap);
-        }
-        profile
-    }
-
-    /// Governing: profile → policy.
-    fn govern(&self, profile: &SpatialProfile) -> Policy {
-        self.governor.decide(profile)
+        profile.visibility = fogged(profile.visibility);
+        (profile.visibility, self.governor.decide(&profile))
     }
 
     /// Perception operators: downsample, volume-limit, integrate, retain,
@@ -1261,8 +1272,7 @@ impl<'m> DecisionCycle<'m> {
 
         // sense → profile → govern → operate → cost.
         let sensed = self.sense(&frame);
-        let profile = self.profile(&sensed, &frame);
-        let policy = self.govern(&profile);
+        let (visibility, policy) = self.profile_and_govern(&sensed, &frame);
         let knobs = policy.knobs;
         let stale_map = frame.sensor_blackout || frame.map_stale;
         let export = self.apply_operators(&sensed, &knobs, stale_map);
@@ -1312,7 +1322,7 @@ impl<'m> DecisionCycle<'m> {
             Some(world) if !world.is_static() => world.max_closing_speed_cached(
                 self.clock.now(),
                 self.drone.position,
-                profile.visibility + world.max_actor_speed() * self.cfg.dynamic_lookahead,
+                visibility + world.max_actor_speed() * self.cfg.dynamic_lookahead,
                 &mut self.pose_cache,
             ),
             _ => 0.0,
@@ -1328,16 +1338,14 @@ impl<'m> DecisionCycle<'m> {
         let derate = self.cfg.degradation.enabled && data_age > 0.0;
         let commanded_velocity = match self.cfg.mode {
             RuntimeMode::SpatialOblivious => self.baseline_velocity,
-            RuntimeMode::SpatialAware if derate => self.governor.safe_velocity_stale(
-                latency,
-                profile.visibility,
-                closing_speed,
-                data_age,
-            ),
+            RuntimeMode::SpatialAware if derate => {
+                self.governor
+                    .safe_velocity_stale(latency, visibility, closing_speed, data_age)
+            }
             RuntimeMode::SpatialAware if closing_speed > 0.0 => self
                 .governor
-                .safe_velocity_closing(latency, profile.visibility, closing_speed),
-            RuntimeMode::SpatialAware => self.governor.safe_velocity(latency, profile.visibility),
+                .safe_velocity_closing(latency, visibility, closing_speed),
+            RuntimeMode::SpatialAware => self.governor.safe_velocity(latency, visibility),
         };
         if derate && degradation == Degradation::Healthy {
             degradation = Degradation::StalePerception;
@@ -1417,7 +1425,7 @@ impl<'m> DecisionCycle<'m> {
                 &[
                     ("decision", self.decisions as f64),
                     ("velocity", commanded_velocity),
-                    ("visibility", profile.visibility),
+                    ("visibility", visibility),
                     ("cpu", cpu_sample.utilization),
                 ],
             );
@@ -1435,7 +1443,7 @@ impl<'m> DecisionCycle<'m> {
             time: self.clock.now(),
             position: self.drone.position,
             commanded_velocity,
-            visibility: profile.visibility,
+            visibility,
             deadline: policy.deadline,
             knobs,
             breakdown,

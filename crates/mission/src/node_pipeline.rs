@@ -294,6 +294,12 @@ impl PerceptionNode {
     /// First half of the perception stage: ingest the newest sensor data
     /// and publish the profiled spatial state the governor needs, with
     /// the visibility clamped to the decision's `fog_cap`.
+    ///
+    /// Unlike the direct driver, which profiles only visibility for an
+    /// oblivious mission, this node publishes the full profile in both
+    /// modes: the driver charges its communication slice from the bytes on
+    /// the bus ([`Message::approx_size_bytes`]), so a smaller profile
+    /// message would change the oblivious node missions' simulated time.
     fn profile_spin(&mut self, goal: Vec3, fog_cap: Option<f64>) {
         if let Some(sample) = latest_checked(&self.cloud_sub, &mut self.corrupted) {
             self.latest_cloud = Some(sample.message.0);

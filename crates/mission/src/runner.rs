@@ -491,6 +491,26 @@ mod tests {
     }
 
     #[test]
+    fn oblivious_missions_record_the_fog_capped_visibility() {
+        // Oblivious decisions profile only visibility; the fog cap must
+        // still clamp it. The profiled visibility never falls below the
+        // 2 m floor, so a 1 m cap binds on every decision.
+        let env = short_environment(21);
+        let cfg = MissionConfig {
+            fault_plan: FaultPlanConfig::fog(1.0),
+            max_decisions: 40,
+            ..MissionConfig::new(RuntimeMode::SpatialOblivious)
+        };
+        assert!(cfg.profilers.min_visibility > 1.0);
+        let result = MissionRunner::new(cfg).run(&env);
+        let records = result.telemetry.records();
+        assert!(!records.is_empty());
+        for r in records {
+            assert_eq!(r.visibility, 1.0);
+        }
+    }
+
+    #[test]
     fn flaky_sensors_do_not_crash_the_mission() {
         let env = short_environment(9);
         let cfg = MissionConfig {

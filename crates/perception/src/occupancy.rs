@@ -28,13 +28,21 @@
 //! The per-decision operations cost what the MAV's neighbourhood holds,
 //! not what the mission has seen:
 //!
-//! * **Retain.** [`OccupancyMap::retain_within`] walks blocks, not voxels:
-//!   blocks wholly outside the radius go at once, blocks wholly inside are
-//!   untouched, and only blocks crossing the sphere test their bits one by
-//!   one. A voxel centre lies at least half a voxel inside its block and
-//!   both whole-block tests keep a one-voxel margin, so rounding can never
-//!   move a voxel to the wrong side: the retain keeps exactly the voxels a
-//!   per-voxel centre-distance filter keeps.
+//! * **Retain.** [`OccupancyMap::retain_within`] walks regions, not
+//!   blocks or voxels. A region index lists the known blocks of every
+//!   4³-block region (`block >> 2` per axis, 9.6 m at a 0.3 m map) as a
+//!   64-bit member mask, one bit per block. A region wholly inside the
+//!   radius is skipped without touching its blocks, and one wholly outside
+//!   drops all its blocks with their masks and epoch stamps. Only the
+//!   blocks of a region crossing the sphere are tested, each by the same
+//!   rule: a block wholly outside goes at once, a block wholly inside
+//!   stays, and a crossing block keeps whole every x-slab (one mask word)
+//!   wholly inside and tests the other words' bits one by one. A voxel centre lies at least half a voxel inside its
+//!   slab, block and region, and every whole-cell test keeps a one-voxel
+//!   margin, so rounding can never move a voxel to the wrong side: the
+//!   retain keeps exactly the voxels a per-voxel centre-distance filter
+//!   keeps. The walk visits the regions plus the blocks of the crossing
+//!   ones: about an eighth of the known blocks of a mission's map.
 //! * **Profiler queries.** The profilers query the map on every decision
 //!   (nearest obstacle at the MAV and at each upcoming waypoint, occupied
 //!   cells within the gap radius). Both walk the occupied map, which the
@@ -46,22 +54,84 @@
 //!   sphere (one-voxel margin, as in the retain) as its mask stands and
 //!   filters a crossing block's bits with the per-voxel predicate; each
 //!   cell's box then comes from the lowest and highest set index per axis
-//!   of its part of the mask. Both equal their linear scans bit for bit
-//!   (`nearest_occupied_distance_linear`, the filtered `occupied_voxels`
-//!   grouped by cell), which the proptests check after every integrate,
-//!   decay carve and retain.
-//! * **Identity.** Counters are derived state: skipped by serde (see
-//!   [`OccupancyMap::rebuild_spatial_caches`]) and left out of `PartialEq`,
-//!   which compares map content only — the masks, the decay window, the
-//!   epoch and the epoch stamps — so two maps holding the same voxels
-//!   compare equal however they were built.
+//!   of its part of the mask. Both equal their linear scans of
+//!   [`OccupancyMap::occupied_voxels`] bit for bit, which the proptests
+//!   check after every integrate, decay carve and retain.
+//! * **Identity.** The counters and the region index are derived state:
+//!   a block joins its region's member mask where its known mask is
+//!   created, and leaves it when the retain empties it. Both are skipped
+//!   by serde
+//!   (see [`OccupancyMap::rebuild_spatial_caches`]), checked by
+//!   [`OccupancyMap::spatial_caches_consistent`] and left out of
+//!   `PartialEq`, which compares map content only — the masks, the decay
+//!   window, the epoch and the epoch stamps — so two maps holding the same
+//!   voxels compare equal however they were built. The retain removes
+//!   blocks in region order, so it leaves the hash maps laid out
+//!   differently from a walk in bucket order; no query's answer depends on
+//!   that layout ([`OccupancyMap::occupied_voxels`] yields in it, so its
+//!   callers must not either).
 
 use crate::PointCloud;
 use roborun_geom::{cell_min_distance_squared, Aabb, FxHashMap, Ray, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Block edge of the store, in voxels (see the module docs).
 const BLOCK_EDGE: i64 = 8;
+
+/// Region edge of the retain walk's index, in blocks (see the module docs).
+const REGION_EDGE: i64 = 4;
+
+/// The 4³-block region holding `block`.
+#[inline]
+fn region_of(block: VoxelKey) -> VoxelKey {
+    VoxelKey {
+        x: block.x >> 2,
+        y: block.y >> 2,
+        z: block.z >> 2,
+    }
+}
+
+/// The bit of `block` in its region's member mask (one bit per block of
+/// the 4³ region).
+#[inline]
+fn region_bit(block: VoxelKey) -> u64 {
+    1 << (((block.x & 3) << 4) | ((block.y & 3) << 2) | (block.z & 3))
+}
+
+/// The blocks of region `region` whose bits are set in `members`.
+fn region_blocks(region: VoxelKey, members: u64) -> impl Iterator<Item = VoxelKey> {
+    let mut bits = members;
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let bit = i64::from(bits.trailing_zeros());
+        bits &= bits - 1;
+        Some(VoxelKey {
+            x: (region.x << 2) | (bit >> 4),
+            y: (region.y << 2) | ((bit >> 2) & 3),
+            z: (region.z << 2) | (bit & 3),
+        })
+    })
+}
+
+/// The known mask of `block`, created empty and listed in its region
+/// when the block is new.
+#[inline]
+fn known_mask<'a>(
+    known: &'a mut FxHashMap<VoxelKey, BlockMask>,
+    regions: &mut FxHashMap<VoxelKey, u64>,
+    block: VoxelKey,
+) -> &'a mut BlockMask {
+    match known.entry(block) {
+        Entry::Occupied(entry) => entry.into_mut(),
+        Entry::Vacant(entry) => {
+            *regions.entry(region_of(block)).or_default() |= region_bit(block);
+            entry.insert([0; 8])
+        }
+    }
+}
 
 /// The 8³ block holding `key` (shared with [`crate::PlannerMap`]'s masks).
 #[inline]
@@ -117,52 +187,20 @@ pub(crate) fn mask_has(masks: &FxHashMap<VoxelKey, BlockMask>, key: VoxelKey) ->
         .is_some_and(|mask| mask[word] & bit != 0)
 }
 
-/// Clears every bit of `masks` whose voxel centre lies farther than
-/// `radius` from `center`, block by block (see the module docs), and
-/// removes the masks that empty. Calls `on_drop` with each block's
-/// cleared bits.
-fn retain_masks(
-    masks: &mut FxHashMap<VoxelKey, BlockMask>,
-    res: f64,
-    center: Vec3,
-    radius: f64,
-    mut on_drop: impl FnMut(VoxelKey, &BlockMask),
-) {
-    let block_size = res * BLOCK_EDGE as f64;
-    let (outer, inner) = (radius + res, radius - res);
-    masks.retain(|block, mask| {
-        if cell_min_distance_squared(*block, block_size, center) > outer * outer {
-            on_drop(*block, mask);
-            return false;
-        }
-        if inner > 0.0 && cell_max_distance_squared(*block, block_size, center) < inner * inner {
-            return true;
-        }
-        let mut dropped = [0u64; 8];
-        for key in mask_keys(*block, *mask) {
-            if key.center(res).distance(center) > radius {
-                let (word, bit) = slot_of(key);
-                dropped[word] |= bit;
-            }
-        }
-        on_drop(*block, &dropped);
-        for (word, d) in mask.iter_mut().zip(dropped) {
-            *word &= !d;
-        }
-        *mask != [0; 8]
-    });
+/// Squared distance from `coord` to the farther end of the interval of
+/// cell `k` at the given cell size, along one axis.
+fn axis_max_distance_squared(k: i64, cell: f64, coord: f64) -> f64 {
+    let lo = k as f64 * cell;
+    let d = (coord - lo).abs().max((lo + cell - coord).abs());
+    d * d
 }
 
 /// Squared distance from `p` to the farthest point of the cell `key` at
 /// the given cell size.
 fn cell_max_distance_squared(key: VoxelKey, cell: f64, p: Vec3) -> f64 {
-    let mut d2 = 0.0;
-    for (k, coord) in [(key.x, p.x), (key.y, p.y), (key.z, p.z)] {
-        let lo = k as f64 * cell;
-        let d = (coord - lo).abs().max((lo + cell - coord).abs());
-        d2 += d * d;
-    }
-    d2
+    axis_max_distance_squared(key.x, cell, p.x)
+        + axis_max_distance_squared(key.y, cell, p.y)
+        + axis_max_distance_squared(key.z, cell, p.z)
 }
 
 /// The bounds of the voxel `key` at resolution `res`.
@@ -233,6 +271,11 @@ pub struct OccupancyMap {
     /// Number of occupied voxels, derivable like `known_len`.
     #[serde(skip)]
     occupied_len: usize,
+    /// The known blocks of each 4³-block region as a 64-bit member mask,
+    /// keyed by `block >> 2` (see the module docs). Derivable from `known`
+    /// like the counters.
+    #[serde(skip)]
+    regions: FxHashMap<VoxelKey, u64>,
     /// Stale-occupied decay window in epochs, or `None` (the default) for
     /// the classic accrete-only behaviour. Runtime configuration, not
     /// map content: excluded from serialized forms.
@@ -258,6 +301,7 @@ impl PartialEq for OccupancyMap {
             occupied,
             known_len: _,
             occupied_len: _,
+            regions: _,
             decay_after,
             current_epoch,
             last_occupied_epoch,
@@ -288,6 +332,7 @@ impl OccupancyMap {
             occupied: FxHashMap::default(),
             known_len: 0,
             occupied_len: 0,
+            regions: FxHashMap::default(),
             decay_after: None,
             current_epoch: 0,
             last_occupied_epoch: FxHashMap::default(),
@@ -430,7 +475,7 @@ impl OccupancyMap {
     fn mark_free(&mut self, key: VoxelKey, decay_eligible: bool) {
         let (word, bit) = slot_of(key);
         let block = block_of(key);
-        let known = self.known.entry(block).or_default();
+        let known = known_mask(&mut self.known, &mut self.regions, block);
         if known[word] & bit == 0 {
             known[word] |= bit;
             self.known_len += 1;
@@ -471,7 +516,7 @@ impl OccupancyMap {
     fn mark_occupied(&mut self, key: VoxelKey) {
         let (word, bit) = slot_of(key);
         let block = block_of(key);
-        let known = self.known.entry(block).or_default();
+        let known = known_mask(&mut self.known, &mut self.regions, block);
         if known[word] & bit == 0 {
             known[word] |= bit;
             self.known_len += 1;
@@ -808,9 +853,9 @@ impl OccupancyMap {
     /// Walks the occupied blocks and scans the bits of each block that
     /// could still hold a closer voxel: a block is skipped when its
     /// distance lower bound exceeds the best distance so far (or
-    /// `max_radius`) by more than a voxel. The result equals
-    /// [`OccupancyMap::nearest_occupied_distance_linear`] bit for bit (see
-    /// the module docs).
+    /// `max_radius`) by more than a voxel. The result equals a linear scan
+    /// of [`OccupancyMap::occupied_voxels`] bit for bit (see the module
+    /// docs).
     pub fn nearest_occupied_distance(&self, p: Vec3, max_radius: f64) -> Option<f64> {
         if max_radius < 0.0 {
             return None;
@@ -830,19 +875,6 @@ impl OccupancyMap {
                 if d <= max_radius && best.is_none_or(|b| d < b) {
                     best = Some(d);
                 }
-            }
-        }
-        best
-    }
-
-    /// Linear-scan reference for [`OccupancyMap::nearest_occupied_distance`]
-    /// — retained for the equivalence proptests and benches.
-    pub fn nearest_occupied_distance_linear(&self, p: Vec3, max_radius: f64) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for (key, _) in self.occupied_voxels() {
-            let d = key.center(self.resolution).distance(p);
-            if d <= max_radius && best.map(|b| d < b).unwrap_or(true) {
-                best = Some(d);
             }
         }
         best
@@ -895,46 +927,150 @@ impl OccupancyMap {
     /// `center` — a memory bound for long missions (the map only needs to
     /// cover the MAV's local neighbourhood for navigation).
     ///
-    /// Walks blocks, not voxels (see the module docs): only blocks
-    /// crossing the sphere test their voxels one by one.
+    /// Walks regions, not voxels (see the module docs): a region wholly
+    /// inside the sphere is skipped, one wholly outside drops its blocks,
+    /// and only the blocks of a region crossing the sphere are tested.
     pub fn retain_within(&mut self, center: Vec3, radius: f64) {
         let res = self.resolution;
-        let mut known_dropped = 0;
-        retain_masks(&mut self.known, res, center, radius, |_, dropped| {
-            known_dropped += mask_len(dropped);
-        });
-        self.known_len -= known_dropped;
-        // Epoch stamps exist only for occupied voxels, so they leave with
-        // their bits.
-        let stamps = &mut self.last_occupied_epoch;
-        let mut occupied_dropped = 0;
-        retain_masks(&mut self.occupied, res, center, radius, |block, dropped| {
-            occupied_dropped += mask_len(dropped);
-            if !stamps.is_empty() {
-                for key in mask_keys(block, *dropped) {
-                    stamps.remove(&key);
+        let block_size = self.block_size();
+        let region_size = block_size * REGION_EDGE as f64;
+        let (outer, inner) = (radius + res, radius - res);
+        let inside = |max_d2: f64| inner > 0.0 && max_d2 < inner * inner;
+        let outside = |min_d2: f64| min_d2 > outer * outer;
+        let mut regions = std::mem::take(&mut self.regions);
+        regions.retain(|region, members| {
+            if inside(cell_max_distance_squared(*region, region_size, center)) {
+                return true;
+            }
+            if outside(cell_min_distance_squared(*region, region_size, center)) {
+                for block in region_blocks(*region, *members) {
+                    self.drop_block(block);
+                }
+                return false;
+            }
+            for block in region_blocks(*region, *members) {
+                let emptied = if outside(cell_min_distance_squared(block, block_size, center)) {
+                    self.drop_block(block);
+                    true
+                } else if inside(cell_max_distance_squared(block, block_size, center)) {
+                    false
+                } else {
+                    self.retain_crossing_block(block, center, radius)
+                };
+                if emptied {
+                    *members &= !region_bit(block);
                 }
             }
+            *members != 0
         });
-        self.occupied_len -= occupied_dropped;
+        self.regions = regions;
     }
 
-    /// Rebuilds the voxel counters from the masks.
+    /// Removes the known block `block` whole: its known and occupied masks
+    /// and the epoch stamps of its occupied voxels.
+    fn drop_block(&mut self, block: VoxelKey) {
+        if let Some(mask) = self.known.remove(&block) {
+            self.known_len -= mask_len(&mask);
+        }
+        if let Some(mask) = self.occupied.remove(&block) {
+            self.occupied_len -= mask_len(&mask);
+            self.drop_stamps(block, &mask);
+        }
+    }
+
+    /// Clears the voxels of the known block `block`, which crosses the
+    /// sphere, whose centres lie farther than `radius` from `center`.
+    /// Returns `true` when the block emptied and was removed.
     ///
-    /// Both are `#[serde(skip)]`: they are derivable state, so serialized
+    /// An x-slab (one mask word) whose box lies inside `radius − res` is
+    /// kept whole; only the other words are tested bit by bit. Occupied
+    /// bits are a subset of the known ones, so the known bits dropped
+    /// are dropped from the occupied mask too.
+    fn retain_crossing_block(&mut self, block: VoxelKey, center: Vec3, radius: f64) -> bool {
+        let res = self.resolution;
+        let inner = radius - res;
+        let block_size = self.block_size();
+        let known = self
+            .known
+            .get_mut(&block)
+            .expect("the region index lists only known blocks");
+        let yz = axis_max_distance_squared(block.y, block_size, center.y)
+            + axis_max_distance_squared(block.z, block_size, center.z);
+        let mut dropped = [0u64; 8];
+        for (x, word) in known.iter().enumerate() {
+            let slab = (block.x << 3) | x as i64;
+            if *word == 0
+                || (inner > 0.0
+                    && axis_max_distance_squared(slab, res, center.x) + yz < inner * inner)
+            {
+                continue;
+            }
+            let mut single = [0u64; 8];
+            single[x] = *word;
+            for key in mask_keys(block, single) {
+                if key.center(res).distance(center) > radius {
+                    dropped[x] |= slot_of(key).1;
+                }
+            }
+        }
+        if dropped == [0; 8] {
+            return false;
+        }
+        for (word, d) in known.iter_mut().zip(dropped) {
+            *word &= !d;
+        }
+        self.known_len -= mask_len(&dropped);
+        let emptied = *known == [0; 8];
+        if emptied {
+            self.known.remove(&block);
+        }
+        if let Some(occupied) = self.occupied.get_mut(&block) {
+            let gone: BlockMask = std::array::from_fn(|x| occupied[x] & dropped[x]);
+            for (word, d) in occupied.iter_mut().zip(dropped) {
+                *word &= !d;
+            }
+            if *occupied == [0; 8] {
+                self.occupied.remove(&block);
+            }
+            self.occupied_len -= mask_len(&gone);
+            self.drop_stamps(block, &gone);
+        }
+        emptied
+    }
+
+    /// Removes the epoch stamps of the occupied voxels `dropped` of
+    /// `block`: stamps exist only for occupied voxels, so they leave with
+    /// their bits.
+    fn drop_stamps(&mut self, block: VoxelKey, dropped: &BlockMask) {
+        if !self.last_occupied_epoch.is_empty() {
+            for key in mask_keys(block, *dropped) {
+                self.last_occupied_epoch.remove(&key);
+            }
+        }
+    }
+
+    /// Rebuilds the voxel counters and the region index from the masks.
+    ///
+    /// All are `#[serde(skip)]`: they are derivable state, so serialized
     /// forms carry only the masks and a deserialized map starts with zeroed
-    /// counters. Deserializers must call this before querying — after it,
+    /// counters and an empty index. Deserializers must call this before
+    /// querying or retaining — after it,
     /// every query answers exactly as on the original map (enforced by the
     /// round-trip test).
     pub fn rebuild_spatial_caches(&mut self) {
         self.known_len = self.known.values().map(mask_len).sum();
         self.occupied_len = self.occupied.values().map(mask_len).sum();
+        self.regions = FxHashMap::default();
+        for block in self.known.keys() {
+            *self.regions.entry(region_of(*block)).or_default() |= region_bit(*block);
+        }
     }
 
     /// `true` when the derived state agrees with the masks: no mask is
     /// empty, every occupied mask is a subset of its block's known mask,
-    /// the counters equal the mask populations, and every epoch stamp
-    /// belongs to an occupied voxel.
+    /// the counters equal the mask populations, every epoch stamp belongs
+    /// to an occupied voxel, and the region index lists every known block
+    /// exactly once, under its own region, with no empty list.
     pub fn spatial_caches_consistent(&self) -> bool {
         let masks_sound = self.known.values().all(|mask| *mask != [0; 8])
             && self.occupied.iter().all(|(block, mask)| {
@@ -947,10 +1083,19 @@ impl OccupancyMap {
             .last_occupied_epoch
             .keys()
             .all(|key| mask_has(&self.occupied, *key));
+        let listed: usize = self.regions.values().map(|m| m.count_ones() as usize).sum();
+        let regions_exact = listed == self.known.len()
+            && self.regions.values().all(|members| *members != 0)
+            && self.known.keys().all(|block| {
+                self.regions
+                    .get(&region_of(*block))
+                    .is_some_and(|members| members & region_bit(*block) != 0)
+            });
         masks_sound
             && known_len == self.known_len
             && occupied_len == self.occupied_len
             && stamps_occupied
+            && regions_exact
     }
 }
 
@@ -1250,6 +1395,192 @@ mod tests {
             .collect()
     }
 
+    /// The nearest occupied voxel centre within `max_radius` of `p`, by a
+    /// linear scan of every occupied voxel.
+    fn nearest_occupied_linear(map: &OccupancyMap, p: Vec3, max_radius: f64) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for (key, _) in map.occupied_voxels() {
+            let d = key.center(map.resolution).distance(p);
+            if d <= max_radius && best.is_none_or(|b| d < b) {
+                best = Some(d);
+            }
+        }
+        best
+    }
+
+    /// The block walk `retain_within` made before the region index: every
+    /// block of the known and the occupied store tested on its own, each
+    /// store in its own pass. Kept as the oracle the region walk must
+    /// equal; it leaves the region index stale, which `PartialEq` ignores.
+    fn retain_within_blockwise(map: &mut OccupancyMap, center: Vec3, radius: f64) {
+        fn retain_masks(
+            masks: &mut FxHashMap<VoxelKey, BlockMask>,
+            res: f64,
+            center: Vec3,
+            radius: f64,
+            mut on_drop: impl FnMut(VoxelKey, &BlockMask),
+        ) {
+            let block_size = res * BLOCK_EDGE as f64;
+            let (outer, inner) = (radius + res, radius - res);
+            masks.retain(|block, mask| {
+                if cell_min_distance_squared(*block, block_size, center) > outer * outer {
+                    on_drop(*block, mask);
+                    return false;
+                }
+                if inner > 0.0
+                    && cell_max_distance_squared(*block, block_size, center) < inner * inner
+                {
+                    return true;
+                }
+                let mut dropped = [0u64; 8];
+                for key in mask_keys(*block, *mask) {
+                    if key.center(res).distance(center) > radius {
+                        let (word, bit) = slot_of(key);
+                        dropped[word] |= bit;
+                    }
+                }
+                on_drop(*block, &dropped);
+                for (word, d) in mask.iter_mut().zip(dropped) {
+                    *word &= !d;
+                }
+                *mask != [0; 8]
+            });
+        }
+        let res = map.resolution;
+        let mut known_dropped = 0;
+        retain_masks(&mut map.known, res, center, radius, |_, dropped| {
+            known_dropped += mask_len(dropped);
+        });
+        map.known_len -= known_dropped;
+        let stamps = &mut map.last_occupied_epoch;
+        let mut occupied_dropped = 0;
+        retain_masks(&mut map.occupied, res, center, radius, |block, dropped| {
+            occupied_dropped += mask_len(dropped);
+            for key in mask_keys(block, *dropped) {
+                stamps.remove(&key);
+            }
+        });
+        map.occupied_len -= occupied_dropped;
+    }
+
+    /// Voxels scattered over many 4³-block regions on both sides of every
+    /// axis origin, with decay on so epoch stamps ride along.
+    fn scattered_map(res: f64) -> OccupancyMap {
+        let mut map = OccupancyMap::new(res);
+        map.set_stale_decay(Some(1));
+        let mut rng = SplitMix64::new(7);
+        for step in 1..=5u64 {
+            map.set_epoch(2 * step);
+            let origin = Vec3::new(
+                rng.uniform(-20.0, 20.0),
+                rng.uniform(-20.0, 20.0),
+                rng.uniform(-10.0, 10.0),
+            );
+            let hits = (0..150)
+                .map(|_| {
+                    Vec3::new(
+                        rng.uniform(-45.0, 45.0),
+                        rng.uniform(-45.0, 45.0),
+                        rng.uniform(-20.0, 20.0),
+                    )
+                })
+                .collect();
+            map.integrate_cloud(&PointCloud::new(origin, hits), res);
+        }
+        map
+    }
+
+    /// What a serde round trip leaves of `map` (the masks, every skipped
+    /// field at its default), with the derived state rebuilt.
+    fn restored_from_masks(map: &OccupancyMap) -> OccupancyMap {
+        let mut restored = OccupancyMap {
+            known: map.known.clone(),
+            occupied: map.occupied.clone(),
+            ..OccupancyMap::new(map.resolution)
+        };
+        restored.rebuild_spatial_caches();
+        restored
+    }
+
+    #[test]
+    fn region_walk_equals_the_block_walk() {
+        for res in [0.3, 0.5] {
+            let region_size = res * (BLOCK_EDGE * REGION_EDGE) as f64;
+            let base = scattered_map(res);
+            assert!(!base.last_occupied_epoch.is_empty());
+            let restored = restored_from_masks(&base);
+            assert!(restored.spatial_caches_consistent());
+            assert!(restored.last_occupied_epoch.is_empty());
+            // Whether some case skipped, dropped and crossed a region.
+            let mut seen = [false; 3];
+            for source in [&base, &restored] {
+                for center in [
+                    Vec3::ZERO,
+                    Vec3::splat(-region_size),
+                    Vec3::new(-13.3, 7.1, -4.4),
+                    Vec3::new(-0.01, -2.0 * region_size, 0.0),
+                    Vec3::new(-500.0, -300.0, -40.0),
+                ] {
+                    for radius in (0..40).map(|i| i as f64 * 1.7).chain([res, 1e4]) {
+                        let (outer, inner) = (radius + res, radius - res);
+                        for region in source.regions.keys() {
+                            let far = cell_max_distance_squared(*region, region_size, center);
+                            let near = cell_min_distance_squared(*region, region_size, center);
+                            seen[0] |= inner > 0.0 && far < inner * inner;
+                            seen[1] |= near > outer * outer;
+                            seen[2] |=
+                                (inner <= 0.0 || far >= inner * inner) && near <= outer * outer;
+                        }
+                        let mut walked = source.clone();
+                        walked.retain_within(center, radius);
+                        let mut oracle = source.clone();
+                        retain_within_blockwise(&mut oracle, center, radius);
+                        let at = format!("res {res} r={radius} at {center}");
+                        assert_eq!(walked, oracle, "{at}");
+                        assert_eq!(walked.stats(), oracle.stats(), "{at}");
+                        assert!(walked.spatial_caches_consistent(), "{at}");
+                    }
+                }
+            }
+            assert_eq!(seen, [true; 3], "res {res}");
+        }
+    }
+
+    #[test]
+    fn region_index_follows_integration_and_repeated_retains() {
+        // A drifting MAV integrates and retains every decision: the
+        // index must follow the blocks each step creates and drops.
+        let res = 0.3;
+        let mut walked = OccupancyMap::new(res);
+        walked.set_stale_decay(Some(2));
+        let mut oracle = walked.clone();
+        let mut rng = SplitMix64::new(11);
+        for step in 0..25u64 {
+            let center = Vec3::new(-2.5 * step as f64, 1.3 - 0.9 * step as f64, -0.4);
+            let hits: Vec<Vec3> = (0..60)
+                .map(|_| {
+                    center
+                        + Vec3::new(
+                            rng.uniform(-14.0, 14.0),
+                            rng.uniform(-14.0, 14.0),
+                            rng.uniform(-6.0, 6.0),
+                        )
+                })
+                .collect();
+            let cloud = PointCloud::new(center, hits);
+            for map in [&mut walked, &mut oracle] {
+                map.set_epoch(step);
+                map.integrate_cloud(&cloud, res);
+            }
+            walked.retain_within(center, 12.0);
+            retain_within_blockwise(&mut oracle, center, 12.0);
+            assert_eq!(walked, oracle, "step {step}");
+            assert_eq!(walked.stats(), oracle.stats(), "step {step}");
+            assert!(walked.spatial_caches_consistent(), "step {step}");
+        }
+        assert!(!walked.last_occupied_epoch.is_empty());
+    }
+
     /// A dense slab of occupied voxels, so every query radius cuts through
     /// blocks and the wholly-inside / wholly-outside shortcuts sit right
     /// next to the crossing blocks they must not swallow; then random
@@ -1369,8 +1700,7 @@ mod tests {
                 assert_eq!(
                     map.nearest_occupied_distance(center, radius)
                         .map(f64::to_bits),
-                    map.nearest_occupied_distance_linear(center, radius)
-                        .map(f64::to_bits),
+                    nearest_occupied_linear(&map, center, radius).map(f64::to_bits),
                     "res {res} r={radius} at {center}"
                 );
                 for level in 0..=4 {
