@@ -4,6 +4,7 @@
 //! model (and therefore the governor) relies on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use roborun_core::profilers::extract_obstacle_clusters;
 use roborun_core::{Governor, GovernorConfig, KnobSettings, Profilers, RuntimeMode};
 use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
 use roborun_env::{DifficultyConfig, EnvironmentGenerator, Obstacle, ObstacleField};
@@ -274,8 +275,9 @@ fn bench_export_precision(c: &mut Criterion) {
 /// voxels nearest first.
 ///
 /// A second group, `profile_and_govern`, times the runtime's profile and
-/// policy solve on each stepped map; a third prices the checker's input for
-/// one refresh:
+/// policy solve on each stepped map, and beside each the gap clustering
+/// alone within 30 m (`clusters/…`); a third prices the checker's input
+/// for one refresh:
 /// `planner_map_delta` diffs the 0.3 m unbounded exports of the last two
 /// scans, the `static_oblivious` shape. A fourth, `rrt_mission_plan`,
 /// times one mission plan on each stepped map's export: the mission
@@ -364,6 +366,10 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
         &SmoothingConfig::default(),
     );
     let profilers = Profilers::default();
+    // No occupied voxel lies within the profilers' 20 m gap radius of the
+    // last pose (the nearest is ~25 m away), so the clustering rows reach
+    // 30 m: ~1,200 voxels, about what a `static_aware` decision clusters.
+    const CLUSTER_RADIUS: f64 = 30.0;
     let mut group = c.benchmark_group("profile_and_govern");
     group.sample_size(20);
     for (name, mode, map) in &stepped {
@@ -376,6 +382,15 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
                 let profile =
                     profilers.profile(&cloud, map, Some(&trajectory), position, 3.0, heading);
                 std::hint::black_box(governor.decide(&profile)).predicted_latency
+            })
+        });
+        assert!(
+            !extract_obstacle_clusters(map, position, CLUSTER_RADIUS).is_empty(),
+            "the clustering row must reach obstacles"
+        );
+        group.bench_function(format!("clusters/{name}"), |b| {
+            b.iter(|| {
+                std::hint::black_box(extract_obstacle_clusters(map, position, CLUSTER_RADIUS)).len()
             })
         });
     }

@@ -27,7 +27,7 @@
 
 use crate::budget::WaypointState;
 use roborun_env::gaps::aabb_gap;
-use roborun_geom::{Aabb, Vec3};
+use roborun_geom::{Aabb, Vec3, VoxelKey};
 use roborun_perception::{OccupancyMap, PointCloud};
 use roborun_planning::Trajectory;
 use serde::{Deserialize, Serialize};
@@ -183,7 +183,9 @@ impl Profilers {
     /// Builds a [`SpatialProfile`] from the pipeline's data structures.
     ///
     /// * `cloud` — this decision's (already down-sampled) point cloud.
-    /// * `map` — the occupancy map after integration.
+    /// * `map` — the occupancy map as the previous decisions left it: both
+    ///   drivers profile before this decision's cloud is integrated, since
+    ///   the policy sets the knobs that integration runs under.
     /// * `trajectory` — the currently followed trajectory, if any.
     /// * `position` / `velocity` — sensor (GPS/IMU) state.
     /// * `heading` — direction of travel used for the unknown-space probe.
@@ -265,73 +267,90 @@ impl Profilers {
 /// `L` the smallest level whose edge reaches 1.2 m (1.2 m at 0.15, 0.3 and
 /// 0.6 m voxels, one voxel from 1.2 m up); gap estimates therefore carry
 /// roughly that granularity, which is ample for the governor's precision
-/// constraints. The cells and their boxes come straight from the map's
-/// block masks ([`OccupancyMap::occupied_cells_within`]), and the
-/// vertical runs of cells are joined by merging sorted rows of runs, so
-/// the cost follows the nearby obstacle columns, not the map.
+/// constraints.
+///
+/// The union-find runs over *groups*, the 2×2×2 blocks of clustering cells
+/// (level `L + 1`; one 8³ block at a 0.3 m map), which come with their
+/// boxes and octant bytes straight from the map's block masks
+/// ([`OccupancyMap::occupied_cells_within`]). It partitions the cells
+/// exactly as a union-find over the cells would:
+///
+/// * two cells of one group differ by at most one on every axis, so a
+///   group's cells are connected;
+/// * groups two or more apart on an axis hold no adjacent cells;
+/// * a cell of group `g` at octant `o` touches a cell of group `g + d`
+///   at octant `o'` exactly when, on every axis, `oᵢ = 1` and `o'ᵢ = 0`
+///   where `dᵢ = +1`, and `oᵢ = 0` and `o'ᵢ = 1` where `dᵢ = −1`. The
+///   conditions on `o` and on `o'` are independent, so two neighbouring
+///   groups touch when each octant byte meets its side's face mask.
+///
+/// A cluster's box is the exact min/max union of its groups' boxes, and
+/// the output order (distance, then corners) is total, so the output
+/// equals the cell-level clustering's bit for bit.
 pub fn extract_obstacle_clusters(map: &OccupancyMap, center: Vec3, radius: f64) -> Vec<Aabb> {
-    let cells = map.occupied_cells_within(center, radius, cluster_level(map.resolution()));
-    // The cells come sorted by key, so each row of cells sharing (x, y)
-    // is sorted by z and splits into maximal z-runs of consecutive cells:
-    // (x, y, z first, z last, box). A run's cells are adjacent, so it joins
-    // its cluster whole.
-    let mut runs: Vec<(i64, i64, i64, i64, Aabb)> = Vec::new();
-    for &(key, bounds) in &cells {
-        match runs.last_mut() {
-            Some(run) if (run.0, run.1) == (key.x, key.y) && run.3 + 1 == key.z => {
-                run.3 = key.z;
-                run.4 = Aabb::union(&run.4, &bounds);
-            }
-            _ => runs.push((key.x, key.y, key.z, key.z, bounds)),
-        }
+    let groups = map.occupied_cells_within(center, radius, cluster_level(map.resolution()) + 1);
+    let Some(&(first, ..)) = groups.first() else {
+        return Vec::new();
+    };
+    // A flat index of the groups over their own key box, padded by one
+    // group wherever a forward offset reaches past it (above in x, on both
+    // sides in y and z), so every neighbour lookup lands inside it. An
+    // entry packs a group's position with its octant byte, `i << 8 |
+    // octants`; a group holds at least one cell, so 0 marks no group.
+    assert!(
+        groups.len() < 1 << 24,
+        "{} groups overflow the index",
+        groups.len()
+    );
+    let (lo, hi) = groups.iter().fold((first, first), |(lo, hi), (key, ..)| {
+        (lo.componentwise_min(*key), hi.componentwise_max(*key))
+    });
+    let (ny, nz) = ((hi.y - lo.y + 3) as usize, (hi.z - lo.z + 3) as usize);
+    let slot = |key: VoxelKey| {
+        ((key.x - lo.x) as usize * ny + (key.y - lo.y + 1) as usize) * nz
+            + (key.z - lo.z + 1) as usize
+    };
+    let mut index = vec![0u32; (hi.x - lo.x + 2) as usize * ny * nz];
+    for (i, &(key, _, octants)) in groups.iter().enumerate() {
+        index[slot(key)] = (i as u32) << 8 | u32::from(octants);
     }
-    // Union-find over runs. Two cells are adjacent when their Chebyshev
-    // distance is 1, so two runs are when they lie in the same row or in
-    // neighbouring rows and their z-intervals overlap within ±1 (runs of
-    // one row never are: they are maximal). Every adjacent pair lies in a
-    // row and one of the four rows after it in key order, found by a
-    // cursor per offset (the targets ascend with the runs) and joined by a
-    // two-pointer pass over the z-intervals.
-    let mut parent: Vec<usize> = (0..runs.len()).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
+    // Every forward offset moves forward in the padded index.
+    let steps = FORWARD.map(|(d, face, facing)| {
+        let step = (d[0] * ny as i64 + d[1]) * nz as i64 + d[2];
+        (step as usize, face, facing)
+    });
+    // Union-find with path halving; `root` follows group i's root as
+    // its unions move it.
+    let mut parent: Vec<usize> = (0..groups.len()).collect();
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
         }
-        parent[i]
+        i
     }
-    let mut cursors = [0usize; 4];
-    for (i, &(x, y, lo, hi, _)) in runs.iter().enumerate() {
-        for (cursor, (dx, dy)) in cursors.iter_mut().zip(FORWARD_ROWS) {
-            let target = (x + dx, y + dy);
-            // Skip runs of earlier rows and runs of the target row that
-            // end below this run's reach (later runs of this row start
-            // higher, so they never need them).
-            while runs
-                .get(*cursor)
-                .is_some_and(|r| (r.0, r.1) < target || ((r.0, r.1) == target && r.3 < lo - 1))
-            {
-                *cursor += 1;
-            }
-            let adjacent = runs[*cursor..]
-                .iter()
-                .take_while(|r| (r.0, r.1) == target && r.2 <= hi + 1);
-            for j in *cursor..*cursor + adjacent.count() {
-                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                if ra != rb {
-                    parent[ra] = rb;
+    for (i, &(key, _, octants)) in groups.iter().enumerate() {
+        let here = slot(key);
+        let mut root = find(&mut parent, i);
+        for &(step, face, facing) in &steps {
+            let there = index[here + step];
+            if (octants & face != 0) & (there as u8 & facing != 0) {
+                let other = find(&mut parent, (there >> 8) as usize);
+                if other != root {
+                    parent[root] = other;
+                    root = other;
                 }
             }
         }
     }
     // Box unions are exact min/max, so each cluster's box is independent
     // of the order its members are folded in.
-    let mut clusters: Vec<Option<Aabb>> = vec![None; runs.len()];
-    for (i, run) in runs.iter().enumerate() {
+    let mut clusters: Vec<Option<Aabb>> = vec![None; groups.len()];
+    for (i, (_, bounds, _)) in groups.iter().enumerate() {
         let root = find(&mut parent, i);
         clusters[root] = Some(match clusters[root] {
-            Some(acc) => Aabb::union(&acc, &run.4),
-            None => run.4,
+            Some(acc) => Aabb::union(&acc, bounds),
+            None => *bounds,
         });
     }
     let mut out: Vec<Aabb> = clusters.into_iter().flatten().collect();
@@ -351,9 +370,43 @@ fn cluster_level(resolution: f64) -> u32 {
     level
 }
 
-/// The (x, y) offsets of the four rows that sort after a row in key order
-/// and hold cells adjacent to its cells.
-const FORWARD_ROWS: [(i64, i64); 4] = [(0, 1), (1, -1), (1, 0), (1, 1)];
+/// The 13 group offsets `d` that sort after the origin in key order, each
+/// with the face masks of both sides: the octants of a group, and of the
+/// group at `d`, whose cells can touch across that face.
+const FORWARD: [([i64; 3], u8, u8); 13] = {
+    let mut out = [([0; 3], 0, 0); 13];
+    let mut n = 0;
+    while n < 13 {
+        // Offsets in key order, 13 being the origin.
+        let i = 14 + n as i64;
+        let d = [i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1];
+        out[n] = (d, face_mask(d), face_mask([-d[0], -d[1], -d[2]]));
+        n += 1;
+    }
+    out
+};
+
+/// The octants `o` (bit `ox << 2 | oy << 1 | oz`) of a group whose cells
+/// can touch the group at offset `d`: `oᵢ = 1` where `dᵢ = +1`, `oᵢ = 0`
+/// where `dᵢ = −1`, either where `dᵢ = 0`.
+const fn face_mask(d: [i64; 3]) -> u8 {
+    let mut mask = 0;
+    let mut o = 0;
+    while o < 8 {
+        let bits = [(o >> 2) & 1, (o >> 1) & 1, o & 1];
+        let mut touches = true;
+        let mut axis = 0;
+        while axis < 3 {
+            touches &= d[axis] == 0 || bits[axis] == (d[axis] == 1) as i64;
+            axis += 1;
+        }
+        if touches {
+            mask |= 1 << o;
+        }
+        o += 1;
+    }
+    mask
+}
 
 /// Total order of cluster boxes: distance to `center`, then the corners.
 fn cluster_order(a: &Aabb, b: &Aabb, center: Vec3) -> Ordering {
@@ -395,7 +448,6 @@ fn cluster_gaps(clusters: &[Aabb]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roborun_geom::VoxelKey;
     use roborun_planning::{smooth_path, SmoothingConfig};
 
     fn map_from_points(points: Vec<Vec3>) -> OccupancyMap {
@@ -546,6 +598,49 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random clouds of scattered points and short segments around a
+        /// centre at negative coordinates: the group clustering equals the
+        /// all-pairs reference at every resolution from 0.1 m (groups of
+        /// 4³ blocks) to 2.5 m (groups of two voxels per axis), queried at
+        /// the centre, at a hit point (which radius 0 keeps) and off to
+        /// the side.
+        #[test]
+        fn clusters_match_the_all_pairs_reference_on_random_clouds(
+            resolution in 0.1f64..2.5,
+            center in (-40.0f64..-1.0, -40.0f64..-1.0, -20.0f64..-1.0),
+            scattered in proptest::collection::vec((-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0), 0..120),
+            segments in proptest::collection::vec(
+                ((-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0), (-3.0f64..3.0, -3.0f64..3.0, -3.0f64..3.0)),
+                0..6,
+            ),
+            side in (-12.0f64..12.0, -12.0f64..12.0, -12.0f64..12.0),
+        ) {
+            let center = Vec3::new(center.0, center.1, center.2);
+            let at = |(x, y, z): (f64, f64, f64)| center + Vec3::new(x, y, z);
+            let mut points: Vec<Vec3> = scattered.into_iter().map(at).collect();
+            for (start, (dx, dy, dz)) in segments {
+                let (start, run) = (at(start), Vec3::new(dx, dy, dz));
+                let steps = (run.norm() / (resolution * 0.5)).ceil() as usize;
+                points.extend((0..=steps).map(|i| start + run * (i as f64 / steps.max(1) as f64)));
+            }
+            let mut map = OccupancyMap::new(resolution);
+            map.integrate_cloud(&PointCloud::new(center + Vec3::new(0.5, 0.5, 9.0), points.clone()), resolution);
+            let cell = reference_cell(resolution);
+            for probe in [center, points.first().copied().unwrap_or(center), at(side)] {
+                for radius in [0.0, cell, 20.0, 1e4] {
+                    proptest::prop_assert_eq!(
+                        extract_obstacle_clusters(&map, probe, radius),
+                        extract_obstacle_clusters_reference(&map, probe, radius),
+                        "res {} probe {} radius {}", resolution, probe, radius
+                    );
                 }
             }
         }

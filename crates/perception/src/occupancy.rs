@@ -45,16 +45,21 @@
 //!   ones: about an eighth of the known blocks of a mission's map.
 //! * **Profiler queries.** The profilers query the map on every decision
 //!   (nearest obstacle at the MAV and at each upcoming waypoint, occupied
-//!   cells within the gap radius). Both walk the occupied map, which the
-//!   mission's retain keeps to about a hundred blocks, and never probe
-//!   empty space. [`OccupancyMap::nearest_occupied_distance`] skips every
-//!   block whose distance lower bound, less a one-voxel margin, already
-//!   exceeds the best distance found, and scans the others' bits.
+//!   cells within the gap radius). Both walk the occupied map and never
+//!   probe empty space. Under the mission's 70 m retain that map holds a
+//!   median of about 330 blocks (quartiles 220 and 360) at profiling time
+//!   on missionbench's `static_aware` missions (0.3 m voxels, 100
+//!   snapshots), of which about a third reach into the profilers' 20 m
+//!   gap radius.
+//!   [`OccupancyMap::nearest_occupied_distance`] skips every block whose
+//!   distance lower bound, less a one-voxel margin, already exceeds the
+//!   best distance found, and scans the others' bits.
 //!   [`OccupancyMap::occupied_cells_within`] takes a block wholly inside the
 //!   sphere (one-voxel margin, as in the retain) as its mask stands and
 //!   filters a crossing block's bits with the per-voxel predicate; each
 //!   cell's box then comes from the lowest and highest set index per axis
-//!   of its part of the mask. Both equal their linear scans of
+//!   of its part of the mask, and its octant byte from the halves of that
+//!   part. Both equal their linear scans of
 //!   [`OccupancyMap::occupied_voxels`] bit for bit, which the proptests
 //!   check after every integrate, decay carve and retain.
 //! * **Identity.** The counters and the region index are derived state:
@@ -717,50 +722,63 @@ impl OccupancyMap {
     }
 
     /// The occupied cells of `2^level` voxels per axis (cell key `key >>
-    /// level`) that hold an occupied voxel whose bounds lie within `radius`
-    /// of `center` (`bounds.distance_to_point(center) <= radius`), each with
-    /// the union of those voxels' bounds, sorted by cell key — exactly the
-    /// matching subset of [`OccupancyMap::occupied_voxels`] grouped by cell
-    /// and folded with [`Aabb::union`].
+    /// level`, `level >= 1`) that hold an occupied voxel whose bounds lie
+    /// within `radius` of `center` (`bounds.distance_to_point(center) <=
+    /// radius`). Each cell comes once, in no fixed order, with the union of
+    /// those voxels' bounds and its *octant byte*: bit `ox << 2 | oy << 1 |
+    /// oz` is set when the sub-cell of `2^(level − 1)` voxels at octant `o`
+    /// (`oᵢ = (keyᵢ >> (level − 1)) & 1`) holds such a voxel. Cells and
+    /// boxes are exactly the matching subset of
+    /// [`OccupancyMap::occupied_voxels`] grouped by cell and folded with
+    /// [`Aabb::union`].
     ///
     /// Works on the block masks (see the module docs): a block wholly
-    /// inside the sphere is taken as it stands, a crossing block filters
-    /// its bits, and a cell's box comes from the lowest and highest set
-    /// index per axis of its part of the mask — the mask word gives x, the
-    /// byte y and the bit z. Voxel bounds are monotone in the key, so that
-    /// box is the fold of the members' bounds bit for bit. A cell no coarser
-    /// than a block (`level <= 3`) lies in one block; a coarser one merges
-    /// the boxes of the blocks it holds.
+    /// inside the sphere is taken as it stands and a crossing block filters
+    /// its bits. A cell no coarser than a block (`level <= 3`) lies in one
+    /// block: its box comes from the lowest and highest set index per axis
+    /// of its part of the mask — the mask word gives x, the byte y and the
+    /// bit z — and its octants from the halves of that part. Voxel bounds
+    /// are monotone in the key, so that box is the fold of the members'
+    /// bounds bit for bit. A coarser cell merges the boxes of the blocks it
+    /// holds, each block lying in one octant: bit `(block >> (level − 4)) &
+    /// 1` per axis.
     ///
     /// # Panics
     ///
-    /// Panics if `level >= 63`.
+    /// Panics if `level` is 0 or at least 63.
     pub fn occupied_cells_within(
         &self,
         center: Vec3,
         radius: f64,
         level: u32,
-    ) -> Vec<(VoxelKey, Aabb)> {
-        assert!(level < 63, "cell level {level} out of range");
+    ) -> Vec<(VoxelKey, Aabb, u8)> {
+        assert!((1..63).contains(&level), "cell level {level} out of range");
         let res = self.resolution;
         let block_size = self.block_size();
         let (outer, inner) = (radius + res, radius - res);
-        // A block splits into `per_axis³` sub-cells of `span³` voxels: the
+        // A block splits into `per_axis³` parts of `span³` voxels: the
         // cells themselves up to level 3, above it the whole block (one
-        // part of a coarser cell).
+        // octant of a coarser cell).
         let span = 1usize << level.min(3);
+        let half = span / 2;
         let per_axis = BLOCK_EDGE as usize / span;
-        // The (y, z) part of each sub-cell's mask in one word: `span`
-        // consecutive bytes (y), `span` consecutive bits of each (z).
-        let z_run = u64::MAX >> (64 - span);
-        let yz_masks: Vec<u64> = (0..per_axis * per_axis)
-            .map(|i| {
-                let (cy, cz) = (i / per_axis, i % per_axis);
-                (cy * span..(cy + 1) * span).fold(0, |m, y| m | (z_run << (cz * span)) << (8 * y))
-            })
-            .collect();
-        // (cell key, lowest member key, highest member key).
-        let mut cells: Vec<(VoxelKey, VoxelKey, VoxelKey)> = Vec::new();
+        // The (y, z) part of `n³` voxels from (y0, z0) in one mask word:
+        // `n` consecutive bytes (y) of `n` consecutive bits each (z).
+        let yz_mask = |y0: usize, z0: usize, n: usize| {
+            let z_run = u64::MAX >> (64 - n);
+            (y0..y0 + n).fold(0u64, |m, y| m | (z_run << z0) << (8 * y))
+        };
+        // Each part's (y, z) mask with its four (y, z) halves, in octant
+        // order `oy << 1 | oz`.
+        let mut yz_parts = [(0, [0; 4]); 16];
+        let yz_parts = &mut yz_parts[..per_axis * per_axis];
+        for (i, (yz, quarters)) in yz_parts.iter_mut().enumerate() {
+            let (y0, z0) = (i / per_axis * span, i % per_axis * span);
+            *yz = yz_mask(y0, z0, span);
+            *quarters =
+                std::array::from_fn(|q| yz_mask(y0 + (q >> 1) * half, z0 + (q & 1) * half, half));
+        }
+        let mut cells: Vec<(VoxelKey, Aabb, u8)> = Vec::new();
         for (block, mask) in &self.occupied {
             if cell_min_distance_squared(*block, block_size, center) > outer * outer {
                 continue;
@@ -784,23 +802,25 @@ impl OccupancyMap {
                 y: block.y << 3,
                 z: block.z << 3,
             };
+            let block_octant = (level > 3).then(|| {
+                let bit = |k: i64| ((k >> (level - 4)) & 1) as u8;
+                1u8 << (bit(block.x) << 2 | bit(block.y) << 1 | bit(block.z))
+            });
             for (cx, words) in mask.chunks_exact(span).enumerate() {
-                if words.iter().all(|w| *w == 0) {
+                let or = |ws: &[u64]| ws.iter().fold(0, |m, w| m | w);
+                let (low, high) = (or(&words[..half]), or(&words[half..]));
+                if low | high == 0 {
                     continue;
                 }
-                for &yz in &yz_masks {
-                    let mut x_range = None;
-                    let mut union = 0u64;
-                    for (dx, word) in words.iter().enumerate() {
-                        let bits = word & yz;
-                        if bits != 0 {
-                            x_range = Some((x_range.map_or(dx, |(lo, _)| lo), dx));
-                            union |= bits;
-                        }
-                    }
-                    let Some((x_lo, x_hi)) = x_range else {
+                for (yz, quarters) in yz_parts.iter() {
+                    let (low, high) = (low & yz, high & yz);
+                    let union = low | high;
+                    if union == 0 {
                         continue;
-                    };
+                    }
+                    let mut xs = (0..span).filter(|dx| words[*dx] & yz != 0);
+                    let x_lo = xs.next().unwrap_or_default();
+                    let x_hi = xs.next_back().unwrap_or(x_lo);
                     let mut z_bits = union | union >> 32;
                     z_bits |= z_bits >> 16;
                     z_bits |= z_bits >> 8;
@@ -815,34 +835,38 @@ impl OccupancyMap {
                         y: origin.y + i64::from((63 - union.leading_zeros()) / 8),
                         z: origin.z + i64::from(7 - z_bits.leading_zeros()),
                     };
+                    let octants = block_octant.unwrap_or_else(|| {
+                        quarters.iter().enumerate().fold(0, |o, (q, m)| {
+                            o | u8::from(low & m != 0) << q | u8::from(high & m != 0) << (4 + q)
+                        })
+                    });
                     let cell = VoxelKey {
                         x: lo.x >> level,
                         y: lo.y >> level,
                         z: lo.z >> level,
                     };
-                    cells.push((cell, lo, hi));
+                    let bounds = Aabb {
+                        min: voxel_bounds(lo, res).min,
+                        max: voxel_bounds(hi, res).max,
+                    };
+                    cells.push((cell, bounds, octants));
                 }
             }
         }
-        cells.sort_unstable_by_key(|(cell, _, _)| *cell);
-        cells.dedup_by(|(cell, lo, hi), (kept, kept_lo, kept_hi)| {
-            let same = cell == kept;
-            if same {
-                *kept_lo = kept_lo.componentwise_min(*lo);
-                *kept_hi = kept_hi.componentwise_max(*hi);
-            }
-            same
-        });
+        if level > 3 {
+            cells.sort_unstable_by_key(|(cell, ..)| *cell);
+            cells.dedup_by(
+                |(cell, bounds, octants), (kept, kept_bounds, kept_octants)| {
+                    let same = cell == kept;
+                    if same {
+                        *kept_bounds = Aabb::union(kept_bounds, bounds);
+                        *kept_octants |= *octants;
+                    }
+                    same
+                },
+            );
+        }
         cells
-            .into_iter()
-            .map(|(cell, lo, hi)| {
-                let bounds = Aabb {
-                    min: voxel_bounds(lo, res).min,
-                    max: voxel_bounds(hi, res).max,
-                };
-                (cell, bounds)
-            })
-            .collect()
     }
 
     /// Distance from `p` to the centre of the nearest occupied voxel within
@@ -1703,8 +1727,8 @@ mod tests {
                     nearest_occupied_linear(&map, center, radius).map(f64::to_bits),
                     "res {res} r={radius} at {center}"
                 );
-                for level in 0..=4 {
-                    let mut scanned: BTreeMap<VoxelKey, Aabb> = BTreeMap::new();
+                for level in 1..=5 {
+                    let mut scanned: BTreeMap<VoxelKey, (Aabb, u8)> = BTreeMap::new();
                     for (key, bounds) in map
                         .occupied_voxels()
                         .filter(|(_, b)| b.distance_to_point(center) <= radius)
@@ -1714,20 +1738,29 @@ mod tests {
                             y: key.y >> level,
                             z: key.z >> level,
                         };
+                        let bit = |k: i64| (k >> (level - 1)) & 1;
+                        let octant = 1u8 << (bit(key.x) << 2 | bit(key.y) << 1 | bit(key.z));
                         scanned
                             .entry(cell)
-                            .and_modify(|acc| *acc = Aabb::union(acc, &bounds))
-                            .or_insert(bounds);
+                            .and_modify(|(acc, octants)| {
+                                *acc = Aabb::union(acc, &bounds);
+                                *octants |= octant;
+                            })
+                            .or_insert((bounds, octant));
                     }
                     let bits = |b: &Aabb| {
                         [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f64::to_bits)
                     };
-                    let expected: Vec<_> = scanned.iter().map(|(k, b)| (*k, bits(b))).collect();
-                    let cells: Vec<_> = map
+                    let expected: Vec<_> = scanned
+                        .iter()
+                        .map(|(k, (b, o))| (*k, bits(b), *o))
+                        .collect();
+                    let mut cells: Vec<_> = map
                         .occupied_cells_within(center, radius, level)
                         .iter()
-                        .map(|(k, b)| (*k, bits(b)))
+                        .map(|(k, b, o)| (*k, bits(b), *o))
                         .collect();
+                    cells.sort_unstable_by_key(|(k, ..)| *k);
                     assert_eq!(
                         cells, expected,
                         "res {res} level {level} r={radius} at {center}"

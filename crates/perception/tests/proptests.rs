@@ -277,7 +277,8 @@ proptest! {
     /// downgrades stale voxels, and `retain_within`. After every step the
     /// counters agree with the blocks, and both mask queries equal their
     /// full scans bit for bit: the nearest distance, and the cells of
-    /// `2^level` voxels from one voxel (level 0) to 2³ blocks (level 4).
+    /// `2^level` voxels, with their boxes and octant bytes, from two voxels
+    /// (level 1) to 4³ blocks (level 5).
     #[test]
     fn block_store_stays_exact_under_integrate_decay_and_retain(
         steps in prop::collection::vec(
@@ -307,7 +308,10 @@ proptest! {
                 _ => map.retain_within(origin, radius),
             }
             prop_assert!(map.spatial_caches_consistent(), "store diverged after step {}", i);
-            for q in queries.iter().copied().chain([origin]) {
+            // An occupied voxel's centre puts radius 0 on the boundary of
+            // the crossing-block filter: that voxel lies at distance 0.
+            let occupied = map.occupied_voxels().next().map(|(_, b)| b.center());
+            for q in queries.iter().copied().chain([origin]).chain(occupied) {
                 for r in [0.0, resolution, 40.0, 1e4] {
                     prop_assert_eq!(
                         map.nearest_occupied_distance(q, r).map(f64::to_bits),
@@ -315,7 +319,7 @@ proptest! {
                     );
                 }
                 for r in [0.0, resolution, radius, 20.0] {
-                    for level in 0..=4 {
+                    for level in 1..=5 {
                         prop_assert_eq!(
                             cells_bits(map.occupied_cells_within(q, r, level)),
                             cells_bits(occupied_cells_scanned(&map, q, r, level)),
@@ -330,14 +334,16 @@ proptest! {
 
 /// The occupied cells of `2^level` voxels within `radius` of `center` by a
 /// full scan: every occupied voxel whose bounds lie within the radius,
-/// grouped by `key >> level`, bounds folded with `Aabb::union`.
+/// grouped by `key >> level`, bounds folded with `Aabb::union`, octant bit
+/// `ox << 2 | oy << 1 | oz` set from `(key >> (level - 1)) & 1` per axis;
+/// sorted by cell key.
 fn occupied_cells_scanned(
     map: &OccupancyMap,
     center: Vec3,
     radius: f64,
     level: u32,
-) -> Vec<(VoxelKey, Aabb)> {
-    let mut cells: BTreeMap<VoxelKey, Aabb> = BTreeMap::new();
+) -> Vec<(VoxelKey, Aabb, u8)> {
+    let mut cells: BTreeMap<VoxelKey, (Aabb, u8)> = BTreeMap::new();
     for (key, bounds) in map
         .occupied_voxels()
         .filter(|(_, b)| b.distance_to_point(center) <= radius)
@@ -347,23 +353,31 @@ fn occupied_cells_scanned(
             y: key.y >> level,
             z: key.z >> level,
         };
+        let bit = |k: i64| (k >> (level - 1)) & 1;
+        let octant = 1u8 << (bit(key.x) << 2 | bit(key.y) << 1 | bit(key.z));
         cells
             .entry(cell)
-            .and_modify(|acc| *acc = Aabb::union(acc, &bounds))
-            .or_insert(bounds);
+            .and_modify(|(acc, octants)| {
+                *acc = Aabb::union(acc, &bounds);
+                *octants |= octant;
+            })
+            .or_insert((bounds, octant));
     }
-    cells.into_iter().collect()
+    cells.into_iter().map(|(k, (b, o))| (k, b, o)).collect()
 }
 
-/// Cells with their boxes as bits, so equality is bit equality.
-fn cells_bits(cells: Vec<(VoxelKey, Aabb)>) -> Vec<(VoxelKey, [u64; 6])> {
-    cells
+/// Cells with their boxes as bits, sorted by key, so equality is bit
+/// equality whatever order the cells came in.
+fn cells_bits(cells: Vec<(VoxelKey, Aabb, u8)>) -> Vec<(VoxelKey, [u64; 6], u8)> {
+    let mut cells: Vec<_> = cells
         .into_iter()
-        .map(|(key, b)| {
+        .map(|(key, b, octants)| {
             let corners = [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z];
-            (key, corners.map(f64::to_bits))
+            (key, corners.map(f64::to_bits), octants)
         })
-        .collect()
+        .collect();
+    cells.sort_unstable_by_key(|(key, ..)| *key);
+    cells
 }
 
 /// The export as it was before it worked on block masks: every occupied

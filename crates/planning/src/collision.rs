@@ -284,12 +284,6 @@ impl CollisionChecker {
         Some(cells)
     }
 
-    /// Linear reference for [`CollisionChecker::point_free`], delegating to
-    /// the map's voxel-neighbourhood query — retained for equivalence tests.
-    pub fn point_free_reference(map: &PlannerMap, p: Vec3, margin: f64) -> bool {
-        !map.is_occupied(p, margin)
-    }
-
     /// `true` when the straight segment from `a` to `b` stays free of
     /// obstacles, sampled every `check_step` metres.
     pub fn segment_free(&mut self, a: Vec3, b: Vec3) -> bool {
@@ -338,6 +332,12 @@ impl CollisionChecker {
 mod tests {
     use super::*;
     use roborun_perception::{ExportConfig, OccupancyMap, PointCloud};
+
+    /// The answer [`CollisionChecker::point_free`] must give: no box of
+    /// `map` within `margin` of `p`.
+    fn point_free_reference(map: &PlannerMap, p: Vec3, margin: f64) -> bool {
+        !map.is_occupied(p, margin)
+    }
 
     fn map_with_wall() -> PlannerMap {
         let mut map = OccupancyMap::new(0.3);
@@ -408,7 +408,7 @@ mod tests {
                     let p = Vec3::new(xi as f64 * 0.5, yi as f64 * 0.5, zi as f64 * 0.5);
                     assert_eq!(
                         checker.point_free(p),
-                        CollisionChecker::point_free_reference(&map, p, 0.45),
+                        point_free_reference(&map, p, 0.45),
                         "mismatch at {p}"
                     );
                 }
@@ -461,7 +461,7 @@ mod tests {
                     let p = Vec3::new(xi as f64 * 0.5, yi as f64 * 0.5, 5.0);
                     assert_eq!(
                         checker.point_free(p),
-                        CollisionChecker::point_free_reference(map, p, 0.45),
+                        point_free_reference(map, p, 0.45),
                         "patched checker mismatch at {p}"
                     );
                 }
@@ -505,7 +505,7 @@ mod tests {
         let map2 = PlannerMap::export(&base, &ExportConfig::new(0.3, 1e9, origin));
         assert!(map2.delta_from(checker.map()).is_some());
         checker.update_map(map2.clone());
-        assert!(!CollisionChecker::point_free_reference(&map2, a, 0.45));
+        assert!(!point_free_reference(&map2, a, 0.45));
         assert!(
             !checker.segment_free(a, b),
             "a stale cached mask passed the new box"
@@ -549,7 +549,7 @@ mod tests {
             let p = Vec3::new(step(i / 144), step(i / 12 % 12) + 3.1, step(i % 12));
             assert_eq!(
                 checker.point_free(p),
-                CollisionChecker::point_free_reference(&map, p, margin),
+                point_free_reference(&map, p, margin),
                 "mismatch at {p}"
             );
         }
@@ -583,7 +583,7 @@ mod tests {
             let p = Vec3::new((i % 30) as f64 * 0.7, 0.3, 5.0);
             assert_eq!(
                 checker.point_free(p),
-                CollisionChecker::point_free_reference(&map_coarse, p, 0.45)
+                point_free_reference(&map_coarse, p, 0.45)
             );
         }
         assert_eq!(
