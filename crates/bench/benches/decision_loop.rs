@@ -3,6 +3,7 @@
 //! settings each design uses — the per-decision work Fig. 11 breaks down.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use roborun_core::profilers::extract_obstacle_clusters;
 use roborun_core::{
     Governor, GovernorConfig, KnobSettings, Profilers, RuntimeMode, SpatialProfile,
 };
@@ -101,31 +102,42 @@ fn bench_profilers(c: &mut Criterion) {
     // A mid-mission map: 30 scans, 2 m apart along the start→goal line,
     // each followed by the mission's 70 m retain — free voxels dominate,
     // as they do in flight — profiled with a trajectory ahead, so the
-    // upcoming-waypoint queries run too.
+    // upcoming-waypoint queries run too. No occupied voxel lies within the
+    // 20 m gap radius of the last pose, so the profile runs from the last
+    // scan pose with an obstacle within 10 m (8.4 m away), with that
+    // pose's scan, and the gap clustering runs.
     let heading = (env.goal() - env.start()).normalize();
     let mut mission_map = OccupancyMap::new(0.3);
-    let mut last = None;
+    let mut scans = Vec::new();
     for i in 0..30 {
         let pose = Pose::new(env.start() + heading * (2.0 * i as f64), 0.0);
         let scan = rig.capture(env.field(), &pose);
         let scan_cloud = PointCloud::new(pose.position, scan.points);
         mission_map.integrate_cloud(&scan_cloud.downsampled(0.3), 0.5);
         mission_map.retain_within(pose.position, 70.0);
-        last = Some((pose.position, scan_cloud));
+        scans.push((pose.position, scan_cloud));
     }
-    let (position, last_cloud) = last.expect("at least one scan");
+    let (position, near_cloud) = scans
+        .iter()
+        .rev()
+        .find(|(p, _)| mission_map.nearest_occupied_distance(*p, 10.0).is_some())
+        .expect("an obstacle lies near the flown line");
+    assert!(
+        !extract_obstacle_clusters(&mission_map, *position, profilers.gap_radius).is_empty(),
+        "the profile must cluster obstacles"
+    );
     let trajectory = smooth_path(
-        &[position, position + heading * 40.0],
+        &[*position, *position + heading * 40.0],
         3.0,
         &SmoothingConfig::default(),
     );
     c.bench_function("profilers_profile_mission_map", |b| {
         b.iter(|| {
             std::hint::black_box(profilers.profile(
-                &last_cloud,
+                near_cloud,
                 &mission_map,
                 Some(&trajectory),
-                position,
+                *position,
                 2.0,
                 heading,
             ))

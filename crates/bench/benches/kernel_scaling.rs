@@ -275,16 +275,18 @@ fn bench_export_precision(c: &mut Criterion) {
 /// voxels nearest first.
 ///
 /// A second group, `profile_and_govern`, times the runtime's profile and
-/// policy solve on each stepped map, and beside each the gap clustering
-/// alone within 30 m (`clusters/…`); a third prices the checker's input
-/// for one refresh:
+/// policy solve on each stepped map from a scan pose near obstacles, and
+/// beside each the gap clustering alone (`clusters/…`); a third prices
+/// the checker's input for one refresh:
 /// `planner_map_delta` diffs the 0.3 m unbounded exports of the last two
 /// scans, the `static_oblivious` shape. A fourth, `rrt_mission_plan`,
 /// times one mission plan on each stepped map's export: the mission
 /// planner's 900-sample RRT* from the last pose to a goal at the planning
 /// horizon that an obstacle hides, inside the mission's sampling bounds, with
 /// the mission margin and the knobs' check step, through a checker and
-/// scratch reused from plan to plan as the drivers reuse theirs.
+/// scratch reused from plan to plan as the drivers reuse theirs. A fifth,
+/// `collision_segment_walk`, times the same checkers' segment walks alone
+/// on a seeded batch of segments.
 fn bench_perception_mission_map_step(c: &mut Criterion) {
     let env = EnvironmentGenerator::new(DifficultyConfig {
         goal_distance: 150.0,
@@ -294,7 +296,7 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     let rig = CameraRig::hexa_rig();
     let heading = (env.goal() - env.start()).normalize();
     let mut mission_map = OccupancyMap::new(0.3);
-    let mut last = None;
+    let mut scans = Vec::new();
     let mut exports = Vec::new();
     for i in 0..30 {
         let pose = Pose::new(env.start() + heading * (2.0 * i as f64), 0.0);
@@ -306,9 +308,9 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
             &mission_map,
             &ExportConfig::new(0.3, 1e9, pose.position),
         ));
-        last = Some((pose.position, cloud));
+        scans.push((pose.position, cloud));
     }
-    let (position, cloud) = last.expect("at least one scan");
+    let (position, cloud) = scans.last().cloned().expect("at least one scan");
     let aware = KnobSettings {
         point_cloud_precision: 0.6,
         map_to_planner_precision: 0.6,
@@ -360,16 +362,21 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     // space (gap clusters, nearest obstacle at the MAV and at five upcoming
     // waypoints, unknown-space probe) and solve for the policy. The
     // oblivious governor ignores the profile, so its row is the profile.
+    // No occupied voxel lies within the 20 m gap radius of the last pose,
+    // so the profile runs from the last scan pose with an obstacle within
+    // 10 m (8.4 m away; ~2,200 occupied voxels within 20 m), with that
+    // pose's scan.
+    let profilers = Profilers::default();
+    let (near, near_cloud) = scans
+        .iter()
+        .rev()
+        .find(|(p, _)| mission_map.nearest_occupied_distance(*p, 10.0).is_some())
+        .expect("an obstacle lies near the flown line");
     let trajectory = smooth_path(
-        &[position, position + heading * 40.0],
+        &[*near, *near + heading * 40.0],
         3.0,
         &SmoothingConfig::default(),
     );
-    let profilers = Profilers::default();
-    // No occupied voxel lies within the profilers' 20 m gap radius of the
-    // last pose (the nearest is ~25 m away), so the clustering rows reach
-    // 30 m: ~1,200 voxels, about what a `static_aware` decision clusters.
-    const CLUSTER_RADIUS: f64 = 30.0;
     let mut group = c.benchmark_group("profile_and_govern");
     group.sample_size(20);
     for (name, mode, map) in &stepped {
@@ -380,17 +387,18 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
         group.bench_function(*name, |b| {
             b.iter(|| {
                 let profile =
-                    profilers.profile(&cloud, map, Some(&trajectory), position, 3.0, heading);
+                    profilers.profile(near_cloud, map, Some(&trajectory), *near, 3.0, heading);
                 std::hint::black_box(governor.decide(&profile)).predicted_latency
             })
         });
         assert!(
-            !extract_obstacle_clusters(map, position, CLUSTER_RADIUS).is_empty(),
-            "the clustering row must reach obstacles"
+            !extract_obstacle_clusters(map, *near, profilers.gap_radius).is_empty(),
+            "the profile must cluster obstacles"
         );
         group.bench_function(format!("clusters/{name}"), |b| {
             b.iter(|| {
-                std::hint::black_box(extract_obstacle_clusters(map, position, CLUSTER_RADIUS)).len()
+                std::hint::black_box(extract_obstacle_clusters(map, *near, profilers.gap_radius))
+                    .len()
             })
         });
     }
@@ -417,20 +425,30 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
     );
     group.finish();
 
+    // Each stepped map's export, with the checker built for it.
+    let planned: Vec<_> = stepped
+        .iter()
+        .zip([KnobSettings::static_baseline(), aware])
+        .map(|((name, mode, map), knobs)| {
+            let mission = MissionConfig::new(*mode);
+            let margin = mission.drone.body_radius * mission.planning_margin_factor;
+            let export = PlannerMap::export(
+                map,
+                &ExportConfig::new(
+                    knobs.map_to_planner_precision,
+                    knobs.map_to_planner_volume,
+                    position,
+                ),
+            );
+            let checker = CollisionChecker::new(export, margin, knobs.map_to_planner_precision);
+            (*name, mission, checker)
+        })
+        .collect();
+
     let mut group = c.benchmark_group("rrt_mission_plan");
     group.sample_size(20);
-    for ((name, mode, map), knobs) in stepped.iter().zip([KnobSettings::static_baseline(), aware]) {
-        let mission = MissionConfig::new(*mode);
-        let margin = mission.drone.body_radius * mission.planning_margin_factor;
-        let export = PlannerMap::export(
-            map,
-            &ExportConfig::new(
-                knobs.map_to_planner_precision,
-                knobs.map_to_planner_volume,
-                position,
-            ),
-        );
-        let mut checker = CollisionChecker::new(export, margin, knobs.map_to_planner_precision);
+    for (name, mission, checker) in &planned {
+        let mut checker = checker.clone();
         // The scans flew the start→goal line, which stays free, so the
         // goal is the first point of the planning-horizon circle (15°
         // steps from the heading) whose straight segment is blocked.
@@ -464,6 +482,50 @@ fn bench_perception_mission_map_step(c: &mut Criterion) {
                     &mut scratch,
                 ))
                 .tree_size
+            })
+        });
+    }
+    group.finish();
+
+    // The search's segment checks alone: 1,000 seeded segments up to the
+    // 12 m rewire radius long, from points of the mission's sampling
+    // bounds around the last pose, walked at each knob set's check step
+    // through a checker whose broad phase is built.
+    let mut rng = SplitMix64::new(11);
+    let bounds = planning_bounds(position, position + heading * 40.0, env.bounds());
+    let segments: Vec<(Vec3, Vec3)> = (0..1000)
+        .map(|_| {
+            let mut point = || {
+                Vec3::new(
+                    rng.uniform(bounds.min.x, bounds.max.x),
+                    rng.uniform(bounds.min.y, bounds.max.y),
+                    rng.uniform(bounds.min.z, bounds.max.z),
+                )
+            };
+            let (a, toward) = (point(), point());
+            let length = rng.uniform(0.0, 12.0);
+            (a, a + (toward - a).normalize() * length)
+        })
+        .collect();
+    let mut group = c.benchmark_group("collision_segment_walk");
+    group.sample_size(20);
+    for (name, _, checker) in &planned {
+        let mut checker = checker.clone();
+        checker.prebuild_broad_phase();
+        let free = segments
+            .iter()
+            .filter(|(a, b)| checker.segment_free(*a, *b))
+            .count();
+        assert!(
+            0 < free && free < segments.len(),
+            "{name}: the batch must hit obstacles and miss them"
+        );
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                segments
+                    .iter()
+                    .filter(|(a, b)| checker.segment_free(*a, *b))
+                    .count()
             })
         });
     }

@@ -37,7 +37,9 @@
 //!   inside the bytes of a word, y moves whole bytes, x moves whole words,
 //!   and the bits shifted out of a block land in its neighbour.
 
-use crate::occupancy::{block_of, mask_has, mask_keys, mask_len, slot_of, BlockMask};
+use crate::occupancy::{
+    block_of, block_spans, mask_has, mask_keys, mask_len, slot_of, yz_window, BlockMask,
+};
 use crate::OccupancyMap;
 use roborun_geom::{floor_i64, snap_to_lattice, Aabb, FxHashMap, Vec3, VoxelKey};
 use serde::{Deserialize, Serialize};
@@ -257,16 +259,11 @@ impl PlannerMap {
             d * d
         };
         let bound = margin * margin * (1.0 + 1e-9);
-        // Splits `c - reach..=c + reach` into its per-block sub-ranges.
-        let spans = |c: i64| {
-            ((c - reach) >> 3..=(c + reach) >> 3)
-                .map(move |b| ((c - reach).max(b << 3), (c + reach).min((b << 3) + 7)))
-        };
-        for (x0, x1) in spans(center.x) {
+        for (x0, x1) in block_spans(center.x - reach, center.x + reach) {
             let gx = gap2(x0, x1, p.x);
-            for (y0, y1) in spans(center.y) {
+            for (y0, y1) in block_spans(center.y - reach, center.y + reach) {
                 let gy = gap2(y0, y1, p.y);
-                for (z0, z1) in spans(center.z) {
+                for (z0, z1) in block_spans(center.z - reach, center.z + reach) {
                     if gx + gy + gap2(z0, z1, p.z) > bound {
                         continue;
                     }
@@ -277,10 +274,7 @@ impl PlannerMap {
                     })) else {
                         continue;
                     };
-                    // The (y, z) window as bits of one x-slice word.
-                    let z_bits = (1u64 << (z1 - z0 + 1)) - 1;
-                    let window =
-                        (y0..=y1).fold(0, |w, y| w | z_bits << (((y & 7) << 3) | (z0 & 7)));
+                    let window = yz_window(y0, y1, z0, z1);
                     for x in x0..=x1 {
                         let mut hits = mask[(x & 7) as usize] & window;
                         while hits != 0 {
@@ -495,7 +489,8 @@ impl PlannerMapDelta {
         self.voxel_size
     }
 
-    /// Keys present in the new export but not the previous one.
+    /// Keys present in the new export but not the previous one, block by
+    /// block, each block's keys ascending by x, then y, then z.
     pub fn added(&self) -> &[VoxelKey] {
         &self.added
     }

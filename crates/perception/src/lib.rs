@@ -28,5 +28,8 @@ pub mod occupancy;
 pub mod point_cloud;
 
 pub use export::{ExportConfig, PlannerMap, PlannerMapDelta};
-pub use occupancy::{block_of, mask_keys, slot_of, BlockMask, MapStats, OccupancyMap, VoxelState};
+pub use occupancy::{
+    block_of, block_spans, mask_keys, region_bit, region_of, slot_of, yz_window, BlockMask,
+    MapStats, OccupancyMap, VoxelState,
+};
 pub use point_cloud::PointCloud;

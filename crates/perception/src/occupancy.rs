@@ -87,9 +87,9 @@ const BLOCK_EDGE: i64 = 8;
 /// Region edge of the retain walk's index, in blocks (see the module docs).
 const REGION_EDGE: i64 = 4;
 
-/// The 4³-block region holding `block`.
+/// The 4³-block region holding `block` (see the module docs).
 #[inline]
-fn region_of(block: VoxelKey) -> VoxelKey {
+pub fn region_of(block: VoxelKey) -> VoxelKey {
     VoxelKey {
         x: block.x >> 2,
         y: block.y >> 2,
@@ -100,7 +100,7 @@ fn region_of(block: VoxelKey) -> VoxelKey {
 /// The bit of `block` in its region's member mask (one bit per block of
 /// the 4³ region).
 #[inline]
-fn region_bit(block: VoxelKey) -> u64 {
+pub fn region_bit(block: VoxelKey) -> u64 {
     1 << (((block.x & 3) << 4) | ((block.y & 3) << 2) | (block.z & 3))
 }
 
@@ -155,6 +155,21 @@ pub fn slot_of(key: VoxelKey) -> (usize, u64) {
         (key.x & 7) as usize,
         1 << (((key.y & 7) << 3) | (key.z & 7)),
     )
+}
+
+/// The keys `lo..=hi` along one axis, split into the sub-ranges that
+/// share a block, lowest first.
+#[inline]
+pub fn block_spans(lo: i64, hi: i64) -> impl Iterator<Item = (i64, i64)> {
+    (lo >> 3..=hi >> 3).map(move |b| (lo.max(b << 3), hi.min((b << 3) + 7)))
+}
+
+/// The cells `y0..=y1` × `z0..=z1` of one block (both ranges inside it)
+/// as bits of an x-slice word of its mask.
+#[inline]
+pub fn yz_window(y0: i64, y1: i64, z0: i64, z1: i64) -> u64 {
+    let z_bits = (1u64 << (z1 - z0 + 1)) - 1;
+    (y0..=y1).fold(0, |w, y| w | z_bits << (((y & 7) << 3) | (z0 & 7)))
 }
 
 /// The keys of the bits set in `mask`, one of the masks of block `block`.

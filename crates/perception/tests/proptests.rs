@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use roborun_geom::{snap_to_lattice, Aabb, Vec3, VoxelKey};
-use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
+use roborun_perception::{block_of, ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vec3>> {
@@ -245,7 +245,7 @@ proptest! {
 
     /// `PlannerMap::delta_from` must be the exact set difference between
     /// two exports: applying it to the previous key set reproduces the new
-    /// one.
+    /// one. Its added keys come block by block, each block's ascending.
     #[test]
     fn export_delta_is_exact_set_difference(points in arb_points(120),
                                             extra in arb_points(40),
@@ -270,6 +270,12 @@ proptest! {
         let new_keys: BTreeSet<_> = after.occupied_keys().collect();
         prop_assert_eq!(keys, new_keys);
         prop_assert_eq!(delta.len(), delta.added().len() + delta.removed().len());
+        let mut blocks: Vec<_> = delta.added().iter().map(|k| block_of(*k)).collect();
+        blocks.dedup();
+        prop_assert_eq!(blocks.len(), blocks.iter().collect::<BTreeSet<_>>().len());
+        for pair in delta.added().windows(2) {
+            prop_assert!(block_of(pair[0]) != block_of(pair[1]) || pair[0] < pair[1]);
+        }
     }
 
     /// The block store stays exact under every operation that changes

@@ -27,21 +27,59 @@
 //! plans (direct connections in open space) never pay for it; a precision
 //! change drops it and restarts that count.
 //!
+//! Long segments are settled a region at a time. A derived **region
+//! index** lists the covered blocks of every 4³-block region (`block >> 2`
+//! per axis, as [`OccupancyMap`](roborun_perception::OccupancyMap)'s
+//! index does) as a 64-bit member mask, one bit per block. The samples of
+//! a segment walk have monotone keys per axis: `a + (b − a)·t` with a
+//! growing `t = i / steps`, the division by the voxel size and the
+//! `floor` each preserve order, rounding included. So every sample from
+//! `i` to `steps` has its key inside the box spanned by the keys of those
+//! two samples, and when no block of that box is listed in the index, no
+//! sample is covered: the walk is free, and counts its `steps + 1 − i`
+//! queries without taking them. The test costs two keys and a hash probe
+//! per region of the box, so it runs only where at least a block's width
+//! of samples remains (`BOX_TEST_MIN_SAMPLES`).
+//!
 //! Once built, the broad phase survives map refreshes:
-//! [`CollisionChecker::update_map`] ORs in the dilation of the voxels the
+//! [`CollisionChecker::update_map`] ORs in the cover of the voxels the
 //! [`PlannerMapDelta`] added and leaves the cover of removed voxels in
-//! place. Those stale bits only send more queries to the exact answer;
-//! once the voxels removed since the last build reach a quarter of the
-//! map's, the masks are rebuilt from the map.
+//! place. Each added voxel's cube of `2·reach + 1` cells per axis goes
+//! straight into the covered masks, block by block, as an x-slice word
+//! range under a (y, z) window — the arithmetic of
+//! [`PlannerMap::is_occupied`]'s scan — and a block the cube creates joins
+//! its region's member mask. Added keys that follow each other along z
+//! (a block's keys come in mask order) go in as one box, the union of
+//! their cubes, so a dense patch of wall costs a box per column rather
+//! than a cube per voxel. The union of the cubes is the box dilation
+//! [`PlannerMap::dilated`] computes, so the masks equal a rebuild's while
+//! nothing was removed. Stale bits only send more queries to the exact
+//! answer; once the voxels removed since the last build reach a quarter
+//! of the map's, the masks are rebuilt from the map.
 
 use roborun_geom::{ceil_steps, FxHashMap, Vec3, VoxelKey};
-use roborun_perception::{block_of, mask_keys, slot_of, BlockMask, PlannerMap, PlannerMapDelta};
+use roborun_perception::{
+    block_of, block_spans, mask_keys, region_bit, region_of, slot_of, yz_window, BlockMask,
+    PlannerMap, PlannerMapDelta,
+};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Point queries answered by the map directly before the broad phase is
 /// built (counted from construction or from the last drop); past this
 /// count the build cost is amortised.
 const LAZY_BUILD_QUERIES: usize = 128;
+
+/// The fewest samples left in a segment walk for which the walk first
+/// tests its key box against the region index: one block's width. The
+/// aware designs' segments average 2.4 samples, so most of their walks
+/// skip the test. Measured on a 2-core host: testing every walk (1)
+/// instead read 4017 against 4131 decisions/s on missionbench's
+/// `static_aware`, 2338 against 2216 on `dynamic_nodes` and 3818 against
+/// 3829 on `static_oblivious` (medians of six alternating 10 s pairs, all
+/// within noise), and on `rrt_mission_plan` 1, 4 and 8 tied while 16 was
+/// slower at both knob sets.
+const BOX_TEST_MIN_SAMPLES: usize = 8;
 
 /// The last covered-mask lookup: a block key and a copy of its mask (all
 /// zero when the block is absent). A cache of the broad phase, not state
@@ -55,7 +93,8 @@ impl PartialEq for RecentBlock {
     }
 }
 
-/// The margin-aware broad phase: covered masks per 8³ block.
+/// The margin-aware broad phase: covered masks per 8³ block, with the
+/// region index over them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BroadPhase {
     /// Exported voxel size the masks were built for (metres).
@@ -64,6 +103,9 @@ struct BroadPhase {
     reach: i64,
     /// The covered cells, a superset of the dilated map; no mask is empty.
     covered: FxHashMap<VoxelKey, BlockMask>,
+    /// The blocks of `covered`, one member mask per 4³-block region
+    /// ([`region_bit`]); no member mask is empty.
+    regions: FxHashMap<VoxelKey, u64>,
     /// Voxels removed from the map since the last build, whose cover is
     /// still set.
     stale: usize,
@@ -72,33 +114,132 @@ struct BroadPhase {
 impl BroadPhase {
     fn build(map: &PlannerMap, margin: f64) -> Self {
         let reach = map.reach(margin);
+        let covered = map.dilated(reach);
+        let mut regions: FxHashMap<VoxelKey, u64> = FxHashMap::default();
+        for block in covered.keys() {
+            *regions.entry(region_of(*block)).or_default() |= region_bit(*block);
+        }
         BroadPhase {
             voxel: map.voxel_size(),
             reach,
-            covered: map.dilated(reach),
+            covered,
+            regions,
             stale: 0,
         }
     }
 
     /// Refreshes the cover for `map`, the export `delta` leads to: the
-    /// added voxels' dilation is ORed in, and the masks are rebuilt once
-    /// the stale voxels reach a quarter of the map's.
+    /// added voxels' cubes are ORed in, one run along z at a time, and the
+    /// masks are rebuilt once the stale voxels reach a quarter of the
+    /// map's.
     fn apply_delta(&mut self, map: &PlannerMap, delta: &PlannerMapDelta, margin: f64) {
         self.stale += delta.removed().len();
         if 4 * self.stale > map.len() {
             *self = BroadPhase::build(map, margin);
             return;
         }
-        if delta.added().is_empty() {
+        let mut added = delta.added().iter();
+        let Some(&first) = added.next() else {
             return;
-        }
-        let added = PlannerMap::from_keys(self.voxel, Vec3::ZERO, delta.added().iter().copied());
-        for (block, mask) in added.dilated(self.reach) {
-            let cover = self.covered.entry(block).or_default();
-            for (word, bits) in cover.iter_mut().zip(mask) {
-                *word |= bits;
+        };
+        let (mut lo, mut hi) = (first, first);
+        for &key in added {
+            if (key.x, key.y, key.z) == (hi.x, hi.y, hi.z + 1) {
+                hi.z += 1;
+            } else {
+                self.cover_box(lo, hi);
+                (lo, hi) = (key, key);
             }
         }
+        self.cover_box(lo, hi);
+    }
+
+    /// ORs the cells within `reach` of the key box `lo..=hi` per axis (the
+    /// union of its keys' cubes) into the covered masks, one block at a
+    /// time; a block this creates joins its region.
+    fn cover_box(&mut self, lo: VoxelKey, hi: VoxelKey) {
+        let reach = self.reach;
+        for (x0, x1) in block_spans(lo.x - reach, hi.x + reach) {
+            for (y0, y1) in block_spans(lo.y - reach, hi.y + reach) {
+                for (z0, z1) in block_spans(lo.z - reach, hi.z + reach) {
+                    let block = block_of(VoxelKey {
+                        x: x0,
+                        y: y0,
+                        z: z0,
+                    });
+                    let cover = match self.covered.entry(block) {
+                        Entry::Occupied(entry) => entry.into_mut(),
+                        Entry::Vacant(entry) => {
+                            *self.regions.entry(region_of(block)).or_default() |= region_bit(block);
+                            entry.insert([0; 8])
+                        }
+                    };
+                    let window = yz_window(y0, y1, z0, z1);
+                    for x in x0..=x1 {
+                        cover[(x & 7) as usize] |= window;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `true` when some block of the key box spanned by `p` and `q` has a
+    /// covered mask; `false` proves every point keyed inside that box
+    /// uncovered.
+    fn box_has_cover(&self, p: Vec3, q: Vec3) -> bool {
+        let (kp, kq) = (
+            VoxelKey::from_point(p, self.voxel),
+            VoxelKey::from_point(q, self.voxel),
+        );
+        let lo = block_of(VoxelKey {
+            x: kp.x.min(kq.x),
+            y: kp.y.min(kq.y),
+            z: kp.z.min(kq.z),
+        });
+        let hi = block_of(VoxelKey {
+            x: kp.x.max(kq.x),
+            y: kp.y.max(kq.y),
+            z: kp.z.max(kq.z),
+        });
+        // The blocks `lo..=hi` of one axis inside region coordinate `r`.
+        let span = |lo: i64, hi: i64, r: i64| lo.max(r << 2)..=hi.min((r << 2) | 3);
+        for rx in lo.x >> 2..=hi.x >> 2 {
+            for ry in lo.y >> 2..=hi.y >> 2 {
+                for rz in lo.z >> 2..=hi.z >> 2 {
+                    let region = VoxelKey {
+                        x: rx,
+                        y: ry,
+                        z: rz,
+                    };
+                    let Some(&members) = self.regions.get(&region) else {
+                        continue;
+                    };
+                    // The box's blocks in `region_bit`'s layout.
+                    let z_bits = span(lo.z, hi.z, rz).fold(0u64, |w, z| w | 1 << (z & 3));
+                    let yz_bits = span(lo.y, hi.y, ry).fold(0, |w, y| w | z_bits << ((y & 3) << 2));
+                    let bits = span(lo.x, hi.x, rx).fold(0, |w, x| w | yz_bits << ((x & 3) << 4));
+                    if members & bits != 0 {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// `true` when the region index lists exactly the covered blocks:
+    /// every covered block has its region bit, and every region bit
+    /// belongs to a covered block.
+    #[cfg(test)]
+    fn regions_consistent(&self) -> bool {
+        let listed: usize = self.regions.values().map(|m| m.count_ones() as usize).sum();
+        listed == self.covered.len()
+            && self.regions.values().all(|members| *members != 0)
+            && self.covered.keys().all(|block| {
+                self.regions
+                    .get(&region_of(*block))
+                    .is_some_and(|members| members & region_bit(*block) != 0)
+            })
     }
 
     /// `true` when the cell of `p` is covered; `false` proves `p` is
@@ -301,6 +442,14 @@ impl CollisionChecker {
             // (the count, the build check) hoisted out of the loop, which
             // saves ~7% of a 900-sample mission plan (`rrt_mission_plan`).
             if let Some(broad_phase) = &self.broad_phase {
+                // Every sample left has its key in the box spanned by the
+                // first and the last (see the module docs).
+                if steps + 1 - i >= BOX_TEST_MIN_SAMPLES
+                    && !broad_phase.box_has_cover(sample(i), sample(steps))
+                {
+                    self.queries += steps + 1 - i;
+                    return true;
+                }
                 let blocked = (i..=steps).position(|j| {
                     !broad_phase.point_free(&self.map, self.margin, sample(j), &mut self.recent)
                 });
@@ -455,6 +604,7 @@ mod tests {
 
         let mut patched = CollisionChecker::new(map1.clone(), 0.45, 0.3);
         patched.prebuild_broad_phase();
+        assert_regions_consistent(&patched);
         let probe = |checker: &mut CollisionChecker, map: &PlannerMap| {
             for xi in 0..40 {
                 for yi in -12..=12 {
@@ -469,8 +619,10 @@ mod tests {
         };
         // Additions only: the patched cover is the rebuild's.
         patched.update_map(map2.clone());
+        assert_regions_consistent(&patched);
         let mut rebuilt = CollisionChecker::new(map2.clone(), 0.45, 0.3);
         rebuilt.prebuild_broad_phase();
+        assert_regions_consistent(&rebuilt);
         assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
         assert_eq!(
             rebuilt.broad_phase_cells(),
@@ -480,8 +632,70 @@ mod tests {
         // A removal leaves its cover in place: the cover stays map2's, a
         // superset of map1's, and every answer stays exact.
         patched.update_map(map1.clone());
+        assert_regions_consistent(&patched);
         assert_eq!(patched.broad_phase_cells(), rebuilt.broad_phase_cells());
         probe(&mut patched, &map1);
+        assert_regions_consistent(&patched);
+    }
+
+    fn assert_regions_consistent(checker: &CollisionChecker) {
+        let grid = checker.broad_phase.as_ref().expect("built broad phase");
+        assert!(grid.regions_consistent(), "region index out of step");
+    }
+
+    /// The cells of [`PlannerMap::dilated`], sorted.
+    fn dilated_cells(map: &PlannerMap, reach: i64) -> Vec<VoxelKey> {
+        let mut cells: Vec<VoxelKey> = map
+            .dilated(reach)
+            .into_iter()
+            .flat_map(|(block, mask)| mask_keys(block, mask))
+            .collect();
+        cells.sort_unstable();
+        cells
+    }
+
+    #[test]
+    fn sparse_refreshes_cover_exactly_the_dilated_map() {
+        // Keys a few cells either side of the block edges at -8, 0 and 8,
+        // added a handful per refresh, then a column along z across two
+        // of those edges, which the refresh covers a run at a time; at
+        // 2.5 m the reach is 9 cells, so each cube spans three blocks per
+        // axis.
+        let edges = [-17, -9, -8, -1, 0, 7, 8, 16];
+        let key = |i: usize| match i {
+            0..12 => VoxelKey {
+                x: edges[i % 8],
+                y: edges[(i * 3 + 1) % 8] + (i % 3) as i64,
+                z: edges[(i * 5 + 2) % 8] - (i % 2) as i64,
+            },
+            _ => VoxelKey {
+                x: -1,
+                y: 7,
+                z: i as i64 - 22,
+            },
+        };
+        for margin in [0.45, 2.5] {
+            let mut checker = CollisionChecker::new(
+                PlannerMap::from_keys(0.3, Vec3::ZERO, [key(0)]),
+                margin,
+                0.3,
+            );
+            checker.prebuild_broad_phase();
+            let reach = checker.map().reach(margin);
+            for added in [2, 4, 7, 12, 24] {
+                let map = PlannerMap::from_keys(0.3, Vec3::ZERO, (0..added).map(key));
+                let delta = map.delta_from(checker.map()).unwrap();
+                assert!(delta.removed().is_empty() && !delta.added().is_empty());
+                checker.update_map(map.clone());
+                assert_eq!(
+                    checker.broad_phase_cells(),
+                    Some(dilated_cells(&map, reach)),
+                    "margin {margin}, {added} keys"
+                );
+                assert_regions_consistent(&checker);
+            }
+            assert!(margin < 1.0 || reach >= 8);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! smoothing invariants.
 
 use proptest::prelude::*;
-use roborun_geom::{Aabb, Vec3, VoxelKey};
+use roborun_geom::{ceil_steps, Aabb, Vec3, VoxelKey};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     polyline_clear_of_boxes, smooth_path, CollisionChecker, HazardSource, PeerTrajectoryHazard,
@@ -13,6 +13,27 @@ use roborun_planning::{
 /// within `margin` of `p`.
 fn point_free_reference(map: &PlannerMap, p: Vec3, margin: f64) -> bool {
     !map.is_occupied(p, margin)
+}
+
+/// The answer and the query count `CollisionChecker::segment_free` must
+/// give: its samples, `a.lerp(b, i / steps)` for `i` in `0..=steps`,
+/// queried one by one with the exact map query up to and including the
+/// first blocked one.
+fn segment_walk_reference(
+    map: &PlannerMap,
+    margin: f64,
+    step: f64,
+    a: Vec3,
+    b: Vec3,
+) -> (bool, usize) {
+    let length = a.distance(b);
+    if length < 1e-9 {
+        return (point_free_reference(map, a, margin), 1);
+    }
+    let steps = ceil_steps(length / step);
+    let blocked = (0..=steps)
+        .position(|i| !point_free_reference(map, a.lerp(b, i as f64 / steps as f64), margin));
+    blocked.map_or((true, steps + 1), |i| (false, i + 1))
 }
 
 fn arb_waypoints() -> impl Strategy<Value = Vec<Vec3>> {
@@ -362,5 +383,122 @@ proptest! {
         let free_seg = HazardSource::segment_free(&mut peers, p, p);
         let free_pt = HazardSource::point_free(&mut peers, p);
         prop_assert_eq!(free_seg, free_pt);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The segment walk skips a segment whose key box holds no covered
+    /// block; its answer and its query count must still equal a walk of
+    /// every sample with the exact map query. Exports at 0.3–2.4 m hold
+    /// keys on both sides of zero; endpoints are free points, points on
+    /// block edges (multiples of 8 voxels) or region edges (32 voxels), or
+    /// exported voxels' centres and points within 4 cells of them, so
+    /// boxes end on covered blocks and often hold no other. A
+    /// second checker builds its broad phase lazily at query 128, inside
+    /// its first segment.
+    #[test]
+    fn segment_free_matches_a_per_sample_walk(
+        level in 0u32..4,
+        keys in prop::collection::vec((-24i64..24, -24i64..24, -24i64..24), 1..10),
+        margin in 0.0f64..1.5,
+        step_cells in 0.25f64..1.5,
+        ends in prop::collection::vec(
+            (
+                0usize..5,
+                (-32.0f64..32.0, -32.0f64..32.0, -32.0f64..32.0),
+                (-3i64..4, -3i64..4, -3i64..4),
+                0usize..64,
+            ),
+            2..32,
+        ),
+        lazy_at in 1usize..6,
+    ) {
+        let voxel = 0.3 * f64::from(1u32 << level);
+        let keys: Vec<VoxelKey> = keys.into_iter().map(|(x, y, z)| VoxelKey { x, y, z }).collect();
+        let map = PlannerMap::from_keys(voxel, Vec3::ZERO, keys.iter().copied());
+        let step = step_cells * voxel;
+        let ends: Vec<Vec3> = ends
+            .into_iter()
+            .map(|(kind, (u, v, w), (i, j, k), pick)| {
+                let free = Vec3::new(u, v, w) * voxel;
+                let block_edge = |e: i64| (8 * e) as f64 * voxel;
+                let region_edge = |e: i64| (32 * (e % 2)) as f64 * voxel;
+                match kind {
+                    0 => free,
+                    1 => Vec3::new(block_edge(i), free.y, block_edge(k)),
+                    2 => Vec3::new(region_edge(i), region_edge(j), free.z),
+                    3 => keys[pick % keys.len()].center(voxel),
+                    _ => keys[pick % keys.len()].center(voxel) + free / 8.0,
+                }
+            })
+            .collect();
+        // First, a line ending at the first key from 80 cells away along
+        // x: no other key lies within 26 cells of its start, so it is not
+        // blocked before the lazy checker's build at its sample `lazy_at`.
+        let target = keys[0].center(voxel);
+        let mut segments = vec![(target - Vec3::new(80.0 * voxel, 0.0, 0.0), target)];
+        segments.extend(ends.chunks_exact(2).map(|pair| (pair[0], pair[1])));
+
+        let mut prebuilt = CollisionChecker::new(map.clone(), margin, step);
+        prebuilt.prebuild_broad_phase();
+        let mut lazy = CollisionChecker::new(map.clone(), margin, step);
+        for _ in 0..128 - lazy_at {
+            lazy.point_free(Vec3::splat(1e4));
+        }
+        for (n, &(a, b)) in segments.iter().enumerate() {
+            let expected = segment_walk_reference(&map, margin, step, a, b);
+            for checker in [&mut prebuilt, &mut lazy] {
+                let before = checker.queries();
+                let free = checker.segment_free(a, b);
+                prop_assert_eq!(
+                    (free, checker.queries() - before),
+                    expected,
+                    "segment {} from {} to {} (voxel {}, margin {}, step {})",
+                    n, a, b, voxel, margin, step
+                );
+            }
+            if n == 0 {
+                prop_assert!(lazy.broad_phase_cells().is_some() && lazy.queries() > 128);
+            }
+        }
+    }
+}
+
+/// A box with one covered block must be walked wherever that block sits
+/// in its region: one key at a time at the centre cell of each block of
+/// the 4³-block regions on both sides of zero (its one-cell cover stays
+/// inside the block), reached by segments from 12 cells away along each
+/// axis and a diagonal, both ways.
+#[test]
+fn segment_free_walks_a_box_whose_one_covered_block_is_anywhere_in_its_region() {
+    let (voxel, margin) = (0.3, 0.1);
+    for region in 0..8i64 {
+        for member in 0..64i64 {
+            let block = |r: i64, local: i64| ((r & 1) - 1) * 4 + local;
+            let key = VoxelKey {
+                x: 8 * block(region >> 2, member >> 4) + 4,
+                y: 8 * block(region >> 1, member >> 2 & 3) + 4,
+                z: 8 * block(region, member & 3) + 4,
+            };
+            let map = PlannerMap::from_keys(voxel, Vec3::ZERO, [key]);
+            let mut checker = CollisionChecker::new(map.clone(), margin, voxel);
+            checker.prebuild_broad_phase();
+            let centre = key.center(voxel);
+            for dir in [Vec3::X, Vec3::Y, Vec3::Z, Vec3::new(1.0, -1.0, 1.0)] {
+                for from in [centre + dir * (12.0 * voxel), centre - dir * (12.0 * voxel)] {
+                    for (a, b) in [(from, centre), (centre, from)] {
+                        let before = checker.queries();
+                        let free = checker.segment_free(a, b);
+                        assert_eq!(
+                            (free, checker.queries() - before),
+                            segment_walk_reference(&map, margin, voxel, a, b),
+                            "key {key:?}, segment {a} to {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
