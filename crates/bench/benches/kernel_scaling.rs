@@ -9,9 +9,7 @@ use roborun_core::{Governor, GovernorConfig, KnobSettings, Profilers, RuntimeMod
 use roborun_dynamics::{Actor, DynamicWorld, MotionModel};
 use roborun_env::{DifficultyConfig, EnvironmentGenerator, Obstacle, ObstacleField};
 use roborun_geom::{Aabb, Pose, Ray, SplitMix64, Vec3};
-use roborun_mission::cycle::{
-    path_clear_of_predicted, planning_bounds, predicted_blockage_distance,
-};
+use roborun_mission::cycle::planning_bounds;
 use roborun_mission::{MissionConfig, MissionRunner};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
@@ -804,8 +802,10 @@ fn bench_dynamic_world_step(c: &mut Criterion) {
 /// The predicted-occupancy validation kernel: a 60-waypoint trajectory
 /// re-checked against the predicted boxes of 4/16/64 actors (dense
 /// polyline sampling, the per-decision cost of the trajectory
-/// invalidation).
+/// invalidation). Both rows walk a [`PredictedHazards`] source, as the
+/// mission drivers do, built once outside the timed loop.
 fn bench_predicted_validation(c: &mut Criterion) {
+    use roborun_planning::PredictedHazards;
     let mut group = c.benchmark_group("predicted_validation");
     let trajectory = Trajectory::new(
         (0..60)
@@ -819,38 +819,29 @@ fn bench_predicted_validation(c: &mut Criterion) {
     let origin = Vec3::new(0.0, 0.0, 5.0);
     for &n in &[4usize, 16, 64] {
         let world = bench_dynamic_world(n, 7);
-        let predicted = world.predicted_boxes(3.0, 4.0);
+        let hazards =
+            PredictedHazards::new(world.predicted_boxes(3.0, 4.0), 0.46, origin, f64::INFINITY);
         group.bench_with_input(
             BenchmarkId::new("blockage_scan", n),
-            &predicted,
-            |b, predicted| {
+            &hazards,
+            |b, hazards| {
                 b.iter(|| {
-                    std::hint::black_box(predicted_blockage_distance(
-                        &trajectory,
-                        0.0,
-                        predicted,
-                        0.46,
-                        origin,
-                        f64::INFINITY,
-                    ))
+                    let remaining = trajectory.remaining_from(0.0);
+                    std::hint::black_box(
+                        hazards
+                            .first_conflict(remaining.points().iter().map(|p| p.position))
+                            .map(|p| p.distance(origin)),
+                    )
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("path_clear", n),
-            &predicted,
-            |b, predicted| {
-                b.iter(|| {
-                    std::hint::black_box(path_clear_of_predicted(
-                        trajectory.points().iter().map(|p| p.position),
-                        predicted,
-                        0.46,
-                        origin,
-                        f64::INFINITY,
-                    ))
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("path_clear", n), &hazards, |b, hazards| {
+            b.iter(|| {
+                std::hint::black_box(
+                    hazards.path_clear(trajectory.points().iter().map(|p| p.position)),
+                )
+            })
+        });
     }
     group.finish();
 }
@@ -1219,47 +1210,6 @@ fn bench_aabb_dispatch_width(c: &mut Criterion) {
     group.finish();
 }
 
-/// Peer-corridor point queries at K committed peers (64-waypoint
-/// corridors each): the scaling that motivated the candidate grid. Grid-backed, the cost per query is set by cell
-/// occupancy, not the flat box count — the K rows sit on top of each
-/// other instead of scaling linearly.
-fn bench_peer_hazard_point_queries(c: &mut Criterion) {
-    use roborun_planning::PeerTrajectoryHazard;
-    let mut group = c.benchmark_group("peer_hazard_point_queries");
-    for &peers in &[1usize, 4, 8] {
-        let mut hazard = PeerTrajectoryHazard::new(0.46, 0.9);
-        for id in 0..peers {
-            let polyline: Vec<Vec3> = (0..64)
-                .map(|i| {
-                    let t = i as f64 * 2.0;
-                    Vec3::new(
-                        t,
-                        (id as f64) * 12.0 + (t * 0.1).sin() * 4.0,
-                        5.0 + t * 0.05,
-                    )
-                })
-                .collect();
-            hazard.set_peer(id as u64, &polyline);
-        }
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("K{peers}")),
-            &hazard,
-            |b, hazard| {
-                b.iter(|| {
-                    let mut blocked = 0usize;
-                    for q in 0..1_000 {
-                        let t = (q % 997) as f64 * 0.13;
-                        let p = Vec3::new(t, (t * 0.37).sin() * 20.0, 5.0 + (t * 0.11).cos() * 3.0);
-                        blocked += usize::from(std::hint::black_box(hazard.point_blocked(p)));
-                    }
-                    blocked
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_point_cloud_precision,
@@ -1281,7 +1231,6 @@ criterion_group!(
     bench_fault_plan_overhead,
     bench_trace_gate,
     bench_rrtstar_sampling_mix,
-    bench_aabb_dispatch_width,
-    bench_peer_hazard_point_queries
+    bench_aabb_dispatch_width
 );
 criterion_main!(benches);

@@ -137,26 +137,6 @@ impl Environment {
     pub fn mission_length(&self) -> f64 {
         self.start.distance(self.goal)
     }
-
-    /// A copy of this environment with different mission endpoints — the
-    /// same obstacle field, zones, params and seed, with the bounds
-    /// grown (if needed) to contain the new start and goal at the usual
-    /// safety margin. A fleet flies N drones through *one* world by
-    /// giving each a laterally offset copy; offsets within the
-    /// generator's `clearance_radius` of the original endpoints stay in
-    /// the obstacle-free bubbles the generator carved.
-    pub fn with_endpoints(&self, start: Vec3, goal: Vec3) -> Environment {
-        let margin = 20.0;
-        let endpoint_box = Aabb::union(
-            &Aabb::new(start, start).inflate(margin),
-            &Aabb::new(goal, goal).inflate(margin),
-        );
-        let mut env = self.clone();
-        env.start = start;
-        env.goal = goal;
-        env.bounds = Aabb::union(&self.bounds, &endpoint_box);
-        env
-    }
 }
 
 /// Generates [`Environment`]s from a [`DifficultyConfig`].
@@ -349,24 +329,6 @@ mod tests {
             assert!(env.bounds().contains(env.start()));
             assert!(env.bounds().contains(env.goal()));
         }
-    }
-
-    #[test]
-    fn with_endpoints_keeps_world_and_grows_bounds() {
-        let env = EnvironmentGenerator::new(DifficultyConfig::mid()).generate(9);
-        let offset = Vec3::new(0.0, 8.0, 0.0);
-        let shifted = env.with_endpoints(env.start() + offset, env.goal() + offset);
-        assert_eq!(shifted.obstacles().len(), env.obstacles().len());
-        assert_eq!(shifted.seed(), env.seed());
-        assert!(shifted.bounds().contains(shifted.start()));
-        assert!(shifted.bounds().contains(shifted.goal()));
-        // An offset inside the clearance radius stays obstacle free.
-        assert!(!shifted
-            .field()
-            .is_occupied_with_margin(shifted.start(), 1.0));
-        assert!(!shifted.field().is_occupied_with_margin(shifted.goal(), 1.0));
-        // The original environment is untouched.
-        assert_eq!(env.start(), shifted.start() - offset);
     }
 
     #[test]

@@ -407,11 +407,6 @@ impl ObstacleField {
         ObstacleField { obstacles, grid }
     }
 
-    /// The broad-phase pack width this field was built with.
-    pub fn simd_width(&self) -> SimdWidth {
-        self.grid.width
-    }
-
     /// Creates an empty field (open sky).
     pub fn empty() -> Self {
         ObstacleField::default()

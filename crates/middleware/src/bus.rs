@@ -189,15 +189,6 @@ impl MessageBus {
             .unwrap_or_default()
     }
 
-    /// Traffic statistics for every topic.
-    pub fn all_stats(&self) -> BTreeMap<TopicName, CommStats> {
-        self.lock()
-            .topics
-            .iter()
-            .map(|(name, state)| (name.clone(), state.stats))
-            .collect()
-    }
-
     /// Sum of the transport latency charged across every delivery on every
     /// topic since the bus was created (seconds).
     pub fn total_transport_latency(&self) -> f64 {

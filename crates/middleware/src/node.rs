@@ -107,11 +107,6 @@ impl<T: Message> Publisher<T> {
         &self.topic
     }
 
-    /// The node that owns this publisher.
-    pub fn node_name(&self) -> &str {
-        &self.node
-    }
-
     /// Publishes one sample.
     ///
     /// # Errors

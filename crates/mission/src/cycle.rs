@@ -131,8 +131,7 @@ use roborun_faults::{FaultFrame, FaultPlan};
 use roborun_geom::{Aabb, Pose, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
-    first_polyline_conflict, polyline_clear_of_boxes, CollisionChecker, HazardContext,
-    PeerTrajectoryHazard, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
+    CollisionChecker, HazardContext, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
     PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint,
 };
 use roborun_sim::{CameraRig, DroneConfig, DroneState, EnergyModel, LatencyBreakdown, SimClock};
@@ -188,57 +187,6 @@ pub fn first_blockage_distance(
         .iter()
         .find(|p| export.is_occupied(p.position, margin * 0.6))
         .map(|p| p.position.distance(position))
-}
-
-/// Distance (metres, straight-line from `position`) to the first point of
-/// the remaining trajectory that comes within `clearance` of any
-/// *predicted* moving-obstacle box, or `None` when the remaining
-/// trajectory clears every box. The dynamic counterpart of
-/// [`first_blockage_distance`]: the boxes come from
-/// [`DynamicWorld::predicted_boxes`] over the configured lookahead, so a
-/// hit means an actor *may* cross the corridor — conservative by
-/// construction, and used only to discard plans, never to admit them.
-/// A thin wrapper over the unified hazard walk
-/// ([`first_polyline_conflict`]); the in-cycle path runs the same walk
-/// through the decision's retargeted [`PredictedHazards`].
-pub fn predicted_blockage_distance(
-    trajectory: &Trajectory,
-    progress_time: f64,
-    predicted: &[Aabb],
-    clearance: f64,
-    position: Vec3,
-    max_range: f64,
-) -> Option<f64> {
-    let remaining = trajectory.remaining_from(progress_time);
-    first_polyline_conflict(
-        remaining.points().iter().map(|p| p.position),
-        predicted,
-        clearance,
-        position,
-        max_range,
-    )
-    .map(|p| p.distance(position))
-}
-
-/// `true` when the polyline through `points` stays clear of every
-/// predicted box by more than `clearance` within `max_range` of
-/// `origin` — the dynamic-world check a fresh plan must additionally
-/// pass before adoption.
-/// The polyline is sampled densely (segments can span metres; a
-/// crossing actor must not slip between two waypoints). Points farther
-/// than `max_range` are ignored: the MAV cannot reach them within the
-/// prediction horizon, and the boxes say nothing about the world beyond
-/// it — rejecting on far conflicts would only starve the mission (the
-/// next decision re-predicts with fresher poses). A thin wrapper over
-/// the unified hazard walk ([`polyline_clear_of_boxes`]).
-pub fn path_clear_of_predicted(
-    points: impl IntoIterator<Item = Vec3>,
-    predicted: &[Aabb],
-    clearance: f64,
-    origin: Vec3,
-    max_range: f64,
-) -> bool {
-    polyline_clear_of_boxes(points, predicted, clearance, origin, max_range)
 }
 
 /// Folds the static-map blockage and the predicted moving-obstacle
@@ -710,13 +658,6 @@ pub(crate) struct DecisionCycle<'m> {
     // the dynamic world's predicted boxes — the other half of the
     // composed hazard context. Empty (and inert) in static worlds.
     hazards: PredictedHazards,
-    // Committed trajectories of the *other* drones sharing this world
-    // (fleet missions). Their swept boxes are merged into the predicted
-    // vector above before every retarget, so blockage detection, the
-    // composed planning context, the escape trigger and the fresh-plan
-    // veto all treat a peer's corridor exactly like predicted occupancy.
-    // Empty (and inert, bit for bit) in single-drone missions.
-    peers: PeerTrajectoryHazard,
     // Random-walk replay anchors: every cached world view is bit-identical
     // to the plain one, but walker poses cost O(1) per decision instead of
     // O(t / dwell).
@@ -771,15 +712,6 @@ impl<'m> DecisionCycle<'m> {
         let baseline_velocity = governor.baseline_velocity();
         let planning_margin = cfg.drone.body_radius * cfg.planning_margin_factor;
         let hazards = PredictedHazards::new(Vec::new(), planning_margin * 0.6, drone.position, 0.0);
-        // Peer corridors carry two stacked margins: the swept boxes are
-        // inflated by a hard two-body allowance (either drone's centre may
-        // sit a body radius inside its own corridor wall), and queries add
-        // the same soft standoff the predicted source uses.
-        let mut peers =
-            PeerTrajectoryHazard::new(planning_margin * 0.6, cfg.drone.body_radius * 2.0);
-        for (id, polyline) in cfg.peer_trajectories.iter().enumerate() {
-            peers.set_peer(id as u64, polyline);
-        }
         let pose_cache = dynamics.map(DynamicWorld::pose_cache).unwrap_or_default();
         DecisionCycle {
             cfg,
@@ -799,7 +731,6 @@ impl<'m> DecisionCycle<'m> {
             follower: None,
             collision: None,
             hazards,
-            peers,
             pose_cache,
             energy_joules: 0.0,
             collided: false,
@@ -824,49 +755,6 @@ impl<'m> DecisionCycle<'m> {
             && !self.safe_stopped
             && self.decisions < self.cfg.max_decisions
             && self.clock.now() < self.cfg.max_mission_time
-    }
-
-    // ------------------------------------------------- fleet interface
-
-    /// Current simulation time — the fleet coordinator's lockstep
-    /// scheduling key (the open cycle with the smallest clock decides
-    /// next, so no drone's committed trajectory goes stale in peers).
-    pub(crate) fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    /// Current drone position.
-    pub(crate) fn position(&self) -> Vec3 {
-        self.drone.position
-    }
-
-    /// The polyline this drone is committed to fly from here: its
-    /// current position followed by the remaining points of the active
-    /// trajectory — or the position alone when no trajectory is active
-    /// (parked, hovering before the first plan, or finished). A parked
-    /// drone still occupies its hover point, so the single-point
-    /// polyline keeps peers from planning through it.
-    pub(crate) fn committed_polyline(&self) -> Vec<Vec3> {
-        let mut points = vec![self.drone.position];
-        if let Some(f) = self.follower.as_ref() {
-            if !f.finished() {
-                points.extend(
-                    f.trajectory()
-                        .remaining_from(f.progress_time())
-                        .points()
-                        .iter()
-                        .map(|p| p.position),
-                );
-            }
-        }
-        points
-    }
-
-    /// Publishes (or refreshes) a peer's committed polyline into this
-    /// drone's peer-hazard source. Re-publishing a bitwise-identical
-    /// polyline is a no-op; an empty polyline removes the peer.
-    pub(crate) fn set_peer_trajectory(&mut self, id: u64, polyline: &[Vec3]) {
-        self.peers.set_peer(id, polyline);
     }
 
     // ------------------------------------------------------------ stages
@@ -1295,14 +1183,7 @@ impl<'m> DecisionCycle<'m> {
         // consumer below — blockage detection, the planner's composed
         // context, the fresh-plan veto — queries. The retarget is an
         // incremental patch: only boxes that moved touch the source.
-        let mut predicted = self.predicted_boxes();
-        if !self.peers.is_empty() {
-            // Fleet missions: peer corridors ride the same soft-hazard
-            // path as predicted occupancy, so every consumer below covers
-            // them for free. The relevance range still gates far peers —
-            // a corridor beyond reach this decision costs nothing.
-            predicted.extend_from_slice(self.peers.boxes());
-        }
+        let predicted = self.predicted_boxes();
         let range = self.predicted_relevance_range();
         self.hazards
             .retarget(&predicted, self.drone.position, range);

@@ -21,9 +21,6 @@
 //! * [`node_pipeline`] — the same closed loop executed as a
 //!   `roborun-middleware` node graph, with the communication term measured
 //!   from real per-topic traffic instead of modeled.
-//! * [`fleet`] — multi-drone missions in one shared world: K decision
-//!   cycles in event-driven lockstep, exchanging committed trajectories
-//!   as peer hazards.
 //! * [`scenarios`] — the paper's two motivating missions (package delivery,
 //!   search and rescue) plus the small environments used by Figures 3/4.
 //! * [`sweep`] — the 27-environment evaluation of Section V with the
@@ -40,7 +37,6 @@
 
 pub mod breakdown;
 pub mod cycle;
-pub mod fleet;
 pub mod metrics;
 pub mod node_pipeline;
 pub mod report;
@@ -50,12 +46,11 @@ pub mod sweep;
 
 pub use breakdown::{ZoneBreakdown, ZoneStats};
 pub use cycle::DegradationStats;
-pub use fleet::{run_fleet, FleetConfig, FleetResult};
 pub use metrics::{AggregateMetrics, MissionMetrics};
 pub use node_pipeline::{NodePipeline, NodePipelineConfig, NodePipelineResult};
 pub use runner::{DegradationConfig, MissionConfig, MissionResult, MissionRunner};
 pub use scenarios::{DynamicDifficulty, DynamicScenario, FaultScenario, Scenario};
 pub use sweep::{
-    DynamicMatrixConfig, DynamicMatrixRow, DynamicSweepConfig, DynamicSweepRow, FaultSweepConfig,
-    FaultSweepRow, SensitivityRow, SweepConfig, SweepError, SweepResults,
+    DynamicSweepConfig, DynamicSweepRow, FaultSweepConfig, FaultSweepRow, SensitivityRow,
+    SweepConfig, SweepError, SweepResults,
 };

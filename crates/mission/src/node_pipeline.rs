@@ -32,9 +32,7 @@ use roborun_middleware::{
     Stamped, Subscription,
 };
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-use roborun_planning::{
-    swept_polyline_boxes, CollisionChecker, PlanError, PlannerScratch, PredictedHazards, Trajectory,
-};
+use roborun_planning::{CollisionChecker, PlanError, PlannerScratch, PredictedHazards, Trajectory};
 use roborun_sim::{CameraRig, DroneState, SimClock, StoppingModel};
 use serde::{Deserialize, Serialize};
 
@@ -1023,17 +1021,6 @@ impl NodePipeline {
         let mut last_integration_time = 0.0;
         let mut hover_streak = 0u32;
         let mut corrupted_seen = 0u64;
-        // Fleet: configured peer corridors, swept once up front — the
-        // node pipeline drives one drone per process, so its peers are
-        // static polylines (live re-publication is the direct driver's
-        // fleet coordinator's job). Same inflation as the cycle's peer
-        // source: a hard two-body allowance around either centre line.
-        let peer_boxes: Vec<Aabb> = cfg
-            .peer_trajectories
-            .iter()
-            .flat_map(|polyline| swept_polyline_boxes(polyline, cfg.drone.body_radius * 2.0))
-            .collect();
-
         while decisions < cfg.max_decisions && clock.now() < cfg.max_mission_time {
             decisions += 1;
             bus.set_time(clock.now());
@@ -1085,14 +1072,9 @@ impl NodePipeline {
                 &cfg.degradation,
                 &mut degradation_stats,
             );
-            let mut predicted = live.map_or_else(Vec::new, |world| {
+            let predicted = live.map_or_else(Vec::new, |world| {
                 world.predicted_boxes_cached(clock.now(), cfg.dynamic_lookahead, &mut pose_cache)
             });
-            if !peer_boxes.is_empty() {
-                // Peer corridors ride the same soft-hazard path as
-                // predicted occupancy (exactly like the direct driver).
-                predicted.extend_from_slice(&peer_boxes);
-            }
             // Planning needs the commanded velocity; compute it from the
             // model-predicted compute cost plus the comm charged so far this
             // decision (the planning hop is added below and reflected in the

@@ -6,7 +6,7 @@
 //! plotted with any external tool.
 
 use crate::metrics::ImprovementFactors;
-use crate::sweep::{DynamicMatrixRow, FaultSweepRow};
+use crate::sweep::FaultSweepRow;
 use crate::{SensitivityRow, SweepResults};
 use roborun_core::MissionTelemetry;
 
@@ -159,35 +159,6 @@ pub fn fig8_table(knob_name: &str, rows: &[SensitivityRow]) -> String {
         ],
         &body,
     )
-}
-
-/// The dynamic difficulty matrix (temporal Fig. 8 analogue) as CSV:
-/// one row per cell with the cell's scaling knobs, the actor count, and
-/// the aware run's mission time / velocity / safety outcome plus the
-/// dynamic-replan counter — the series that quantifies how mission time
-/// scales with *temporal* difficulty.
-pub fn dynamic_matrix_csv(rows: &[DynamicMatrixRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "scenario,density_scale,speed_scale,actor_waves,actors,mission_time_s,\
-         mean_velocity_mps,reached_goal,collided,dynamic_replans\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:?},{:.3},{:.3},{},{},{:.3},{:.3},{},{},{}\n",
-            row.scenario,
-            row.difficulty.density_scale,
-            row.difficulty.speed_scale,
-            row.difficulty.actor_waves,
-            row.actors,
-            row.aware.mission_time,
-            row.aware.mean_velocity,
-            row.aware.reached_goal,
-            row.aware.collided,
-            row.aware.dynamic_replans,
-        ));
-    }
-    out
 }
 
 /// The fault sweep as CSV: one row per `(scenario, seed)` case with the

@@ -108,17 +108,6 @@ pub struct MissionConfig {
     /// stale-perception velocity derating. Disabled by default; the
     /// fault-oblivious baseline runs with this off.
     pub degradation: DegradationConfig,
-    /// Committed trajectories of *other* drones sharing this world (fleet
-    /// missions), one polyline per peer. Each polyline is swept into
-    /// clearance-inflated boxes and merged into the predicted-hazard
-    /// source every decision, so the planner routes around peer corridors
-    /// exactly like predicted moving-obstacle occupancy (see
-    /// [`roborun_planning::PeerTrajectoryHazard`] for the two-margin
-    /// clearance semantics). Empty by default: with no peers every
-    /// mission is bit-identical to the single-drone behaviour. Fleet
-    /// coordination (live re-publication as peers replan) layers on top
-    /// via [`crate::fleet`].
-    pub peer_trajectories: Vec<Vec<Vec3>>,
     /// Routes a share of RRT* proposals into goal- and gap-regions
     /// derived from the composed hazard boxes (the planner's
     /// [`SamplingMix`](roborun_planning::SamplingMix) at its default
@@ -200,7 +189,6 @@ impl MissionConfig {
             voxel_decay: None,
             fault_plan: FaultPlanConfig::healthy(),
             degradation: DegradationConfig::default(),
-            peer_trajectories: Vec::new(),
             hazard_biased_sampling: false,
             seed: 1,
         }

@@ -473,10 +473,10 @@ impl FaultScenario {
 /// collide with the environment generator's use of the same seed.
 const FAULT_SEED_SALT: u64 = 0x4641_554C_5453; // "FAULTS"
 
-/// Temporal-difficulty scaling of a [`DynamicScenario`]: the three axes
-/// of the moving-obstacle difficulty matrix (static density × actor
-/// speed × actor count). [`DynamicDifficulty::default`] is the identity
-/// — [`DynamicScenario::world_with`] then generates bit-identically to
+/// Temporal-difficulty scaling of a [`DynamicScenario`] along three
+/// axes: static density, actor speed and actor count.
+/// [`DynamicDifficulty::default`] is the identity —
+/// [`DynamicScenario::world_with`] then generates bit-identically to
 /// [`DynamicScenario::world`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DynamicDifficulty {

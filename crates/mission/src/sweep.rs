@@ -2,7 +2,7 @@
 //! and the moving-obstacle (dynamic-world) sweep.
 
 use crate::metrics::ImprovementFactors;
-use crate::scenarios::{DynamicDifficulty, DynamicScenario, FaultScenario};
+use crate::scenarios::{DynamicScenario, FaultScenario};
 use crate::{
     AggregateMetrics, MissionConfig, MissionMetrics, MissionRunner, NodePipeline,
     NodePipelineConfig,
@@ -512,115 +512,6 @@ pub fn run_fault_sweep(config: &FaultSweepConfig) -> Vec<FaultSweepRow> {
     pooled_rows(config.cases.len(), None, |i| run_fault_sweep_row(config, i))
 }
 
-// ---------------------------------------------------------------------------
-// The dynamic difficulty matrix (temporal Fig. 8 analogue)
-// ---------------------------------------------------------------------------
-
-/// Configuration of the moving-obstacle difficulty matrix: the cross
-/// product of scenario families × density scales × speed scales × actor
-/// waves, each run with the spatial-aware design (the oblivious baseline
-/// already collides at the *base* difficulty of every family, so the
-/// matrix quantifies how the aware runtime's mission time scales with
-/// temporal difficulty — the paper's Fig. 8 question on the time axis).
-#[derive(Debug, Clone)]
-pub struct DynamicMatrixConfig {
-    /// Scenario families to sweep.
-    pub families: Vec<DynamicScenario>,
-    /// Static obstacle-density multipliers.
-    pub density_scales: Vec<f64>,
-    /// Actor-speed multipliers.
-    pub speed_scales: Vec<f64>,
-    /// Actor-wave counts (1 = the family's base pattern).
-    pub actor_waves: Vec<usize>,
-    /// Seed for world generation and planning.
-    pub seed: u64,
-    /// Mission configuration template for the aware runs.
-    pub aware: MissionConfig,
-}
-
-impl DynamicMatrixConfig {
-    /// The standard quick matrix: every family at base density, two
-    /// speed levels × two count levels, short mission caps, voxel decay
-    /// on (the same aware template as [`DynamicSweepConfig::quick`]).
-    pub fn quick(seed: u64) -> Self {
-        let mut aware = MissionConfig::new(RuntimeMode::SpatialAware);
-        aware.max_decisions = 600;
-        aware.max_mission_time = 1_500.0;
-        aware.voxel_decay = Some(2);
-        DynamicMatrixConfig {
-            families: DynamicScenario::ALL.to_vec(),
-            density_scales: vec![1.0],
-            speed_scales: vec![1.0, 1.75],
-            actor_waves: vec![1, 2],
-            seed,
-            aware,
-        }
-    }
-
-    /// The matrix cells in row order (family-major, then density, speed,
-    /// waves).
-    fn cells(&self) -> Vec<(DynamicScenario, DynamicDifficulty)> {
-        let mut cells = Vec::new();
-        for &family in &self.families {
-            for &density_scale in &self.density_scales {
-                for &speed_scale in &self.speed_scales {
-                    for &actor_waves in &self.actor_waves {
-                        cells.push((
-                            family,
-                            DynamicDifficulty {
-                                density_scale,
-                                speed_scale,
-                                actor_waves,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        cells
-    }
-}
-
-/// One cell of the dynamic difficulty matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DynamicMatrixRow {
-    /// The scenario family.
-    pub scenario: DynamicScenario,
-    /// The cell's temporal-difficulty scaling.
-    pub difficulty: DynamicDifficulty,
-    /// Number of actors in the generated world.
-    pub actors: usize,
-    /// Metrics of the spatial-aware run.
-    pub aware: MissionMetrics,
-}
-
-fn run_dynamic_matrix_cell(
-    config: &DynamicMatrixConfig,
-    cell: &(DynamicScenario, DynamicDifficulty),
-    i: usize,
-) -> DynamicMatrixRow {
-    let (scenario, difficulty) = *cell;
-    let (env, world) = scenario.world_with(config.seed, &difficulty);
-    let mut aware_cfg = config.aware.clone();
-    aware_cfg.seed = config.seed.wrapping_add(i as u64);
-    let aware = MissionRunner::new(aware_cfg).run_dynamic(&env, &world);
-    DynamicMatrixRow {
-        scenario,
-        difficulty,
-        actors: world.actors().len(),
-        aware: aware.metrics,
-    }
-}
-
-/// Runs the dynamic difficulty matrix on the shared worker pool (cells
-/// own their seeds, so results stay in cell order).
-pub fn run_dynamic_matrix(config: &DynamicMatrixConfig) -> Vec<DynamicMatrixRow> {
-    let cells = config.cells();
-    pooled_rows(cells.len(), None, |i| {
-        run_dynamic_matrix_cell(config, &cells[i], i)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,35 +597,6 @@ mod tests {
     fn quick_config_is_smaller_than_full_matrix() {
         assert_eq!(SweepConfig::default().difficulties.len(), 27);
         assert!(SweepConfig::quick(1).difficulties.len() < 27);
-    }
-
-    #[test]
-    fn dynamic_matrix_covers_the_cell_cross_product() {
-        // A tiny matrix so the test stays quick: one family, two speed
-        // levels, one wave level.
-        let mut config = DynamicMatrixConfig::quick(41);
-        config.families = vec![DynamicScenario::CrossingCorridor];
-        config.speed_scales = vec![1.0, 1.75];
-        config.actor_waves = vec![1];
-        let cells = config.cells();
-        let cell = |i| run_dynamic_matrix_cell(&config, &cells[i], i);
-        let rows = pooled_rows(cells.len(), Some(3), cell);
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].difficulty.speed_scale < rows[1].difficulty.speed_scale);
-        for row in &rows {
-            assert_eq!(row.scenario, DynamicScenario::CrossingCorridor);
-            assert_eq!(row.actors, 4);
-            assert!(row.aware.decisions > 0);
-            assert_eq!(row.aware.mode, RuntimeMode::SpatialAware);
-        }
-        // Rows own their seeds: the pooled run matches a one-worker run
-        // bit for bit.
-        assert_eq!(rows, pooled_rows(cells.len(), Some(1), cell));
-        // And the CSV emitter renders one line per cell plus a header.
-        let csv = crate::report::dynamic_matrix_csv(&rows);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.lines().next().unwrap().contains("speed_scale"));
-        assert!(csv.contains("CrossingCorridor"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   seed direction is additionally locked by all three golden
 //!   fixtures regenerating byte-identically).
 //! * **Both paths fly the hard cell** — on a temporally hard dynamic
-//!   world (the difficulty matrix's fast/dense cell), planning through
+//!   world (fast actors in two waves), planning through
 //!   the composed hazard context and converging by rejection both
 //!   complete every scenario collision-free, and one-shot routing never
 //!   forces more dynamic replans than the reject-loop.
@@ -27,7 +27,7 @@ fn dynamic_config(costmap: bool) -> MissionConfig {
     cfg
 }
 
-/// The matrix cell the comparison runs at: fast actors, two waves — the
+/// The difficulty the comparison runs at: fast actors, two waves — the
 /// regime where predicted conflicts actually cross the aware runtime's
 /// corridor (at base difficulty the governor's closing-speed throttle
 /// keeps the MAV clear and both paths are conflict-free).

@@ -1,14 +1,9 @@
 //! Hazard-source composition: one validity context for every collision
 //! consumer.
 //!
-//! Before this module existed, "is this point/path safe?" was answered by
-//! three different code paths: the static [`CollisionChecker`] over the
-//! exported planner map (used by the RRT* search), and two hand-rolled
-//! sampling loops in the mission crate that walked trajectory polylines
-//! against the *predicted* moving-obstacle boxes after the fact. The
-//! planner therefore only ever saw the static map; predicted dynamic
-//! occupancy could merely veto finished plans, so the planner converged on
-//! a crossing lane by repeated rejection. This module unifies the stack:
+//! "Is this point/path safe?" has one answer for every consumer — the
+//! RRT* search, the mission cycle's blockage detection and its fresh-plan
+//! veto:
 //!
 //! * [`HazardSource`] — the query interface every consumer plans and
 //!   validates against (point and segment validity plus a work counter).
@@ -20,12 +15,6 @@
 //!   a relevance range. Points farther than `max_range` from the origin
 //!   are never blocked: the MAV cannot reach them within the prediction
 //!   horizon, and the boxes say nothing about the world beyond it.
-//! * [`PeerTrajectoryHazard`] — the *fleet* source: every other drone's
-//!   committed trajectory, swept into per-segment boxes (see its type
-//!   docs for the two-margin clearance semantics). A fleet driver merges
-//!   its flattened boxes into the decision's predicted set, so peers
-//!   reach the planner through the same composition below without a new
-//!   query path.
 //! * [`HazardContext`] — the composition: a point or segment is free iff
 //!   the static checker frees it **and** it clears the predicted set.
 //!   With an empty predicted set the context is bit-identical to the bare
@@ -487,243 +476,6 @@ impl PredictedHazards {
 }
 
 // ---------------------------------------------------------------------------
-// PeerTrajectoryHazard
-// ---------------------------------------------------------------------------
-
-/// Swept axis-aligned boxes covering the polyline through `points`: one
-/// box per segment (the segment's bounding box), each inflated by
-/// `inflation` metres. A single point yields one inflated point-box. The
-/// shared sweep both fleet drivers and [`PeerTrajectoryHazard`] use to
-/// turn a peer drone's committed trajectory into hazard boxes.
-pub fn swept_polyline_boxes(points: &[Vec3], inflation: f64) -> Vec<Aabb> {
-    match points {
-        [] => Vec::new(),
-        [only] => vec![Aabb::new(*only, *only).inflate(inflation)],
-        _ => points
-            .windows(2)
-            .map(|w| Aabb::new(w[0], w[1]).inflate(inflation))
-            .collect(),
-    }
-}
-
-/// One peer drone's committed trajectory, kept as the polyline it was
-/// published from plus the swept boxes derived from it.
-#[derive(Debug, Clone, PartialEq)]
-struct PeerTrack {
-    polyline: Vec<Vec3>,
-    boxes: Vec<Aabb>,
-}
-
-/// The *peer* hazard source of a multi-drone fleet: every other drone's
-/// committed trajectory (current position plus the remainder of the
-/// trajectory it is following), swept into per-segment axis-aligned
-/// boxes and queried exactly like predicted moving-obstacle occupancy.
-///
-/// # Clearance semantics
-///
-/// Two margins stack, mirroring the static/predicted split of the module
-/// docs:
-///
-/// * **`inflation`** is the *hard* body allowance baked into the stored
-///   boxes — a fleet uses the sum of both drones' body radii, so a point
-///   on a stored box face is exactly at centre-to-centre contact
-///   distance from some point of the peer's committed polyline.
-/// * **`clearance`** is the *soft* standoff applied at query time
-///   (`distance_to_point(p) <= clearance`), the same role
-///   [`PredictedHazards`] gives its clearance; the mission cycle uses
-///   the same `planning_margin * 0.6` its posterior validation uses.
-///
-/// A sample is therefore rejected only while it sits within
-/// `inflation + clearance` of the peer polyline, which keeps any two
-/// drones that both honour their peer sources strictly farther apart
-/// than body contact.
-///
-/// Unlike [`PredictedHazards`] there is no origin/relevance range: a
-/// committed trajectory is a *promise* over the peer's whole remaining
-/// flight, local by construction (a receding-horizon plan spans tens of
-/// metres), so range-gating it would only let a converging corridor slip
-/// through.
-///
-/// # Retargeting
-///
-/// [`PeerTrajectoryHazard::set_peer`] is the per-decision retarget and
-/// mirrors [`PredictedHazards::retarget`]: a re-published polyline that
-/// is bitwise identical to the stored one is skipped outright (the
-/// common case — peers re-publish every decision, but a trajectory only
-/// changes on the peer's replan cadence); only a changed polyline pays
-/// the re-sweep. Tracks iterate in ascending peer-id order, so the
-/// flattened box view — and everything planned against it — is
-/// deterministic in the set of peers alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PeerTrajectoryHazard {
-    /// Peer tracks in ascending id order (determinism: the flat box view
-    /// must not depend on hash or insertion order).
-    tracks: std::collections::BTreeMap<u64, PeerTrack>,
-    /// Flattened boxes of every track, rebuilt when any track changes.
-    flat: Vec<Aabb>,
-    /// Candidate grid over `flat` at the query clearance — the same
-    /// [`SoftGrid`] the predicted source builds, created whenever the
-    /// flat view reaches [`GRID_BUILD_THRESHOLD`] boxes so fleet point
-    /// queries cost one hash probe plus a few exact distance tests
-    /// instead of a scan over every peer box (K peers × boxes-per-track
-    /// made the scan linear in fleet size). Exact for clearance-radius
-    /// queries by the candidate-cell argument on [`SoftGrid::blocked`];
-    /// rebuilt wholesale on any track change (track edits are rare —
-    /// per-decision point queries are the hot path).
-    grid: Option<SoftGrid>,
-    clearance: f64,
-    inflation: f64,
-    queries: usize,
-}
-
-impl PeerTrajectoryHazard {
-    /// Creates an empty source with the given query-time clearance and
-    /// baked-in box inflation (see the type docs for the semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clearance < 0` or `inflation < 0`.
-    pub fn new(clearance: f64, inflation: f64) -> Self {
-        assert!(
-            clearance >= 0.0,
-            "clearance must be non-negative, got {clearance}"
-        );
-        assert!(
-            inflation >= 0.0,
-            "inflation must be non-negative, got {inflation}"
-        );
-        PeerTrajectoryHazard {
-            tracks: std::collections::BTreeMap::new(),
-            flat: Vec::new(),
-            grid: None,
-            clearance,
-            inflation,
-            queries: 0,
-        }
-    }
-
-    /// `true` when no peer has a committed trajectory registered.
-    pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
-    }
-
-    /// Number of peers currently registered.
-    pub fn peer_count(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// The query-time clearance (metres).
-    pub fn clearance(&self) -> f64 {
-        self.clearance
-    }
-
-    /// Publishes (or re-publishes) one peer's committed trajectory. An
-    /// empty polyline removes the peer, a polyline bitwise-equal to the
-    /// stored one is a no-op, anything else re-sweeps that track only.
-    pub fn set_peer(&mut self, id: u64, polyline: &[Vec3]) {
-        if polyline.is_empty() {
-            self.remove_peer(id);
-            return;
-        }
-        if self.tracks.get(&id).is_some_and(|t| t.polyline == polyline) {
-            return;
-        }
-        let boxes = swept_polyline_boxes(polyline, self.inflation);
-        self.tracks.insert(
-            id,
-            PeerTrack {
-                polyline: polyline.to_vec(),
-                boxes,
-            },
-        );
-        self.rebuild_flat();
-    }
-
-    /// Removes one peer's track (a landed or lost peer).
-    pub fn remove_peer(&mut self, id: u64) {
-        if self.tracks.remove(&id).is_some() {
-            self.rebuild_flat();
-        }
-    }
-
-    fn rebuild_flat(&mut self) {
-        self.flat.clear();
-        for track in self.tracks.values() {
-            self.flat.extend_from_slice(&track.boxes);
-        }
-        self.grid = (self.flat.len() >= GRID_BUILD_THRESHOLD)
-            .then(|| SoftGrid::build(&self.flat, self.clearance));
-    }
-
-    /// The flattened swept boxes of every peer, in ascending peer-id
-    /// order — already inflated by the body allowance, **not** by the
-    /// query clearance. This is the view a driver merges into its
-    /// decision's predicted-hazard set so the planner routes around
-    /// peers through the existing [`HazardContext`] composition.
-    pub fn boxes(&self) -> &[Aabb] {
-        &self.flat
-    }
-
-    /// `true` when `p` sits within the query clearance of any peer box
-    /// (the peer analogue of [`PredictedHazards::point_blocked`],
-    /// without the relevance-range gate — see the type docs).
-    pub fn point_blocked(&self, p: Vec3) -> bool {
-        match &self.grid {
-            Some(grid) => grid.blocked(&self.flat, self.clearance, p),
-            None => self
-                .flat
-                .iter()
-                .any(|b| b.distance_to_point(p) <= self.clearance),
-        }
-    }
-
-    /// `true` when any peer box lies within `dist` of `p` — the *in
-    /// danger* test (is this drone already inside a peer corridor?).
-    pub fn any_within(&self, p: Vec3, dist: f64) -> bool {
-        self.flat.iter().any(|b| b.distance_to_point(p) <= dist)
-    }
-
-    /// [`polyline_clear_of_boxes`]-style walk over the peer boxes at the
-    /// source's own clearance (no range gate).
-    pub fn path_clear(&self, points: impl IntoIterator<Item = Vec3>) -> bool {
-        if self.flat.is_empty() {
-            return true;
-        }
-        walk_polyline(points, self.clearance.max(MIN_SAMPLE_STEP), |p| {
-            !self.point_blocked(p)
-        })
-    }
-}
-
-impl HazardSource for PeerTrajectoryHazard {
-    fn point_free(&mut self, p: Vec3) -> bool {
-        self.queries += 1;
-        !self.point_blocked(p)
-    }
-
-    fn segment_free(&mut self, a: Vec3, b: Vec3) -> bool {
-        let length = a.distance(b);
-        if length < 1e-9 {
-            return HazardSource::point_free(self, a);
-        }
-        let step = self.clearance.max(MIN_SAMPLE_STEP);
-        // The guarded walker form: at least one step, both endpoints
-        // sampled even when the ratio degenerates.
-        let steps = ceil_steps(length / step);
-        for i in 0..=steps {
-            if !HazardSource::point_free(self, a.lerp(b, i as f64 / steps as f64)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn queries(&self) -> usize {
-        self.queries
-    }
-}
-
-// ---------------------------------------------------------------------------
 // HazardContext
 // ---------------------------------------------------------------------------
 
@@ -1001,121 +753,5 @@ mod tests {
     #[should_panic(expected = "clearance")]
     fn negative_clearance_panics() {
         let _ = PredictedHazards::new(Vec::new(), -0.1, Vec3::ZERO, 1.0);
-    }
-
-    #[test]
-    fn peer_tracks_sweep_inflate_and_retarget() {
-        let mut peers = PeerTrajectoryHazard::new(0.5, 1.0);
-        assert!(peers.is_empty());
-        let path = [Vec3::new(0.0, 0.0, 5.0), Vec3::new(10.0, 0.0, 5.0)];
-        peers.set_peer(3, &path);
-        assert_eq!(peers.peer_count(), 1);
-        assert_eq!(peers.boxes().len(), 1);
-        // The inflation bakes the body allowance into the stored box; the
-        // clearance is the query-time standoff on top of it.
-        assert!(peers.point_blocked(Vec3::new(5.0, 1.4, 5.0)));
-        assert!(!peers.point_blocked(Vec3::new(5.0, 1.6, 5.0)));
-        assert!(peers.any_within(Vec3::new(5.0, 1.9, 5.0), 1.0));
-        // Re-publishing the identical polyline is a no-op...
-        let before = peers.clone();
-        peers.set_peer(3, &path);
-        assert_eq!(peers, before);
-        // ...a changed one re-sweeps the track, an empty one removes it.
-        peers.set_peer(3, &[Vec3::new(0.0, 20.0, 5.0)]);
-        assert!(!peers.point_blocked(Vec3::new(5.0, 1.4, 5.0)));
-        peers.set_peer(3, &[]);
-        assert!(peers.is_empty());
-        assert!(peers.path_clear([Vec3::ZERO, Vec3::new(50.0, 0.0, 5.0)]));
-    }
-
-    #[test]
-    fn peer_boxes_iterate_in_id_order() {
-        let mut a = PeerTrajectoryHazard::new(0.5, 0.5);
-        a.set_peer(2, &[Vec3::new(1.0, 0.0, 0.0)]);
-        a.set_peer(1, &[Vec3::new(2.0, 0.0, 0.0)]);
-        let mut b = PeerTrajectoryHazard::new(0.5, 0.5);
-        b.set_peer(1, &[Vec3::new(2.0, 0.0, 0.0)]);
-        b.set_peer(2, &[Vec3::new(1.0, 0.0, 0.0)]);
-        assert_eq!(a.boxes(), b.boxes());
-    }
-
-    #[test]
-    fn peer_source_blocks_a_crossing_segment() {
-        let mut peers = PeerTrajectoryHazard::new(0.5, 0.5);
-        peers.set_peer(
-            0,
-            &[Vec3::new(10.0, -12.0, 5.0), Vec3::new(10.0, 12.0, 5.0)],
-        );
-        assert!(!HazardSource::segment_free(
-            &mut peers,
-            Vec3::new(0.0, 0.0, 5.0),
-            Vec3::new(25.0, 0.0, 5.0)
-        ));
-        assert!(HazardSource::segment_free(
-            &mut peers,
-            Vec3::new(0.0, -20.0, 5.0),
-            Vec3::new(25.0, -20.0, 5.0)
-        ));
-        assert!(HazardSource::queries(&peers) > 0);
-    }
-
-    #[test]
-    fn peer_candidate_grid_matches_linear_scan() {
-        // Enough peers with multi-segment tracks to cross the grid-build
-        // threshold; every point query must agree exactly with the
-        // retained linear scan over the flat box view.
-        let mut peers = PeerTrajectoryHazard::new(0.45, 0.6);
-        let mut rng = SplitMix64::new(0x9e3779b97f4a7c15);
-        for id in 0..8u64 {
-            let polyline: Vec<Vec3> = (0..4)
-                .map(|_| {
-                    Vec3::new(
-                        rng.next_f64() * 40.0 - 5.0,
-                        rng.next_f64() * 50.0 - 25.0,
-                        rng.next_f64() * 11.0 + 1.0,
-                    )
-                })
-                .collect();
-            peers.set_peer(id, &polyline);
-        }
-        assert!(
-            peers.boxes().len() >= GRID_BUILD_THRESHOLD,
-            "fixture must exercise the gridded path ({} boxes)",
-            peers.boxes().len()
-        );
-        assert!(peers.grid.is_some());
-        let mut blocked = 0usize;
-        for _ in 0..4000 {
-            let p = Vec3::new(
-                rng.next_f64() * 60.0 - 15.0,
-                rng.next_f64() * 70.0 - 35.0,
-                rng.next_f64() * 15.0 - 1.0,
-            );
-            let linear = peers
-                .boxes()
-                .iter()
-                .any(|b| b.distance_to_point(p) <= peers.clearance());
-            assert_eq!(peers.point_blocked(p), linear, "mismatch at {p:?}");
-            blocked += usize::from(linear);
-        }
-        assert!(blocked > 0, "fixture never hit a peer corridor");
-        // Shrinking the fleet below the threshold drops back to the
-        // linear path without changing any answer.
-        for id in 2..8u64 {
-            peers.remove_peer(id);
-        }
-        assert!(peers.grid.is_none());
-        for _ in 0..500 {
-            let p = Vec3::new(
-                rng.next_f64() * 60.0 - 15.0,
-                rng.next_f64() * 70.0 - 35.0,
-                rng.next_f64() * 15.0 - 1.0,
-            );
-            let linear = peers
-                .boxes()
-                .iter()
-                .any(|b| b.distance_to_point(p) <= peers.clearance());
-            assert_eq!(peers.point_blocked(p), linear);
-        }
     }
 }

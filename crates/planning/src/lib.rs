@@ -37,8 +37,7 @@ pub mod trajectory;
 
 pub use collision::CollisionChecker;
 pub use hazard::{
-    first_polyline_conflict, polyline_clear_of_boxes, swept_polyline_boxes, HazardContext,
-    HazardSource, PeerTrajectoryHazard, PredictedHazards,
+    first_polyline_conflict, polyline_clear_of_boxes, HazardContext, HazardSource, PredictedHazards,
 };
 pub use planner::{PlanError, PlanStats, Planner, PlannerConfig};
 pub use rrtstar::{PlannerScratch, RrtConfig, RrtResult, RrtStar, SamplingMix};

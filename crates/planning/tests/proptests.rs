@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use roborun_geom::{ceil_steps, Aabb, Vec3, VoxelKey};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
-    polyline_clear_of_boxes, smooth_path, CollisionChecker, HazardSource, PeerTrajectoryHazard,
-    PredictedHazards, RrtConfig, RrtStar, SmoothingConfig, Trajectory, TrajectoryPoint,
+    polyline_clear_of_boxes, smooth_path, CollisionChecker, PredictedHazards, RrtConfig, RrtStar,
+    SmoothingConfig, Trajectory, TrajectoryPoint,
 };
 
 /// The answer `CollisionChecker::point_free` must give: no box of `map`
@@ -328,8 +328,8 @@ proptest! {
     /// repeated/coincident waypoints must answer the same boolean as the
     /// plain polyline on every walker — degenerate zero-length segments
     /// may never skip an endpoint check. Exercises the static checker
-    /// (`path_free`), the predicted-hazard walk and the peer
-    /// swept-trajectory walk on the same duplicated input.
+    /// (`path_free`) and the predicted-hazard walks on the same
+    /// duplicated input.
     #[test]
     fn duplicate_point_polylines_keep_endpoint_coverage(
         waypoints in arb_waypoints(),
@@ -368,21 +368,6 @@ proptest! {
             polyline_clear_of_boxes(waypoints.iter().copied(), &boxes, 0.45, origin, 1e9),
             polyline_clear_of_boxes(dup.iter().copied(), &boxes, 0.45, origin, 1e9)
         );
-
-        // Peer swept-trajectory source: a degenerate segment query equals
-        // the endpoint's point query, and a duplicated peer polyline
-        // sweeps the same corridor as the plain one.
-        let mut peers = PeerTrajectoryHazard::new(0.45, 0.3);
-        peers.set_peer(0, &waypoints);
-        let mut peers_dup = PeerTrajectoryHazard::new(0.45, 0.3);
-        peers_dup.set_peer(0, &dup);
-        for q in roborun_conformance::boundary_probes(7, 0.5) {
-            prop_assert_eq!(peers.point_blocked(q), peers_dup.point_blocked(q));
-        }
-        let p = waypoints[0];
-        let free_seg = HazardSource::segment_free(&mut peers, p, p);
-        let free_pt = HazardSource::point_free(&mut peers, p);
-        prop_assert_eq!(free_seg, free_pt);
     }
 }
 

@@ -14,12 +14,11 @@
 //! # Deterministic ids
 //!
 //! An event's identity is `(track, seq)`. Tracks are **assigned by the
-//! instrumentation sites** via [`set_track`] (main mission loop 0, fleet
-//! drone `i` at track `i`) — never derived from OS thread ids — and `seq`
-//! counts per track in emission order.
-//! As long as each track is driven by one thread at a time (true for
-//! every site above), ids depend only on the simulation's own event
-//! order, not on OS scheduling.
+//! instrumentation sites** via [`set_track`] (the mission loop emits on
+//! track 0) — never derived from OS thread ids — and `seq` counts per
+//! track in emission order.
+//! As long as each track is driven by one thread at a time, ids depend
+//! only on the simulation's own event order, not on OS scheduling.
 
 use crate::kind::{SpanKind, TraceEvent, TracePhase};
 use std::cell::RefCell;
@@ -109,7 +108,7 @@ fn wall_now_ns() -> u64 {
 /// Assigns the calling thread's track id (see the module docs for the
 /// assignment scheme). Sequence counters are per track and keep
 /// counting across reassignments, so a thread interleaving two tracks
-/// (the fleet coordinator) still produces deterministic per-track ids.
+/// still produces deterministic per-track ids.
 pub fn set_track(track: u32) {
     LOCAL.with(|local| local.borrow_mut().track = track);
 }

@@ -301,14 +301,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The value as an object member list, if it is one.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(members) => Some(members),
-            _ => None,
-        }
-    }
 }
 
 struct Parser<'a> {

@@ -36,8 +36,6 @@ pub enum SpanKind {
     BusDeliver,
     /// Per-topic queue depth after a publish/take (a counter event).
     QueueDepth,
-    /// One fleet lockstep turn (one drone's decision in the round).
-    FleetTurn,
     /// The planning watchdog fired (instant).
     WatchdogFire,
     /// The degradation ladder changed state (instant; the detail field
@@ -49,7 +47,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for summary tables and registry iteration.
-    pub const ALL: [SpanKind; 16] = [
+    pub const ALL: [SpanKind; 15] = [
         SpanKind::Decision,
         SpanKind::StagePointCloud,
         SpanKind::StagePerception,
@@ -62,7 +60,6 @@ impl SpanKind {
         SpanKind::BusPublish,
         SpanKind::BusDeliver,
         SpanKind::QueueDepth,
-        SpanKind::FleetTurn,
         SpanKind::WatchdogFire,
         SpanKind::DegradationTransition,
         SpanKind::FaultInjected,
@@ -96,7 +93,6 @@ impl SpanKind {
             SpanKind::BusPublish => "bus:publish",
             SpanKind::BusDeliver => "bus:deliver",
             SpanKind::QueueDepth => "queue_depth",
-            SpanKind::FleetTurn => "fleet_turn",
             SpanKind::WatchdogFire => "watchdog_fire",
             SpanKind::DegradationTransition => "degradation",
             SpanKind::FaultInjected => "fault_injected",
@@ -117,7 +113,6 @@ impl SpanKind {
             | SpanKind::StageRuntime => "decision",
             SpanKind::Plan => "planner",
             SpanKind::BusPublish | SpanKind::BusDeliver | SpanKind::QueueDepth => "middleware",
-            SpanKind::FleetTurn => "orchestration",
             SpanKind::WatchdogFire | SpanKind::DegradationTransition | SpanKind::FaultInjected => {
                 "faults"
             }

@@ -51,7 +51,7 @@ fn emit(action: u8, i: usize) {
         0 => collector::complete(SpanKind::Decision, t, 0.005, 0, &[("op", i as f64)]),
         1 => collector::instant(SpanKind::FaultInjected, t, &[]),
         2 => collector::counter(SpanKind::QueueDepth, "/trace_props", t, i as f64),
-        _ => collector::complete(SpanKind::FleetTurn, t, 0.002, 0, &[]),
+        _ => collector::complete(SpanKind::Plan, t, 0.002, 0, &[]),
     }
 }
 
