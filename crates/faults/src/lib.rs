@@ -46,8 +46,9 @@
 //! watchdog budget with decaying backoff → **reuse** the last valid
 //! trajectory while it stays clear → **hover** in place → **wedge-retreat
 //! safe-stop**, recording the step taken in every decision's telemetry.
-//! This crate only *produces* faults; the ladder lives with the drivers so
-//! both `MissionRunner` and the node pipeline share it.
+//! This crate only *produces* faults; the ladder lives in the mission
+//! crate's shared decision core (`roborun_mission::cycle`), so
+//! `MissionRunner` and the node pipeline run the same one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,17 +1,37 @@
-//! The shared decision-cycle core.
+//! The decision core both mission drivers share.
 //!
-//! One navigation decision is the same sequence of stages regardless of
-//! the transport that carries it: **sense → profile → govern → operate
+//! One navigation decision is the same sequence of stages whatever
+//! transport carries it: **sense → profile → govern → operate
 //! (perception) → cost → plan → follow**, plus the local-goal and
-//! emergency-stop policies around the planning stage. Before this module
-//! existed that sequence lived twice — inline in
-//! [`crate::MissionRunner::run`] and re-expressed as bus nodes in
-//! [`crate::node_pipeline`] — and drifted subtly (two `local_goal`
-//! variants, two `first_blockage_distance` copies, two epoch-advance
-//! loops). Both drivers are now thin: the direct runner drives a
-//! `DecisionCycle` (which owns the whole per-mission state), and the
-//! node pipeline's nodes delegate every policy decision to the free
-//! functions here, keeping only the topic plumbing to themselves.
+//! emergency-stop policies around the planning stage. This module holds
+//! everything in that sequence that does not depend on the transport, in
+//! two pieces both drivers own one of:
+//!
+//! * **The mission shell** (`MissionState`) owns the drone, the simulation
+//!   clock, the energy total, the telemetry, the flown path and times,
+//!   the dynamic world's pose cache, the armed [`FaultPlan`], the
+//!   [`DegradationStats`], the data-age and hover-streak state of the
+//!   degradation ladder and the open / collided / reached / safe-stopped
+//!   flags. Per decision it opens the fault frame, senses, prices the
+//!   decision (the calibrated model plus the planner fault channels),
+//!   predicts the moving-obstacle boxes, evaluates the velocity law,
+//!   picks the ladder rung, records the telemetry and advances the
+//!   world; at the end it builds the [`MissionResult`].
+//! * **The planning stage** (`PlanningStage`) owns the long-lived
+//!   [`CollisionChecker`], the [`PredictedHazards`] source, the RRT*
+//!   scratch buffers, the planner seed base, the planning margin and the
+//!   `dynamic_replans` count. It assesses the followed trajectory
+//!   (blockage, predicted conflict, in-danger), searches through
+//!   [`HazardContext`] or the bare checker, vetoes fresh plans that cross
+//!   predicted occupancy and builds the wedge-retreat manoeuvre.
+//!
+//! The direct driver ([`crate::MissionRunner`]) is `DecisionCycle`: the
+//! shell and the stage plus its own occupancy map and trajectory follower,
+//! every hand-off a direct call, the communication slice modeled, and the
+//! `decision`, `stage:*` and `plan` trace spans. The node driver
+//! ([`crate::node_pipeline`]) drives the same shell and stage from bus
+//! nodes; the policy differences that remain between the two drivers are
+//! listed in that module's docs.
 //!
 //! # Dynamic worlds: the sense / validate / budget contract
 //!
@@ -44,7 +64,7 @@
 //!
 //! Every predicted-occupancy query above goes through one
 //! [`PredictedHazards`] source (see the `roborun_planning::hazard`
-//! module docs for the full contract): the cycle *composes* it with the
+//! module docs for the full contract): the planning stage *composes* it with the
 //! long-lived static checker once per decision and *retargets* it from
 //! the fresh predicted boxes (an incremental patch mirroring the
 //! checker's map-delta patch). Blockage detection and the fresh-plan
@@ -69,8 +89,8 @@
 //! keeping healthy missions bit-identical to the pre-fault behaviour
 //! (locked by all golden fixtures):
 //!
-//! * **Sensor blackout / bursts / fog** hit the sensing stage
-//!   (`sense_cloud`, shared by both drivers): a blackout loses the
+//! * **Sensor blackout / bursts / fog** hit the shell's sensing stage,
+//!   which both drivers share: a blackout loses the
 //!   whole sweep and withholds map integration; fog drops the returns
 //!   beyond its cap, and a burst drops and perturbs the rest through the
 //!   per-decision deterministic corruptor
@@ -126,37 +146,19 @@ use roborun_core::{
     DecisionRecord, Degradation, Governor, KnobSettings, MissionTelemetry, Policy, RuntimeMode,
 };
 use roborun_dynamics::{DynamicWorld, PoseCache};
-use roborun_env::{Environment, ObstacleField, Zone};
+use roborun_env::{Environment, Zone};
 use roborun_faults::{FaultFrame, FaultPlan};
-use roborun_geom::{Aabb, Pose, Vec3};
+use roborun_geom::{Aabb, Vec3};
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
 use roborun_planning::{
     CollisionChecker, HazardContext, PlanError, PlanStats, Planner, PlannerConfig, PlannerScratch,
     PredictedHazards, RrtConfig, SamplingMix, Trajectory, TrajectoryPoint,
 };
-use roborun_sim::{CameraRig, DroneConfig, DroneState, EnergyModel, LatencyBreakdown, SimClock};
+use roborun_sim::{CameraRig, DroneState, LatencyBreakdown, SimClock};
 
 // ---------------------------------------------------------------------------
-// Shared per-decision policies (used by both drivers)
+// Shared per-decision policies
 // ---------------------------------------------------------------------------
-
-/// The sensing stage of both drivers: the rig's sweep from `pose` in
-/// `field`, with the frame's sensor faults applied. A blackout loses the
-/// whole sweep (an empty cloud, never captured); otherwise fog and the
-/// burst corrupt the captured returns ([`FaultFrame::corrupt_sweep`]).
-pub(crate) fn sense_cloud(
-    rig: &CameraRig,
-    field: &ObstacleField,
-    pose: &Pose,
-    frame: &FaultFrame,
-) -> PointCloud {
-    let points = if frame.sensor_blackout {
-        Vec::new()
-    } else {
-        frame.corrupt_sweep(pose.position, rig.capture(field, pose).points)
-    };
-    PointCloud::new(pose.position, points)
-}
 
 /// Direction of travel used for the unknown-space probe: the current
 /// velocity when moving, otherwise straight at the goal.
@@ -168,77 +170,13 @@ pub fn direction_towards(position: Vec3, goal: Vec3, velocity: Vec3) -> Vec3 {
     }
 }
 
-/// Distance (metres, straight-line from `position`) to the first point of
-/// the remaining trajectory (past `progress_time`) that collides with the
-/// freshly exported map, or `None` when the remaining trajectory is clear
-/// (knowledge gained since the last plan has not invalidated it). The
-/// probe clearance is `margin * 0.6`, matching the planner's inflated
-/// export voxels without double-counting the full margin.
-pub fn first_blockage_distance(
-    trajectory: &Trajectory,
-    progress_time: f64,
-    export: &PlannerMap,
-    margin: f64,
-    position: Vec3,
-) -> Option<f64> {
-    trajectory
-        .remaining_from(progress_time)
-        .points()
-        .iter()
-        .find(|p| export.is_occupied(p.position, margin * 0.6))
-        .map(|p| p.position.distance(position))
-}
-
-/// Folds the static-map blockage and the predicted moving-obstacle
-/// conflict into the single blockage distance the replan/brake machinery
-/// reasons about: the nearer of the two (either alone when only one
-/// fired). Both drivers share this merge so their dynamic behaviour
-/// cannot drift.
-pub fn merge_blockages(static_blockage: Option<f64>, predicted: Option<f64>) -> Option<f64> {
-    match (static_blockage, predicted) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
 /// How far ahead a predicted moving-obstacle conflict is actionable: the
 /// distance the MAV can cover within the lookahead at its current speed
 /// (with a 1 m/s floor so a hovering drone still sees adjacent
 /// conflicts), plus a body-clearance allowance. Conflicts beyond this
-/// range cannot materialise within the prediction horizon — both drivers
-/// share this policy.
+/// range cannot materialise within the prediction horizon.
 pub fn predicted_relevance_range(speed: f64, lookahead: f64, margin: f64) -> f64 {
     speed.max(1.0) * lookahead + 2.0 * margin
-}
-
-/// Plans one decision's trajectory through the composed hazard context
-/// when `one_shot`, retrying through the bare static checker when the
-/// composed search fails (no route threads both the map and the
-/// predicted lanes, or an endpoint sits inside one) — the retained
-/// reject-loop reference path, whose posterior veto then governs the
-/// result. With `one_shot` false this is exactly the bare-checker plan.
-/// Shared by both drivers so the fallback policy cannot drift.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_through_hazards(
-    planner: &Planner,
-    checker: &mut CollisionChecker,
-    hazards: &PredictedHazards,
-    one_shot: bool,
-    start: Vec3,
-    goal: Vec3,
-    bounds: &Aabb,
-    cruise: f64,
-    scratch: &mut PlannerScratch,
-) -> Result<(Trajectory, PlanStats), PlanError> {
-    if one_shot {
-        let mut context = HazardContext::new(checker, hazards);
-        let outcome = planner.plan_with_scratch(&mut context, start, goal, bounds, cruise, scratch);
-        if outcome.is_ok() {
-            return outcome;
-        }
-    }
-    planner.plan_with_scratch(checker, start, goal, bounds, cruise, scratch)
 }
 
 /// A short, slow straight-line manoeuvre directly away from the nearest
@@ -348,10 +286,10 @@ pub fn sampling_mix_for(enabled: bool) -> SamplingMix {
     }
 }
 
-/// The per-decision planner both drivers instantiate: decision-owned RRT*
-/// seed, the governor's planner-volume knob, the planning-precision
-/// knob as the collision sample spacing, and the mission's sampling mix
-/// (advisory hazard bias, a no-op when disabled or hazard-free).
+/// The per-decision planner: decision-owned RRT* seed, the governor's
+/// planner-volume knob, the planning-precision knob as the collision
+/// sample spacing, and the mission's sampling mix (advisory hazard bias,
+/// a no-op when disabled or hazard-free).
 pub fn planner_for(
     seed_base: u64,
     decision: usize,
@@ -379,12 +317,12 @@ pub fn planning_check_step(knobs: &KnobSettings) -> f64 {
     knobs.map_to_planner_precision.max(0.3)
 }
 
-/// The emergency-stop rule shared by both drivers: a blockage is imminent
-/// when it sits inside the stopping distance plus the driver's reaction
-/// window plus a body-clearance allowance — the reaction the
-/// stopping-distance term of Eq. 1 budgets for. Blockages further out
-/// leave time to keep flying while replanning (and coarse-voxel false
-/// positives resolve as the MAV gets close and precision tightens).
+/// The emergency-stop rule: a blockage is imminent when it sits inside
+/// the stopping distance plus the driver's reaction window plus a
+/// body-clearance allowance — the reaction the stopping-distance term of
+/// Eq. 1 budgets for. Blockages further out leave time to keep flying
+/// while replanning (and coarse-voxel false positives resolve as the MAV
+/// gets close and precision tightens).
 pub fn blockage_is_imminent(
     blockage: f64,
     stopping_distance: f64,
@@ -392,55 +330,6 @@ pub fn blockage_is_imminent(
     body_clearance: f64,
 ) -> bool {
     blockage <= stopping_distance + reaction + body_clearance
-}
-
-/// Advances the physical world for one decision epoch in fixed 0.25 s
-/// substeps, charging energy and detecting collisions. `command` yields
-/// the active trajectory's steering target and speed for a substep (or
-/// `None` to brake along the current motion direction and hover); the
-/// speed is clamped to the commanded velocity. `dynamic_hit` is the
-/// moving-obstacle collision test, called with the drone position and the
-/// simulation time *after* each substep (so actors are judged at their
-/// true pose of that instant) — pass `|_, _| false` in a static world.
-/// Returns `true` when the drone collided during the epoch.
-#[allow(clippy::too_many_arguments)]
-pub fn advance_epoch(
-    drone: &mut DroneState,
-    clock: &mut SimClock,
-    energy_joules: &mut f64,
-    env: &Environment,
-    drone_cfg: &DroneConfig,
-    energy_model: &EnergyModel,
-    epoch: f64,
-    commanded_velocity: f64,
-    mut command: impl FnMut(Vec3, f64) -> Option<(Vec3, f64)>,
-    mut dynamic_hit: impl FnMut(Vec3, f64) -> bool,
-) -> bool {
-    let substep = 0.25f64;
-    let mut remaining = epoch;
-    while remaining > 1e-9 {
-        let dt = substep.min(remaining);
-        remaining -= dt;
-        let (target, speed) = match command(drone.position, dt) {
-            Some((target, speed)) => (target, speed.min(commanded_velocity)),
-            // No active trajectory: brake along the current motion
-            // direction (acceleration-limited), then hover.
-            None => (drone.position + drone.velocity, 0.0),
-        };
-        drone.advance_towards(drone_cfg, target, speed, dt);
-        *energy_joules += energy_model.energy_for(drone.speed(), dt);
-        clock.advance(dt);
-        if env
-            .field()
-            .is_occupied_with_margin(drone.position, drone_cfg.body_radius * 0.8)
-        {
-            return true;
-        }
-        if dynamic_hit(drone.position, clock.now()) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Running totals of the fault-injection and graceful-degradation
@@ -462,9 +351,8 @@ pub struct DegradationStats {
 }
 
 /// Applies the frame's planner fault channels to the modelled latency
-/// breakdown — shared by both drivers so the watchdog arithmetic cannot
-/// drift between them. With degradation armed, the **watchdog** aborts
-/// any planning attempt whose modelled latency would exceed the budget
+/// breakdown. With degradation armed, the **watchdog** aborts any
+/// planning attempt whose modelled latency would exceed the budget
 /// (charging the full budget for the aborted attempt) and retries with
 /// multiplicatively backed-off injected latency up to `max_retries`
 /// times; an unrecovered abort degenerates to a forced planner failure.
@@ -472,7 +360,7 @@ pub struct DegradationStats {
 /// straight into the decision epoch. Returns the degradation state so
 /// far and whether the decision's planner output is lost outright
 /// (injected failure, or an unrecovered watchdog abort).
-pub(crate) fn apply_planner_faults(
+fn apply_planner_faults(
     breakdown: &mut LatencyBreakdown,
     frame: &FaultFrame,
     policy: &DegradationConfig,
@@ -519,6 +407,679 @@ pub(crate) fn apply_planner_faults(
     (degradation, forced_failure)
 }
 
+/// A rung of the degradation fallback ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rung {
+    /// No fallback: fly the current trajectory (or brake on a blockage).
+    Fly,
+    /// The planner output is lost, but the last valid trajectory is clear:
+    /// keep following it.
+    Reuse,
+    /// Issue no motion command this epoch: the physics brake the MAV in
+    /// place and the follower keeps its progress.
+    Hover,
+    /// The ladder bottomed out: fly a wedge-retreat and end the mission.
+    SafeStop,
+}
+
+/// The degradation fallback ladder for one decision. `planner_lost` is a
+/// needed plan that the planner fault channels denied (no replacement was
+/// installed); `reusable` is a last valid trajectory that is unfinished
+/// and clear of blockages and predicted danger. A lost plan reuses that
+/// trajectory while it is clear, hovers otherwise, and safe-stops once
+/// `hover_limit` consecutive hovers have not bought a plan. Any other
+/// decision resets the streak and hovers only on perception older than
+/// `stale_hover_age` — hovering is indefinitely safe, so stale hovers
+/// never escalate. Disarmed, every decision flies and the streak stays.
+fn ladder_rung(
+    policy: &DegradationConfig,
+    hover_streak: &mut u32,
+    planner_lost: bool,
+    reusable: bool,
+    data_age: f64,
+) -> Rung {
+    if !policy.enabled {
+        return Rung::Fly;
+    }
+    if !planner_lost {
+        *hover_streak = 0;
+        return if data_age > policy.stale_hover_age {
+            Rung::Hover
+        } else {
+            Rung::Fly
+        };
+    }
+    if reusable {
+        *hover_streak = 0;
+        Rung::Reuse
+    } else if *hover_streak >= policy.hover_limit {
+        Rung::SafeStop
+    } else {
+        *hover_streak += 1;
+        Rung::Hover
+    }
+}
+
+/// Stable trace label of a degradation-ladder rung.
+fn degradation_label(degradation: Degradation) -> &'static str {
+    match degradation {
+        Degradation::Healthy => "healthy",
+        Degradation::StalePerception => "stale_perception",
+        Degradation::RetriedPlan => "retried_plan",
+        Degradation::ReusedTrajectory => "reused_trajectory",
+        Degradation::Hover => "hover",
+        Degradation::SafeStop => "safe_stop",
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The mission shell
+// ---------------------------------------------------------------------------
+
+/// The per-mission state and transport-free decision steps both drivers
+/// run (see the module docs). A driver opens each decision with
+/// [`MissionState::begin_decision`] and closes it with
+/// [`MissionState::record`] and [`MissionState::advance`].
+pub(crate) struct MissionState<'m> {
+    pub(crate) cfg: &'m MissionConfig,
+    pub(crate) env: &'m Environment,
+    /// The moving-obstacle world when it has actors. An actor-free world
+    /// is `None`, so it behaves bit-identically to a static mission.
+    live: Option<&'m DynamicWorld>,
+    pub(crate) governor: Governor,
+    rig: CameraRig,
+    pub(crate) drone: DroneState,
+    pub(crate) clock: SimClock,
+    energy_joules: f64,
+    telemetry: MissionTelemetry,
+    flown_path: Vec<Vec3>,
+    flown_times: Vec<f64>,
+    // Random-walk replay anchors: every cached world view is bit-identical
+    // to the plain one, but walker poses cost O(1) per decision instead of
+    // O(t / dwell).
+    pose_cache: PoseCache,
+    // Deterministic fault plan (None when the config is healthy — the
+    // whole degradation machinery then stays off the hot path).
+    pub(crate) fault_plan: Option<FaultPlan>,
+    pub(crate) degradation_stats: DegradationStats,
+    // Simulation time of the last decision that integrated fresh sensing
+    // into the map; `now - last_integration_time` is the perception data
+    // age the stale-derating law sees.
+    last_integration_time: f64,
+    // Consecutive planner-failure hovers (the ladder escalates to a
+    // safe-stop when this reaches the configured limit).
+    hover_streak: u32,
+    // Previous decision's ladder state, so the tracer can emit
+    // degradation *transitions* instead of one instant per decision.
+    last_degradation: Degradation,
+    pub(crate) decisions: usize,
+    collided: bool,
+    reached_goal: bool,
+    // The ladder bottomed out: a wedge-retreat is flown and the mission
+    // deliberately ends (provably safe-stopped, not crashed).
+    safe_stopped: bool,
+}
+
+impl<'m> MissionState<'m> {
+    pub(crate) fn new(
+        cfg: &'m MissionConfig,
+        env: &'m Environment,
+        dynamics: Option<&'m DynamicWorld>,
+    ) -> Self {
+        let live = dynamics.filter(|world| !world.is_static());
+        let drone = DroneState::at(env.start());
+        MissionState {
+            cfg,
+            env,
+            live,
+            governor: Governor::new(cfg.governor_config()),
+            rig: match live {
+                Some(_) => cfg.dynamic_camera_rig(),
+                None => cfg.camera_rig(),
+            },
+            flown_path: vec![drone.position],
+            flown_times: vec![0.0],
+            drone,
+            clock: SimClock::new(),
+            energy_joules: 0.0,
+            telemetry: MissionTelemetry::new(cfg.mode),
+            pose_cache: live.map(DynamicWorld::pose_cache).unwrap_or_default(),
+            fault_plan: (!cfg.fault_plan.is_healthy())
+                .then(|| FaultPlan::new(cfg.fault_plan.clone())),
+            degradation_stats: DegradationStats::default(),
+            last_integration_time: 0.0,
+            hover_streak: 0,
+            last_degradation: Degradation::Healthy,
+            decisions: 0,
+            collided: false,
+            reached_goal: false,
+            safe_stopped: false,
+        }
+    }
+
+    /// `true` while the mission should take another decision.
+    pub(crate) fn open(&self) -> bool {
+        !self.collided
+            && !self.reached_goal
+            && !self.safe_stopped
+            && self.decisions < self.cfg.max_decisions
+            && self.clock.now() < self.cfg.max_mission_time
+    }
+
+    /// `true` when the mission flies among moving actors.
+    pub(crate) fn live(&self) -> bool {
+        self.live.is_some()
+    }
+
+    /// Opens the next decision and returns the fault plan's verdict for it:
+    /// a pure function of (plan seed, decision index), identical across
+    /// drivers and runs.
+    pub(crate) fn begin_decision(&mut self) -> FaultFrame {
+        self.decisions += 1;
+        let frame = self
+            .fault_plan
+            .as_ref()
+            .map(|plan| plan.frame(self.decisions as u64))
+            .unwrap_or_default();
+        self.degradation_stats.faults_injected += frame.injected_count();
+        if roborun_trace::armed() && frame.injected_count() > 0 {
+            roborun_trace::collector::instant(
+                roborun_trace::SpanKind::FaultInjected,
+                self.clock.now(),
+                &[("channels", frame.injected_count() as f64)],
+            );
+        }
+        frame
+    }
+
+    /// Sensing: the rig's sweep from the drone's pose — in the snapshot
+    /// field of this instant when actors exist, else in the static field —
+    /// with the frame's sensor faults applied. A blackout loses the whole
+    /// sweep (an empty cloud, never captured); otherwise fog and the burst
+    /// corrupt the captured returns ([`FaultFrame::corrupt_sweep`]).
+    pub(crate) fn sense(&mut self, frame: &FaultFrame) -> PointCloud {
+        let pose = self.drone.pose();
+        let points = if frame.sensor_blackout {
+            Vec::new()
+        } else {
+            let captured = match self.live {
+                Some(world) => {
+                    let snapshot =
+                        world.snapshot_field_cached(self.clock.now(), &mut self.pose_cache);
+                    self.rig.capture(&snapshot, &pose)
+                }
+                None => self.rig.capture(self.env.field(), &pose),
+            };
+            frame.corrupt_sweep(pose.position, captured.points)
+        };
+        PointCloud::new(pose.position, points)
+    }
+
+    /// Marks this decision as having integrated fresh sensing into the map
+    /// (the perception data age restarts from zero).
+    pub(crate) fn integrated(&mut self) {
+        self.last_integration_time = self.clock.now();
+    }
+
+    fn data_age(&self) -> f64 {
+        self.clock.now() - self.last_integration_time
+    }
+
+    /// Decision cost: the calibrated model's latency breakdown for the knob
+    /// assignment, with the frame's planner fault channels applied — the
+    /// watchdog/retry policy (degradation armed) or the baseline's
+    /// serialised spike. Returns the breakdown, the degradation state so
+    /// far and whether the planner output is lost.
+    pub(crate) fn modeled_cost(
+        &mut self,
+        knobs: &KnobSettings,
+        frame: &FaultFrame,
+    ) -> (LatencyBreakdown, Degradation, bool) {
+        let mut breakdown = self.cfg.latency.decision_breakdown(
+            knobs.point_cloud_precision,
+            knobs.octomap_volume,
+            knobs.map_to_planner_precision,
+            knobs.map_to_planner_volume,
+            knobs.map_to_planner_precision,
+            knobs.planner_volume,
+            self.cfg.mode.is_aware(),
+        );
+        let watchdog_before = self.degradation_stats.watchdog_fires;
+        let (degradation, forced_failure) = apply_planner_faults(
+            &mut breakdown,
+            frame,
+            &self.cfg.degradation,
+            &mut self.degradation_stats,
+        );
+        if roborun_trace::armed() && self.degradation_stats.watchdog_fires > watchdog_before {
+            roborun_trace::collector::instant(
+                roborun_trace::SpanKind::WatchdogFire,
+                self.clock.now(),
+                &[],
+            );
+        }
+        (breakdown, degradation, forced_failure)
+    }
+
+    /// The moving-obstacle boxes predicted over the configured lookahead
+    /// from the current instant (empty without actors).
+    pub(crate) fn predicted_boxes(&mut self) -> Vec<Aabb> {
+        match self.live {
+            Some(world) => world.predicted_boxes_cached(
+                self.clock.now(),
+                self.cfg.dynamic_lookahead,
+                &mut self.pose_cache,
+            ),
+            None => Vec::new(),
+        }
+    }
+
+    /// Safe velocity under the budget law (Eq. 1) for the decision's
+    /// `latency` and `visibility`. The oblivious baseline flies its
+    /// design-time velocity. The aware runtime's reaction budget also
+    /// absorbs the worst closing speed of any actor that can reach the
+    /// visible margin within the lookahead, and — with degradation armed
+    /// and the map older than this decision — the governor's data-age law
+    /// shaves the visible margin, marking a healthy decision
+    /// `StalePerception`. Both extra terms are exactly zero in a static,
+    /// fresh decision, where the law reduces to the plain budget.
+    pub(crate) fn commanded_velocity(
+        &mut self,
+        latency: f64,
+        visibility: f64,
+        degradation: &mut Degradation,
+    ) -> f64 {
+        let closing_speed = match self.live {
+            Some(world) => world.max_closing_speed_cached(
+                self.clock.now(),
+                self.drone.position,
+                visibility + world.max_actor_speed() * self.cfg.dynamic_lookahead,
+                &mut self.pose_cache,
+            ),
+            None => 0.0,
+        };
+        let data_age = self.data_age();
+        let derate = self.cfg.degradation.enabled && data_age > 0.0;
+        if derate && *degradation == Degradation::Healthy {
+            *degradation = Degradation::StalePerception;
+        }
+        match self.cfg.mode {
+            RuntimeMode::SpatialOblivious => self.governor.baseline_velocity(),
+            RuntimeMode::SpatialAware => self.governor.safe_velocity_stale(
+                latency,
+                visibility,
+                closing_speed,
+                if derate { data_age } else { 0.0 },
+            ),
+        }
+    }
+
+    /// Climbs the degradation ladder ([`ladder_rung`]) and records the rung
+    /// in `degradation`. A safe-stop ends the mission after this epoch; the
+    /// caller installs or publishes the retreat it flies.
+    pub(crate) fn degrade(
+        &mut self,
+        planner_lost: bool,
+        reusable: bool,
+        degradation: &mut Degradation,
+    ) -> Rung {
+        let data_age = self.data_age();
+        let rung = ladder_rung(
+            &self.cfg.degradation,
+            &mut self.hover_streak,
+            planner_lost,
+            reusable,
+            data_age,
+        );
+        match rung {
+            Rung::Fly => {}
+            Rung::Reuse => *degradation = Degradation::ReusedTrajectory,
+            Rung::Hover => *degradation = Degradation::Hover,
+            Rung::SafeStop => {
+                self.safe_stopped = true;
+                self.degradation_stats.safe_stops += 1;
+                *degradation = Degradation::SafeStop;
+            }
+        }
+        rung
+    }
+
+    /// Records the decision's telemetry and returns its CPU utilisation.
+    pub(crate) fn record(
+        &mut self,
+        policy: &Policy,
+        breakdown: LatencyBreakdown,
+        commanded_velocity: f64,
+        visibility: f64,
+        degradation: Degradation,
+    ) -> f64 {
+        if degradation.is_degraded() {
+            self.degradation_stats.degraded_decisions += 1;
+        }
+        let cpu = self.cfg.cpu.sample(
+            breakdown.compute_total(),
+            breakdown.total().max(self.cfg.min_epoch),
+        );
+        if roborun_trace::armed() && degradation != self.last_degradation {
+            roborun_trace::collector::instant_labeled(
+                roborun_trace::SpanKind::DegradationTransition,
+                degradation_label(degradation),
+                self.clock.now(),
+                &[],
+            );
+        }
+        self.last_degradation = degradation;
+        self.telemetry.push(DecisionRecord {
+            time: self.clock.now(),
+            position: self.drone.position,
+            commanded_velocity,
+            visibility,
+            deadline: policy.deadline,
+            knobs: policy.knobs,
+            breakdown,
+            cpu_utilization: cpu.utilization,
+            zone: Some(zone_label(self.env.zone_at(self.drone.position))),
+            degradation,
+        });
+        cpu.utilization
+    }
+
+    /// Advances the physical world for one decision epoch (the latency,
+    /// floored at the minimum epoch) in fixed 0.25 s substeps, charging
+    /// energy and detecting collisions — against the static field and
+    /// against every actor at its true pose of each substep. `command`
+    /// yields the active trajectory's steering target and speed for a
+    /// substep (the speed clamped to `commanded_velocity`), or `None` to
+    /// brake along the current motion direction and hover; a `hover`
+    /// epoch issues no command at all. Then appends the flown path and
+    /// checks the goal.
+    pub(crate) fn advance(
+        &mut self,
+        latency: f64,
+        commanded_velocity: f64,
+        hover: bool,
+        mut command: impl FnMut(Vec3, f64) -> Option<(Vec3, f64)>,
+    ) {
+        let cfg = self.cfg;
+        let body_margin = cfg.drone.body_radius * 0.8;
+        let substep = 0.25f64;
+        let mut remaining = latency.max(cfg.min_epoch);
+        while remaining > 1e-9 {
+            let dt = substep.min(remaining);
+            remaining -= dt;
+            let position = self.drone.position;
+            let (target, speed) = match (!hover).then(|| command(position, dt)).flatten() {
+                Some((target, speed)) => (target, speed.min(commanded_velocity)),
+                None => (position + self.drone.velocity, 0.0),
+            };
+            self.drone.advance_towards(&cfg.drone, target, speed, dt);
+            self.energy_joules += cfg.energy.energy_for(self.drone.speed(), dt);
+            self.clock.advance(dt);
+            let hit_static = self
+                .env
+                .field()
+                .is_occupied_with_margin(self.drone.position, body_margin);
+            if hit_static
+                || self.live.is_some_and(|world| {
+                    world.actor_hit_cached(
+                        self.drone.position,
+                        self.clock.now(),
+                        body_margin,
+                        &mut self.pose_cache,
+                    )
+                })
+            {
+                self.collided = true;
+                break;
+            }
+        }
+        self.flown_path.push(self.drone.position);
+        self.flown_times.push(self.clock.now());
+        if !self.collided && self.drone.position.distance(self.env.goal()) <= cfg.goal_tolerance {
+            self.reached_goal = true;
+        }
+    }
+
+    /// The mission result, with `dynamic_replans` from the planning stage.
+    pub(crate) fn finish(self, dynamic_replans: usize) -> MissionResult {
+        if roborun_trace::armed() {
+            // Spill this thread's buffered events at the mission boundary.
+            roborun_trace::collector::flush();
+        }
+        let mission_time = self.clock.now().max(1e-9);
+        let telemetry = &self.telemetry;
+        let stats = &self.degradation_stats;
+        let metrics = MissionMetrics {
+            mode: self.cfg.mode,
+            mission_time,
+            energy_kj: self.energy_joules / 1000.0,
+            mean_velocity: self.drone.distance_travelled / mission_time,
+            mean_cpu_utilization: telemetry.mean_cpu_utilization(),
+            median_latency: telemetry.median_latency().unwrap_or(0.0),
+            p95_latency: telemetry.p95_latency().unwrap_or(0.0),
+            p99_latency: telemetry.p99_latency().unwrap_or(0.0),
+            max_latency: telemetry.max_latency().unwrap_or(0.0),
+            decisions: self.decisions,
+            distance_travelled: self.drone.distance_travelled,
+            reached_goal: self.reached_goal,
+            collided: self.collided,
+            dynamic_replans,
+            faults_injected: stats.faults_injected,
+            watchdog_fires: stats.watchdog_fires,
+            retries: stats.retries,
+            degraded_decisions: stats.degraded_decisions,
+            safe_stops: stats.safe_stops,
+        };
+        MissionResult {
+            metrics,
+            telemetry: self.telemetry,
+            flown_path: self.flown_path,
+            flown_times: self.flown_times,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The planning stage
+// ---------------------------------------------------------------------------
+
+/// What the planning stage found on the followed trajectory.
+pub(crate) struct Assessment {
+    /// Straight-line distance to the nearer of the first mapped blockage
+    /// and the first predicted conflict on the remaining trajectory.
+    pub(crate) blockage: Option<f64>,
+    /// The drone's own position sits inside the predicted occupancy of a
+    /// moving obstacle: escape beats braking.
+    pub(crate) in_danger: bool,
+}
+
+/// The planning state both drivers keep for a whole mission (see the
+/// module docs).
+pub(crate) struct PlanningStage {
+    // One collision checker lives across the whole mission: each search
+    // refreshes its broad phase from the export delta instead of
+    // rebuilding it from scratch (the margin never changes mid-run).
+    collision: Option<CollisionChecker>,
+    // The predicted (soft) hazard source, retargeted every decision from
+    // the predicted boxes — the other half of the composed hazard
+    // context. Empty (and inert) in static worlds.
+    hazards: PredictedHazards,
+    // RRT* search buffers, reused by every plan (allocation reuse only:
+    // each plan is bit-identical to a fresh one).
+    scratch: PlannerScratch,
+    seed_base: u64,
+    pub(crate) margin: f64,
+    horizon: f64,
+    lookahead: f64,
+    predicted_costmap: bool,
+    mix: SamplingMix,
+    /// Decisions where a predicted moving-obstacle conflict (or danger)
+    /// forced a replan.
+    pub(crate) dynamic_replans: usize,
+}
+
+impl PlanningStage {
+    pub(crate) fn new(cfg: &MissionConfig, env_seed: u64) -> Self {
+        let margin = cfg.drone.body_radius * cfg.planning_margin_factor;
+        PlanningStage {
+            collision: None,
+            hazards: PredictedHazards::new(Vec::new(), margin * 0.6, Vec3::ZERO, 0.0),
+            scratch: PlannerScratch::new(),
+            seed_base: cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(env_seed),
+            margin,
+            horizon: cfg.planning_horizon,
+            lookahead: cfg.dynamic_lookahead,
+            predicted_costmap: cfg.predicted_costmap,
+            mix: sampling_mix_for(cfg.hazard_biased_sampling),
+            dynamic_replans: 0,
+        }
+    }
+
+    /// Retargets the predicted hazard source at this decision's boxes
+    /// (an incremental patch: only boxes that moved touch it) within the
+    /// relevance range, then assesses the remaining part of `followed`
+    /// (a trajectory and the progress along it). The mapped blockage is
+    /// the first point colliding with `export` at `margin * 0.6` — the
+    /// planner's inflated export voxels without double-counting the full
+    /// margin. A moving obstacle predicted to cross the remaining
+    /// trajectory is a blockage too, judged at the distance the conflict
+    /// sits from the drone, and a predicted box over the drone's own
+    /// position puts it in danger; either counts a dynamic replan.
+    pub(crate) fn assess(
+        &mut self,
+        predicted: &[Aabb],
+        export: &PlannerMap,
+        followed: Option<(&Trajectory, f64)>,
+        position: Vec3,
+        speed: f64,
+    ) -> Assessment {
+        let range = predicted_relevance_range(speed, self.lookahead, self.margin);
+        self.hazards.retarget(predicted, position, range);
+        let in_danger = self.hazards.any_within(position, self.margin);
+        let (mapped, conflict) = followed.map_or((None, None), |(trajectory, progress)| {
+            let remaining = trajectory.remaining_from(progress);
+            let points = remaining.points();
+            let mapped = points
+                .iter()
+                .find(|p| export.is_occupied(p.position, self.margin * 0.6))
+                .map(|p| p.position.distance(position));
+            let conflict = self
+                .hazards
+                .first_conflict(points.iter().map(|p| p.position))
+                .map(|p| p.distance(position));
+            (mapped, conflict)
+        });
+        if conflict.is_some() || in_danger {
+            self.dynamic_replans += 1;
+        }
+        let blockage = match (mapped, conflict) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        };
+        Assessment {
+            blockage,
+            in_danger,
+        }
+    }
+
+    /// Searches decision `decision`'s plan from `start` to the local goal
+    /// (probed at `goal_probe` clearance) through the long-lived checker,
+    /// refreshed from `export`'s delta. With the predicted costmap on and
+    /// predicted boxes present, the search runs against the composed
+    /// [`HazardContext`] so it routes around predicted lanes in one shot;
+    /// a failed one-shot search falls back to the bare checker, whose
+    /// plan the fresh-plan veto ([`PlanningStage::admits`]) then governs.
+    /// Escape plans always use the bare checker: the drone is already
+    /// inside a predicted box and any way out starts in conflict. With a
+    /// `fine_map`, a start-blocked search retries at once against that
+    /// map's worst-case-precision export: a coarse export voxel can
+    /// swallow the drone's own (physically free) position.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn search(
+        &mut self,
+        env: &Environment,
+        export: &PlannerMap,
+        fine_map: Option<&OccupancyMap>,
+        knobs: &KnobSettings,
+        decision: usize,
+        start: Vec3,
+        goal_probe: f64,
+        commanded_velocity: f64,
+        escape: bool,
+    ) -> Result<(Trajectory, PlanStats), PlanError> {
+        let goal = local_goal(env, export, start, self.horizon, goal_probe);
+        let bounds = planning_bounds(start, goal, env.bounds());
+        let planner = planner_for(self.seed_base, decision, knobs, self.margin, self.mix);
+        let check_step = planning_check_step(knobs);
+        match self.collision.as_mut() {
+            Some(checker) => {
+                checker.update_map(export.clone());
+                checker.set_check_step(check_step);
+            }
+            None => {
+                self.collision = Some(CollisionChecker::new(
+                    export.clone(),
+                    self.margin,
+                    check_step,
+                ));
+            }
+        }
+        let checker = self.collision.as_mut().expect("checker just initialised");
+        let cruise = commanded_velocity.max(0.5);
+        if self.predicted_costmap && !escape && !self.hazards.is_empty() {
+            let mut context = HazardContext::new(checker, &self.hazards);
+            let outcome = planner.plan_with_scratch(
+                &mut context,
+                start,
+                goal,
+                &bounds,
+                cruise,
+                &mut self.scratch,
+            );
+            if outcome.is_ok() {
+                return outcome;
+            }
+        }
+        let outcome =
+            planner.plan_with_scratch(checker, start, goal, &bounds, cruise, &mut self.scratch);
+        match fine_map {
+            Some(map) if matches!(outcome, Err(PlanError::StartBlocked)) => {
+                let fine_export = PlannerMap::export(
+                    map,
+                    &ExportConfig::new(map.resolution(), knobs.map_to_planner_volume, start),
+                );
+                planner.plan(&fine_export, start, goal, &bounds, cruise)
+            }
+            _ => outcome,
+        }
+    }
+
+    /// The fresh-plan veto: a plan that crosses the predicted
+    /// moving-obstacle occupancy is rejected like a failed plan — the
+    /// planner only knows where actors *are* (their mapped voxels), the
+    /// prediction knows where they may be within the lookahead. An
+    /// *escape* plan is exempt: when the drone's own position is already
+    /// inside a predicted box, any plan starts in conflict and moving out
+    /// beats hovering in a crossing lane.
+    pub(crate) fn admits(&self, trajectory: &Trajectory, escape: bool) -> bool {
+        escape
+            || self
+                .hazards
+                .path_clear(trajectory.points().iter().map(|p| p.position))
+    }
+
+    /// The wedge-retreat from `position` out of `export`'s margin shell
+    /// ([`retreat_trajectory`]).
+    pub(crate) fn retreat(&self, export: &PlannerMap, position: Vec3) -> Trajectory {
+        retreat_trajectory(export, position, self.margin)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The direct driver
+// ---------------------------------------------------------------------------
+
 /// Emits one [`roborun_trace::SpanKind::Plan`] event carrying the
 /// planner's per-invocation counters (zero-length on the sim clock — the
 /// planning *stage* span already shows the modeled latency; this event
@@ -544,152 +1105,35 @@ fn emit_plan_span(stats: &PlanStats, sim_time: f64, timer: &Option<roborun_trace
     );
 }
 
-/// Stable trace label of a degradation-ladder rung.
-pub(crate) fn degradation_label(degradation: Degradation) -> &'static str {
-    match degradation {
-        Degradation::Healthy => "healthy",
-        Degradation::StalePerception => "stale_perception",
-        Degradation::RetriedPlan => "retried_plan",
-        Degradation::ReusedTrajectory => "reused_trajectory",
-        Degradation::Hover => "hover",
-        Degradation::SafeStop => "safe_stop",
-    }
-}
-
-/// Assembles the mission-level metrics both drivers report.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_metrics(
-    mode: RuntimeMode,
-    mission_time: f64,
-    energy_joules: f64,
-    telemetry: &MissionTelemetry,
-    drone: &DroneState,
-    decisions: usize,
-    reached_goal: bool,
-    collided: bool,
-    dynamic_replans: usize,
-    degradation: &DegradationStats,
-) -> MissionMetrics {
-    MissionMetrics {
-        mode,
-        mission_time,
-        energy_kj: energy_joules / 1000.0,
-        mean_velocity: drone.distance_travelled / mission_time,
-        mean_cpu_utilization: telemetry.mean_cpu_utilization(),
-        median_latency: telemetry.median_latency().unwrap_or(0.0),
-        p95_latency: telemetry.p95_latency().unwrap_or(0.0),
-        p99_latency: telemetry.p99_latency().unwrap_or(0.0),
-        max_latency: telemetry.max_latency().unwrap_or(0.0),
-        decisions,
-        distance_travelled: drone.distance_travelled,
-        reached_goal,
-        collided,
-        dynamic_replans,
-        faults_injected: degradation.faults_injected,
-        watchdog_fires: degradation.watchdog_fires,
-        retries: degradation.retries,
-        degraded_decisions: degradation.degraded_decisions,
-        safe_stops: degradation.safe_stops,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The decision cycle (direct-driver core)
-// ---------------------------------------------------------------------------
-
-/// Output of the sensing stage.
-pub(crate) struct Sensed {
-    /// The (possibly fault-corrupted) point cloud of this decision.
-    pub raw_cloud: PointCloud,
-}
-
-/// Output of the planning stage.
+/// Output of the direct driver's planning stage.
 struct Planned {
-    /// Straight-line distance to the first blockage on the remaining
-    /// trajectory, if any.
-    blockage: Option<f64>,
+    /// The followed trajectory's blockage distance and danger.
+    assessment: Assessment,
     /// Whether a replacement trajectory was installed this decision.
     replanned: bool,
-    /// The drone's own position sits inside the predicted occupancy of a
-    /// moving obstacle: escape beats braking.
-    in_danger: bool,
     /// Whether this decision needed a plan at all (cadence, finished
     /// trajectory, blockage or danger) — the degradation ladder only
     /// engages when a needed plan failed.
     needed: bool,
 }
 
-/// The full per-mission state of the direct driver, advanced one decision
-/// at a time by [`DecisionCycle::run_decision`]. [`crate::MissionRunner`]
-/// owns nothing beyond its config; everything the loop touches lives here.
+/// The direct driver: the mission shell and the planning stage plus the
+/// driver's own occupancy map and trajectory follower, advanced one
+/// decision at a time by [`DecisionCycle::run_decision`].
+/// [`crate::MissionRunner`] owns nothing beyond its config.
 ///
 /// An oblivious mission's decisions profile visibility only
 /// ([`roborun_core::Profilers::visibility`]): the static policy reads
 /// nothing else, so the gap clustering, volumes and waypoint probes of the
 /// full profile would be priced for no reader. The node driver's
-/// perception node still publishes the full profile in both modes, because
-/// that driver charges its communication slice from the bytes on the bus
-/// and a smaller `/runtime/profile` message would change its oblivious
-/// missions' simulated time.
+/// perception node still publishes the full profile in both modes (see
+/// the [`crate::node_pipeline`] module docs).
 pub(crate) struct DecisionCycle<'m> {
-    cfg: &'m MissionConfig,
-    env: &'m Environment,
-    /// Moving-obstacle world, or `None` for the classic static mission.
-    /// A `Some` world with an empty actor set behaves bit-identically to
-    /// `None` (every dynamic hook degenerates — see the module docs).
-    dynamics: Option<&'m DynamicWorld>,
-    governor: Governor,
-    rig: CameraRig,
-    planner_seed_base: u64,
-    planning_margin: f64,
-    baseline_velocity: f64,
-    drone: DroneState,
-    clock: SimClock,
+    state: MissionState<'m>,
+    stage: PlanningStage,
     map: OccupancyMap,
-    telemetry: MissionTelemetry,
-    flown_path: Vec<Vec3>,
-    flown_times: Vec<f64>,
     follower: Option<TrajectoryFollower>,
-    // One collision checker lives across the whole mission: each replan
-    // refreshes its broad phase from the export delta instead of
-    // rebuilding it from scratch (the margin never changes mid-run).
-    collision: Option<CollisionChecker>,
-    // The predicted (soft) hazard source, retargeted every decision from
-    // the dynamic world's predicted boxes — the other half of the
-    // composed hazard context. Empty (and inert) in static worlds.
-    hazards: PredictedHazards,
-    // Random-walk replay anchors: every cached world view is bit-identical
-    // to the plain one, but walker poses cost O(1) per decision instead of
-    // O(t / dwell).
-    pose_cache: PoseCache,
-    energy_joules: f64,
-    collided: bool,
-    reached_goal: bool,
-    decisions: usize,
     decisions_since_plan: usize,
-    // RRT* search buffers, reused by every plan (allocation
-    // reuse only: each plan is bit-identical to a fresh one).
-    scratch: PlannerScratch,
-    // Decisions where a predicted moving-obstacle conflict forced a
-    // replan.
-    dynamic_replans: usize,
-    // Deterministic fault plan (None when the config is healthy — the
-    // whole degradation machinery then stays off the hot path).
-    fault_plan: Option<FaultPlan>,
-    degradation_stats: DegradationStats,
-    // Simulation time of the last decision that integrated fresh sensing
-    // into the map; `now - last_integration_time` is the perception data
-    // age the stale-derating law sees.
-    last_integration_time: f64,
-    // Consecutive planner-failure hovers (the degradation ladder
-    // escalates to a safe-stop when this exceeds the configured limit).
-    hover_streak: u32,
-    // The ladder bottomed out: a wedge-retreat was flown and the mission
-    // deliberately ended (provably safe-stopped, not crashed).
-    safe_stopped: bool,
-    // Previous decision's ladder rung, so the tracer can emit
-    // degradation *transitions* instead of one instant per decision.
-    last_degradation: Degradation,
 }
 
 impl<'m> DecisionCycle<'m> {
@@ -698,109 +1142,53 @@ impl<'m> DecisionCycle<'m> {
         env: &'m Environment,
         dynamics: Option<&'m DynamicWorld>,
     ) -> Self {
-        let governor = Governor::new(cfg.governor_config());
-        let rig = match dynamics {
-            Some(world) if !world.is_static() => cfg.dynamic_camera_rig(),
-            _ => cfg.camera_rig(),
-        };
-        let planner_seed_base = cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(env.seed());
-        let fault_plan =
-            (!cfg.fault_plan.is_healthy()).then(|| FaultPlan::new(cfg.fault_plan.clone()));
-        let drone = DroneState::at(env.start());
-        let mut map = OccupancyMap::new(governor.config().ranges.precision_min);
+        let state = MissionState::new(cfg, env, dynamics);
+        let mut map = OccupancyMap::new(state.governor.config().ranges.precision_min);
         map.set_stale_decay(cfg.voxel_decay);
-        let baseline_velocity = governor.baseline_velocity();
-        let planning_margin = cfg.drone.body_radius * cfg.planning_margin_factor;
-        let hazards = PredictedHazards::new(Vec::new(), planning_margin * 0.6, drone.position, 0.0);
-        let pose_cache = dynamics.map(DynamicWorld::pose_cache).unwrap_or_default();
         DecisionCycle {
-            cfg,
-            env,
-            dynamics,
-            governor,
-            rig,
-            planner_seed_base,
-            planning_margin,
-            baseline_velocity,
-            flown_path: vec![drone.position],
-            flown_times: vec![0.0],
-            drone,
-            clock: SimClock::new(),
+            state,
+            stage: PlanningStage::new(cfg, env.seed()),
             map,
-            telemetry: MissionTelemetry::new(cfg.mode),
             follower: None,
-            collision: None,
-            hazards,
-            pose_cache,
-            energy_joules: 0.0,
-            collided: false,
-            reached_goal: false,
-            decisions: 0,
             decisions_since_plan: usize::MAX / 2, // force an initial plan
-            scratch: PlannerScratch::new(),
-            dynamic_replans: 0,
-            fault_plan,
-            degradation_stats: DegradationStats::default(),
-            last_integration_time: 0.0,
-            hover_streak: 0,
-            safe_stopped: false,
-            last_degradation: Degradation::Healthy,
         }
     }
 
     /// `true` while the mission should take another decision.
     pub(crate) fn mission_open(&self) -> bool {
-        !self.collided
-            && !self.reached_goal
-            && !self.safe_stopped
-            && self.decisions < self.cfg.max_decisions
-            && self.clock.now() < self.cfg.max_mission_time
+        self.state.open()
     }
 
     // ------------------------------------------------------------ stages
-
-    /// Sensing: [`sense_cloud`] from the dynamic snapshot field of the
-    /// current instant when actors exist, else from the static field.
-    fn sense(&mut self, frame: &FaultFrame) -> Sensed {
-        let snapshot;
-        let field = match self.dynamics {
-            Some(world) if !world.is_static() => {
-                snapshot = world.snapshot_field_cached(self.clock.now(), &mut self.pose_cache);
-                &snapshot
-            }
-            _ => self.env.field(),
-        };
-        Sensed {
-            raw_cloud: sense_cloud(&self.rig, field, &self.drone.pose(), frame),
-        }
-    }
 
     /// Profiling and governing: the decision's visibility, clamped to the
     /// frame's fog cap, and the policy. An aware mission profiles the full
     /// Table I state for the governor to solve from; an oblivious one
     /// profiles visibility only (see [`DecisionCycle`]).
-    fn profile_and_govern(&self, sensed: &Sensed, frame: &FaultFrame) -> (f64, Policy) {
-        let heading = direction_towards(self.drone.position, self.env.goal(), self.drone.velocity);
+    fn profile_and_govern(&self, cloud: &PointCloud, frame: &FaultFrame) -> (f64, Policy) {
+        let state = &self.state;
+        let heading =
+            direction_towards(state.drone.position, state.env.goal(), state.drone.velocity);
         // Fog also limits how far the MAV can trust its view, which the
         // deadline equation must see.
         let fogged = |visibility: f64| frame.fog_cap.map_or(visibility, |cap| visibility.min(cap));
-        if !self.cfg.mode.is_aware() {
-            let seen = self
+        if !state.cfg.mode.is_aware() {
+            let seen = state
                 .cfg
                 .profilers
-                .visibility(&self.map, self.drone.position, heading);
-            return (fogged(seen.visibility), self.governor.oblivious_policy());
+                .visibility(&self.map, state.drone.position, heading);
+            return (fogged(seen.visibility), state.governor.oblivious_policy());
         }
-        let mut profile = self.cfg.profilers.profile(
-            &sensed.raw_cloud,
+        let mut profile = state.cfg.profilers.profile(
+            cloud,
             &self.map,
             self.follower.as_ref().map(|f| f.trajectory()),
-            self.drone.position,
-            self.drone.speed(),
+            state.drone.position,
+            state.drone.speed(),
             heading,
         );
         profile.visibility = fogged(profile.visibility);
-        (profile.visibility, self.governor.decide(&profile))
+        (profile.visibility, state.governor.decide(&profile))
     }
 
     /// Perception operators: downsample, volume-limit, integrate, retain,
@@ -809,18 +1197,19 @@ impl<'m> DecisionCycle<'m> {
     /// the aging map, and the data age feeds the stale-derating law.
     fn apply_operators(
         &mut self,
-        sensed: &Sensed,
+        cloud: &PointCloud,
         knobs: &KnobSettings,
         stale: bool,
     ) -> PlannerMap {
+        let position = self.state.drone.position;
         if !stale {
             // Stamp the decay epoch before integrating: with voxel decay
             // enabled, this decision's occupied observations are "fresh"
             // and older ones age against this counter (no-op when decay
             // is off).
-            self.map.set_epoch(self.decisions as u64);
-            let downsampled = sensed.raw_cloud.downsampled(knobs.point_cloud_precision);
-            let limited = downsampled.volume_limited(self.drone.position, knobs.octomap_volume);
+            self.map.set_epoch(self.state.decisions as u64);
+            let downsampled = cloud.downsampled(knobs.point_cloud_precision);
+            let limited = downsampled.volume_limited(position, knobs.octomap_volume);
             // Substrate note: free-space carving uses a step no finer than
             // 0.5 m regardless of the knob — the latency charged for the
             // stage comes from the calibrated model, so the carve step only
@@ -828,129 +1217,55 @@ impl<'m> DecisionCycle<'m> {
             let carve_step = knobs.point_cloud_precision.max(0.5);
             self.map.integrate_cloud(&limited, carve_step);
             self.map
-                .retain_within(self.drone.position, self.cfg.map_retain_radius);
-            self.last_integration_time = self.clock.now();
+                .retain_within(position, self.state.cfg.map_retain_radius);
+            self.state.integrated();
         }
         PlannerMap::export(
             &self.map,
             &ExportConfig::new(
                 knobs.map_to_planner_precision,
                 knobs.map_to_planner_volume,
-                self.drone.position,
+                position,
             ),
         )
     }
 
-    /// Decision cost: the calibrated model's latency breakdown for the
-    /// knob assignment.
-    fn decision_cost(&self, knobs: &KnobSettings) -> LatencyBreakdown {
-        self.cfg.latency.decision_breakdown(
-            knobs.point_cloud_precision,
-            knobs.octomap_volume,
-            knobs.map_to_planner_precision,
-            knobs.map_to_planner_volume,
-            knobs.map_to_planner_precision,
-            knobs.planner_volume,
-            self.cfg.mode.is_aware(),
-        )
-    }
-
-    /// Planning: blockage detection and replanning with the fine-export
-    /// fallback. Returns the blockage distance and whether a
-    /// plan was installed.
+    /// Planning: assess the followed trajectory against the fresh export
+    /// and the predicted boxes, and replan when the cadence, a finished
+    /// trajectory, a blockage or danger asks for it. A forced planner
+    /// failure (fault plan, or an unrecovered watchdog abort) means no
+    /// planner output exists this decision: planning is skipped outright
+    /// and the degradation ladder (or, for the fault-oblivious baseline,
+    /// nothing at all) takes over.
     fn plan(
         &mut self,
         export: &PlannerMap,
         knobs: &KnobSettings,
         commanded_velocity: f64,
-        in_danger: bool,
         forced_failure: bool,
     ) -> Planned {
-        let static_blockage = self.first_blockage(export);
-        // A moving obstacle predicted to cross the remaining trajectory
-        // is a blockage too: it forces the same replan/brake machinery,
-        // at the same clearance, judged at the distance the conflict
-        // sits from the drone. A predicted box over the drone's *own*
-        // position (`in_danger`) additionally forces an escape replan —
-        // hovering inside a crossing lane is the one thing the MAV must
-        // never do.
-        let predicted_conflict = self.predicted_blockage();
-        if predicted_conflict.is_some() || in_danger {
-            self.dynamic_replans += 1;
-        }
-        let blockage = merge_blockages(static_blockage, predicted_conflict);
-        let need_plan = self.need_plan(blockage) || in_danger;
-        let mut replanned = false;
-        // A forced planner failure (fault plan, or an unrecovered
-        // watchdog abort) means no planner output exists this decision:
-        // planning is skipped outright. The caller's
-        // degradation ladder (or, for the fault-oblivious baseline,
-        // nothing at all) takes over.
-        if need_plan && !forced_failure {
-            replanned = self.replan(export, knobs, commanded_velocity, in_danger);
-        }
-        Planned {
-            blockage,
-            replanned,
-            in_danger,
-            needed: need_plan,
-        }
-    }
-
-    fn first_blockage(&self, export: &PlannerMap) -> Option<f64> {
-        let f = self.follower.as_ref()?;
-        first_blockage_distance(
-            f.trajectory(),
-            f.progress_time(),
+        let predicted = self.state.predicted_boxes();
+        let assessment = self.stage.assess(
+            &predicted,
             export,
-            self.planning_margin,
-            self.drone.position,
-        )
-    }
-
-    /// The moving-obstacle boxes predicted over the configured lookahead
-    /// from the current instant (empty without dynamics).
-    fn predicted_boxes(&mut self) -> Vec<Aabb> {
-        match self.dynamics {
-            Some(world) if !world.is_static() => world.predicted_boxes_cached(
-                self.clock.now(),
-                self.cfg.dynamic_lookahead,
-                &mut self.pose_cache,
-            ),
-            _ => Vec::new(),
+            self.follower
+                .as_ref()
+                .map(|f| (f.trajectory(), f.progress_time())),
+            self.state.drone.position,
+            self.state.drone.speed(),
+        );
+        let needed = self.follower.as_ref().is_none_or(|f| f.finished())
+            || self.decisions_since_plan >= self.state.cfg.replan_every
+            || assessment.blockage.is_some()
+            || assessment.in_danger;
+        let replanned = needed
+            && !forced_failure
+            && self.replan(export, knobs, commanded_velocity, assessment.in_danger);
+        Planned {
+            assessment,
+            replanned,
+            needed,
         }
-    }
-
-    fn predicted_relevance_range(&self) -> f64 {
-        predicted_relevance_range(
-            self.drone.speed(),
-            self.cfg.dynamic_lookahead,
-            self.planning_margin,
-        )
-    }
-
-    /// Distance to the first remaining-trajectory point inside the
-    /// predicted moving-obstacle occupancy within the relevance range,
-    /// or `None` when clear (or in a static world) — the same
-    /// [`PredictedHazards`] walk the planner's composed context and the
-    /// fresh-plan veto use.
-    fn predicted_blockage(&self) -> Option<f64> {
-        let f = self.follower.as_ref()?;
-        let remaining = f.trajectory().remaining_from(f.progress_time());
-        self.hazards
-            .first_conflict(remaining.points().iter().map(|p| p.position))
-            .map(|p| p.distance(self.drone.position))
-    }
-
-    fn in_predicted_danger(&self) -> bool {
-        self.hazards
-            .any_within(self.drone.position, self.planning_margin)
-    }
-
-    fn need_plan(&self, blockage: Option<f64>) -> bool {
-        self.follower.as_ref().map(|f| f.finished()).unwrap_or(true)
-            || self.decisions_since_plan >= self.cfg.replan_every
-            || blockage.is_some()
     }
 
     fn install_trajectory(&mut self, trajectory: Trajectory) {
@@ -961,17 +1276,10 @@ impl<'m> DecisionCycle<'m> {
         self.decisions_since_plan = 0;
     }
 
-    /// The planning path: refresh the long-lived checker from the export
-    /// delta, plan, and on `StartBlocked` retry against a
-    /// worst-case-precision export.
-    ///
-    /// With [`crate::MissionConfig::predicted_costmap`] on (and predicted
-    /// boxes present), the search runs against the composed
-    /// [`HazardContext`] so it routes around predicted lanes in one shot;
-    /// a failed one-shot search falls back to the retained reject-loop
-    /// reference path (static-only plan, posterior predicted veto below).
-    /// Escape plans always use the bare checker: the drone is already
-    /// inside a predicted box and any way out starts in conflict.
+    /// The planning path: search through the planning stage (a
+    /// start-blocked search retries at once against the worst-case
+    /// precision export), retreat when still wedged in a live world, and
+    /// install a plan the fresh-plan veto admits.
     fn replan(
         &mut self,
         export: &PlannerMap,
@@ -980,95 +1288,37 @@ impl<'m> DecisionCycle<'m> {
         escape: bool,
     ) -> bool {
         let plan_timer = roborun_trace::timer();
-        let local_goal = self.local_goal(export);
-        let bounds = self.sampling_bounds(self.drone.position, local_goal);
-        let check_step = planning_check_step(knobs);
-        let planner = planner_for(
-            self.planner_seed_base,
-            self.decisions,
+        let position = self.state.drone.position;
+        let outcome = self.stage.search(
+            self.state.env,
+            export,
+            Some(&self.map),
             knobs,
-            self.planning_margin,
-            sampling_mix_for(self.cfg.hazard_biased_sampling),
+            self.state.decisions,
+            position,
+            self.state.cfg.drone.body_radius * 1.5,
+            commanded_velocity,
+            escape,
         );
-        match self.collision.as_mut() {
-            Some(checker) => {
-                checker.update_map(export.clone());
-                checker.set_check_step(check_step);
-            }
-            None => {
-                self.collision = Some(CollisionChecker::new(
-                    export.clone(),
-                    self.planning_margin,
-                    check_step,
-                ));
-            }
-        }
-        let one_shot = self.cfg.predicted_costmap && !escape && !self.hazards.is_empty();
-        let cruise = commanded_velocity.max(0.5);
-        let mut outcome = plan_through_hazards(
-            &planner,
-            self.collision.as_mut().expect("checker just initialised"),
-            &self.hazards,
-            one_shot,
-            self.drone.position,
-            local_goal,
-            &bounds,
-            cruise,
-            &mut self.scratch,
-        );
-        if matches!(outcome, Err(PlanError::StartBlocked)) {
-            // A coarse export voxel can swallow the drone's own
-            // (physically free) position. Fall back to the worst-case
-            // export precision for this plan — the same recovery a
-            // spatial-oblivious pipeline gets for free.
-            let fine_export = PlannerMap::export(
-                &self.map,
-                &ExportConfig::new(
-                    self.map.resolution(),
-                    knobs.map_to_planner_volume,
-                    self.drone.position,
-                ),
-            );
-            outcome = planner.plan(
-                &fine_export,
-                self.drone.position,
-                local_goal,
-                &bounds,
-                commanded_velocity.max(0.5),
-            );
-        }
-        if matches!(outcome, Err(PlanError::StartBlocked))
-            && self.dynamics.is_some_and(|world| !world.is_static())
-        {
-            // Wedged: the drone's own position sits inside the margin
-            // shell of mapped occupancy even at the finest export. Static
-            // missions cannot reach this state (planned paths keep the
-            // margin), but a dynamic mission can — an escape manoeuvre or
-            // a passing actor can leave the MAV parked against a surface,
-            // where every plan is start-blocked forever. Back straight
-            // out of the margin shell so the next decision can plan.
-            let retreat = self.retreat_trajectory(export);
-            self.install_trajectory(retreat);
-            return true;
-        }
         match outcome {
+            Err(PlanError::StartBlocked) if self.state.live() => {
+                // Wedged: the drone's own position sits inside the margin
+                // shell of mapped occupancy even at the finest export.
+                // Static missions cannot reach this state (planned paths
+                // keep the margin), but a dynamic mission can — an escape
+                // manoeuvre or a passing actor can leave the MAV parked
+                // against a surface, where every plan is start-blocked
+                // forever. Back straight out of the margin shell so the
+                // next decision can plan.
+                let retreat = self.stage.retreat(export, position);
+                self.install_trajectory(retreat);
+                true
+            }
             Ok((trajectory, stats)) => {
-                emit_plan_span(&stats, self.clock.now(), &plan_timer);
-                // A fresh plan that crosses the predicted moving-obstacle
-                // occupancy is rejected like a failed plan: the planner
-                // only knows where actors *are* (their mapped voxels),
-                // the prediction knows where they may be within the
-                // lookahead. Rejection leaves the emergency-stop policy
-                // in charge until the conflict clears. The one exception
-                // is an *escape* plan: when the drone's own position is
-                // already inside a predicted box, any plan necessarily
-                // starts in conflict and moving out beats hovering in a
-                // crossing lane.
-                if !escape
-                    && !self
-                        .hazards
-                        .path_clear(trajectory.points().iter().map(|p| p.position))
-                {
+                emit_plan_span(&stats, self.state.clock.now(), &plan_timer);
+                // A vetoed plan leaves the emergency-stop policy in charge
+                // until the conflict clears.
+                if !self.stage.admits(&trajectory, escape) {
                     return false;
                 }
                 self.install_trajectory(trajectory);
@@ -1076,25 +1326,6 @@ impl<'m> DecisionCycle<'m> {
             }
             Err(_) => false,
         }
-    }
-
-    fn retreat_trajectory(&self, export: &PlannerMap) -> Trajectory {
-        retreat_trajectory(export, self.drone.position, self.planning_margin)
-    }
-
-    /// The RRT sampling bounds for this mission.
-    fn sampling_bounds(&self, start: Vec3, goal: Vec3) -> Aabb {
-        planning_bounds(start, goal, self.env.bounds())
-    }
-
-    fn local_goal(&self, export: &PlannerMap) -> Vec3 {
-        local_goal(
-            self.env,
-            export,
-            self.drone.position,
-            self.cfg.planning_horizon,
-            self.cfg.drone.body_radius * 1.5,
-        )
     }
 
     /// Emergency stop: the remaining trajectory collides with the freshly
@@ -1105,25 +1336,18 @@ impl<'m> DecisionCycle<'m> {
     /// the escape plan (or the old trajectory) moving it *anywhere* is
     /// safer than holding station.
     fn emergency_stop(&mut self, planned: &Planned, latency: f64) {
-        if planned.in_danger {
+        if planned.assessment.in_danger || planned.replanned {
             return;
         }
-        if let (Some(distance), false) = (planned.blockage, planned.replanned) {
-            let stop_distance = self
-                .governor
-                .config()
-                .budgeter
-                .stopping
-                .stopping_distance(self.drone.speed());
+        if let Some(distance) = planned.assessment.blockage {
+            let speed = self.state.drone.speed();
+            let governor = self.state.governor.config();
+            let stop_distance = governor.budgeter.stopping.stopping_distance(speed);
             // Reaction distance: the drone keeps moving for one decision
             // epoch before the next chance to brake.
-            let reaction = self.drone.speed() * latency.max(self.cfg.min_epoch);
-            if blockage_is_imminent(
-                distance,
-                stop_distance,
-                reaction,
-                2.0 * self.cfg.drone.body_radius,
-            ) {
+            let reaction = speed * latency.max(self.state.cfg.min_epoch);
+            let body_clearance = 2.0 * self.state.cfg.drone.body_radius;
+            if blockage_is_imminent(distance, stop_distance, reaction, body_clearance) {
                 self.follower = None;
             }
         }
@@ -1134,167 +1358,49 @@ impl<'m> DecisionCycle<'m> {
     /// Runs one full decision: every stage in order. The caller loops
     /// while [`DecisionCycle::mission_open`].
     pub(crate) fn run_decision(&mut self) {
-        self.decisions += 1;
-        // Tracing: one relaxed load when disarmed; everything below is
-        // behind this flag (or inside the collector's own gates).
-        let trace_on = roborun_trace::armed();
         let decision_timer = roborun_trace::timer();
-        let t0 = self.clock.now();
-        let watchdog_before = self.degradation_stats.watchdog_fires;
-
-        // The fault plan's verdict for this decision: a pure function of
-        // (plan seed, decision index), identical across drivers and runs.
-        let frame = self
-            .fault_plan
-            .as_ref()
-            .map(|plan| plan.frame(self.decisions as u64))
-            .unwrap_or_default();
-        self.degradation_stats.faults_injected += frame.injected_count();
-        if trace_on && frame.injected_count() > 0 {
-            roborun_trace::collector::instant(
-                roborun_trace::SpanKind::FaultInjected,
-                t0,
-                &[("channels", frame.injected_count() as f64)],
-            );
-        }
+        let frame = self.state.begin_decision();
+        let t0 = self.state.clock.now();
 
         // sense → profile → govern → operate → cost.
-        let sensed = self.sense(&frame);
-        let (visibility, policy) = self.profile_and_govern(&sensed, &frame);
+        let cloud = self.state.sense(&frame);
+        let (visibility, policy) = self.profile_and_govern(&cloud, &frame);
         let knobs = policy.knobs;
-        let stale_map = frame.sensor_blackout || frame.map_stale;
-        let export = self.apply_operators(&sensed, &knobs, stale_map);
-        let mut breakdown = self.decision_cost(&knobs);
-
-        // Planner fault channels: the watchdog/retry policy (degradation
-        // armed) or the baseline's serialised spike — the thesis of the
-        // fault sweep in one branch.
-        let (mut degradation, forced_failure) = apply_planner_faults(
-            &mut breakdown,
-            &frame,
-            &self.cfg.degradation,
-            &mut self.degradation_stats,
-        );
-        if trace_on && self.degradation_stats.watchdog_fires > watchdog_before {
-            roborun_trace::collector::instant(roborun_trace::SpanKind::WatchdogFire, t0, &[]);
-        }
-        // Moving-obstacle prediction for this decision's instant (empty
-        // in static worlds), folded into the shared hazard source every
-        // consumer below — blockage detection, the planner's composed
-        // context, the fresh-plan veto — queries. The retarget is an
-        // incremental patch: only boxes that moved touch the source.
-        let predicted = self.predicted_boxes();
-        let range = self.predicted_relevance_range();
-        self.hazards
-            .retarget(&predicted, self.drone.position, range);
-        let in_danger = self.in_predicted_danger();
-
+        let export = self.apply_operators(&cloud, &knobs, frame.sensor_blackout || frame.map_stale);
+        let (breakdown, mut degradation, forced_failure) = self.state.modeled_cost(&knobs, &frame);
         self.decisions_since_plan += 1;
         let latency = breakdown.total();
-
-        // Safe velocity under the budget law (Eq. 1). In a dynamic world
-        // the reaction budget additionally absorbs the worst closing speed
-        // of any sensed actor (the oblivious baseline cannot: its velocity
-        // is fixed at design time — the thesis again).
-        // Actors that can reach the visible margin within the lookahead
-        // eat into the reaction budget; anything farther is throttling
-        // the mission for an obstacle that cannot touch it.
-        let closing_speed = match self.dynamics {
-            Some(world) if !world.is_static() => world.max_closing_speed_cached(
-                self.clock.now(),
-                self.drone.position,
-                visibility + world.max_actor_speed() * self.cfg.dynamic_lookahead,
-                &mut self.pose_cache,
-            ),
-            _ => 0.0,
-        };
-        // Stale-perception derating: with degradation armed and the map
-        // older than this decision (a blackout or stale epoch withheld
-        // integration), the governor's data-age law shaves the visible
-        // margin by how far the world may have drifted since the last
-        // integration — the same structure as the closing-speed term.
-        // `data_age` is exactly 0.0 on decisions that integrated, so the
-        // healthy path never enters this arm.
-        let data_age = self.clock.now() - self.last_integration_time;
-        let derate = self.cfg.degradation.enabled && data_age > 0.0;
-        let commanded_velocity = match self.cfg.mode {
-            RuntimeMode::SpatialOblivious => self.baseline_velocity,
-            RuntimeMode::SpatialAware if derate => {
-                self.governor
-                    .safe_velocity_stale(latency, visibility, closing_speed, data_age)
-            }
-            RuntimeMode::SpatialAware if closing_speed > 0.0 => self
-                .governor
-                .safe_velocity_closing(latency, visibility, closing_speed),
-            RuntimeMode::SpatialAware => self.governor.safe_velocity(latency, visibility),
-        };
-        if derate && degradation == Degradation::Healthy {
-            degradation = Degradation::StalePerception;
-        }
+        let commanded_velocity =
+            self.state
+                .commanded_velocity(latency, visibility, &mut degradation);
 
         // Plan, then the degradation ladder and the emergency-stop policy.
-        let planned = self.plan(
-            &export,
-            &knobs,
-            commanded_velocity,
-            in_danger,
-            forced_failure,
+        let planned = self.plan(&export, &knobs, commanded_velocity, forced_failure);
+        let reusable = self.follower.as_ref().is_some_and(|f| !f.finished())
+            && planned.assessment.blockage.is_none()
+            && !planned.assessment.in_danger;
+        let rung = self.state.degrade(
+            forced_failure && planned.needed && !planned.replanned,
+            reusable,
+            &mut degradation,
         );
-        let mut hover = false;
-        if self.cfg.degradation.enabled {
-            if forced_failure && planned.needed && !planned.replanned {
-                // Fallback ladder: reuse the last valid trajectory while
-                // it is clear, hover in place otherwise, and bottom out
-                // in a wedge-retreat safe-stop once hovering has not
-                // bought a plan for `hover_limit` consecutive decisions.
-                let reusable = self.follower.as_ref().is_some_and(|f| !f.finished());
-                if reusable && planned.blockage.is_none() && !planned.in_danger {
-                    degradation = Degradation::ReusedTrajectory;
-                    self.hover_streak = 0;
-                } else if self.hover_streak >= self.cfg.degradation.hover_limit {
-                    let retreat = self.retreat_trajectory(&export);
-                    self.install_trajectory(retreat);
-                    self.safe_stopped = true;
-                    self.degradation_stats.safe_stops += 1;
-                    degradation = Degradation::SafeStop;
-                } else {
-                    hover = true;
-                    self.hover_streak += 1;
-                    degradation = Degradation::Hover;
-                }
-            } else {
-                self.hover_streak = 0;
-                // Perception too old to trust: hold position until fresh
-                // data arrives rather than flying through unsensed space.
-                // Hovering is indefinitely safe, so stale hovers never
-                // escalate towards the safe-stop.
-                if data_age > self.cfg.degradation.stale_hover_age {
-                    hover = true;
-                    degradation = Degradation::Hover;
-                }
+        match rung {
+            Rung::SafeStop => {
+                let retreat = self.stage.retreat(&export, self.state.drone.position);
+                self.install_trajectory(retreat);
             }
-        }
-        if !hover && degradation != Degradation::SafeStop {
-            self.emergency_stop(&planned, latency);
-        }
-        if degradation.is_degraded() {
-            self.degradation_stats.degraded_decisions += 1;
+            Rung::Fly | Rung::Reuse => self.emergency_stop(&planned, latency),
+            Rung::Hover => {}
         }
 
-        // Record.
-        let cpu_sample = self
-            .cfg
-            .cpu
-            .sample(breakdown.compute_total(), latency.max(self.cfg.min_epoch));
-        if trace_on {
-            if degradation != self.last_degradation {
-                roborun_trace::collector::instant_labeled(
-                    roborun_trace::SpanKind::DegradationTransition,
-                    degradation_label(degradation),
-                    t0,
-                    &[],
-                );
-            }
+        let cpu = self.state.record(
+            &policy,
+            breakdown,
+            commanded_velocity,
+            visibility,
+            degradation,
+        );
+        if roborun_trace::armed() {
             // The decision span covers the latency window; the seven stage
             // spans partition it exactly, so the exporter's coverage check
             // holds by construction.
@@ -1304,10 +1410,10 @@ impl<'m> DecisionCycle<'m> {
                 latency,
                 roborun_trace::timer_ns(&decision_timer),
                 &[
-                    ("decision", self.decisions as f64),
+                    ("decision", self.state.decisions as f64),
                     ("velocity", commanded_velocity),
                     ("visibility", visibility),
-                    ("cpu", cpu_sample.utilization),
+                    ("cpu", cpu),
                 ],
             );
             let mut cursor = t0;
@@ -1319,91 +1425,28 @@ impl<'m> DecisionCycle<'m> {
                 cursor += duration;
             }
         }
-        self.last_degradation = degradation;
-        self.telemetry.push(DecisionRecord {
-            time: self.clock.now(),
-            position: self.drone.position,
-            commanded_velocity,
-            visibility,
-            deadline: policy.deadline,
-            knobs,
-            breakdown,
-            cpu_utilization: cpu_sample.utilization,
-            zone: Some(zone_label(self.env.zone_at(self.drone.position))),
-            degradation,
-        });
 
-        // Advance the world for the epoch. Moving actors are
-        // collision-tested at their true pose of every substep.
-        let epoch = latency.max(self.cfg.min_epoch);
+        // Advance the world for the epoch. A hovering decision issues no
+        // motion command; the follower keeps its progress so a later
+        // decision can resume it.
         let follower = &mut self.follower;
-        let dynamics = self.dynamics;
-        let pose_cache = &mut self.pose_cache;
-        let body_margin = self.cfg.drone.body_radius * 0.8;
-        self.collided = advance_epoch(
-            &mut self.drone,
-            &mut self.clock,
-            &mut self.energy_joules,
-            self.env,
-            &self.cfg.drone,
-            &self.cfg.energy,
-            epoch,
+        self.state.advance(
+            latency,
             commanded_velocity,
-            |position, dt| {
-                if hover {
-                    // A hovering decision issues no motion command: the
-                    // physics brake the MAV in place. The follower keeps
-                    // its progress so a later decision can resume it.
-                    return None;
+            rung == Rung::Hover,
+            |position, dt| match follower.as_mut() {
+                Some(f) if !f.finished() => {
+                    let cmd = f.update(position, dt);
+                    Some((cmd.target, cmd.speed))
                 }
-                match follower.as_mut() {
-                    Some(f) if !f.finished() => {
-                        let cmd = f.update(position, dt);
-                        Some((cmd.target, cmd.speed))
-                    }
-                    _ => None,
-                }
-            },
-            |position, time| {
-                dynamics.is_some_and(|world| {
-                    world.actor_hit_cached(position, time, body_margin, pose_cache)
-                })
+                _ => None,
             },
         );
-        self.flown_path.push(self.drone.position);
-        self.flown_times.push(self.clock.now());
-        if !self.collided
-            && self.drone.position.distance(self.env.goal()) <= self.cfg.goal_tolerance
-        {
-            self.reached_goal = true;
-        }
     }
 
     /// Final mission result.
     pub(crate) fn finish(self) -> MissionResult {
-        if roborun_trace::armed() {
-            // Spill this thread's buffered events at the mission boundary.
-            roborun_trace::collector::flush();
-        }
-        let mission_time = self.clock.now().max(1e-9);
-        let metrics = finalize_metrics(
-            self.cfg.mode,
-            mission_time,
-            self.energy_joules,
-            &self.telemetry,
-            &self.drone,
-            self.decisions,
-            self.reached_goal,
-            self.collided,
-            self.dynamic_replans,
-            &self.degradation_stats,
-        );
-        MissionResult {
-            metrics,
-            telemetry: self.telemetry,
-            flown_path: self.flown_path,
-            flown_times: self.flown_times,
-        }
+        self.state.finish(self.stage.dynamic_replans)
     }
 }
 
@@ -1436,5 +1479,94 @@ mod tests {
         // Equidistant from the reference too: the smaller key (−5, 0, 0)
         // wins, so back away along +x.
         assert_eq!(retreat_from(Vec3::new(0.0, 5.0, 1.0)), Vec3::X);
+    }
+
+    fn armed() -> DegradationConfig {
+        DegradationConfig {
+            enabled: true,
+            ..DegradationConfig::default()
+        }
+    }
+
+    #[test]
+    fn ladder_reuse_resets_and_hover_extends_the_streak() {
+        let policy = armed();
+        let mut streak = 3;
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, true, true, 0.0),
+            Rung::Reuse
+        );
+        assert_eq!(streak, 0);
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, true, false, 0.0),
+            Rung::Hover
+        );
+        assert_eq!(streak, 1);
+        // A decision whose plan was not lost flies and resets the streak.
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, false, false, 0.0),
+            Rung::Fly
+        );
+        assert_eq!(streak, 0);
+    }
+
+    #[test]
+    fn ladder_safe_stops_after_hover_limit_consecutive_hovers() {
+        let policy = armed();
+        let mut streak = 0;
+        for hovered in 1..=policy.hover_limit {
+            assert_eq!(
+                ladder_rung(&policy, &mut streak, true, false, 0.0),
+                Rung::Hover
+            );
+            assert_eq!(streak, hovered);
+        }
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, true, false, 0.0),
+            Rung::SafeStop
+        );
+        // One hover short of the limit, the failing decision still hovers.
+        let mut streak = policy.hover_limit - 1;
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, true, false, 0.0),
+            Rung::Hover
+        );
+        assert_eq!(streak, policy.hover_limit);
+    }
+
+    #[test]
+    fn stale_hovers_never_escalate() {
+        let policy = armed();
+        let stale = policy.stale_hover_age + 1.0;
+        let mut streak = 0;
+        for _ in 0..3 * policy.hover_limit {
+            assert_eq!(
+                ladder_rung(&policy, &mut streak, false, false, stale),
+                Rung::Hover
+            );
+            assert_eq!(streak, 0);
+        }
+        // Exactly at the age limit the decision still flies.
+        let at_limit = policy.stale_hover_age;
+        assert_eq!(
+            ladder_rung(&policy, &mut streak, false, true, at_limit),
+            Rung::Fly
+        );
+    }
+
+    #[test]
+    fn disarmed_ladder_always_flies_and_keeps_the_streak() {
+        let policy = DegradationConfig::default();
+        assert!(!policy.enabled);
+        let stale = policy.stale_hover_age + 1.0;
+        for (lost, reusable, age) in [(true, false, 0.0), (true, true, 0.0), (false, false, stale)]
+        {
+            let mut streak = policy.hover_limit;
+            assert_eq!(
+                ladder_rung(&policy, &mut streak, lost, reusable, age),
+                Rung::Fly
+            );
+            assert_eq!(streak, policy.hover_limit);
+        }
     }
 }

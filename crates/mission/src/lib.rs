@@ -16,8 +16,11 @@
 //!   runtime mode ([`roborun_core::RuntimeMode`]) and produce a
 //!   [`MissionResult`] (metrics + full per-decision telemetry), with
 //!   optional per-knob ablation and sensor-fault injection.
-//! * [`cycle`] — the shared decision-cycle core both drivers execute
-//!   (stage policies, epoch advance).
+//! * [`cycle`] — the decision core both drivers share: the mission shell
+//!   (fault frames, sensing, modeled cost, velocity law, degradation
+//!   ladder, telemetry, epoch advance, the final result), the planning
+//!   stage (collision checker, predicted hazards, search, veto, retreat)
+//!   and the direct driver's decision cycle.
 //! * [`node_pipeline`] — the same closed loop executed as a
 //!   `roborun-middleware` node graph, with the communication term measured
 //!   from real per-topic traffic instead of modeled.

@@ -14,26 +14,69 @@
 //!
 //! The physics-facing edge (reading the drone state, applying velocity
 //! commands at the 4 Hz control substep) stays a direct call, exactly as the
-//! flight-controller interface does on a real MAV.
+//! flight-controller interface does on a real MAV. So does everything the
+//! two drivers share: the mission shell (fault frames, sensing, modeled
+//! cost, velocity law, degradation ladder, telemetry, epoch advance) and
+//! the planning stage (checker, predicted hazards, search, veto, retreat)
+//! live in [`crate::cycle`]; this module keeps the messages, the five
+//! nodes' publish/take plumbing and the bus-measured `comm` accounting.
+//!
+//! # Where the drivers still differ
+//!
+//! These policy differences remain between this driver and the direct
+//! one. The drivers agree exactly, apart from the communication term, only
+//! once each is resolved:
+//!
+//! * **Local-goal probe margin.** The planning node probes the local goal
+//!   at `margin * 0.9` (`PlanningNode::spin`, its search call); the
+//!   direct driver at `body_radius * 1.5`.
+//! * **Start-blocked handling.** A start-blocked search is reported on
+//!   `/planning/feedback`, and the perception node exports at the finest
+//!   precision from the next decision on (`PerceptionNode::map_spin`); the
+//!   direct driver retries against a fine export at once.
+//! * **Wedge retreat.** The planning node retreats once the start has been
+//!   blocked for two decisions in a row with predicted boxes present
+//!   (`PlanningNode::spin`); the direct driver retreats when its immediate
+//!   fine retry fails in a live world.
+//! * **Emergency stop.** The planning node brakes for a blockage within
+//!   the stopping distance of `StoppingModel::paper_default()`, 1 s of
+//!   reaction and `2 * margin` (`PlanningNode::spin`, also the baseline's
+//!   forced-failure brake in `NodePipeline::run_with`); the direct driver
+//!   uses the governor's stopping model, `max(latency, min_epoch)` of
+//!   reaction and `2 * body_radius`.
+//! * **Provisional latency.** The velocity law sees the modeled compute
+//!   cost plus the communication measured so far this decision
+//!   (`NodePipeline::run_with`), not the full breakdown.
+//! * **Voxel-decay epoch.** The perception node stamps the map with its
+//!   integration count (`PerceptionNode::map_spin`); the direct driver
+//!   with the decision index.
+//! * **Full profile in oblivious mode.** The perception node publishes
+//!   the full profile in both modes (`PerceptionNode::profile_spin`): the
+//!   communication slice is charged from the message bytes, so a smaller
+//!   `/runtime/profile` message would change the oblivious missions'
+//!   simulated time. The direct driver profiles visibility only.
+//! * **Corrupted payloads.** A corrupted sample drained off any
+//!   subscription marks a healthy decision `StalePerception`
+//!   (`NodePipeline::run_with`).
+//! * **Link faults.** Lost, duplicated and delayed messages count into
+//!   `faults_injected` (`NodePipeline::run_with`); the direct driver has
+//!   no bus.
 
-use crate::cycle::{self, direction_towards, planning_bounds, zone_label, DegradationStats};
+use crate::cycle::{self, MissionState, PlanningStage, Rung};
 use crate::runner::{MissionConfig, MissionResult};
 use roborun_control::TrajectoryFollower;
-use roborun_core::{
-    DecisionRecord, Degradation, Governor, MissionTelemetry, Policy, Profilers, RuntimeMode,
-    SpatialProfile,
-};
+use roborun_core::{Degradation, Governor, Policy, Profilers, RuntimeMode, SpatialProfile};
 use roborun_dynamics::DynamicWorld;
-use roborun_env::{Environment, ObstacleField};
-use roborun_faults::{FaultFrame, FaultPlan, FaultyBus};
+use roborun_env::Environment;
+use roborun_faults::FaultyBus;
 use roborun_geom::{Aabb, Vec3};
 use roborun_middleware::{
     CommLatencyModel, GraphInfo, Message, MessageBus, MiddlewareError, Node, Publisher, QosProfile,
     Stamped, Subscription,
 };
 use roborun_perception::{ExportConfig, OccupancyMap, PlannerMap, PointCloud};
-use roborun_planning::{CollisionChecker, PlanError, PlannerScratch, PredictedHazards, Trajectory};
-use roborun_sim::{CameraRig, DroneState, SimClock, StoppingModel};
+use roborun_planning::{PlanError, Trajectory};
+use roborun_sim::{DroneState, StoppingModel};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -197,25 +240,23 @@ fn latest_checked<T: Message>(sub: &Subscription<T>, corrupted: &mut u64) -> Opt
 }
 
 struct SensorNode {
-    rig: CameraRig,
     points_pub: Publisher<PointCloudMsg>,
     odom_pub: Publisher<OdometryMsg>,
 }
 
 impl SensorNode {
-    fn new(node: &Node, rig: CameraRig) -> Self {
+    fn new(node: &Node) -> Self {
         SensorNode {
-            rig,
             points_pub: node.publisher("/sensors/points").expect("points topic"),
             odom_pub: node.publisher("/sensors/odometry").expect("odometry topic"),
         }
     }
 
-    fn spin(&mut self, field: &ObstacleField, drone: &DroneState, frame: &FaultFrame) {
-        // A blacked-out sweep still crosses the bus as an empty cloud
-        // (the frame header a real driver would publish), so downstream
-        // nodes observe the blackout rather than hanging.
-        let cloud = cycle::sense_cloud(&self.rig, field, &drone.pose(), frame);
+    /// Publishes the decision's sweep and the drone's odometry. A
+    /// blacked-out sweep still crosses the bus as an empty cloud (the
+    /// frame header a real driver would publish), so downstream nodes
+    /// observe the blackout rather than hanging.
+    fn spin(&mut self, cloud: PointCloud, drone: &DroneState) {
         let _ = self.points_pub.publish(PointCloudMsg(cloud));
         let _ = self.odom_pub.publish(OdometryMsg {
             position: drone.position,
@@ -241,7 +282,7 @@ struct PerceptionNode {
     latest_policy: Option<Policy>,
     latest_trajectory: Option<Trajectory>,
     planner_start_blocked: bool,
-    /// Decision counter stamped onto the map as the voxel-decay epoch.
+    /// Integration counter stamped onto the map as the voxel-decay epoch.
     epochs: u64,
     /// A cloud sample arrived since the last integration — a lossy link
     /// dropping `/sensors/points` must not let a stale cached cloud
@@ -290,14 +331,9 @@ impl PerceptionNode {
     }
 
     /// First half of the perception stage: ingest the newest sensor data
-    /// and publish the profiled spatial state the governor needs, with
-    /// the visibility clamped to the decision's `fog_cap`.
-    ///
-    /// Unlike the direct driver, which profiles only visibility for an
-    /// oblivious mission, this node publishes the full profile in both
-    /// modes: the driver charges its communication slice from the bytes on
-    /// the bus ([`Message::approx_size_bytes`]), so a smaller profile
-    /// message would change the oblivious node missions' simulated time.
+    /// and publish the full profiled spatial state the governor needs, in
+    /// both modes, with the visibility clamped to the decision's
+    /// `fog_cap`.
     fn profile_spin(&mut self, goal: Vec3, fog_cap: Option<f64>) {
         if let Some(sample) = latest_checked(&self.cloud_sub, &mut self.corrupted) {
             self.latest_cloud = Some(sample.message.0);
@@ -312,7 +348,7 @@ impl PerceptionNode {
         let (Some(cloud), Some(odom)) = (self.latest_cloud.as_ref(), self.latest_odom) else {
             return;
         };
-        let heading = direction_towards(odom.position, goal, odom.velocity);
+        let heading = cycle::direction_towards(odom.position, goal, odom.velocity);
         let mut profile = self.profilers.profile(
             cloud,
             &self.map,
@@ -381,7 +417,6 @@ impl PerceptionNode {
 }
 
 struct RuntimeNode {
-    governor: Governor,
     profile_sub: Subscription<ProfileMsg>,
     policy_pub: Publisher<PolicyMsg>,
     latest_profile: Option<SpatialProfile>,
@@ -390,9 +425,8 @@ struct RuntimeNode {
 }
 
 impl RuntimeNode {
-    fn new(node: &Node, governor: Governor) -> Self {
+    fn new(node: &Node) -> Self {
         RuntimeNode {
-            governor,
             profile_sub: node
                 .subscribe("/runtime/profile", QosProfile::reliable(2))
                 .expect("profile subscription"),
@@ -402,68 +436,30 @@ impl RuntimeNode {
         }
     }
 
-    fn spin(&mut self) -> Option<Policy> {
+    fn spin(&mut self, governor: &Governor) -> Option<Policy> {
         if let Some(sample) = latest_checked(&self.profile_sub, &mut self.corrupted) {
             self.latest_profile = Some(sample.message.0);
         }
         let profile = self.latest_profile.as_ref()?;
-        let policy = self.governor.decide(profile);
+        let policy = governor.decide(profile);
         let _ = self.policy_pub.publish(PolicyMsg(policy));
         Some(policy)
     }
 
-    /// The velocity the runtime allows for the next epoch given the actual
-    /// decision latency, the worst closing speed of any sensed moving
-    /// obstacle (zero in a static world) and the age of the last map
-    /// integration (zero with fresh perception or degradation disarmed).
-    /// With both extra terms zero this reduces exactly to the plain
-    /// budget law.
-    fn commanded_velocity(
-        &self,
-        mode: RuntimeMode,
-        latency: f64,
-        closing_speed: f64,
-        data_age: f64,
-    ) -> f64 {
-        match mode {
-            RuntimeMode::SpatialOblivious => self.governor.baseline_velocity(),
-            RuntimeMode::SpatialAware => {
-                let visibility = self
-                    .latest_profile
-                    .as_ref()
-                    .map(|p| p.visibility)
-                    .unwrap_or(self.governor.config().oblivious_visibility);
-                if data_age > 0.0 {
-                    self.governor
-                        .safe_velocity_stale(latency, visibility, closing_speed, data_age)
-                } else {
-                    self.governor
-                        .safe_velocity_closing(latency, visibility, closing_speed)
-                }
-            }
-        }
-    }
-
-    fn latest_visibility(&self) -> f64 {
+    /// The visibility the velocity law budgets from: the newest profile's,
+    /// or the governor's worst case before any profile arrived.
+    fn latest_visibility(&self, governor: &Governor) -> f64 {
         self.latest_profile
             .as_ref()
             .map(|p| p.visibility)
-            .unwrap_or(self.governor.config().oblivious_visibility)
+            .unwrap_or(governor.config().oblivious_visibility)
     }
 }
 
 struct PlanningNode {
-    seed_base: u64,
-    margin: f64,
-    planning_horizon: f64,
-    dynamic_lookahead: f64,
+    stage: PlanningStage,
+    goal_probe: f64,
     replan_every: usize,
-    /// Plan through the composed hazard context (predicted boxes as soft
-    /// obstacles) instead of only vetoing finished plans.
-    predicted_costmap: bool,
-    /// Bias a share of RRT* proposals toward hazard gap regions (see
-    /// [`crate::MissionConfig::hazard_biased_sampling`]).
-    hazard_biased_sampling: bool,
     stopping: StoppingModel,
     map_sub: Subscription<PlannerMapMsg>,
     policy_sub: Subscription<PolicyMsg>,
@@ -477,21 +473,10 @@ struct PlanningNode {
     latest_status: Option<ControlStatusMsg>,
     active_trajectory: Option<Trajectory>,
     decisions_since_plan: usize,
-    decisions: usize,
+    /// The active trajectory was found blocked within stopping range and
+    /// no replacement was planned this decision: the controller must brake
+    /// until a valid plan exists.
     emergency_stop: bool,
-    /// Long-lived collision checker, refreshed from the export delta per
-    /// replan.
-    collision: Option<CollisionChecker>,
-    /// The per-mission predicted hazard source, retargeted from the
-    /// decision's predicted boxes (incremental patch) — the node's half
-    /// of the composed hazard context, mirroring the direct driver's.
-    hazards: PredictedHazards,
-    /// RRT* search buffers reused across plans (allocation reuse only,
-    /// mirroring the direct driver's).
-    scratch: PlannerScratch,
-    /// Decisions where a predicted moving-obstacle conflict forced a
-    /// replan (always zero in static worlds).
-    dynamic_replans: usize,
     /// Consecutive decisions whose planning attempt was start-blocked —
     /// after the fine-export fallback has had its chance, a dynamic
     /// mission retreats out of the margin shell instead of hovering.
@@ -501,9 +486,8 @@ struct PlanningNode {
 }
 
 /// What the planning spin decided — the coordinator's view of the stage,
-/// mirroring the direct driver's `Planned` so the degradation ladder can
-/// run outside the node.
-#[derive(Clone, Copy)]
+/// so the degradation ladder can run outside the node.
+#[derive(Clone, Copy, Default)]
 struct NodePlanned {
     /// Whether this decision needed a plan at all.
     needed: bool,
@@ -519,15 +503,11 @@ struct NodePlanned {
 
 impl PlanningNode {
     fn new(node: &Node, config: &MissionConfig, env_seed: u64) -> Self {
-        let margin = config.drone.body_radius * config.planning_margin_factor;
+        let stage = PlanningStage::new(config, env_seed);
         PlanningNode {
-            seed_base: config.seed.wrapping_mul(0x9E37_79B9).wrapping_add(env_seed),
-            margin,
-            planning_horizon: config.planning_horizon,
-            dynamic_lookahead: config.dynamic_lookahead,
+            goal_probe: stage.margin * 0.9,
+            stage,
             replan_every: config.replan_every,
-            predicted_costmap: config.predicted_costmap,
-            hazard_biased_sampling: config.hazard_biased_sampling,
             stopping: StoppingModel::paper_default(),
             map_sub: node
                 .subscribe("/perception/planner_map", QosProfile::reliable(2))
@@ -553,12 +533,7 @@ impl PlanningNode {
             latest_status: None,
             active_trajectory: None,
             decisions_since_plan: usize::MAX / 2,
-            decisions: 0,
             emergency_stop: false,
-            collision: None,
-            hazards: PredictedHazards::new(Vec::new(), margin * 0.6, Vec3::ZERO, 0.0),
-            scratch: PlannerScratch::new(),
-            dynamic_replans: 0,
             start_blocked_streak: 0,
             corrupted: 0,
         }
@@ -581,186 +556,104 @@ impl PlanningNode {
         }
     }
 
-    /// `true` when the active trajectory was found to collide with the
-    /// latest map and no replacement plan was produced this decision — the
-    /// controller must brake until a valid plan exists.
-    fn emergency_stop_needed(&self) -> bool {
-        self.emergency_stop
-    }
-
-    fn local_goal(&self, env: &Environment, export: &PlannerMap, position: Vec3) -> Vec3 {
-        cycle::local_goal(
-            env,
-            export,
-            position,
-            self.planning_horizon,
-            self.margin * 0.9,
-        )
-    }
-
-    /// Distance from the drone to the first remaining-trajectory point that
-    /// collides with the latest map, or `None` when the trajectory is clear.
-    fn first_blockage_distance(&self, position: Vec3) -> Option<f64> {
-        let (Some(trajectory), Some(map)) =
-            (self.active_trajectory.as_ref(), self.latest_map.as_ref())
-        else {
-            return None;
-        };
-        let progress = self.latest_status.map(|s| s.progress_time).unwrap_or(0.0);
-        cycle::first_blockage_distance(trajectory, progress, map, self.margin, position)
-    }
-
     /// `true` when the last valid trajectory can still be followed (the
     /// degradation ladder's reuse rung).
     fn can_reuse(&self) -> bool {
         self.active_trajectory.is_some() && !self.latest_status.map(|s| s.finished).unwrap_or(true)
     }
 
+    /// Makes `trajectory` the active one and publishes it to the
+    /// controller.
+    fn publish(&mut self, trajectory: Trajectory) {
+        self.active_trajectory = Some(trajectory.clone());
+        self.decisions_since_plan = 0;
+        let _ = self.trajectory_pub.publish(TrajectoryMsg(trajectory));
+    }
+
     /// Publishes a wedge-retreat trajectory — the bottom of the
     /// degradation ladder: back straight out of the nearest mapped
     /// surface's margin shell and park.
     fn publish_retreat(&mut self, position: Vec3) {
-        let Some(map) = self.latest_map.as_ref() else {
-            return;
-        };
-        let retreat = cycle::retreat_trajectory(map, position, self.margin);
-        self.active_trajectory = Some(retreat.clone());
-        self.decisions_since_plan = 0;
-        let _ = self.trajectory_pub.publish(TrajectoryMsg(retreat));
-    }
-
-    /// Drops the active trajectory (the fault-oblivious baseline's
-    /// imminent-blockage brake on a forced-failure decision).
-    fn drop_trajectory(&mut self) {
-        self.active_trajectory = None;
+        if let Some(map) = self.latest_map.as_ref() {
+            let retreat = self.stage.retreat(map, position);
+            self.publish(retreat);
+        }
     }
 
     fn spin(
         &mut self,
         env: &Environment,
+        decision: usize,
         commanded_velocity: f64,
         predicted: &[Aabb],
         forced_failure: bool,
     ) -> NodePlanned {
-        self.decisions += 1;
         self.decisions_since_plan += 1;
         self.refresh_inputs();
-        let idle = NodePlanned {
-            needed: false,
-            replanned: false,
-            blocked: false,
-            imminent: false,
-            in_danger: false,
-        };
         let (Some(map), Some(policy), Some(odom)) = (
             self.latest_map.as_ref(),
             self.latest_policy,
             self.latest_odom,
         ) else {
-            return idle;
+            return NodePlanned::default();
         };
         let finished = self
             .latest_status
             .map(|s| s.finished)
             .unwrap_or(self.active_trajectory.is_none());
-        let static_blockage = self.first_blockage_distance(odom.position);
-        // A moving obstacle predicted to cross the remaining trajectory
-        // forces the same replan/brake machinery as a mapped blockage
-        // (same policy as the direct driver's cycle). Every predicted
-        // query below walks the per-mission hazard source, retargeted
-        // here from this decision's boxes (an incremental patch);
-        // conflicts beyond the relevance range are not actionable.
-        let relevance_range =
-            cycle::predicted_relevance_range(odom.speed, self.dynamic_lookahead, self.margin);
-        self.hazards
-            .retarget(predicted, odom.position, relevance_range);
-        let predicted_blockage = self.active_trajectory.as_ref().and_then(|trajectory| {
-            let progress = self.latest_status.map(|s| s.progress_time).unwrap_or(0.0);
-            let remaining = trajectory.remaining_from(progress);
-            self.hazards
-                .first_conflict(remaining.points().iter().map(|p| p.position))
-                .map(|p| p.distance(odom.position))
-        });
-        // A predicted box over the drone's own position forces an escape
-        // replan and suppresses braking (the in-danger policy shared
-        // with the direct driver).
-        let in_danger = self.hazards.any_within(odom.position, self.margin);
-        if predicted_blockage.is_some() || in_danger {
-            self.dynamic_replans += 1;
-        }
-        let blockage = cycle::merge_blockages(static_blockage, predicted_blockage);
+        let progress = self.latest_status.map(|s| s.progress_time).unwrap_or(0.0);
+        let assessment = self.stage.assess(
+            predicted,
+            map,
+            self.active_trajectory.as_ref().map(|t| (t, progress)),
+            odom.position,
+            odom.speed,
+        );
+        let in_danger = assessment.in_danger;
         // Brake only when the blockage sits inside the stopping range: the
         // budget law (Eq. 1) guarantees the MAV can react to anything it
         // sees that close, while blockages further out leave time to keep
-        // flying and replan.
-        let imminent_blockage = blockage.is_some_and(|distance| {
-            // Stopping distance plus one second of reaction (≈ one decision
-            // epoch of continued motion before the next chance to brake).
+        // flying and replan. The reaction window is one second (≈ one
+        // decision epoch of continued motion before the next chance to
+        // brake).
+        let imminent = assessment.blockage.is_some_and(|distance| {
             cycle::blockage_is_imminent(
                 distance,
                 self.stopping.stopping_distance(odom.speed),
                 odom.speed,
-                2.0 * self.margin,
+                2.0 * self.stage.margin,
             )
         });
-        let need_plan = self.active_trajectory.is_none()
+        let needed = self.active_trajectory.is_none()
             || finished
             || self.decisions_since_plan >= self.replan_every
-            || blockage.is_some()
+            || assessment.blockage.is_some()
             || in_danger;
         self.emergency_stop = false;
         let planned = NodePlanned {
-            needed: need_plan,
+            needed,
             replanned: false,
-            blocked: blockage.is_some(),
-            imminent: imminent_blockage,
+            blocked: assessment.blockage.is_some(),
+            imminent,
             in_danger,
         };
-        if !need_plan {
-            return planned;
-        }
         // A forced planner failure (fault plan, or an unrecovered
         // watchdog abort) means no planner output exists this decision:
         // planning is skipped outright and the coordinator's degradation
         // ladder takes over.
-        if forced_failure {
+        if !needed || forced_failure {
             return planned;
         }
-        let knobs = policy.knobs;
-        let local_goal = self.local_goal(env, map, odom.position);
-        let bounds = planning_bounds(odom.position, local_goal, env.bounds());
-        let planner = cycle::planner_for(
-            self.seed_base,
-            self.decisions,
-            &knobs,
-            self.margin,
-            cycle::sampling_mix_for(self.hazard_biased_sampling),
-        );
-        let cruise = commanded_velocity.max(0.5);
-        // One checker across the mission, refreshed from the export
-        // delta; the predicted costmap composes it with the predicted
-        // boxes so the search routes around lanes in one shot.
-        let check_step = cycle::planning_check_step(&knobs);
-        match self.collision.as_mut() {
-            Some(checker) => {
-                checker.update_map(map.clone());
-                checker.set_check_step(check_step);
-            }
-            None => {
-                self.collision = Some(CollisionChecker::new(map.clone(), self.margin, check_step));
-            }
-        }
-        let one_shot = self.predicted_costmap && !self.hazards.is_empty() && !in_danger;
-        let outcome = cycle::plan_through_hazards(
-            &planner,
-            self.collision.as_mut().expect("checker just initialised"),
-            &self.hazards,
-            one_shot,
+        let outcome = self.stage.search(
+            env,
+            map,
+            None,
+            &policy.knobs,
+            decision,
             odom.position,
-            local_goal,
-            &bounds,
-            cruise,
-            &mut self.scratch,
+            self.goal_probe,
+            commanded_velocity,
+            in_danger,
         );
         // Tell perception whether the exported map swallowed our own
         // position, so it can fall back to the worst-case export precision.
@@ -773,41 +666,24 @@ impl PlanningNode {
         } else {
             self.start_blocked_streak = 0;
         }
+        let replanned = NodePlanned {
+            replanned: true,
+            ..planned
+        };
         // Wedged in a dynamic mission: the fine-export fallback has had
         // its decision and the start is still blocked — back out of the
-        // margin shell so planning can recover (same manoeuvre as the
-        // direct driver's cycle).
+        // margin shell so planning can recover.
         if start_blocked && self.start_blocked_streak >= 2 && !predicted.is_empty() {
-            let retreat = cycle::retreat_trajectory(map, odom.position, self.margin);
-            self.active_trajectory = Some(retreat.clone());
-            self.decisions_since_plan = 0;
-            let _ = self.trajectory_pub.publish(TrajectoryMsg(retreat));
-            return NodePlanned {
-                replanned: true,
-                ..planned
-            };
+            let retreat = self.stage.retreat(map, odom.position);
+            self.publish(retreat);
+            return replanned;
         }
         match outcome {
-            // A fresh plan that crosses the predicted moving-obstacle
-            // occupancy is rejected like a failed plan — unless it is an
-            // *escape* plan from inside a predicted box, where moving
-            // out beats hovering in a crossing lane (same policy as the
-            // direct driver's cycle).
-            Ok((trajectory, _stats))
-                if in_danger
-                    || self
-                        .hazards
-                        .path_clear(trajectory.points().iter().map(|p| p.position)) =>
-            {
-                self.active_trajectory = Some(trajectory.clone());
-                self.decisions_since_plan = 0;
-                let _ = self.trajectory_pub.publish(TrajectoryMsg(trajectory));
-                NodePlanned {
-                    replanned: true,
-                    ..planned
-                }
+            Ok((trajectory, _stats)) if self.stage.admits(&trajectory, in_danger) => {
+                self.publish(trajectory);
+                replanned
             }
-            Ok(_) | Err(_) if imminent_blockage && !in_danger => {
+            Ok(_) | Err(_) if imminent && !in_danger => {
                 // The old trajectory collides within stopping range and no
                 // replacement was found: ask the controller to brake
                 // (Eq. 1's stopping-distance reaction) and drop the stale
@@ -855,12 +731,6 @@ impl ControlNode {
                 None => self.follower = Some(TrajectoryFollower::new(trajectory, self.lookahead)),
             }
         }
-    }
-
-    /// Drops the active trajectory so the drone brakes and hovers until a
-    /// new plan arrives.
-    fn brake(&mut self) {
-        self.follower = None;
     }
 
     /// One control substep: where to steer and how fast. Returns `None`
@@ -969,22 +839,21 @@ impl NodePipeline {
 
     fn run_with(&self, env: &Environment, dynamics: Option<&DynamicWorld>) -> NodePipelineResult {
         let cfg = &self.config.mission;
-        let live = dynamics.filter(|world| !world.is_static());
-        let mut pose_cache = dynamics.map(DynamicWorld::pose_cache).unwrap_or_default();
+        let mut state = MissionState::new(cfg, env, dynamics);
         // An armed fault plan wraps the bus in its deterministic
         // link-fault model (message loss / duplication / delay on the
         // configured topics); a healthy plan leaves the bus untouched.
-        let fault_plan =
-            (!cfg.fault_plan.is_healthy()).then(|| FaultPlan::new(cfg.fault_plan.clone()));
         let bus = {
             let bus = MessageBus::new(self.config.comm);
-            match fault_plan.as_ref().and_then(FaultPlan::link_faults) {
+            match state
+                .fault_plan
+                .as_ref()
+                .and_then(|plan| plan.link_faults())
+            {
                 Some(model) => FaultyBus::new(bus, model).bus(),
                 None => bus,
             }
         };
-        let governor = Governor::new(cfg.governor_config());
-        let map_resolution = governor.config().ranges.precision_min;
 
         // Node handles. The coordinator (flight interface) owns the drone
         // state and the physics stepping, like the autopilot board would.
@@ -994,156 +863,66 @@ impl NodePipeline {
         let planning_host = Node::new(&bus, "planner").expect("planning node");
         let control_host = Node::new(&bus, "controller").expect("control node");
 
-        let mut sensor = SensorNode::new(
-            &sensor_host,
-            match live {
-                Some(_) => cfg.dynamic_camera_rig(),
-                None => cfg.camera_rig(),
-            },
-        );
+        let mut sensor = SensorNode::new(&sensor_host);
+        let map_resolution = state.governor.config().ranges.precision_min;
         let mut perception = PerceptionNode::new(&perception_host, cfg, map_resolution);
-        let mut runtime = RuntimeNode::new(&runtime_host, governor);
+        let mut runtime = RuntimeNode::new(&runtime_host);
         let mut planning = PlanningNode::new(&planning_host, cfg, env.seed());
         let mut control = ControlNode::new(&control_host);
 
-        let mut drone = DroneState::at(env.start());
-        let mut clock = SimClock::new();
-        let mut telemetry = MissionTelemetry::new(cfg.mode);
-        let mut flown_path = vec![drone.position];
-        let mut flown_times = vec![0.0];
         let mut comm_per_decision = Vec::new();
-        let mut energy_joules = 0.0;
-        let mut collided = false;
-        let mut reached_goal = false;
-        let mut decisions = 0usize;
         let mut comm_seen = 0.0;
-        let mut degradation_stats = DegradationStats::default();
-        let mut last_integration_time = 0.0;
-        let mut hover_streak = 0u32;
         let mut corrupted_seen = 0u64;
-        while decisions < cfg.max_decisions && clock.now() < cfg.max_mission_time {
-            decisions += 1;
-            bus.set_time(clock.now());
-
-            // The fault plan's verdict for this decision: a pure function
-            // of (plan seed, decision index), identical across drivers.
-            let frame = fault_plan
-                .as_ref()
-                .map(|plan| plan.frame(decisions as u64))
-                .unwrap_or_default();
-            degradation_stats.faults_injected += frame.injected_count();
+        while state.open() {
+            let frame = state.begin_decision();
+            bus.set_time(state.clock.now());
 
             // Sensor → perception profiling → governor → perception map →
-            // planning, all over topics. With actors, sensing captures
-            // the snapshot field of this instant.
-            let snapshot;
-            let sense_field = match live {
-                Some(world) => {
-                    snapshot = world.snapshot_field_cached(clock.now(), &mut pose_cache);
-                    &snapshot
-                }
-                None => env.field(),
-            };
-            sensor.spin(sense_field, &drone, &frame);
+            // planning, all over topics.
+            let cloud = state.sense(&frame);
+            sensor.spin(cloud, &state.drone);
             perception.profile_spin(env.goal(), frame.fog_cap);
-            let Some(policy) = runtime.spin() else { break };
-            let stale_map = frame.sensor_blackout || frame.map_stale;
-            if perception.map_spin(stale_map) {
-                last_integration_time = clock.now();
+            let Some(policy) = runtime.spin(&state.governor) else {
+                break;
+            };
+            if perception.map_spin(frame.sensor_blackout || frame.map_stale) {
+                state.integrated();
             }
-            let data_age = clock.now() - last_integration_time;
-
-            let knobs = policy.knobs;
-            let mut breakdown = cfg.latency.decision_breakdown(
-                knobs.point_cloud_precision,
-                knobs.octomap_volume,
-                knobs.map_to_planner_precision,
-                knobs.map_to_planner_volume,
-                knobs.map_to_planner_precision,
-                knobs.planner_volume,
-                cfg.mode.is_aware(),
-            );
-            // Planner fault channels: the watchdog/retry policy
-            // (degradation armed) or the baseline's serialised spike —
-            // the same shared arithmetic as the direct driver.
-            let (mut degradation, forced_failure) = cycle::apply_planner_faults(
-                &mut breakdown,
-                &frame,
-                &cfg.degradation,
-                &mut degradation_stats,
-            );
-            let predicted = live.map_or_else(Vec::new, |world| {
-                world.predicted_boxes_cached(clock.now(), cfg.dynamic_lookahead, &mut pose_cache)
-            });
+            let (mut breakdown, mut degradation, forced_failure) =
+                state.modeled_cost(&policy.knobs, &frame);
+            let predicted = state.predicted_boxes();
             // Planning needs the commanded velocity; compute it from the
             // model-predicted compute cost plus the comm charged so far this
             // decision (the planning hop is added below and reflected in the
             // recorded breakdown).
             let comm_so_far = bus.total_transport_latency() - comm_seen;
-            let provisional_latency = breakdown.compute_total() + comm_so_far;
-            // Actors that can reach the visible margin within the
-            // lookahead eat into the reaction budget (same rule as the
-            // direct driver's cycle).
-            let closing_speed = live.map_or(0.0, |world| {
-                world.max_closing_speed_cached(
-                    clock.now(),
-                    drone.position,
-                    runtime.latest_visibility() + world.max_actor_speed() * cfg.dynamic_lookahead,
-                    &mut pose_cache,
-                )
-            });
-            // Stale-perception derating: with degradation armed and the
-            // map older than this decision, the governor's data-age law
-            // shaves the visible margin (the direct driver's rule;
-            // `data_age` is exactly 0.0 on decisions that integrated, so
-            // the healthy path never enters the stale arm).
-            let derate = cfg.degradation.enabled && data_age > 0.0;
-            let commanded_velocity = runtime.commanded_velocity(
-                cfg.mode,
-                provisional_latency,
-                closing_speed,
-                if derate { data_age } else { 0.0 },
+            let visibility = runtime.latest_visibility(&state.governor);
+            let commanded_velocity = state.commanded_velocity(
+                breakdown.compute_total() + comm_so_far,
+                visibility,
+                &mut degradation,
             );
-            if derate && degradation == Degradation::Healthy {
-                degradation = Degradation::StalePerception;
-            }
 
-            let planned = planning.spin(env, commanded_velocity, &predicted, forced_failure);
-            // Degradation ladder — the same policy as the direct driver:
-            // reuse the last valid trajectory while it is clear, hover in
-            // place otherwise, and bottom out in a wedge-retreat safe-stop
-            // once hovering has not bought a plan for `hover_limit`
-            // consecutive decisions. Stale hovers never escalate.
-            let mut hover = false;
-            let mut safe_stop = false;
-            if cfg.degradation.enabled {
-                if forced_failure && planned.needed && !planned.replanned {
-                    if planning.can_reuse() && !planned.blocked && !planned.in_danger {
-                        degradation = Degradation::ReusedTrajectory;
-                        hover_streak = 0;
-                    } else if hover_streak >= cfg.degradation.hover_limit {
-                        planning.publish_retreat(drone.position);
-                        safe_stop = true;
-                        degradation_stats.safe_stops += 1;
-                        degradation = Degradation::SafeStop;
-                    } else {
-                        hover = true;
-                        hover_streak += 1;
-                        degradation = Degradation::Hover;
-                    }
-                } else {
-                    hover_streak = 0;
-                    if data_age > cfg.degradation.stale_hover_age {
-                        hover = true;
-                        degradation = Degradation::Hover;
-                    }
-                }
+            let planned = planning.spin(
+                env,
+                state.decisions,
+                commanded_velocity,
+                &predicted,
+                forced_failure,
+            );
+            let rung = state.degrade(
+                forced_failure && planned.needed && !planned.replanned,
+                planning.can_reuse() && !planned.blocked && !planned.in_danger,
+                &mut degradation,
+            );
+            if rung == Rung::SafeStop {
+                planning.publish_retreat(state.drone.position);
             }
             control.begin_epoch();
             // The fault-oblivious baseline's forced-failure decision still
-            // honours the imminent-blockage brake the direct driver's
-            // emergency-stop policy applies (no replacement plan exists,
-            // so the stale trajectory is dropped and the MAV brakes).
+            // honours the imminent-blockage brake (no replacement plan
+            // exists, so the stale trajectory is dropped and the MAV
+            // brakes).
             let baseline_brake = !cfg.degradation.enabled
                 && forced_failure
                 && planned.needed
@@ -1151,10 +930,13 @@ impl NodePipeline {
                 && planned.imminent
                 && !planned.in_danger;
             if baseline_brake {
-                planning.drop_trajectory();
+                planning.active_trajectory = None;
             }
-            if !hover && !safe_stop && (planning.emergency_stop_needed() || baseline_brake) {
-                control.brake();
+            if matches!(rung, Rung::Fly | Rung::Reuse)
+                && (planning.emergency_stop || baseline_brake)
+            {
+                // Brake: the drone hovers until a new plan arrives.
+                control.follower = None;
             }
             // Corrupted payloads drained off any subscription this decision
             // are a degradation event even when nothing else is.
@@ -1164,106 +946,37 @@ impl NodePipeline {
                 degradation = Degradation::StalePerception;
             }
             corrupted_seen = corrupted_total;
-            if degradation.is_degraded() {
-                degradation_stats.degraded_decisions += 1;
-            }
 
             // Replace the modeled comm term with what actually crossed the
             // bus during this decision.
             let comm_total = bus.total_transport_latency();
-            let comm_this_decision = comm_total - comm_seen;
+            breakdown.communication = comm_total - comm_seen;
             comm_seen = comm_total;
-            breakdown.communication = comm_this_decision;
-            comm_per_decision.push(comm_this_decision);
-            let latency = breakdown.total();
+            comm_per_decision.push(breakdown.communication);
 
-            let cpu_sample = cfg
-                .cpu
-                .sample(breakdown.compute_total(), latency.max(cfg.min_epoch));
-            telemetry.push(DecisionRecord {
-                time: clock.now(),
-                position: drone.position,
-                commanded_velocity,
-                visibility: runtime.latest_visibility(),
-                deadline: policy.deadline,
-                knobs,
+            state.record(
+                &policy,
                 breakdown,
-                cpu_utilization: cpu_sample.utilization,
-                zone: Some(zone_label(env.zone_at(drone.position))),
-                degradation,
-            });
-
-            // Advance the physical world for the epoch; moving actors are
-            // collision-tested at their true pose of every substep.
-            let epoch = latency.max(cfg.min_epoch);
-            let body_margin = cfg.drone.body_radius * 0.8;
-            collided = cycle::advance_epoch(
-                &mut drone,
-                &mut clock,
-                &mut energy_joules,
-                env,
-                &cfg.drone,
-                &cfg.energy,
-                epoch,
                 commanded_velocity,
-                |position, dt| {
-                    if hover {
-                        // A hovering decision issues no motion command: the
-                        // physics brake the MAV in place. The controller
-                        // keeps its progress so a later decision resumes.
-                        return None;
-                    }
-                    control.update(position, dt)
-                },
-                |position, time| {
-                    live.is_some_and(|world| {
-                        world.actor_hit_cached(position, time, body_margin, &mut pose_cache)
-                    })
-                },
+                visibility,
+                degradation,
+            );
+            state.advance(
+                breakdown.total(),
+                commanded_velocity,
+                rung == Rung::Hover,
+                |position, dt| control.update(position, dt),
             );
             control.end_epoch();
-            flown_path.push(drone.position);
-            flown_times.push(clock.now());
-
-            if collided {
-                break;
-            }
-            if drone.position.distance(env.goal()) <= cfg.goal_tolerance {
-                reached_goal = true;
-                break;
-            }
-            // A safe-stop flew its retreat epoch; the mission is over.
-            if safe_stop {
-                break;
-            }
         }
 
-        let mission_time = clock.now().max(1e-9);
         // Bus-level fault events (lost/duplicated/delayed messages) are
         // injections too — the direct driver has no bus, so this term is
         // the node pipeline's own.
-        degradation_stats.faults_injected += bus.link_fault_stats().total_events() as usize;
-        let metrics = cycle::finalize_metrics(
-            cfg.mode,
-            mission_time,
-            energy_joules,
-            &telemetry,
-            &drone,
-            decisions,
-            reached_goal,
-            collided,
-            planning.dynamic_replans,
-            &degradation_stats,
-        );
-        let graph = GraphInfo::snapshot(&bus);
+        state.degradation_stats.faults_injected += bus.link_fault_stats().total_events() as usize;
         NodePipelineResult {
-            mission: MissionResult {
-                metrics,
-                telemetry,
-                flown_path,
-                flown_times,
-            },
-            graph,
+            mission: state.finish(planning.stage.dynamic_replans),
+            graph: GraphInfo::snapshot(&bus),
             comm_per_decision,
         }
     }
@@ -1390,9 +1103,11 @@ mod tests {
 
     #[test]
     fn node_graph_matches_direct_runner_metrics_to_first_order() {
-        // The node-graph run and the direct runner share every model; the
-        // only difference is the measured (rather than modeled) comm term,
-        // so mission-level metrics must land in the same ballpark.
+        // The node-graph run and the direct runner share every model and
+        // the decision core. Besides the measured (rather than modeled)
+        // comm term, the policy differences listed in the module docs
+        // remain, so mission-level metrics only land in the same
+        // ballpark.
         let env = short_environment(21);
         let direct = crate::MissionRunner::new(crate::MissionConfig {
             max_decisions: 800,
