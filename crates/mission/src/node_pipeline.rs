@@ -458,7 +458,6 @@ impl RuntimeNode {
 
 struct PlanningNode {
     stage: PlanningStage,
-    goal_probe: f64,
     replan_every: usize,
     stopping: StoppingModel,
     map_sub: Subscription<PlannerMapMsg>,
@@ -503,10 +502,8 @@ struct NodePlanned {
 
 impl PlanningNode {
     fn new(node: &Node, config: &MissionConfig, env_seed: u64) -> Self {
-        let stage = PlanningStage::new(config, env_seed);
         PlanningNode {
-            goal_probe: stage.margin * 0.9,
-            stage,
+            stage: PlanningStage::new(config, env_seed),
             replan_every: config.replan_every,
             stopping: StoppingModel::paper_default(),
             map_sub: node
@@ -651,7 +648,7 @@ impl PlanningNode {
             &policy.knobs,
             decision,
             odom.position,
-            self.goal_probe,
+            self.stage.margin * 0.9,
             commanded_velocity,
             in_danger,
         );
